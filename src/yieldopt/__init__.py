@@ -3,7 +3,7 @@
 Library layout:
 
 * :mod:`yieldopt.dist`: discrete exchange reward distributions
-* :mod:`yieldopt.policy`: threshold computation (closed form, DP, objectives)
+* :mod:`yieldopt.policy`: threshold computation (closed forms, objectives, grid oracle)
 * :mod:`yieldopt.engine`: the online serving engine
 * :mod:`yieldopt.instances`: instance model, adversarial generator, supply factor
 * :mod:`yieldopt.oracle`: offline/online ground-truth computations
@@ -69,7 +69,7 @@ from .policy import (
     binary_threshold,
     lb_discrete,
     make_policy,
-    optimize_thresholds_dp,
+    optimize_thresholds_exact,
     optimize_thresholds_grid,
     ub_continuous,
 )

@@ -26,7 +26,7 @@ from .dist import RewardDistribution, validate
 from .engine import run_instance
 from .errors import YieldOptError
 from .instances import Instance, complete_instance, gen_upper_triangular, supply_factor
-from .policy import DEFAULT_GRID, ThresholdPolicy, make_policy
+from .policy import ThresholdPolicy, make_policy
 from .ratio import binary_alg_bound, binary_opt, binary_ratio, worst_case_distribution
 
 SCHEMA_VERSION = 1
@@ -75,9 +75,7 @@ def _csv_out(header: List[str], rows: List[List[object]], out: Optional[str]) ->
 
 def _cmd_thresholds(args) -> int:
     dist = _load_dist(args.dist)
-    policy, objective, offset = make_policy(
-        dist, args.penalty, args.supply, grid=args.grid
-    )
+    policy, objective, offset = make_policy(dist, args.penalty, args.supply)
     _json_out(
         {
             "thresholds": list(policy.thresholds),
@@ -86,7 +84,6 @@ def _cmd_thresholds(args) -> int:
             "config": {
                 "penalty": args.penalty,
                 "supply": args.supply,
-                "grid": args.grid,
                 "dist": {"support": list(dist.support), "cum_mass": list(dist.cum_mass)},
             },
         },
@@ -100,11 +97,14 @@ def _cmd_simulate(args) -> int:
         raise YieldOptError(f"--seeds must be >= 1, got {args.seeds}")
     instance = _load_instance(args.instance)
     dist = _load_dist(args.dist)
-    f = instance.supply if instance.supply is not None else supply_factor(instance)
-    f = max(1.0, f)
-    grid = args.grid if args.grid is not None else 1.0 / max(instance.m, 2)
+    measured = instance.supply if instance.supply is not None else supply_factor(instance)
+    undersupplied = measured < 1.0
+    if undersupplied:
+        message = f"supply factor {measured:g} < 1; serving with f = 1"
+        print(json.dumps({"warning": "undersupplied", "message": message}), file=sys.stderr)
+    f = max(1.0, measured)
     N = float(instance.total_demand)
-    policy, objective, offset = make_policy(dist, args.penalty, f, N=N, grid=grid)
+    policy, objective, offset = make_policy(dist, args.penalty, f, N=N)
     rows = []
     for i in range(args.seeds):
         seed = args.seed + i
@@ -125,7 +125,8 @@ def _cmd_simulate(args) -> int:
                     "penalty": args.penalty,
                     "seeds": args.seeds,
                     "seed": args.seed,
-                    "grid": grid,
+                    "supply_factor_measured": measured,
+                    "undersupplied": undersupplied,
                 },
                 "per_seed": [
                     dict(zip(["seed", "reward", "exchange_revenue", "penalty_paid", "fill_rate"], row))
@@ -292,7 +293,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dist", required=True, help="distribution JSON file or inline JSON")
     p.add_argument("--penalty", type=float, required=True)
     p.add_argument("--supply", type=float, required=True)
-    p.add_argument("--grid", type=float, default=DEFAULT_GRID)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_thresholds)
 
@@ -302,7 +302,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--penalty", type=float, required=True)
     p.add_argument("--seeds", type=int, default=1, help="number of consecutive seeds")
     p.add_argument("--seed", type=int, required=True, help="first seed")
-    p.add_argument("--grid", type=float, default=None)
     p.add_argument("--out")
     p.add_argument("--report", help="also write an aggregate JSON report here")
     p.set_defaults(fn=_cmd_simulate)

@@ -13,6 +13,7 @@ random streams are always passed in by the caller, never stored.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
@@ -49,6 +50,8 @@ class RewardDistribution:
             raise MalformedDistribution(
                 f"support and cum_mass lengths differ: {len(support)} vs {len(cum)}"
             )
+        if not all(map(math.isfinite, support + cum)):
+            raise MalformedDistribution(f"support and cum_mass must be finite: {support}, {cum}")
         if any(v < 0.0 for v in support):
             raise MalformedDistribution("rewards must be non-negative")
         if any(b <= a for a, b in zip(support, support[1:])):
@@ -125,8 +128,11 @@ def validate(dist: RewardDistribution, penalty: float) -> RewardDistribution:
     Re-checks the structural invariants and requires the top reward not to
     exceed the penalty.  A top reward above the penalty means those queries
     should always be sold on the exchange; we refuse rather than silently
-    truncating, so the caller can pre-filter.
+    truncating, so the caller can pre-filter.  A non-finite penalty is a
+    :class:`DomainError`.
     """
+    if not math.isfinite(penalty):
+        raise DomainError(f"penalty must be finite, got {penalty}")
     # Reconstructing re-runs the structural checks.
     checked = RewardDistribution(dist.support, dist.cum_mass)
     if checked.support[-1] > penalty:

@@ -13,6 +13,7 @@ it is computed by binary search over max-flow feasibility.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -22,6 +23,17 @@ import numpy as np
 from .errors import DomainError, NonIntegralGroupSize
 
 _INTEGRALITY_TOL = 1e-9
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as an int; integral floats pass, fractions and non-numbers raise."""
+    try:
+        as_int = int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"{what} must be an integer, got {value!r}") from exc
+    if as_int != value:
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    return as_int
 
 
 @dataclass(frozen=True)
@@ -34,22 +46,24 @@ class Instance:
     seed: Optional[int] = None
 
     def __post_init__(self):
-        demands = tuple(int(n) for n in self.demands)
+        demands = tuple(_integer(n, "demand") for n in self.demands)
         if not demands or any(n <= 0 for n in demands):
             raise DomainError(f"demands must be positive integers: {demands}")
         m = len(demands)
         groups = []
         for count, elig in self.groups:
-            count = int(count)
+            count = _integer(count, "group count")
             if count < 0:
                 raise DomainError(f"group count must be >= 0, got {count}")
-            ids = tuple(sorted(set(int(a) for a in elig)))
+            ids = tuple(sorted(set(_integer(a, "advertiser id") for a in elig)))
             if ids and (ids[0] < 0 or ids[-1] >= m):
                 raise DomainError(f"eligibility ids out of range 0..{m - 1}: {ids}")
             groups.append((count, ids))
         object.__setattr__(self, "demands", demands)
         object.__setattr__(self, "groups", tuple(groups))
         if self.supply is not None:
+            if not math.isfinite(self.supply):
+                raise DomainError(f"supply factor must be finite, got {self.supply}")
             target = float(self.supply) * self.total_demand
             if abs(target - round(target)) > _INTEGRALITY_TOL * max(1.0, target):
                 raise DomainError(

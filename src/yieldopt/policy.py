@@ -9,8 +9,9 @@ the query.  This module computes those thresholds:
 * the adversarial impression profile ``beta*`` and the resulting
   objective, both at finite quantile resolution ``t`` (``lb_discrete``)
   and in its exact large-``t`` closed form (``ub_continuous``),
-* a bucketed dynamic program over the threshold grid for general
-  distributions, plus an exhaustive grid oracle used in tests.
+* the exact maximizer of that objective for any support size, a
+  water-filling closed form that generalizes the binary one, plus an
+  exhaustive grid oracle used in tests.
 
 All operations are pure functions of immutable inputs and safe to run in
 parallel across parameter grids.
@@ -258,6 +259,36 @@ def ub_continuous(
 # ---------------------------------------------------------------------------
 
 
+def optimize_thresholds_exact(dist: RewardDistribution, f: float, c: float) -> ThresholdPolicy:
+    """Closed-form maximizer of ``ub_continuous`` (water-filling).
+
+    With ``Z_k = X_{d+1-k}`` the objective is ``fN sum_k m_k (c - r_k)
+    (1 - exp(-Z_k))`` under ``sum_k m_k Z_k = 1/f``, ``Z >= 0``: a
+    separable concave problem whose optimum is
+    ``Z_k = max(0, ln((c - r_k)/lambda))``.  Since ``c - r_k`` decreases in
+    ``k`` the ordering ``Z_1 >= ... >= Z_d`` holds on its own, so this is
+    also the optimum over ordered thresholds.  Eliminating ``lambda`` gives
+    each threshold directly, generalizing the binary closed form:
+
+    ``s_{d+1-k} = max(0, 1 + f sum_{i<k} m_i ln((c - r_k)/(c - r_i)))``
+
+    which is non-decreasing in the threshold index, equals 1 for ``k = 1``
+    and is 0 for every atom with ``r_k = c``.
+    """
+    if not (math.isfinite(f) and f >= 1.0):
+        raise DomainError(f"supply factor must be finite and >= 1, got {f}")
+    checked = _require_normalized(dist, c)
+    masses = checked.point_masses()
+    logs = [-math.inf if r >= c else math.log(1.0 - r / c) for r in checked.support]
+    thresholds = [1.0]  # s_d, s_{d-1}, ..., s_1
+    partial = 0.0  # sum_{i<k} m_i ln(1 - r_i/c)
+    for k in range(1, checked.d):
+        partial += masses[k - 1] * logs[k - 1]
+        s = max(0.0, 1.0 + f * checked.cum_mass[k - 1] * logs[k] - f * partial)
+        thresholds.append(min(s, thresholds[-1]))
+    return ThresholdPolicy(tuple(reversed(thresholds)), checked)
+
+
 def _grid_values(grid: float) -> np.ndarray:
     if not 0.0 < grid < 1.0:
         raise DomainError(f"grid step must be in (0, 1), got {grid}")
@@ -267,87 +298,6 @@ def _grid_values(grid: float) -> np.ndarray:
         values = np.append(values, 1.0)
     values[-1] = 1.0
     return values
-
-
-def optimize_thresholds_dp(
-    dist: RewardDistribution,
-    f: float,
-    c: float,
-    N: float = 1.0,
-    grid: float = DEFAULT_GRID,
-) -> ThresholdPolicy:
-    """Bucketed dynamic program over the threshold grid.
-
-    State after placing ``s_v`` is the pair (grid value of ``s_v``,
-    accumulated depletion factor ``E_v = exp(-sum_{j<=v} (s_j-s_{j-1})/(f q_{d+1-j}))``),
-    with ``E`` bucketed to multiples of ``grid/d`` (floor) to bound the
-    table.  Each bucket keeps the best partial objective together with the
-    exact ``E`` of that partial solution, so the reported objective is the
-    true value of the returned thresholds; bucketing only limits which
-    partial solutions survive, giving the standard O(cN * grid) gap to the
-    grid optimum.  Ties break toward the lexicographically smallest vector.
-    """
-    checked = _require_normalized(dist, c)
-    d = checked.d
-    if d == 1:
-        return ThresholdPolicy((1.0,), checked)
-    ys = _grid_values(grid)
-    ny = len(ys)
-    inv_bucket = d / grid
-    masses = checked.point_masses()
-
-    # per (y index) candidate set: (values, exact Es, prefixes in lex order)
-    states: List[Optional[Tuple[np.ndarray, np.ndarray, List[Tuple[float, ...]]]]] = [
-        None
-    ] * ny
-    states[0] = (np.array([0.0]), np.array([1.0]), [()])
-
-    for v in range(1, d + 1):
-        q_seg = checked.cum_mass[d - v]
-        coef = f * N * masses[d - v] * (c - checked.support[d - v])
-        targets = range(ny) if v < d else [ny - 1]
-        new_states: List[Optional[Tuple[np.ndarray, np.ndarray, List[Tuple[float, ...]]]]] = [
-            None
-        ] * ny
-        for iy in targets:
-            vals_parts, es_parts, src = [], [], []
-            for iyp in range(iy + 1):
-                prev = states[iyp]
-                if prev is None:
-                    continue
-                pv, pe, _ = prev
-                decay = math.exp(-(ys[iy] - ys[iyp]) / (f * q_seg))
-                e_new = pe * decay
-                vals_parts.append(pv + coef * (1.0 - e_new))
-                es_parts.append(e_new)
-                src.append((iyp, len(pv)))
-            if not vals_parts:
-                continue
-            vals = np.concatenate(vals_parts)
-            es = np.concatenate(es_parts)
-            keys = np.floor(es * inv_bucket).astype(np.int64)
-            order = np.arange(len(keys))
-            srt = np.lexsort((order, -vals, keys))
-            first = np.ones(len(srt), dtype=bool)
-            first[1:] = keys[srt[1:]] != keys[srt[:-1]]
-            keep = np.sort(srt[first])
-            # resolve kept flat indices back to (source state, local index)
-            offsets = np.cumsum([0] + [n for _, n in src])
-            prefixes: List[Tuple[float, ...]] = []
-            for k in keep:
-                part = int(np.searchsorted(offsets, k, side="right") - 1)
-                iyp = src[part][0]
-                local = int(k - offsets[part])
-                prefixes.append(states[iyp][2][local] + (float(ys[iy]),))
-            new_states[iy] = (vals[keep], es[keep], prefixes)
-        states = new_states
-
-    final = states[ny - 1]
-    assert final is not None
-    vals, _, prefixes = final
-    best = int(np.argmax(vals))
-    thresholds = prefixes[best][:-1] + (1.0,)
-    return ThresholdPolicy(thresholds, checked)
 
 
 @lru_cache(maxsize=8)
@@ -366,7 +316,8 @@ def optimize_thresholds_grid(
 ) -> ThresholdPolicy:
     """Exhaustive enumeration of monotone grid threshold vectors (d <= 4).
 
-    Exact grid optimum of ``ub_continuous``; test oracle for the DP.
+    Exact grid optimum of ``ub_continuous``; independent test oracle for
+    :func:`optimize_thresholds_exact`.
     """
     checked = _require_normalized(dist, c)
     d = checked.d
@@ -405,23 +356,18 @@ def make_policy(
     penalty: float,
     f: float,
     N: float = 1.0,
-    grid: float = DEFAULT_GRID,
 ) -> Tuple[ThresholdPolicy, float, float]:
     """Validate, shift, optimize; return a serving policy in original units.
 
     Returns ``(policy bound to the original distribution, objective per the
-    shifted units, offset to add back for absolute reward)``.  Binary
-    distributions use the closed-form threshold; larger supports go through
-    the dynamic program.
+    shifted units, offset to add back for absolute reward)``.  Every support
+    size goes through the closed-form solver
+    :func:`optimize_thresholds_exact`, which reduces to
+    :func:`binary_threshold` for binary distributions.  Rejects a supply
+    factor below 1 or non-finite.
     """
     checked = validate(dist, penalty)
     shifted, c_shifted, offset = normalize(checked, penalty, f, N)
-    if shifted.d == 2 and shifted.support[1] < c_shifted:
-        q = shifted.cum_mass[0]
-        r = shifted.support[1]
-        s1 = binary_threshold(f, q, r, c_shifted)
-        optimized = ThresholdPolicy((s1, 1.0), shifted)
-    else:
-        optimized = optimize_thresholds_dp(shifted, f, c_shifted, N, grid)
+    optimized = optimize_thresholds_exact(shifted, f, c_shifted)
     objective = ub_continuous(optimized.thresholds, shifted, f, c_shifted, N)
     return optimized.with_distribution(checked), objective, offset

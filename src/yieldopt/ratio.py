@@ -117,17 +117,17 @@ def best_achievable_reward(
     f: float,
     N: float = 1.0,
     grid: float = DEFAULT_GRID,
-    method: str = "dp",
+    method: str = "exact",
 ) -> float:
     """Best objective any threshold vector attains against the adversary.
 
     Shifts the distribution, optimizes thresholds, and reports the objective
-    in original units.  ``method="dp"`` uses the closed form for binary
-    supports and the dynamic program otherwise; ``method="grid"`` takes the
-    exact optimum over the epsilon-grid (d <= 4).
+    in original units.  ``method="exact"`` uses the closed-form solver behind
+    :func:`make_policy`; ``method="grid"`` takes the optimum over the
+    ``grid``-spaced threshold vectors (d <= 4).
     """
-    if method == "dp":
-        _, objective, offset = make_policy(dist, penalty, f, N=N, grid=grid)
+    if method == "exact":
+        _, objective, offset = make_policy(dist, penalty, f, N=N)
         return objective + offset
     if method != "grid":
         raise DomainError(f"unknown method {method!r}")

@@ -26,7 +26,6 @@ from .policy import (
     binary_threshold,
     lb_discrete,
     make_policy,
-    optimize_thresholds_dp,
     ub_continuous,
 )
 from .ratio import best_achievable_reward, binary_alg_bound, binary_ratio, worst_case_distribution
@@ -92,19 +91,20 @@ def _in_band(label: str, measured: float, lo: float, hi: float) -> Check:
 
 
 def run_binary_threshold_grid() -> ReproResult:
-    """DP threshold vs the closed form on an (f, q, r/c) grid at eps=1/200."""
+    """make_policy's threshold vs the binary closed form on an (f, q, r/c) grid."""
 
     def body(res: ReproResult) -> None:
-        eps = 1.0 / 200.0
         worst = 0.0
         for f in (1.0, 1.5, 2.0, 4.0):
             for q in np.arange(0.1, 0.95, 0.1):
                 for rc in np.arange(0.1, 0.95, 0.1):
                     d = RewardDistribution.binary(float(q), float(rc))
-                    policy = optimize_thresholds_dp(d, f, 1.0, grid=eps)
+                    policy, _, _ = make_policy(d, 1.0, f)
                     target = binary_threshold(f, float(q), float(rc), 1.0)
                     worst = max(worst, abs(policy.thresholds[0] - target))
-        res.checks.append(_at_most("max |dp - closed form| over 324 configs", worst, 2 * eps))
+        res.checks.append(
+            _at_most("max |make_policy - closed form| over 324 configs", worst, 1e-9)
+        )
 
     return _timed(body, "binary-threshold-grid")
 

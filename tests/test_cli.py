@@ -128,6 +128,33 @@ class TestSimulate:
         # config echo round-trips
         assert report["config"]["instance"]["demands"] == [10, 10, 10, 10]
         assert report["config"]["seed"] == 11
+        assert report["config"]["supply_factor_measured"] == 2.0
+        assert report["config"]["undersupplied"] is False
+
+
+    def test_undersupply_reported(self, capsys, tmp_path):
+        report_path = tmp_path / "report.json"
+        inst = '{"demands": [10, 10], "groups": [{"count": 5, "eligible": [0, 1]}]}'
+        code, out, err = run_cli(
+            capsys,
+            "simulate", "--instance", inst, "--dist", BINARY_JSON,
+            "--penalty", "1.0", "--seed", "1", "--report", str(report_path),
+        )
+        assert code == 0
+        assert len(out.strip().split("\n")) == 2  # still served, at f = 1
+        warning = err.strip().split("\n")
+        assert len(warning) == 1 and json.loads(warning[0])["warning"] == "undersupplied"
+        config = json.loads(report_path.read_text())["config"]
+        assert config["supply_factor_measured"] == pytest.approx(0.25)
+        assert config["undersupplied"] is True
+        assert "grid" not in config
+
+    def test_grid_option_removed(self, capsys):
+        code, _, _ = run_cli(
+            capsys, "thresholds", "--dist", BINARY_JSON, "--penalty", "1.0",
+            "--supply", "2.0", "--grid", "0.01",
+        )
+        assert code == 2
 
 
 class TestOtherCommands:

@@ -66,6 +66,27 @@ class TestValidate:
         d = RewardDistribution.point_mass(0.3)
         assert d.d == 1 and validate(d, 1.0)
 
+    @pytest.mark.parametrize(
+        "support,cum",
+        [
+            ((0.0, float("nan")), (0.5, 1.0)),
+            ((0.0, 0.5), (0.5, float("nan"))),  # used to renormalize to (nan, 1.0)
+            ((0.0, float("inf")), (0.5, 1.0)),
+            ((float("-inf"), 0.0), (0.5, 1.0)),
+        ],
+    )
+    def test_non_finite_rejected(self, support, cum):
+        with pytest.raises(MalformedDistribution):
+            RewardDistribution(support, cum)
+        with pytest.raises(MalformedDistribution):
+            RewardDistribution.from_json(json.dumps({"support": support, "cum_mass": cum}))
+
+    @pytest.mark.parametrize("penalty", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_penalty_rejected(self, penalty):
+        d = RewardDistribution((0.0, 0.5), (0.5, 1.0))
+        with pytest.raises(DomainError):
+            validate(d, penalty)
+
 
 class TestNormalize:
     def test_shift_and_offset(self):

@@ -62,6 +62,30 @@ class TestInstanceValidation:
         with pytest.raises(DomainError):
             Instance((0,), ((1, (0,)),))
 
+    def test_fractional_counts_rejected(self):
+        with pytest.raises(DomainError):
+            Instance((1.7, 2.2), ((3, (0, 1)),))
+        with pytest.raises(DomainError):
+            Instance((1, 2), ((3.9, (0, 1)),))
+        with pytest.raises(DomainError):
+            Instance((1, 2), ((3, (0, 1.5)),))
+        text = '{"demands": [1.7, 2.2], "groups": [{"count": 3.9, "eligible": [0, 1]}]}'
+        with pytest.raises(DomainError):
+            Instance.from_json(text)
+        with pytest.raises(DomainError):
+            Instance.from_json('{"demands": [2], "groups": [{"count": NaN, "eligible": [0]}]}')
+
+    def test_integral_floats_accepted(self):
+        inst = Instance.from_json(
+            '{"demands": [1.0, 2.0], "groups": [{"count": 3.0, "eligible": [0, 1]}]}'
+        )
+        assert inst == Instance((1, 2), ((3, (0, 1)),))
+        assert all(type(n) is int for n in inst.demands + (inst.groups[0][0],))
+
+    def test_non_finite_supply_rejected(self):
+        with pytest.raises(DomainError):
+            Instance((1,), ((2, (0,)),), supply=float("nan"))
+
     def test_expand_order(self):
         inst = Instance((1, 1), ((2, (0, 1)), (1, (1,))))
         assert inst.expand() == [(0, 1), (0, 1), (1,)]

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from yieldopt.dist import RewardDistribution
 from yieldopt.errors import DomainError, InfeasibleDecay, TooManyThresholds
@@ -14,7 +16,7 @@ from yieldopt.policy import (
     index_weights,
     lb_discrete,
     make_policy,
-    optimize_thresholds_dp,
+    optimize_thresholds_exact,
     optimize_thresholds_grid,
     segment_bounds,
     ub_continuous,
@@ -32,6 +34,37 @@ def rhs_objective(x, f, q, r, c, N=1.0):
         + (1.0 - q) * (r - c) * f * N * math.exp(-x)
         - q * f * N * c * math.exp((1.0 - q) / q * x - 1.0 / (q * f))
     )
+
+
+@st.composite
+def normalized_problems(draw):
+    """Normalized distribution (d <= 4), supply factor in [1, 8], penalty >= top reward."""
+    d = draw(st.integers(1, 4))
+    steps = draw(st.lists(st.floats(0.01, 1.0), min_size=d - 1, max_size=d - 1))
+    support = tuple(float(v) for v in np.cumsum([0.0] + steps))
+    masses = draw(st.lists(st.floats(0.05, 1.0), min_size=d, max_size=d))
+    cum = tuple(np.cumsum(masses)[:-1] / sum(masses)) + (1.0,)
+    at_penalty = d > 1 and draw(st.booleans())
+    c = support[-1] + (0.0 if at_penalty else draw(st.floats(0.01, 1.0)))
+    f = draw(st.floats(1.0, 8.0))
+    return RewardDistribution(support, cum), f, c
+
+
+def simplex_gradient(dist, thresholds, f, c):
+    """Gradient of ub_continuous in the increments y_j = s_j - s_{j-1}, up to fN.
+
+    ``w_j * sum_{v >= j} a_v exp(-X_v)`` with ``w_j = 1/q_{d+1-j}`` and
+    ``a_v = m_{d+1-v} (c - r_{d+1-v})``; returned with the increments.
+    """
+    support = np.asarray(dist.support)
+    cum = np.asarray(dist.cum_mass)
+    masses = np.diff(np.concatenate(([0.0], cum)))
+    w = 1.0 / cum[::-1]
+    y = np.diff(np.concatenate(([0.0], thresholds)))
+    X = np.cumsum(y * w) / f
+    a = (masses * (c - support))[::-1]
+    tail = np.cumsum((a * np.exp(-X))[::-1])[::-1]
+    return w * tail, y
 
 
 class TestBinaryThreshold:
@@ -205,26 +238,32 @@ class TestUbContinuous:
             assert split == pytest.approx(base, abs=1e-12)
 
 
+def _grid_neighbours(s, eps):
+    lo = math.floor(s / eps) * eps
+    return {round(lo, 12), round(min(1.0, lo + eps), 12)}
+
+
 class TestOptimizers:
+    # The test_dp_* names predate the closed-form solver; each now checks
+    # optimize_thresholds_exact at a gate at least as tight as the DP's.
+
     def test_dp_binary_matches_closed_form(self):
-        eps = 1 / 200
-        policy = optimize_thresholds_dp(BINARY, 2.0, 1.0, grid=eps)
-        assert abs(policy.thresholds[0] - S_STAR) <= 2 * eps
+        policy = optimize_thresholds_exact(BINARY, 2.0, 1.0)
+        assert abs(policy.thresholds[0] - S_STAR) <= 1e-12
         assert policy.thresholds[1] == 1.0
 
     def test_dp_binary_grid_subset(self):
-        eps = 1 / 200
         for f in (1.0, 2.0, 4.0):
             for q in (0.2, 0.5, 0.8):
                 for rc in (0.1, 0.5, 0.9):
                     d = RewardDistribution.binary(q, rc)
-                    policy = optimize_thresholds_dp(d, f, 1.0, grid=eps)
+                    policy = optimize_thresholds_exact(d, f, 1.0)
                     target = binary_threshold(f, q, rc, 1.0)
-                    assert abs(policy.thresholds[0] - target) <= 2 * eps
+                    assert abs(policy.thresholds[0] - target) <= 1e-12
 
     def test_dp_point_mass_trivial(self):
         point = RewardDistribution.point_mass(0.0)
-        assert optimize_thresholds_dp(point, 2.0, 1.0).thresholds == (1.0,)
+        assert optimize_thresholds_exact(point, 2.0, 1.0).thresholds == (1.0,)
 
     def test_dp_matches_grid_oracle_d3(self):
         rng = np.random.default_rng(23)
@@ -234,34 +273,39 @@ class TestOptimizers:
             cum = tuple(np.sort(rng.uniform(0.1, 0.9, 2))) + (1.0,)
             dist = RewardDistribution(support, cum)
             f = float(rng.uniform(1.2, 3.0))
-            dp = optimize_thresholds_dp(dist, f, 1.0, grid=eps)
+            exact = optimize_thresholds_exact(dist, f, 1.0)
             grid = optimize_thresholds_grid(dist, f, 1.0, grid=eps)
-            v_dp = ub_continuous(dp.thresholds, dist, f, 1.0, 1.0)
+            v_exact = ub_continuous(exact.thresholds, dist, f, 1.0, 1.0)
             v_grid = ub_continuous(grid.thresholds, dist, f, 1.0, 1.0)
-            assert v_grid - v_dp <= 1e-4
+            assert v_exact >= v_grid - 1e-12
 
     def test_dp_matches_grid_oracle_d4(self):
         rng = np.random.default_rng(41)
         support = (0.0,) + tuple(np.sort(rng.uniform(0.05, 0.95, 3)))
         cum = tuple(np.sort(rng.uniform(0.05, 0.95, 3))) + (1.0,)
         dist = RewardDistribution(support, cum)
-        dp = optimize_thresholds_dp(dist, 2.0, 1.0)
+        exact = optimize_thresholds_exact(dist, 2.0, 1.0)
         grid = optimize_thresholds_grid(dist, 2.0, 1.0)
-        v_dp = ub_continuous(dp.thresholds, dist, 2.0, 1.0, 1.0)
+        v_exact = ub_continuous(exact.thresholds, dist, 2.0, 1.0, 1.0)
         v_grid = ub_continuous(grid.thresholds, dist, 2.0, 1.0, 1.0)
-        assert v_grid - v_dp <= 1e-4
+        assert v_exact >= v_grid - 1e-12
 
     def test_grid_matches_dp_binary(self):
+        # the 1-d objective is concave, so the grid optimum is a grid
+        # neighbour of the exact threshold and never beats it
         eps = 1 / 200
-        dp = optimize_thresholds_dp(BINARY, 2.0, 1.0, grid=eps)
+        exact = optimize_thresholds_exact(BINARY, 2.0, 1.0)
         grid = optimize_thresholds_grid(BINARY, 2.0, 1.0, grid=eps)
-        assert dp.thresholds == grid.thresholds
+        assert round(grid.thresholds[0], 12) in _grid_neighbours(exact.thresholds[0], eps)
+        v_exact = ub_continuous(exact.thresholds, BINARY, 2.0, 1.0, 1.0)
+        assert v_exact >= ub_continuous(grid.thresholds, BINARY, 2.0, 1.0, 1.0) - 1e-12
 
     def test_grid_two_atoms(self):
         two = RewardDistribution((0.0, 0.3), (0.4, 1.0))
-        dp = optimize_thresholds_dp(two, 1.5, 1.0)
+        exact = optimize_thresholds_exact(two, 1.5, 1.0)
         grid = optimize_thresholds_grid(two, 1.5, 1.0)
-        assert dp.thresholds == grid.thresholds
+        assert abs(exact.thresholds[0] - binary_threshold(1.5, 0.4, 0.3, 1.0)) <= 1e-12
+        assert round(grid.thresholds[0], 12) in _grid_neighbours(exact.thresholds[0], 1 / 200)
 
     def test_grid_point_mass(self):
         point = RewardDistribution.point_mass(0.0)
@@ -276,20 +320,43 @@ class TestOptimizers:
 
     def test_dp_deterministic(self):
         d3 = RewardDistribution((0.0, 0.4, 0.9), (0.3, 0.7, 1.0))
-        a = optimize_thresholds_dp(d3, 2.0, 1.0)
-        b = optimize_thresholds_dp(d3, 2.0, 1.0)
+        a = optimize_thresholds_exact(d3, 2.0, 1.0)
+        b = optimize_thresholds_exact(d3, 2.0, 1.0)
         assert a.thresholds == b.thresholds
 
     def test_grid_step_not_dividing_one(self):
-        policy = optimize_thresholds_dp(BINARY, 2.0, 1.0, grid=0.3)
+        policy = optimize_thresholds_grid(BINARY, 2.0, 1.0, grid=0.3)
         assert policy.thresholds[-1] == 1.0
-        assert all(0.0 <= s <= 1.0 for s in policy.thresholds)
+        assert round(policy.thresholds[0], 12) in {0.0, 0.3, 0.6, 0.9, 1.0}
 
     def test_bad_grid_rejected(self):
         with pytest.raises(DomainError):
-            optimize_thresholds_dp(BINARY, 2.0, 1.0, grid=0.0)
+            optimize_thresholds_grid(BINARY, 2.0, 1.0, grid=0.0)
         with pytest.raises(DomainError):
             optimize_thresholds_grid(BINARY, 2.0, 1.0, grid=1.5)
+
+    def test_exact_rejects_bad_supply_factor(self):
+        for f in (0.5, math.nan, math.inf):
+            with pytest.raises(DomainError):
+                optimize_thresholds_exact(BINARY, f, 1.0)
+
+    def test_exact_top_reward_at_penalty_inactive(self):
+        # an atom with r = c gains nothing from delivery: its segment is empty
+        d3 = RewardDistribution((0.0, 0.4, 1.0), (0.3, 0.7, 1.0))
+        assert optimize_thresholds_exact(d3, 2.0, 1.0).thresholds[0] == 0.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=normalized_problems())
+    def test_exact_beats_grid_and_satisfies_kkt(self, data):
+        dist, f, c = data
+        exact = optimize_thresholds_exact(dist, f, c)
+        grid = optimize_thresholds_grid(dist, f, c, grid=1 / 50)
+        v_exact = ub_continuous(exact.thresholds, dist, f, c, 1.0)
+        assert v_exact >= ub_continuous(grid.thresholds, dist, f, c, 1.0) - 1e-12
+        grad, y = simplex_gradient(dist, exact.thresholds, f, c)
+        top = float(np.max(grad[y > 0.0]))
+        assert np.all(np.abs(grad[y > 0.0] - top) <= 1e-9 * top)
+        assert np.all(grad[y == 0.0] <= top * (1.0 + 1e-9))
 
 
 class TestLpTightness:
@@ -349,3 +416,23 @@ class TestMakePolicy:
         level = RewardDistribution((0.0, 1.0), (0.5, 1.0))
         policy, _, _ = make_policy(level, 1.0, 2.0)
         assert policy.thresholds[0] == 0.0
+
+    def test_supply_factor_below_one_rejected_for_every_support(self):
+        d3 = RewardDistribution((0.0, 0.4, 0.9), (0.3, 0.7, 1.0))
+        for dist in (RewardDistribution.point_mass(0.0), BINARY, d3):
+            with pytest.raises(DomainError):
+                make_policy(dist, 1.0, 0.5)
+
+    def test_non_finite_supply_factor_rejected(self):
+        for f in (math.nan, math.inf):
+            with pytest.raises(DomainError):
+                make_policy(BINARY, 1.0, f)
+
+    def test_three_point_thresholds_closed_form(self):
+        # s_{d+1-k} = max(0, 1 + f sum_{i<k} m_i ln((c - r_k)/(c - r_i)))
+        d3 = RewardDistribution((0.0, 0.4, 0.9), (0.3, 0.7, 1.0))
+        policy, objective, _ = make_policy(d3, 1.0, 2.0)
+        s2 = 1.0 + 2.0 * 0.3 * math.log(0.6)
+        s1 = max(0.0, 1.0 + 2.0 * (0.3 * math.log(0.1) + 0.4 * math.log(0.1 / 0.6)))
+        assert policy.thresholds == pytest.approx((s1, s2, 1.0), abs=1e-12)
+        assert objective == pytest.approx(ub_continuous(policy.thresholds, d3, 2.0, 1.0), abs=1e-15)

@@ -117,11 +117,17 @@ class TestWorstCase:
 
     def test_best_achievable_handles_shifted_support(self):
         d = RewardDistribution((0.2, 0.7), (0.5, 1.0))
-        value_dp = best_achievable_reward(d, 1.0, 2.0)
+        value_exact = best_achievable_reward(d, 1.0, 2.0)
         value_grid = best_achievable_reward(d, 1.0, 2.0, method="grid")
-        assert value_dp == pytest.approx(value_grid, abs=2e-4)
+        assert value_grid - 1e-12 <= value_exact <= value_grid + 2e-4
         # offset route: shifted problem plus (f-1) N r_1
         shifted, c_s, offset = normalize(validate(d, 1.0), 1.0, 2.0, 1.0)
         s1 = binary_threshold(2.0, 0.5, shifted.support[1], c_s)
         direct = ub_continuous((s1, 1.0), shifted, 2.0, c_s, 1.0) + offset
-        assert value_dp == pytest.approx(direct, abs=1e-12)
+        assert value_exact == pytest.approx(direct, abs=1e-12)
+
+    def test_unknown_method_rejected(self):
+        d = RewardDistribution((0.0, 0.5), (0.5, 1.0))
+        assert best_achievable_reward(d, 1.0, 2.0, method="exact") == best_achievable_reward(d, 1.0, 2.0)
+        with pytest.raises(DomainError):
+            best_achievable_reward(d, 1.0, 2.0, method="dp")
