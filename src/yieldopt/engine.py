@@ -1,11 +1,27 @@
 """Online serving engine.
 
-Implements the threshold rule per arriving query: find the eligible
-advertiser with the lowest satisfaction ratio, look up the reserve for the
-segment its ratio falls in, and send the query to the exchange only when
-the reward beats the reserve.  Satisfaction-ratio comparisons are exact
-rationals throughout; a float boundary misclassification would silently
-change the algorithm.
+The threshold rule, per arriving query: find the eligible advertiser with
+the lowest satisfaction ratio (SR = delivered / demand, ties toward the
+smallest id), look up the reserve of the segment that SR falls in, and send
+the query to the exchange only when the reward beats the reserve.
+
+:func:`serve_query` applies it to one query and is the reference.
+:func:`run_rewards` serves a whole instance against a fixed reward sequence
+with the same delivered vector, by segment jumps instead of a Python step
+per query.  Within a group the eligible set ``E`` is fixed, so the group's
+deliveries go to the keys ``(k/n_a, a)``, ``a`` in ``E`` and ``k = k_a ..
+n_a - 1`` from its delivered count ``k_a``, in sorted order.  A key's
+segment is monotone in its SR, so segment ``u`` takes exactly as many
+deliveries as it holds keys, ``D_u``, and the ``D_u``-th reward at or below
+its reserve ends it: O(d) numpy passes per group, then one water-level
+placement of the group's deliveries on its first keys.
+
+Exactness: no SR is ever a float.  Segments come from integer cutoffs, the
+largest ``k`` with ``k/n < s_u`` from each threshold's exact integer ratio;
+the water level is found by integer cross-multiplication; keys are ordered
+by the integer ``floor(k * D / n)`` with ``D`` the squared largest demand,
+strictly increasing in ``k/n`` because distinct such ratios differ by at
+least ``1/D``.
 
 One ``AllocationState`` belongs to one run and is mutated single-threaded;
 runs are independent and parallelizable across seeds.
@@ -13,15 +29,15 @@ runs are independent and parallelizable across seeds.
 
 from __future__ import annotations
 
-import heapq
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .dist import RewardDistribution, sample_array
-from .errors import MalformedBidSet
+from .errors import DomainError, MalformedBidSet
 from .instances import Instance
 from .policy import ThresholdPolicy
 
@@ -74,21 +90,22 @@ class RunReport:
 
 def _min_sr_advertiser(state: AllocationState, eligible: Iterable[int]) -> Optional[int]:
     # smallest satisfaction ratio, ties toward the smallest advertiser id;
-    # cross-multiplied integer comparison keeps this exact
-    best = None
-    bk = bn = 0
-    for a in sorted(eligible):
-        k, n = state.delivered[a], state.demands[a]
-        if best is None or k * bn < bk * n:
+    # cross-multiplied integer comparison keeps this exact.  The starting
+    # ratio 1/0 lies above every real one.
+    delivered, demands = state.delivered, state.demands
+    best, bk, bn = None, 1, 0
+    for a in eligible:
+        k, n = delivered[a], demands[a]
+        lhs, rhs = k * bn, bk * n
+        if lhs < rhs or (lhs == rhs and a < best):
             best, bk, bn = a, k, n
     return best
 
 
 def _segment(policy: ThresholdPolicy, k: int, n: int) -> int:
-    # first u (1-based) with SR < s_u; exact Fraction-vs-float comparison
-    sr = Fraction(k, n)
-    for u, s in enumerate(policy.thresholds, start=1):
-        if sr < s:
+    # first u (1-based) with k/n < s_u, tested as k*q < p*n for s_u = p/q exactly
+    for u, (p, q) in enumerate(policy.ratios, start=1):
+        if k * q < p * n:
             return u
     raise AssertionError("SR must be < 1 here")
 
@@ -99,7 +116,13 @@ def serve_query(
     eligible: Iterable[int],
     reward: float,
 ) -> Decision:
-    """Route one query; mutates ``state``. Deterministic given its inputs."""
+    """Route one query; mutates ``state``. Deterministic given its inputs.
+
+    ``eligible`` may be any iterable of advertiser ids, in any order.
+    Raises ``DomainError`` on a non-finite reward.
+    """
+    if not math.isfinite(reward):
+        raise DomainError(f"reward must be finite, got {reward!r}")
     state.queries += 1
     a = _min_sr_advertiser(state, eligible)
     if a is None or state.delivered[a] == state.demands[a]:
@@ -175,15 +198,38 @@ def finalize(
 
 
 def _cutoffs(policy: ThresholdPolicy, n: int) -> List[int]:
-    # cut[u-1] = largest delivered count k with k/n strictly below s_u
-    cuts = []
-    for s in policy.thresholds:
-        lim = Fraction(s) * n
-        if lim.denominator == 1:
-            cuts.append(int(lim) - 1)
-        else:
-            cuts.append(lim.numerator // lim.denominator)
-    return cuts
+    # cut[u-1] = largest delivered count k with k/n strictly below s_u = p/q,
+    # i.e. the largest k with k*q <= p*n - 1
+    return [(p * n - 1) // q for p, q in policy.ratios]
+
+
+def _fill(k: np.ndarray, n: np.ndarray, t: int, scale: int) -> np.ndarray:
+    """Delivered counts after ``t`` deliveries to the first ``t`` keys.
+
+    The keys of advertiser ``i`` are ``(j / n[i], i)`` for ``j = k[i] ..
+    n[i] - 1``, taken in sorted order; ``t`` is at most their number.
+    """
+    # F(x) = sum (x n - k)^+ is the continuous count of keys below level x.
+    # With the advertisers sorted by k/n and the first i + 1 of them filling,
+    # F(x) = v solves to x = (v + sum k) / (sum n), valid while that is at or
+    # above the (i + 1)-th ratio; the test is monotone in i.  The exact
+    # counts straddle F: below x at least F(x), at most F(x) + len(k).
+    order = (k * scale // n).argsort()
+    ks, ns = k[order], n[order]
+    sk, sn = ks.cumsum(), ns.cumsum()
+    gap = ks * sn - ns * sk
+    lo = max(t - len(k), 0)
+    i = np.count_nonzero(gap <= lo * ns) - 1
+    h = np.count_nonzero(gap <= t * ns) - 1
+    # every key strictly below F = lo is taken (fewer than t of them), every
+    # key taken lies at or below F = t, and at most 2 len(k) keys lie between
+    skip = np.maximum(-(-(lo + sk[i]) * n // sn[i]) - k, 0)
+    upto = np.maximum(np.minimum(n - 1, (t + sk[h]) * n // sn[h]) - k + 1, 0)
+    span = (upto - skip).astype(np.int64)
+    owner = np.arange(len(k)).repeat(span)
+    j = (k + skip - (span.cumsum() - span))[owner] + np.arange(len(owner))
+    first = (j * scale // n[owner]).argsort(kind="stable")[: t - int(skip.sum())]
+    return k + skip + np.bincount(owner[first], minlength=len(k))
 
 
 def run_rewards(
@@ -196,50 +242,61 @@ def run_rewards(
 ) -> RunReport:
     """Serve every query of ``instance`` against a fixed reward sequence.
 
-    Equivalent to calling :func:`serve_query` per query (replay-identical),
-    but grouped so the min-SR lookup is a heap instead of a scan.
+    Same delivered vector and query count as calling :func:`serve_query` per
+    query, computed a group at a time by segment jumps (module docstring).
+    Exchange revenue is the numpy (pairwise) sum of the sold rewards, so it
+    may differ from a replay's sequential sum in the last bits.  Raises
+    ``DomainError`` on a non-finite reward.
     """
     rewards = np.asarray(rewards, dtype=float)
     if len(rewards) != instance.total_queries:
         raise ValueError(
             f"expected {instance.total_queries} rewards, got {len(rewards)}"
         )
+    if not np.isfinite(rewards).all():
+        raise DomainError("rewards must be finite")
     demands = instance.demands
-    delivered = [0] * len(demands)
-    equal_demands = len(set(demands)) == 1
-    cuts_by_n: Dict[int, List[int]] = {n: _cutoffs(policy, n) for n in set(demands)}
+    top = max(demands)
+    scale = top * top
+    # products in _fill stay below top**3 and top * total demand; past int64
+    # the same code runs on Python integers
+    dtype = np.int64 if max(top * scale, top * instance.total_demand) < 2**63 else object
+    n = np.array(demands, dtype=dtype)
+    k = np.zeros(len(demands), dtype=dtype)
+    cuts_by_n = {v: _cutoffs(policy, v) for v in set(demands)}
+    # reach[a, u]: keys j <= cut_u(n_a), i.e. how far segments 1..u+1 take a from 0
+    reach = np.array([cuts_by_n[v] for v in demands], dtype=dtype) + 1
     reserves = [policy.reserve(u) for u in range(1, policy.d + 1)]
-    revenue = 0.0
-    pos = 0
+    sold = np.ones(len(rewards), dtype=bool)
+    end = 0
     for count, elig in instance.groups:
-        block = rewards[pos : pos + count]
-        pos += count
-        if not elig:
-            revenue += float(block.sum())
+        p, end = end, end + count
+        if not elig or not count:
             continue
-        if equal_demands:
-            heap = [(delivered[a], a) for a in elig]
-        else:
-            heap = [(Fraction(delivered[a], demands[a]), a) for a in elig]
-        heapq.heapify(heap)
-        for qi, r in enumerate(block):
-            # one heap entry per advertiser, refreshed on every delivery,
-            # so the top is never stale
-            _, a = heap[0]
-            k = delivered[a]
-            if k == demands[a]:
-                # every eligible advertiser is saturated for good
-                revenue += float(block[qi:].sum())
+        e = np.fromiter(elig, np.intp, len(elig))
+        ke = k[e]
+        # the group's keys in segments 1..u+1, for each u; the last entry counts all of them
+        ends = np.maximum(reach[e] - ke[:, None], 0).sum(axis=0).tolist()
+        taken = 0
+        for reserve, total in zip(reserves, ends):
+            if total == taken:
+                continue
+            low = rewards[p:end] <= reserve
+            hits = low.nonzero()[0]
+            want = total - taken
+            if len(hits) < want:  # the group ends inside this segment
+                np.logical_not(low, out=sold[p:end])
+                taken += len(hits)
                 break
-            cuts = cuts_by_n[demands[a]]
-            u = next(i for i, cut in enumerate(cuts) if k <= cut)  # 0-based segment
-            if r <= reserves[u]:
-                delivered[a] = k + 1
-                nk = k + 1 if equal_demands else Fraction(k + 1, demands[a])
-                heapq.heapreplace(heap, (nk, a))
-            else:
-                revenue += float(r)
-    state = AllocationState(demands, delivered, revenue, int(len(rewards)))
+            stop = p + int(hits[want - 1]) + 1
+            np.logical_not(low[: stop - p], out=sold[p:stop])
+            taken = total
+            p = stop
+        # past the last key every eligible advertiser is saturated: the rest stays sold
+        if taken:
+            k[e] = _fill(ke, n[e], taken, scale)
+    revenue = float(rewards[sold].sum())
+    state = AllocationState(demands, [int(v) for v in k], revenue, int(len(rewards)))
     return finalize(state, penalty, offset=offset, seed=seed)
 
 

@@ -87,28 +87,48 @@ def offline_opt_exact(realized: RealizedInstance, penalty: float) -> float:
     into: List[Set[int]] = [set() for _ in range(instance.m)]
     elig = [e for _, e in instance.groups]
 
-    def augment(g: int, visited: Set[int]) -> bool:
-        for a in elig[g]:
-            if a in visited:
-                continue
-            visited.add(a)
-            if used[a] < demands[a]:
-                used[a] += 1
-                flow[g][a] = flow[g].get(a, 0) + 1
-                into[a].add(g)
-                return True
-            for g2 in list(into[a]):
+    def augment(g: int) -> bool:
+        # Depth-first search for an augmenting path from group g, in the
+        # visit order of a recursive search, with an explicit stack so that
+        # path length is not bounded by the recursion limit.  A frame is
+        # (group, its advertiser iterator, the saturated advertiser tried
+        # through it, iterator over that advertiser's groups).
+        visited: Set[int] = set()
+        stack = []
+        ads, rivals = iter(elig[g]), iter(())
+        while True:
+            for g2 in rivals:
                 if g2 == g or flow[g2].get(a, 0) == 0:
                     continue
-                if augment(g2, visited):
-                    flow[g2][a] -= 1
-                    if flow[g2][a] == 0:
-                        del flow[g2][a]
-                        into[a].discard(g2)
+                stack.append((g, ads, a, rivals))
+                g, ads, rivals = g2, iter(elig[g2]), iter(())
+                break
+            else:
+                # no way on through a: g's next unvisited advertiser, or back up
+                for a in ads:
+                    if a not in visited:
+                        break
+                else:
+                    if not stack:
+                        return False
+                    g, ads, a, rivals = stack.pop()
+                    continue
+                visited.add(a)
+                if used[a] < demands[a]:
+                    used[a] += 1
                     flow[g][a] = flow[g].get(a, 0) + 1
                     into[a].add(g)
+                    # move one unit along the path, from its free end back to the root
+                    for pg, _, pa, _ in reversed(stack):
+                        flow[g][pa] -= 1
+                        if flow[g][pa] == 0:
+                            del flow[g][pa]
+                            into[pa].discard(g)
+                        flow[pg][pa] = flow[pg].get(pa, 0) + 1
+                        into[pa].add(pg)
+                        g = pg
                     return True
-        return False
+                rivals = iter(list(into[a]))
 
     group_of = []
     for gi, (count, _) in enumerate(instance.groups):
@@ -116,12 +136,21 @@ def offline_opt_exact(realized: RealizedInstance, penalty: float) -> float:
     order = sorted(range(len(realized.rewards)), key=lambda i: (realized.rewards[i], i))
     total_rewards = float(sum(realized.rewards))
     gain = 0.0
+    # A query whose search fails stays rejected, and so does every later
+    # query of its group: that query has the same eligible set, and the
+    # accepted set only grows, so its search would fail too, changing nothing.
+    failed: Set[int] = set()
     for qi in order:
         r = realized.rewards[qi]
         if penalty - r < 0.0:
             break
-        if augment(group_of[qi], set()):
+        g = group_of[qi]
+        if g in failed:
+            continue
+        if augment(g):
             gain += penalty - r
+        else:
+            failed.add(g)
     return total_rewards - penalty * instance.total_demand + gain
 
 

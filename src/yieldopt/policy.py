@@ -20,7 +20,7 @@ parallel across parameter grids.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from typing import List, Optional, Sequence, Tuple
@@ -47,6 +47,8 @@ class ThresholdPolicy:
 
     thresholds: Tuple[float, ...]
     dist: RewardDistribution
+    # exact (p, q) with s_u = p / q, so k/n < s_u is the integer test k*q < p*n
+    ratios: Tuple[Tuple[int, int], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         thresholds = tuple(float(v) for v in self.thresholds)
@@ -57,11 +59,12 @@ class ThresholdPolicy:
             )
         if any(b < a for a, b in zip(thresholds, thresholds[1:])):
             raise DomainError("thresholds must be non-decreasing")
-        if any(v < 0.0 or v > 1.0 for v in thresholds):
+        if not all(0.0 <= v <= 1.0 for v in thresholds):
             raise DomainError("thresholds must lie in [0, 1]")
         if thresholds[-1] != 1.0:
             raise DomainError(f"final threshold must be exactly 1, got {thresholds[-1]}")
         object.__setattr__(self, "thresholds", thresholds)
+        object.__setattr__(self, "ratios", tuple(v.as_integer_ratio() for v in thresholds))
 
     @property
     def d(self) -> int:

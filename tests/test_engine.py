@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from yieldopt.dist import RewardDistribution, sample_array
 from yieldopt.engine import (
@@ -13,11 +15,12 @@ from yieldopt.engine import (
     serve_query,
     serve_query_multi_exchange,
 )
-from yieldopt.errors import MalformedBidSet
+from yieldopt.errors import DomainError, MalformedBidSet
 from yieldopt.instances import Instance, gen_upper_triangular
-from yieldopt.policy import ThresholdPolicy
+from yieldopt.policy import ThresholdPolicy, make_policy
 
 BINARY = RewardDistribution((0.0, 0.5), (0.5, 1.0))
+TRI3 = RewardDistribution((0.0, 0.4, 0.9), (0.3, 0.7, 1.0))
 S_STAR = 1.0 + math.log(0.5)
 BPOL = ThresholdPolicy((S_STAR, 1.0), BINARY)
 
@@ -69,6 +72,21 @@ class TestServeQuery:
         decision = serve_query(state, policy, [0], reward=0.5)
         assert decision.reserve == 0.0  # segment u=2: reserve r_1
         assert decision.kind == "exchange"
+
+    def test_eligible_as_set_or_generator(self):
+        state = state_with([10, 10, 5], [3, 3, 2])
+        decision = serve_query(state, BPOL, {2, 1, 0}, reward=0.0)
+        assert decision.advertiser == 0  # 3/10 ties 3/10, below 2/5
+        decision = serve_query(state, BPOL, (a for a in (2, 1)), reward=0.0)
+        assert decision.advertiser == 1
+        assert state.delivered == [4, 4, 2]
+
+    def test_non_finite_reward_rejected(self):
+        for bad in (math.nan, math.inf, -math.inf):
+            state = state_with([2], [0])
+            with pytest.raises(DomainError):
+                serve_query(state, BPOL, [0], reward=bad)
+            assert state.queries == 0 and state.exchange_revenue == 0.0
 
     def test_min_sr_invariant_each_call(self):
         rng = np.random.default_rng(4)
@@ -149,13 +167,7 @@ class TestFinalize:
 
 class TestRunEquivalence:
     def run_via_serve(self, inst, policy, penalty, rewards):
-        state = AllocationState.fresh(inst.demands)
-        pos = 0
-        for count, elig in inst.groups:
-            for _ in range(count):
-                serve_query(state, policy, elig, float(rewards[pos]))
-                pos += 1
-        return finalize(state, penalty)
+        return finalize(replay(inst, policy, rewards), penalty)
 
     def test_grouped_runner_replays_serve_query(self):
         rng = np.random.default_rng(17)
@@ -212,3 +224,105 @@ class TestRunEquivalence:
             rep = run_instance(inst, BPOL, 1.0, BINARY, seed=7000 + seed)
             values.append(rep.reward / inst.total_demand)
         assert np.mean(values) == pytest.approx(0.142236, rel=0.2)
+
+    def test_non_finite_rewards_rejected(self):
+        inst = Instance((2,), ((3, (0,)),))
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                run_rewards(inst, BPOL, 1.0, [0.0, bad, 0.5])
+
+
+def replay(inst, policy, rewards):
+    """The serve_query reference: route every query in arrival order."""
+    state = AllocationState.fresh(inst.demands)
+    pos = 0
+    for count, elig in inst.groups:
+        for _ in range(count):
+            serve_query(state, policy, elig, float(rewards[pos]))
+            pos += 1
+    return state
+
+
+def assert_replays(inst, policy, rewards):
+    ref = replay(inst, policy, rewards)
+    report = run_rewards(inst, policy, 1.0, rewards)
+    assert report.delivered == tuple(ref.delivered)
+    assert report.queries == ref.queries
+    scale = max(1.0, abs(ref.exchange_revenue))
+    assert abs(report.exchange_revenue - ref.exchange_revenue) <= 1e-12 * scale
+
+
+@st.composite
+def engine_cases(draw):
+    d = draw(st.sampled_from((2, 3, 4)))
+    ticks = draw(st.lists(st.integers(0, 20), min_size=d, max_size=d, unique=True))
+    support = tuple(v / 20 for v in sorted(ticks))
+    dist = RewardDistribution.from_masses(support, (1.0 / d,) * d)
+    # thresholds on ratios k/n with small n (hit exactly by some SR), near
+    # them (1/3 as a float) and arbitrary floats
+    level = st.one_of(st.sampled_from((0.0, 0.25, 1 / 3, 0.5, 2 / 3, 0.75, 11 / 12)), st.floats(0.0, 1.0))
+    inner = sorted(draw(st.lists(level, min_size=d - 1, max_size=d - 1)))
+    policy = ThresholdPolicy((*inner, 1.0), dist)
+    m = draw(st.integers(1, 6))
+    demand = st.one_of(st.just(1), st.just(12), st.integers(1, 12))
+    demands = draw(st.lists(demand, min_size=m, max_size=m))
+    elig = st.lists(st.integers(0, m - 1), max_size=m)
+    groups = draw(st.lists(st.tuples(st.integers(0, 40), elig), min_size=1, max_size=6))
+    inst = Instance(tuple(demands), tuple(groups))
+    # rewards on the atoms (each one a reserve), between them, and outside
+    between = [(a + b) / 2 for a, b in zip(support, support[1:])] + [support[-1] + 0.05]
+    values = st.sampled_from(support + tuple(between))
+    rewards = draw(st.lists(values, min_size=inst.total_queries, max_size=inst.total_queries))
+    return inst, policy, rewards
+
+
+class TestSegmentJumpEngine:
+    @settings(max_examples=300, deadline=None)
+    @given(case=engine_cases())
+    def test_replays_serve_query(self, case):
+        assert_replays(*case)
+
+    @pytest.mark.parametrize("dist", [BINARY, TRI3], ids=["binary", "three-point"])
+    def test_triangular_mid_size(self, dist):
+        inst = gen_upper_triangular(50, 400, 2.0, seed=21)
+        policy, _, _ = make_policy(dist, 1.0, 2.0)
+        rewards = sample_array(dist, np.random.default_rng(22), inst.total_queries)
+        assert_replays(inst, policy, rewards)
+
+    def test_unequal_demands_mid_size(self):
+        # like a random unequal-demand benchmark item: 40 advertisers with
+        # demands 100..199, one group each over about twice its demand,
+        # shared with up to 7 others, arriving in random order
+        rng = np.random.default_rng(5)
+        m = 40
+        demands = tuple(int(v) for v in rng.integers(100, 200, m))
+        groups = []
+        for a in range(m):
+            others = rng.choice(m, size=int(rng.integers(0, 8)), replace=False)
+            count = math.ceil(rng.uniform(1.5, 2.5) * demands[a])
+            groups.append((count, tuple({a, *map(int, others)})))
+        inst = Instance(demands, tuple(groups[i] for i in rng.permutation(m)))
+        dist = RewardDistribution.from_masses((0.0, 0.2, 0.45, 0.8), (0.25,) * 4)
+        policy, _, _ = make_policy(dist, 1.0, 2.0)
+        rewards = sample_array(dist, rng, inst.total_queries)
+        assert_replays(inst, policy, rewards)
+
+    def test_ties_at_the_water_level_go_to_smallest_ids(self):
+        # even ids start one delivery ahead; the wide group then lifts the odd
+        # ids level and ends with 7 deliveries at a level all 40 share
+        m = 40
+        inst = Instance((10,) * m, ((m // 2, tuple(range(0, m, 2))), (m // 2 + 7, tuple(range(m)))))
+        report = run_rewards(inst, BPOL, 1.0, [0.0] * inst.total_queries)
+        assert report.delivered == (2,) * 7 + (1,) * (m - 7)
+        assert_replays(inst, BPOL, [0.0] * inst.total_queries)
+
+    def test_demands_past_int64_products(self):
+        # k * D / n orderings need about demand**3; past 2**63 they run on
+        # Python integers
+        policy, _, _ = make_policy(TRI3, 1.0, 2.0)
+        rng = np.random.default_rng(8)
+        for demands in ((3_000_000, 10**12), (10**12, 10**12 - 1, 7)):
+            groups = ((9, (0, 1)), (6, tuple(range(len(demands)))), (5, (1,)))
+            inst = Instance(demands, groups)
+            rewards = sample_array(TRI3, rng, inst.total_queries)
+            assert_replays(inst, policy, rewards)

@@ -114,6 +114,16 @@ class TestOfflineOptExact:
                 offline_bruteforce(realized, 1.0), abs=1e-12
             )
 
+    def test_long_augmenting_path(self):
+        # group i is eligible to {i, i+1}; the last query, eligible to {0}
+        # only, needs one augmenting path through all 1,501 advertisers
+        length = 1500
+        groups = tuple((1, (i, i + 1)) for i in range(length)) + ((1, (0,)),)
+        inst = Instance((1,) * (length + 1), groups)
+        rewards = (0.5,) * length + (0.75,)
+        value = offline_opt_exact(RealizedInstance(inst, rewards), 1.0)
+        assert value == 0.0  # every query delivered, nothing sold, no penalty
+
     def test_size_limit(self):
         inst = Instance((200_000,), ((200_000, (0,)),))
         with pytest.raises(SizeLimit):

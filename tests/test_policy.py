@@ -380,7 +380,7 @@ class TestThresholdPolicyType:
 
     @pytest.mark.parametrize(
         "thresholds",
-        [(0.5, 0.4, 1.0), (0.5, 0.9), (0.2, 0.5, 0.9), (-0.1, 1.0), (0.3, 1.1)],
+        [(0.5, 0.4, 1.0), (0.5, 0.9), (0.2, 0.5, 0.9), (-0.1, 1.0), (0.3, 1.1), (math.nan, 1.0)],
     )
     def test_bad_thresholds_rejected(self, thresholds):
         d = RewardDistribution((0.0, 0.4), (0.3, 1.0)) if len(thresholds) == 2 else (
