@@ -254,12 +254,8 @@ def _cmd_matching(args) -> int:
     if args.weights:
         weights = [float(v) for v in json.loads(args.weights)]
     opt = float(np.sum(weights) if weights is not None else args.m) * args.n
-    rows = []
-    for trial in range(args.trials):
-        rng = np.random.default_rng([args.seed, trial])
-        inst = matching.triangular_matching_instance(args.m, args.n, args.supply, rng, weights)
-        weight = matching.perturbed_greedy(inst, rng)
-        rows.append([trial, weight, weight / opt])
+    trials = matching.trial_weights(args.m, args.n, args.supply, args.trials, args.seed, weights)
+    rows = [[trial, weight, weight / opt] for trial, weight in enumerate(trials)]
     _csv_out(["trial", "weight", "ratio"], rows, args.out)
     return 0
 

@@ -171,13 +171,22 @@ def serve_query_multi_exchange(
     return Decision(kind="contract", advertiser=a, reserve=reserve, min_sr_advertiser=a)
 
 
+def _check_finite(penalty: float, offset: float) -> None:
+    if not (math.isfinite(penalty) and math.isfinite(offset)):
+        raise DomainError(f"penalty and offset must be finite, got {penalty}, {offset}")
+
+
 def finalize(
     state: AllocationState,
     penalty: float,
     offset: float = 0.0,
     seed: Optional[int] = None,
 ) -> RunReport:
-    """Reward = exchange revenue - penalty * undelivered + offset."""
+    """Reward = exchange revenue - penalty * undelivered + offset.
+
+    Raises ``DomainError`` on a non-finite penalty or offset.
+    """
+    _check_finite(penalty, offset)
     undelivered = sum(n - k for n, k in zip(state.demands, state.delivered))
     penalty_paid = penalty * undelivered
     return RunReport(
@@ -246,8 +255,9 @@ def run_rewards(
     query, computed a group at a time by segment jumps (module docstring).
     Exchange revenue is the numpy (pairwise) sum of the sold rewards, so it
     may differ from a replay's sequential sum in the last bits.  Raises
-    ``DomainError`` on a non-finite reward.
+    ``DomainError`` on a non-finite reward, penalty or offset.
     """
+    _check_finite(penalty, offset)
     rewards = np.asarray(rewards, dtype=float)
     if len(rewards) != instance.total_queries:
         raise ValueError(

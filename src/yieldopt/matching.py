@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple, Union
+from typing import Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -84,6 +84,25 @@ def perturbed_greedy(
     return matched
 
 
+def trial_weights(
+    m: int,
+    n: int,
+    f: int,
+    trials: int,
+    seed: int,
+    weights: Optional[Sequence[float]] = None,
+) -> Iterator[float]:
+    """Matched weight of each trial on a fresh triangular instance, in order.
+
+    Trial streams derive from the root seed by a counter construction and
+    are independent.
+    """
+    for trial in range(trials):
+        rng = np.random.default_rng([seed, trial])
+        instance = triangular_matching_instance(m, n, f, rng, weights)
+        yield perturbed_greedy(instance, rng)
+
+
 def empirical_ratio(
     m: int,
     n: int,
@@ -95,16 +114,11 @@ def empirical_ratio(
     """Monte Carlo mean and standard error of matched weight / OPT.
 
     On the triangular family every advertiser is saturable offline, so
-    ``OPT = sum_a c_a n_a``.  Trial streams derive from the root seed by a
-    counter construction and are independent.
+    ``OPT = sum_a c_a n_a``.  Trials come from :func:`trial_weights`.
     """
     w = np.ones(m) if weights is None else np.asarray(weights, dtype=float)
     opt = float(w.sum()) * n
-    ratios = np.empty(trials)
-    for trial in range(trials):
-        rng = np.random.default_rng([seed, trial])
-        instance = triangular_matching_instance(m, n, f, rng, weights)
-        ratios[trial] = perturbed_greedy(instance, rng) / opt
+    ratios = np.fromiter(trial_weights(m, n, f, trials, seed, weights), float, trials) / opt
     mean = float(ratios.mean())
     stderr = float(ratios.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return mean, stderr

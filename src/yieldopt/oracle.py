@@ -10,6 +10,7 @@ the adversary's LP without a general solver.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Dict, List, Set, Tuple
 
@@ -33,12 +34,14 @@ class RealizedInstance:
     rewards: Tuple[float, ...]
 
     def __post_init__(self):
-        rewards = tuple(float(r) for r in self.rewards)
+        rewards = np.asarray(self.rewards, dtype=float)
         if len(rewards) != self.instance.total_queries:
             raise DomainError(
                 f"expected {self.instance.total_queries} rewards, got {len(rewards)}"
             )
-        object.__setattr__(self, "rewards", rewards)
+        if not np.isfinite(rewards).all():
+            raise DomainError("rewards must be finite")
+        object.__setattr__(self, "rewards", tuple(rewards.tolist()))
 
 
 def sample_realized(
@@ -71,9 +74,19 @@ def offline_opt_exact(realized: RealizedInstance, penalty: float) -> float:
 
     Deliver a feasible set of queries maximizing the delivery gain
     ``penalty - reward`` and sell everything else.  Deliverable query sets
-    form a transversal matroid, so a greedy sweep in decreasing gain order
-    with one augmenting-path feasibility check per query is exact.
+    form a transversal matroid, so greedy in decreasing gain order, keeping
+    each query whose addition stays feasible, is exact under any order of
+    ties.  Queries of one group with one reward are interchangeable, so the
+    greedy takes them as a class: grouped by (reward, group) with numpy and
+    visited by increasing reward, each class keeps as many of its queries
+    as one more max-flow increment on the (group, advertiser) flow allows.
+    That increment is pushed along shortest augmenting paths, found by
+    breadth-first search, each carrying as many units as its bottleneck
+    (the class's remaining queries, the free demand at its end, the flow on
+    every rerouted edge).  Queries with reward above the penalty are sold.
     """
+    if not math.isfinite(penalty):
+        raise DomainError(f"penalty must be finite, got {penalty}")
     instance = realized.instance
     if instance.total_queries > _MAX_EXACT_QUERIES:
         raise SizeLimit(
@@ -87,70 +100,80 @@ def offline_opt_exact(realized: RealizedInstance, penalty: float) -> float:
     into: List[Set[int]] = [set() for _ in range(instance.m)]
     elig = [e for _, e in instance.groups]
 
-    def augment(g: int) -> bool:
-        # Depth-first search for an augmenting path from group g, in the
-        # visit order of a recursive search, with an explicit stack so that
-        # path length is not bounded by the recursion limit.  A frame is
-        # (group, its advertiser iterator, the saturated advertiser tried
-        # through it, iterator over that advertiser's groups).
-        visited: Set[int] = set()
-        stack = []
-        ads, rivals = iter(elig[g]), iter(())
-        while True:
-            for g2 in rivals:
-                if g2 == g or flow[g2].get(a, 0) == 0:
+    def augment(g: int, need: int) -> int:
+        # Breadth-first search from group g for an advertiser with room.
+        # Through a full advertiser a, a group with flow on a can move units
+        # to its other eligible advertisers; each group is expanded once,
+        # as a second expansion reaches nothing new.  came[a] = (advertiser
+        # the path arrives from, or -1 at g, and the group that moves).
+        came: Dict[int, Tuple[int, int]] = {}
+        expanded = {g}
+        todo = [(-1, g)]
+        for prev, g2 in todo:
+            for a in elig[g2]:
+                if a in came:
                     continue
-                stack.append((g, ads, a, rivals))
-                g, ads, rivals = g2, iter(elig[g2]), iter(())
-                break
-            else:
-                # no way on through a: g's next unvisited advertiser, or back up
-                for a in ads:
-                    if a not in visited:
-                        break
-                else:
-                    if not stack:
-                        return False
-                    g, ads, a, rivals = stack.pop()
-                    continue
-                visited.add(a)
+                came[a] = (prev, g2)
                 if used[a] < demands[a]:
-                    used[a] += 1
-                    flow[g][a] = flow[g].get(a, 0) + 1
-                    into[a].add(g)
-                    # move one unit along the path, from its free end back to the root
-                    for pg, _, pa, _ in reversed(stack):
-                        flow[g][pa] -= 1
-                        if flow[g][pa] == 0:
-                            del flow[g][pa]
-                            into[pa].discard(g)
-                        flow[pg][pa] = flow[pg].get(pa, 0) + 1
-                        into[pa].add(pg)
-                        g = pg
-                    return True
-                rivals = iter(list(into[a]))
+                    return push(a, need, came)
+                for g3 in into[a]:
+                    if g3 not in expanded:
+                        expanded.add(g3)
+                        todo.append((a, g3))
+        return 0
 
-    group_of = []
-    for gi, (count, _) in enumerate(instance.groups):
-        group_of.extend([gi] * count)
-    order = sorted(range(len(realized.rewards)), key=lambda i: (realized.rewards[i], i))
+    def push(end: int, need: int, came: Dict[int, Tuple[int, int]]) -> int:
+        # as many units as the path's bottleneck allows, moved from end back to g
+        k = min(need, demands[end] - used[end])
+        prev, g = came[end]
+        while prev >= 0:
+            k = min(k, flow[g][prev])
+            prev, g = came[prev]
+        used[end] += k
+        a = end
+        while True:
+            prev, g = came[a]
+            flow[g][a] = flow[g].get(a, 0) + k
+            into[a].add(g)
+            if prev < 0:
+                return k
+            left = flow[g][prev] - k
+            if left:
+                flow[g][prev] = left
+            else:
+                del flow[g][prev]
+                into[prev].discard(g)
+            a = prev
+
+    # classes: runs of equal (reward, group) in sorted order, up to the penalty
+    rewards = np.array(realized.rewards)
+    group = np.repeat(np.arange(len(elig)), [c for c, _ in instance.groups])
+    order = np.lexsort((group, rewards))
+    r, gq = rewards[order], group[order]
+    head = np.ones(len(r), dtype=bool)
+    head[1:] = (r[1:] != r[:-1]) | (gq[1:] != gq[:-1])
+    starts = head.nonzero()[0]
+    bounds = [*starts.tolist(), len(r)]
+    classes = zip(r[starts].tolist(), gq[starts].tolist(), bounds, bounds[1:])
     total_rewards = float(sum(realized.rewards))
     gain = 0.0
-    # A query whose search fails stays rejected, and so does every later
-    # query of its group: that query has the same eligible set, and the
-    # accepted set only grows, so its search would fail too, changing nothing.
+    # When a class's search fails, every later class of its group is
+    # skipped: it has the same eligible set and the accepted set only
+    # grows, so its search would fail too, changing nothing.
     failed: Set[int] = set()
-    for qi in order:
-        r = realized.rewards[qi]
-        if penalty - r < 0.0:
+    for reward, g, start, end in classes:
+        if reward > penalty:
             break
-        g = group_of[qi]
         if g in failed:
             continue
-        if augment(g):
-            gain += penalty - r
-        else:
-            failed.add(g)
+        size = need = end - start
+        while need:
+            k = augment(g, need)
+            if not k:
+                failed.add(g)
+                break
+            need -= k
+        gain += (size - need) * (penalty - reward)
     return total_rewards - penalty * instance.total_demand + gain
 
 

@@ -1,9 +1,11 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 from yieldopt.cli import main
+from yieldopt.matching import empirical_ratio, perturbed_greedy, triangular_matching_instance
 
 BINARY_JSON = '{"support": [0.0, 0.5], "cum_mass": [0.5, 1.0]}'
 
@@ -238,6 +240,29 @@ class TestOtherCommands:
         lines = out.strip().split("\n")
         assert lines[0] == "trial,weight,ratio"
         assert len(lines) == 5
+
+    def test_matching_csv_matches_trials(self, capsys):
+        # each row is that trial's matched weight, written as the trial loop
+        # computes it; the mean ratio is empirical_ratio's
+        weights = [1.0, 2.5, 0.5, 1.0, 3.0]
+        for extra in ((), ("--weights", json.dumps(weights))):
+            code, out, _ = run_cli(
+                capsys, "matching", "--m", "5", "--n", "3", "--supply", "2",
+                "--trials", "6", "--seed", "11", *extra,
+            )
+            assert code == 0
+            w = weights if extra else None
+            opt = (sum(weights) if extra else 5.0) * 3
+            expected = ["trial,weight,ratio"]
+            for trial in range(6):
+                rng = np.random.default_rng([11, trial])
+                inst = triangular_matching_instance(5, 3, 2, rng, w)
+                weight = perturbed_greedy(inst, rng)
+                expected.append(f"{trial},{weight!r},{weight / opt!r}")
+            assert out == "\n".join(expected) + "\n"
+            ratios = [float(line.split(",")[2]) for line in expected[1:]]
+            mean, _ = empirical_ratio(5, 3, 2, 6, 11, w)
+            assert mean == float(np.mean(ratios))
 
     def test_repro_unknown_name(self, capsys):
         assert run_cli(capsys, "repro", "nonsense")[0] == 2

@@ -231,6 +231,20 @@ class TestRunEquivalence:
             with pytest.raises(DomainError):
                 run_rewards(inst, BPOL, 1.0, [0.0, bad, 0.5])
 
+    def test_non_finite_penalty_or_offset_rejected(self):
+        # a NaN penalty used to come back as reward = nan
+        inst = Instance((2,), ((2, (0,)),))
+        state = state_with([2], [1])
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                run_rewards(inst, BPOL, bad, [0.0, 0.5])
+            with pytest.raises(DomainError):
+                run_rewards(inst, BPOL, 1.0, [0.0, 0.5], offset=bad)
+            with pytest.raises(DomainError):
+                finalize(state, bad)
+            with pytest.raises(DomainError):
+                finalize(state, 1.0, offset=bad)
+
 
 def replay(inst, policy, rewards):
     """The serve_query reference: route every query in arrival order."""

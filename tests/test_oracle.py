@@ -1,7 +1,10 @@
 import math
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from yieldopt.dist import RewardDistribution
 from yieldopt.errors import DomainError, SizeLimit
@@ -150,6 +153,86 @@ class TestOfflineOptExact:
             assert exact >= 0.97 * offline_opt_formula(dist, f, float(inst.total_demand))
 
 
+def offline_min_cost_flow(realized, penalty):
+    # independent of the greedy: a min-cost flow on the aggregated graph,
+    # one node per (group, reward) class with reward <= penalty; rewards and
+    # the penalty sit on a 1/20 grid, so the costs are integers
+    inst = realized.instance
+    graph = nx.DiGraph()
+    graph.add_node("s")
+    pos = 0
+    for g, (count, elig) in enumerate(inst.groups):
+        rewards = realized.rewards[pos : pos + count]
+        pos += count
+        for r in set(rewards):
+            if r <= penalty:
+                cls = ("class", g, r)
+                graph.add_edge("s", cls, capacity=rewards.count(r), weight=-round(20 * (penalty - r)))
+                for a in elig:
+                    graph.add_edge(cls, ("ad", a), weight=0)
+    for a, n in enumerate(inst.demands):
+        graph.add_edge(("ad", a), "t", capacity=n, weight=0)
+    # every s-t augmenting path costs <= 0, so a min-cost maximum flow is a min-cost flow
+    cost = nx.cost_of_flow(graph, nx.max_flow_min_cost(graph, "s", "t"))
+    return sum(realized.rewards) - penalty * inst.total_demand - cost / 20
+
+
+@st.composite
+def tiny_realized(draw):
+    # zero-count groups, empty eligibility sets, rewards equal to and above
+    # the penalty, equal rewards across groups
+    m = draw(st.integers(1, 3))
+    demands = draw(st.lists(st.integers(1, 3), min_size=m, max_size=m))
+    elig = st.lists(st.integers(0, m - 1), max_size=m)
+    groups = draw(st.lists(st.tuples(st.integers(0, 3), elig), max_size=4))
+    inst = Instance(tuple(demands), tuple(groups))
+    if inst.total_queries > 7:
+        inst = Instance(inst.demands, inst.groups[:1])
+    values = st.sampled_from((0.0, 0.25, 0.5, 1.0, 1.5))
+    rewards = draw(st.lists(values, min_size=inst.total_queries, max_size=inst.total_queries))
+    return RealizedInstance(inst, tuple(rewards))
+
+
+@st.composite
+def mid_realized(draw):
+    m = draw(st.integers(1, 12))
+    demands = draw(st.lists(st.integers(1, 20), min_size=m, max_size=m))
+    elig = st.lists(st.integers(0, m - 1), max_size=m)
+    groups = draw(st.lists(st.tuples(st.integers(0, 60), elig), max_size=12))
+    inst = Instance(tuple(demands), tuple(groups))
+    ticks = draw(st.lists(st.integers(0, 30), min_size=1, max_size=4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rewards = rng.choice(np.array(ticks) / 20, size=inst.total_queries)
+    return RealizedInstance(inst, tuple(rewards))
+
+
+class TestOfflineOptDifferential:
+    @settings(max_examples=300, deadline=None)
+    @given(realized=tiny_realized(), penalty=st.sampled_from((0.5, 1.0)))
+    def test_matches_bruteforce(self, realized, penalty):
+        expected = offline_bruteforce(realized, penalty)
+        assert offline_opt_exact(realized, penalty) == pytest.approx(expected, abs=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(realized=mid_realized(), penalty=st.sampled_from((0.5, 1.0)))
+    def test_matches_min_cost_flow(self, realized, penalty):
+        expected = offline_min_cost_flow(realized, penalty)
+        assert abs(offline_opt_exact(realized, penalty) - expected) <= 1e-9 * max(1.0, abs(expected))
+
+    def test_many_units_per_push_on_wide_triangular(self):
+        inst = gen_upper_triangular(12, 30, 2.0, seed=4)
+        for dist in (BINARY, TRI3):
+            realized = sample_realized(inst, dist, seed=6)
+            expected = offline_min_cost_flow(realized, 1.0)
+            assert offline_opt_exact(realized, 1.0) == pytest.approx(expected, abs=1e-9)
+
+    def test_non_finite_penalty_rejected(self):
+        realized = RealizedInstance(Instance((1,), ((2, (0,)),)), (0.2, 0.4))
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                offline_opt_exact(realized, bad)
+
+
 class TestOnlineOptBruteforce:
     def test_hand_computed_case(self):
         inst = Instance((1,), ((2, (0,)),))
@@ -238,6 +321,13 @@ class TestRealizedInstance:
         inst = Instance((1,), ((2, (0,)),))
         with pytest.raises(DomainError):
             RealizedInstance(inst, (0.0,))
+
+    def test_non_finite_rewards_rejected(self):
+        # a NaN reward used to make offline_opt_exact return nan
+        inst = Instance((1,), ((2, (0,)),))
+        for bad in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                RealizedInstance(inst, (0.2, bad))
 
     def test_sampled_rewards_on_support(self):
         inst = gen_upper_triangular(3, 2, 2.0, seed=0)
