@@ -41,7 +41,6 @@ from .errors import (
     RewardExceedsPenalty,
     SizeLimit,
     TooManyThresholds,
-    UndefinedRatio,
     YieldOptError,
 )
 from .instances import Instance, complete_instance, gen_upper_triangular, supply_factor

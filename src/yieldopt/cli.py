@@ -27,7 +27,7 @@ from .engine import run_instance
 from .errors import YieldOptError
 from .instances import Instance, complete_instance, gen_upper_triangular, supply_factor
 from .policy import ThresholdPolicy, make_policy
-from .ratio import binary_alg_bound, binary_opt, binary_ratio, worst_case_distribution
+from .ratio import binary_ratio, worst_case_distribution
 
 SCHEMA_VERSION = 1
 
@@ -197,31 +197,16 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_ratio(args) -> int:
-    try:
-        report = binary_ratio(args.supply, args.q, args.r, args.penalty)
-        _json_out(
-            {
-                "alg_bound": report.alg_bound,
-                "opt": report.opt,
-                "ratio": report.ratio,
-                "case": report.case,
-            },
-            args.out,
-        )
-    except YieldOptError:
-        if args.r >= args.penalty or not 0 < args.q < 1 or args.supply < 1:
-            raise
-        # zero offline optimum: report absolute values with a null ratio
-        alg, interior = binary_alg_bound(args.supply, args.q, args.r, args.penalty)
-        _json_out(
-            {
-                "alg_bound": alg,
-                "opt": binary_opt(args.supply, args.q, args.r),
-                "ratio": None,
-                "case": "interior-threshold" if interior else "boundary-threshold",
-            },
-            args.out,
-        )
+    report = binary_ratio(args.supply, args.q, args.r, args.penalty)
+    _json_out(
+        {
+            "alg_bound": report.alg_bound,
+            "opt": report.opt,
+            "ratio": report.ratio,
+            "case": report.case,
+        },
+        args.out,
+    )
     return 0
 
 

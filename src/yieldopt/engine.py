@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -54,9 +53,6 @@ class AllocationState:
     @classmethod
     def fresh(cls, demands: Sequence[int]) -> "AllocationState":
         return cls(tuple(int(n) for n in demands), [0] * len(demands))
-
-    def sr(self, a: int) -> Fraction:
-        return Fraction(self.delivered[a], self.demands[a])
 
 
 @dataclass(frozen=True)

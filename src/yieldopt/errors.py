@@ -39,7 +39,3 @@ class SizeLimit(YieldOptError, ValueError):
 
 class MalformedBidSet(YieldOptError, ValueError):
     """Multi-exchange bid set flags more than one highest bidder."""
-
-
-class UndefinedRatio(YieldOptError, ValueError):
-    """Competitive ratio requested where the offline optimum is zero."""

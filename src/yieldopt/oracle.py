@@ -155,8 +155,9 @@ def offline_opt_exact(realized: RealizedInstance, penalty: float) -> float:
     starts = head.nonzero()[0]
     bounds = [*starts.tolist(), len(r)]
     classes = zip(r[starts].tolist(), gq[starts].tolist(), bounds, bounds[1:])
-    total_rewards = float(sum(realized.rewards))
-    gain = 0.0
+    # the value's terms, summed with correct rounding at the end: a
+    # sequential sum drifts with the query count
+    terms = [math.fsum(realized.rewards), -penalty * instance.total_demand]
     # When a class's search fails, every later class of its group is
     # skipped: it has the same eligible set and the accepted set only
     # grows, so its search would fail too, changing nothing.
@@ -173,8 +174,8 @@ def offline_opt_exact(realized: RealizedInstance, penalty: float) -> float:
                 failed.add(g)
                 break
             need -= k
-        gain += (size - need) * (penalty - reward)
-    return total_rewards - penalty * instance.total_demand + gain
+        terms.append((size - need) * (penalty - reward))
+    return math.fsum(terms)
 
 
 # ---------------------------------------------------------------------------
@@ -201,16 +202,12 @@ def online_opt_bruteforce(
     elig_seq = instance.expand()
     masses = dist.point_masses()
     support = dist.support
-    full = tuple(range(instance.m))
-    symmetric = len(set(instance.demands)) == 1 and all(
-        e == full for e in elig_seq
-    )
     memo: Dict[Tuple[int, Tuple[int, ...]], float] = {}
 
     def value(i: int, remaining: Tuple[int, ...]) -> float:
         if i == len(elig_seq):
             return -penalty * sum(remaining)
-        key = (i, tuple(sorted(remaining)) if symmetric else remaining)
+        key = (i, remaining)
         hit = memo.get(key)
         if hit is not None:
             return hit

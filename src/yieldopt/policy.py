@@ -26,6 +26,7 @@ from itertools import combinations_with_replacement
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
+from numpy.typing import ArrayLike
 
 from .dist import RewardDistribution, cond_mean_below, normalize, validate
 from .errors import DomainError, InfeasibleDecay, TooManyThresholds
@@ -139,17 +140,6 @@ def _require_normalized(dist: RewardDistribution, c: float) -> RewardDistributio
     return checked
 
 
-def _check_threshold_vector(thresholds: Sequence[float], d: int) -> Tuple[float, ...]:
-    ts = tuple(float(v) for v in thresholds)
-    if len(ts) != d:
-        raise DomainError(f"expected {d} thresholds, got {len(ts)}")
-    if any(b < a for a, b in zip(ts, ts[1:])) or any(v < 0 or v > 1 for v in ts):
-        raise DomainError(f"thresholds must be non-decreasing in [0, 1]: {ts}")
-    if ts[-1] != 1.0:
-        raise DomainError(f"final threshold must be 1, got {ts[-1]}")
-    return ts
-
-
 def segment_bounds(thresholds: Sequence[float], t: int) -> List[int]:
     """Integer slice boundaries ``b_0 = 0 <= b_1 <= ... <= b_d = t``.
 
@@ -218,26 +208,25 @@ def lb_discrete(policy: ThresholdPolicy, f: float, c: float, N: float, t: int) -
 def _ub_value(
     support: Sequence[float],
     cum_mass: Sequence[float],
-    thresholds: Sequence[float],
+    thresholds: ArrayLike,
     f: float,
     c: float,
     N: float,
-) -> float:
-    # Raw-array core, shared with the refinement-invariance property test.
+) -> np.ndarray:
+    # Raw-array core of ub_continuous: one objective per threshold vector,
+    # a row of ``thresholds``.  The grid oracle and the refinement-invariance
+    # property test call it directly.
     support = np.asarray(support, dtype=float)
     cum = np.asarray(cum_mass, dtype=float)
-    ts = np.asarray(thresholds, dtype=float)
-    d = len(support)
-    masses = np.diff(np.concatenate(([0.0], cum)))
-    diffs = np.diff(np.concatenate(([0.0], ts)))
+    masses = np.diff(cum, prepend=0.0)
+    diffs = np.diff(np.asarray(thresholds, dtype=float), prepend=0.0, axis=-1)
     # X_k = sum_{j<=k} (s_j - s_{j-1}) / (f q_{d+1-j})
     inv_q = 1.0 / cum[::-1]
-    X = np.cumsum(diffs * inv_q) / f
+    X = np.cumsum(diffs * inv_q, axis=-1) / f
     # segment v term pairs with atom d+1-v
-    depletion = 1.0 - np.exp(-X)
     coefs = (masses * (c - support))[::-1]
     base = -c * N + f * N * float(masses @ support)
-    return float(base + f * N * float(depletion @ coefs))
+    return base + f * N * ((1.0 - np.exp(-X)) @ coefs)
 
 
 def ub_continuous(
@@ -253,8 +242,8 @@ def ub_continuous(
     (1 - exp(-sum_{j<=d+1-u} (s_j - s_{j-1})/(f q_{d+1-j}))) (q_u - q_{u-1}) (c - r_u)``
     """
     checked = _require_normalized(dist, c)
-    ts = _check_threshold_vector(thresholds, checked.d)
-    return _ub_value(checked.support, checked.cum_mass, ts, f, c, N)
+    ts = ThresholdPolicy(thresholds, checked).thresholds
+    return float(_ub_value(checked.support, checked.cum_mass, ts, f, c, N))
 
 
 # ---------------------------------------------------------------------------
@@ -330,21 +319,17 @@ def optimize_thresholds_grid(
         return ThresholdPolicy((1.0,), checked)
     ys = _grid_values(grid)
     combos = _monotone_combos(len(ys), d - 1)
-    masses = np.asarray(checked.point_masses())
-    support = np.asarray(checked.support)
-    inv_q = 1.0 / np.asarray(checked.cum_mass)[::-1]
-    coefs = (masses * (c - support))[::-1]
-    base = -c * N + f * N * float(masses @ support)
 
     best_val = -np.inf
     best_row: Optional[np.ndarray] = None
-    chunk = 200_000
+    # A chunk's temporaries are freed when _ub_value returns; at 50k rows the
+    # allocator reuses them, at 200k it hands them back to the OS and every
+    # chunk page-faults them in again (about 14k minor faults per d = 4 call).
+    chunk = 50_000
     for lo in range(0, len(combos), chunk):
         block = ys[combos[lo : lo + chunk]]
         S = np.concatenate([block, np.ones((len(block), 1))], axis=1)
-        diffs = np.diff(np.concatenate([np.zeros((len(S), 1)), S], axis=1), axis=1)
-        X = np.cumsum(diffs * inv_q, axis=1) / f
-        obj = base + f * N * ((1.0 - np.exp(-X)) @ coefs)
+        obj = _ub_value(checked.support, checked.cum_mass, S, f, c, N)
         i = int(np.argmax(obj))
         if obj[i] > best_val:
             best_val = float(obj[i])

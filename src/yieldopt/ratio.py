@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .dist import RewardDistribution, normalize, validate
-from .errors import DomainError, UndefinedRatio
-from .policy import DEFAULT_GRID, make_policy, optimize_thresholds_grid, ub_continuous
+from .errors import DomainError
+from .policy import make_policy, optimize_thresholds_grid, ub_continuous
 
 
 @dataclass(frozen=True)
@@ -24,7 +24,8 @@ class RatioReport:
 
     ``case`` records which branch applied: interior vs boundary threshold,
     and which side of 1/f the low-reward mass q falls on.  The ratio is
-    never clamped; penalty-dominated regimes can make it negative.
+    never clamped; penalty-dominated regimes can make it negative.  It is
+    ``None`` when the offline optimum is zero.
     """
 
     alg_bound: float
@@ -68,9 +69,9 @@ def binary_ratio(f: float, q: float, r: float, c: float) -> RatioReport:
 
     The branch is selected from the sign of the unclamped threshold, which
     keeps the reported bound identical to the threshold objective itself.
-    Raises :class:`UndefinedRatio` when the offline optimum is zero
-    (``f = 1`` or ``r = 0``); use :func:`binary_alg_bound` for the absolute
-    value in that regime.
+    When the offline optimum is zero (``f = 1`` or ``r = 0``) the ratio is
+    undefined: the report then has ``ratio=None`` and still carries the
+    absolute bound and the case.
     """
     if not 0.0 <= r < c:
         raise DomainError(f"need 0 <= r < c, got r={r}, c={c}")
@@ -80,12 +81,8 @@ def binary_ratio(f: float, q: float, r: float, c: float) -> RatioReport:
         f"{'interior' if interior else 'boundary'}-threshold|"
         f"{'q>1/f' if q > 1.0 / f else 'q<=1/f'}"
     )
-    if opt == 0.0:
-        raise UndefinedRatio(
-            f"offline optimum is 0 at f={f}, r={r}; only the absolute bound "
-            f"{alg} is meaningful"
-        )
-    return RatioReport(alg_bound=alg, opt=opt, ratio=alg / opt, case=case)
+    ratio = alg / opt if opt != 0.0 else None
+    return RatioReport(alg_bound=alg, opt=opt, ratio=ratio, case=case)
 
 
 # ---------------------------------------------------------------------------
@@ -116,15 +113,15 @@ def best_achievable_reward(
     penalty: float,
     f: float,
     N: float = 1.0,
-    grid: float = DEFAULT_GRID,
     method: str = "exact",
 ) -> float:
     """Best objective any threshold vector attains against the adversary.
 
     Shifts the distribution, optimizes thresholds, and reports the objective
     in original units.  ``method="exact"`` uses the closed-form solver behind
-    :func:`make_policy`; ``method="grid"`` takes the optimum over the
-    ``grid``-spaced threshold vectors (d <= 4).
+    :func:`make_policy`; ``method="grid"`` takes the optimum of
+    :func:`optimize_thresholds_grid` over the ``DEFAULT_GRID``-spaced
+    threshold vectors (d <= 4), an independent check of the exact solver.
     """
     if method == "exact":
         _, objective, offset = make_policy(dist, penalty, f, N=N)
@@ -133,7 +130,7 @@ def best_achievable_reward(
         raise DomainError(f"unknown method {method!r}")
     checked = validate(dist, penalty)
     shifted, c_shifted, offset = normalize(checked, penalty, f, N)
-    policy = optimize_thresholds_grid(shifted, f, c_shifted, N, grid)
+    policy = optimize_thresholds_grid(shifted, f, c_shifted, N)
     return ub_continuous(policy.thresholds, shifted, f, c_shifted, N) + offset
 
 

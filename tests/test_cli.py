@@ -6,6 +6,7 @@ import pytest
 
 from yieldopt.cli import main
 from yieldopt.matching import empirical_ratio, perturbed_greedy, triangular_matching_instance
+from yieldopt.ratio import binary_ratio
 
 BINARY_JSON = '{"support": [0.0, 0.5], "cum_mass": [0.5, 1.0]}'
 
@@ -178,6 +179,7 @@ class TestOtherCommands:
         assert code == 0
         obj = json.loads(out)
         assert obj["ratio"] is None and obj["opt"] == 0.0
+        assert obj["case"] == binary_ratio(2.0, 0.5, 0.0, 1.0).case
 
     def test_worstcase(self, capsys):
         code, out, _ = run_cli(

@@ -127,6 +127,13 @@ class TestOfflineOptExact:
         value = offline_opt_exact(RealizedInstance(inst, rewards), 1.0)
         assert value == 0.0  # every query delivered, nothing sold, no penalty
 
+    def test_sums_are_correctly_rounded(self):
+        # 90,000 sold queries at 0.1 and 10,000 delivered; with a sequential
+        # sum of the rewards the value came out as 9000.000000018848
+        inst = Instance((10_000,), ((100_000, (0,)),))
+        value = offline_opt_exact(RealizedInstance(inst, (0.1,) * 100_000), 1.0)
+        assert value == 9000.0
+
     def test_size_limit(self):
         inst = Instance((200_000,), ((200_000, (0,)),))
         with pytest.raises(SizeLimit):

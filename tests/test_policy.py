@@ -237,6 +237,40 @@ class TestUbContinuous:
             split = _ub_value(support2, cum2, ts2, f, c, 1.0)
             assert split == pytest.approx(base, abs=1e-12)
 
+    @pytest.mark.parametrize(
+        "thresholds",
+        [
+            (math.nan, 0.5, 1.0),
+            (0.6, 0.4, 1.0),
+            (-0.1, 0.5, 1.0),
+            (0.5, 1.5, 1.0),
+            (0.2, 0.5),
+            (0.2, 0.4, 0.6, 1.0),
+            (0.2, 0.5, 0.9),
+        ],
+        ids=["nan", "decreasing", "negative", "above-one", "short", "long", "last-not-one"],
+    )
+    def test_bad_thresholds_rejected(self, thresholds):
+        three = RewardDistribution((0.0, 0.4, 0.9), (0.3, 0.7, 1.0))
+        with pytest.raises(DomainError):
+            ub_continuous(thresholds, three, 2.0, 1.0, 1.0)
+
+    def test_rows_match_ub_continuous(self):
+        # the grid oracle's batched call is the same objective row by row
+        rng = np.random.default_rng(5)
+        for d in range(1, 5):
+            support = (0.0,) + tuple(np.sort(rng.uniform(0.05, 0.9, d - 1)))
+            cum = tuple(np.sort(rng.uniform(0.05, 0.95, d - 1))) + (1.0,)
+            dist = RewardDistribution(support, cum)
+            block = np.sort(rng.uniform(0.0, 1.0, (50, d)), axis=1)
+            block[:, -1] = 1.0
+            f = float(rng.uniform(1.0, 3.0))
+            values = _ub_value(support, cum, block, f, 1.0, 2.0)
+            assert values.shape == (50,)
+            for row, value in zip(block, values):
+                expected = ub_continuous(tuple(row), dist, f, 1.0, 2.0)
+                assert value == pytest.approx(expected, rel=0, abs=1e-12)
+
 
 def _grid_neighbours(s, eps):
     lo = math.floor(s / eps) * eps

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from yieldopt.dist import RewardDistribution, normalize, validate
-from yieldopt.errors import DomainError, UndefinedRatio
+from yieldopt.errors import DomainError
 from yieldopt.policy import binary_threshold, ub_continuous
 from yieldopt.ratio import (
     best_achievable_reward,
@@ -25,12 +25,14 @@ class TestBinaryRatio:
         assert report.case == "interior-threshold|q<=1/f"
 
     def test_zero_reward_undefined(self):
-        with pytest.raises(UndefinedRatio):
-            binary_ratio(2.0, 0.5, 0.0, 1.0)
+        report = binary_ratio(2.0, 0.5, 0.0, 1.0)
+        assert report.ratio is None and report.opt == 0.0
+        assert report.alg_bound == binary_alg_bound(2.0, 0.5, 0.0, 1.0)[0]
 
     def test_f_one_undefined(self):
-        with pytest.raises(UndefinedRatio):
-            binary_ratio(1.0, 0.5, 0.5, 1.0)
+        report = binary_ratio(1.0, 0.5, 0.5, 1.0)
+        assert report.ratio is None and report.opt == 0.0
+        assert report.alg_bound == binary_alg_bound(1.0, 0.5, 0.5, 1.0)[0]
 
     def test_monotone_in_supply_factor(self):
         ratios = [binary_ratio(f, 0.5, 0.5, 1.0).ratio for f in (2, 4, 8, 16, 32, 64, 100)]
