@@ -235,12 +235,10 @@ def _cmd_worstcase(args) -> int:
 
 
 def _cmd_matching(args) -> int:
-    weights = None
-    if args.weights:
-        weights = [float(v) for v in json.loads(args.weights)]
-    opt = float(np.sum(weights) if weights is not None else args.m) * args.n
+    weights = json.loads(args.weights) if args.weights else None
     trials = matching.trial_weights(args.m, args.n, args.supply, args.trials, args.seed, weights)
-    rows = [[trial, weight, weight / opt] for trial, weight in enumerate(trials)]
+    opt = float(np.sum(weights) if weights is not None else args.m) * args.n
+    rows = [[trial, weight, weight / opt] for trial, weight in enumerate(trials.tolist())]
     _csv_out(["trial", "weight", "ratio"], rows, args.out)
     return 0
 

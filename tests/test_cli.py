@@ -266,6 +266,15 @@ class TestOtherCommands:
             mean, _ = empirical_ratio(5, 3, 2, 6, 11, w)
             assert mean == float(np.mean(ratios))
 
+    @pytest.mark.parametrize("weights", ["[NaN, 1, 1]", "[-1, 1, 1]", "3", '["x", 1, 1]', "[[1], [1], [1]]"])
+    def test_matching_rejects_bad_weights(self, capsys, weights):
+        code, out, err = run_cli(
+            capsys, "matching", "--m", "3", "--supply", "2", "--trials", "2",
+            "--seed", "1", "--weights", weights,
+        )
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "DomainError"
+
     def test_repro_unknown_name(self, capsys):
         assert run_cli(capsys, "repro", "nonsense")[0] == 2
 

@@ -2,13 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from yieldopt import matching
 from yieldopt.errors import DomainError
 from yieldopt.matching import (
     MatchingInstance,
     empirical_ratio,
     guarantee,
     perturbed_greedy,
+    trial_weights,
     triangular_matching_instance,
 )
 
@@ -99,3 +103,97 @@ def test_guarantee_values():
     assert guarantee(1.0) == pytest.approx(1 - math.exp(-1))
     assert guarantee(2.0) == pytest.approx(2 - 2 * math.exp(-0.5))
     assert guarantee(4.0) == pytest.approx(4 - 4 * math.exp(-0.25))
+
+
+def reference_weights(m, n, f, trials, seed, weights=None):
+    # one instance and one perturbed-greedy run per trial, on that trial's stream
+    out = []
+    for trial in range(trials):
+        rng = np.random.default_rng([seed, trial])
+        out.append(perturbed_greedy(triangular_matching_instance(m, n, f, rng, weights), rng))
+    return out
+
+
+def assert_same_bits(batched, reference):
+    assert [float(v).hex() for v in batched] == [v.hex() for v in reference]
+
+
+@st.composite
+def trial_configs(draw):
+    m = draw(st.integers(1, 30))
+    # Zero weights tie at score 0 but cannot change the matched weight.  Scores
+    # of multiples of the smallest subnormal round to a few equal values, so
+    # there the smallest-id rule decides which copies stay for later groups.
+    units = st.lists(st.integers(0, 3), min_size=m, max_size=m).filter(any)
+    scaled = st.builds(lambda u, s: [k * s for k in u], units, st.sampled_from((5e-324, 1.0)))
+    floats = st.lists(st.floats(0.0, 10.0), min_size=m, max_size=m).filter(lambda w: sum(w) > 0)
+    weights = draw(st.none() | scaled | floats)
+    return m, draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 12)), weights
+
+
+class TestTrialWeights:
+    @settings(max_examples=150, deadline=None)
+    @given(config=trial_configs(), seed=st.integers(0, 2**32 - 1))
+    def test_batched_equals_per_trial_reference(self, config, seed):
+        m, n, f, trials, weights = config
+        assert_same_bits(
+            trial_weights(m, n, f, trials, seed, weights),
+            reference_weights(m, n, f, trials, seed, weights),
+        )
+
+    def test_blocks_do_not_change_weights(self, monkeypatch):
+        # 7 x 3 = 21 copies per trial, 50 copies per block: 2 trials per block, 9 blocks
+        weights = [0.0, 1.0, 1.0, 2.5, 0.0, 1.0, 3.0]
+        monkeypatch.setattr(matching, "_BLOCK_ELEMENTS", 50)
+        assert_same_bits(
+            trial_weights(7, 3, 2, 17, 4, weights), reference_weights(7, 3, 2, 17, 4, weights)
+        )
+
+
+BAD_WEIGHTS = {
+    "nan": [float("nan"), 1.0, 1.0],
+    "inf": [float("inf"), 1.0, 1.0],
+    "-inf": [1.0, float("-inf"), 1.0],
+    "negative": [-1.0, 1.0, 1.0],
+    "all zero": [0.0, 0.0, 0.0],
+}
+
+
+class TestInputValidation:
+    @pytest.mark.parametrize("weights", BAD_WEIGHTS.values(), ids=BAD_WEIGHTS)
+    def test_bad_weights(self, weights):
+        with pytest.raises(DomainError):
+            triangular_matching_instance(3, 1, 2, np.random.default_rng(0), weights)
+        with pytest.raises(DomainError):
+            trial_weights(3, 1, 2, 5, 1, weights)
+        with pytest.raises(DomainError):
+            empirical_ratio(3, 1, 2, 5, 1, weights)
+
+    @pytest.mark.parametrize(
+        "m, n, f",
+        [(0, 1, 2), (-2, 1, 2), (1.5, 1, 2), (4, 0, 2), (4, 1.5, 2), (4, float("nan"), 2),
+         (4, 1, 0), (4, 1, float("nan"))],
+    )
+    def test_bad_counts(self, m, n, f):
+        with pytest.raises(DomainError):
+            triangular_matching_instance(m, n, f, np.random.default_rng(0))
+        with pytest.raises(DomainError):
+            trial_weights(m, n, f, 5, 1)
+        with pytest.raises(DomainError):
+            empirical_ratio(m, n, f, 5, 1)
+
+    @pytest.mark.parametrize("trials", [0, -1, 2.5, float("inf")])
+    def test_bad_trial_count(self, trials):
+        with pytest.raises(DomainError):
+            trial_weights(4, 1, 2, trials, 1)
+        with pytest.raises(DomainError):
+            empirical_ratio(4, 1, 2, trials, 1)
+
+    @pytest.mark.parametrize("f", [0, -1, 0.5, float("nan"), float("inf")])
+    def test_bad_guarantee_supply(self, f):
+        with pytest.raises(DomainError):
+            guarantee(f)
+
+    def test_integral_floats_accepted(self):
+        assert trial_weights(4.0, 1.0, 2.0, 3.0, 1).tolist() == trial_weights(4, 1, 2, 3, 1).tolist()
+        assert empirical_ratio(4.0, 2.0, 2, 3, 1) == empirical_ratio(4, 2, 2, 3, 1)
