@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -97,7 +98,7 @@ def _cmd_simulate(args) -> int:
         raise YieldOptError(f"--seeds must be >= 1, got {args.seeds}")
     instance = _load_instance(args.instance)
     dist = _load_dist(args.dist)
-    measured = instance.supply if instance.supply is not None else supply_factor(instance)
+    measured = supply_factor(instance)
     undersupplied = measured < 1.0
     if undersupplied:
         message = f"supply factor {measured:g} < 1; serving with f = 1"
@@ -105,6 +106,7 @@ def _cmd_simulate(args) -> int:
     f = max(1.0, measured)
     N = float(instance.total_demand)
     policy, objective, offset = make_policy(dist, args.penalty, f, N=N)
+    header = ["seed", "reward", "exchange_revenue", "penalty_paid", "fill_rate"]
     rows = []
     for i in range(args.seeds):
         seed = args.seed + i
@@ -112,7 +114,7 @@ def _cmd_simulate(args) -> int:
         rows.append(
             [seed, rep.reward, rep.exchange_revenue, rep.penalty_paid, rep.fill_rate]
         )
-    _csv_out(["seed", "reward", "exchange_revenue", "penalty_paid", "fill_rate"], rows, args.out)
+    _csv_out(header, rows, args.out)
     if args.report is not None:
         rewards = np.array([row[1] for row in rows], dtype=float)
         opt = oracle.offline_opt_formula(dist, f, N)
@@ -128,10 +130,7 @@ def _cmd_simulate(args) -> int:
                     "supply_factor_measured": measured,
                     "undersupplied": undersupplied,
                 },
-                "per_seed": [
-                    dict(zip(["seed", "reward", "exchange_revenue", "penalty_paid", "fill_rate"], row))
-                    for row in rows
-                ],
+                "per_seed": [dict(zip(header, row)) for row in rows],
                 "aggregate": {
                     "mean_reward": float(rewards.mean()),
                     "stderr_reward": float(rewards.std(ddof=1) / len(rewards) ** 0.5)
@@ -198,15 +197,7 @@ def _cmd_oracle(args) -> int:
 
 def _cmd_ratio(args) -> int:
     report = binary_ratio(args.supply, args.q, args.r, args.penalty)
-    _json_out(
-        {
-            "alg_bound": report.alg_bound,
-            "opt": report.opt,
-            "ratio": report.ratio,
-            "case": report.case,
-        },
-        args.out,
-    )
+    _json_out(dataclasses.asdict(report), args.out)
     return 0
 
 
@@ -347,10 +338,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code) if exc.code is not None else 0
     try:
         return args.fn(args)
-    except YieldOptError as exc:
-        print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
-        return 2
-    except (OSError, json.JSONDecodeError) as exc:
+    except (YieldOptError, OSError, json.JSONDecodeError) as exc:
         print(json.dumps({"error": type(exc).__name__, "message": str(exc)}), file=sys.stderr)
         return 2
     except Exception as exc:  # pragma: no cover - internal failures

@@ -20,6 +20,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .errors import DomainError, MalformedDistribution, RewardExceedsPenalty
+from .instances import _check_demand
 
 # Construction-time renormalization window for the final cumulative mass.
 _MASS_TOL = 1e-12
@@ -154,6 +155,7 @@ def normalize(
     counts cancel.  Returns ``(shifted distribution, shifted penalty,
     offset)`` with the offset to add back when reporting absolute reward.
     """
+    _check_demand(total_demand)
     checked = validate(dist, penalty)
     r1 = checked.support[0]
     if r1 == 0.0:

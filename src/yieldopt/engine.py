@@ -84,10 +84,15 @@ class RunReport:
         return sum(self.delivered) / sum(self.demands)
 
 
-def _min_sr_advertiser(state: AllocationState, eligible: Iterable[int]) -> Optional[int]:
-    # smallest satisfaction ratio, ties toward the smallest advertiser id;
-    # cross-multiplied integer comparison keeps this exact.  The starting
-    # ratio 1/0 lies above every real one.
+def _route(
+    state: AllocationState, policy: ThresholdPolicy, eligible: Iterable[int]
+) -> Tuple[Optional[int], Optional[float]]:
+    # The threshold rule's target and reserve, both found exactly.  The target
+    # has the smallest satisfaction ratio, ties toward the smallest id, by
+    # cross-multiplied integer comparison; the starting ratio 1/0 lies above
+    # every real one.  Its reserve is that of the first segment u with
+    # k/n < s_u, tested as k*q < p*n for s_u = p/q.  The reserve is None when
+    # no eligible advertiser can take the query (none, or saturated).
     delivered, demands = state.delivered, state.demands
     best, bk, bn = None, 1, 0
     for a in eligible:
@@ -95,14 +100,11 @@ def _min_sr_advertiser(state: AllocationState, eligible: Iterable[int]) -> Optio
         lhs, rhs = k * bn, bk * n
         if lhs < rhs or (lhs == rhs and a < best):
             best, bk, bn = a, k, n
-    return best
-
-
-def _segment(policy: ThresholdPolicy, k: int, n: int) -> int:
-    # first u (1-based) with k/n < s_u, tested as k*q < p*n for s_u = p/q exactly
+    if best is None or bk == bn:
+        return best, None
     for u, (p, q) in enumerate(policy.ratios, start=1):
-        if k * q < p * n:
-            return u
+        if bk * q < p * bn:
+            return best, policy.reserve(u)
     raise AssertionError("SR must be < 1 here")
 
 
@@ -120,13 +122,8 @@ def serve_query(
     if not math.isfinite(reward):
         raise DomainError(f"reward must be finite, got {reward!r}")
     state.queries += 1
-    a = _min_sr_advertiser(state, eligible)
-    if a is None or state.delivered[a] == state.demands[a]:
-        state.exchange_revenue += reward
-        return Decision(kind="exchange", min_sr_advertiser=a)
-    u = _segment(policy, state.delivered[a], state.demands[a])
-    reserve = policy.reserve(u)
-    if reward <= reserve:
+    a, reserve = _route(state, policy, eligible)
+    if reserve is not None and reward <= reserve:
         state.delivered[a] += 1
         return Decision(kind="contract", advertiser=a, reserve=reserve, min_sr_advertiser=a)
     state.exchange_revenue += reward
@@ -151,12 +148,10 @@ def serve_query_multi_exchange(
     if len(highest) > 1:
         raise MalformedBidSet(f"multiple bids flagged highest: {highest}")
     state.queries += 1
-    a = _min_sr_advertiser(state, eligible)
-    if a is None or state.delivered[a] == state.demands[a]:
+    a, reserve = _route(state, policy, eligible)
+    if reserve is None:
         winner = highest[0] if highest else None
         return Decision(kind="exchange", exchange_id=winner, min_sr_advertiser=a)
-    u = _segment(policy, state.delivered[a], state.demands[a])
-    reserve = policy.reserve(u)
     clearing = [b[0] for b in bids if b[1]]
     if clearing:
         winner = highest[0] if highest and highest[0] in clearing else min(clearing)

@@ -2,12 +2,12 @@
 
 An instance is a set of contractual advertisers with impression demands and
 an ordered list of query groups, each group carrying its eligibility set.
-When an instance declares a supply factor ``f`` the total query count must
-equal ``f * N`` exactly (``N`` = total demand).
 
-The supply factor of an arbitrary instance is the largest ``f`` such that a
-fractional offline allocation can deliver ``f * n_a`` to every advertiser;
-it is computed by binary search over max-flow feasibility.
+The supply factor of an instance is the largest ``f`` such that a
+fractional offline allocation can deliver ``f * n_a`` to every advertiser.
+It is never declared: :func:`supply_factor` computes it by binary search
+over max-flow feasibility.  The rules every module applies to a supply
+factor and to a total demand are written here once.
 """
 
 from __future__ import annotations
@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import DomainError, NonIntegralGroupSize
 
-_INTEGRALITY_TOL = 1e-9
+_INTEGRALITY_TOL = 1e-9  # generators: relative distance of f*n from an integer
+_SUPPLY_TOL = 1e-9  # supply_factor: width of the final bisection interval
 
 
 def _integer(value, what: str) -> int:
@@ -36,13 +37,31 @@ def _integer(value, what: str) -> int:
     return as_int
 
 
+def _positive(value, what: str) -> int:
+    count = _integer(value, what)
+    if count < 1:
+        raise DomainError(f"{what} must be a positive integer, got {value!r}")
+    return count
+
+
+def _check_supply(f: float) -> None:
+    """The supply-factor rule: finite and >= 1, else :class:`DomainError`."""
+    if not (math.isfinite(f) and f >= 1.0):
+        raise DomainError(f"supply factor must be finite and >= 1, got {f}")
+
+
+def _check_demand(N: float) -> None:
+    """The total-demand rule: finite and > 0, else :class:`DomainError`."""
+    if not (math.isfinite(N) and N > 0.0):
+        raise DomainError(f"total demand must be finite and > 0, got {N}")
+
+
 @dataclass(frozen=True)
 class Instance:
     """Advertiser demands plus ordered query groups with eligibility sets."""
 
     demands: Tuple[int, ...]
     groups: Tuple[Tuple[int, Tuple[int, ...]], ...]
-    supply: Optional[float] = None
     seed: Optional[int] = None
 
     def __post_init__(self):
@@ -61,20 +80,6 @@ class Instance:
             groups.append((count, ids))
         object.__setattr__(self, "demands", demands)
         object.__setattr__(self, "groups", tuple(groups))
-        if self.supply is not None:
-            if not math.isfinite(self.supply):
-                raise DomainError(f"supply factor must be finite, got {self.supply}")
-            target = float(self.supply) * self.total_demand
-            if abs(target - round(target)) > _INTEGRALITY_TOL * max(1.0, target):
-                raise DomainError(
-                    f"supply factor {self.supply} times demand {self.total_demand} "
-                    "is not an integer query count"
-                )
-            if self.total_queries != round(target):
-                raise DomainError(
-                    f"declared supply factor {self.supply} requires "
-                    f"{round(target)} queries, instance has {self.total_queries}"
-                )
 
     @property
     def m(self) -> int:
@@ -102,8 +107,6 @@ class Instance:
             "demands": list(self.demands),
             "groups": [{"count": c, "eligible": list(e)} for c, e in self.groups],
         }
-        if self.supply is not None:
-            obj["supply_factor"] = self.supply
         if self.seed is not None:
             obj["seed"] = self.seed
         return json.dumps(obj)
@@ -112,14 +115,26 @@ class Instance:
     def from_json(cls, text: str) -> "Instance":
         obj = json.loads(text)
         try:
+            if "supply_factor" in obj:
+                raise DomainError("key 'supply_factor' rejected: the supply factor is computed")
             return cls(
                 tuple(obj["demands"]),
                 tuple((g["count"], tuple(g["eligible"])) for g in obj["groups"]),
-                supply=obj.get("supply_factor"),
                 seed=obj.get("seed"),
             )
         except (KeyError, TypeError) as exc:
             raise DomainError(f"bad instance JSON: {exc}") from exc
+
+
+def _query_count(m, n, f: float, per_group: bool) -> Tuple[int, int, int]:
+    """Checked ``(m, n, count)`` of a generator; ``count`` is ``f*n``, or ``f*m*n`` in all."""
+    m, n = _positive(m, "m"), _positive(n, "n")
+    if not (math.isfinite(f) and f > 0.0):
+        raise DomainError(f"supply factor must be finite and > 0, got {f}")
+    count = f * n if per_group else f * m * n
+    if abs(count - round(count)) > _INTEGRALITY_TOL * max(1.0, count):
+        raise NonIntegralGroupSize(f"{'f*n' if per_group else 'f*m*n'} = {count} is not an integer")
+    return m, n, int(round(count))
 
 
 def gen_upper_triangular(m: int, n: int, f: float, seed: int) -> Instance:
@@ -129,26 +144,19 @@ def gen_upper_triangular(m: int, n: int, f: float, seed: int) -> Instance:
     ``j`` with ``pi(j) >= i``, so one randomly chosen advertiser drops out
     per group.  Its supply factor is ``f`` by construction (Hall-tight).
     """
-    if m < 1 or n < 1:
-        raise DomainError(f"need m, n >= 1, got m={m}, n={n}")
-    group_size = f * n
-    if abs(group_size - round(group_size)) > _INTEGRALITY_TOL * max(1.0, group_size):
-        raise NonIntegralGroupSize(f"f*n = {group_size} is not an integer")
-    group_size = int(round(group_size))
+    m, n, group_size = _query_count(m, n, f, per_group=True)
     perm = np.random.default_rng(seed).permutation(m)
     groups = tuple(
         (group_size, tuple(int(j) for j in np.nonzero(perm >= i)[0]))
         for i in range(m)
     )
-    return Instance((n,) * m, groups, supply=f, seed=seed)
+    return Instance((n,) * m, groups, seed=seed)
 
 
 def complete_instance(m: int, n: int, f: float) -> Instance:
     """Single fully-eligible group of f*m*n queries."""
-    total = f * m * n
-    if abs(total - round(total)) > _INTEGRALITY_TOL * max(1.0, total):
-        raise NonIntegralGroupSize(f"f*m*n = {total} is not an integer")
-    return Instance((n,) * m, ((int(round(total)), tuple(range(m))),), supply=f)
+    m, n, total = _query_count(m, n, f, per_group=False)
+    return Instance((n,) * m, ((total, tuple(range(m))),))
 
 
 def _flow_feasible(instance: Instance, f: float, tol: float = 1e-9) -> bool:
@@ -171,11 +179,11 @@ def _flow_feasible(instance: Instance, f: float, tol: float = 1e-9) -> bool:
     return value >= target - tol * max(1.0, target)
 
 
-def supply_factor(instance: Instance, tol: float = 1e-9) -> float:
+def supply_factor(instance: Instance) -> float:
     """Largest f such that a fractional allocation delivers f*n_a to everyone.
 
     Binary search on max-flow feasibility; the interval is narrowed below
-    ``tol``.  Returns 0 when some advertiser has no eligible queries.
+    ``_SUPPLY_TOL``.  Returns 0 when some advertiser has no eligible queries.
     """
     covered = set()
     for _, elig in instance.groups:
@@ -186,7 +194,7 @@ def supply_factor(instance: Instance, tol: float = 1e-9) -> float:
     if _flow_feasible(instance, hi):
         return hi
     lo = 0.0
-    while hi - lo > tol:
+    while hi - lo > _SUPPLY_TOL:
         mid = (lo + hi) / 2.0
         if _flow_feasible(instance, mid):
             lo = mid

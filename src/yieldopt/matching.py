@@ -26,18 +26,11 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import DomainError
-from .instances import _integer
+from .instances import _check_supply, _positive
 
 # Copies per working array in one block of trials; bounds trial_weights'
 # memory independently of the trial count.
 _BLOCK_ELEMENTS = 1 << 18
-
-
-def _positive(value, what: str) -> int:
-    count = _integer(value, what)
-    if count < 1:
-        raise DomainError(f"{what} must be a positive integer, got {value!r}")
-    return count
 
 
 def _advertiser_weights(m: int, weights: Optional[Sequence[float]]) -> np.ndarray:
@@ -202,6 +195,5 @@ def empirical_ratio(
 
 def guarantee(f: float) -> float:
     """The tight competitive ratio ``f - f e^{-1/f}``, for a finite ``f >= 1``."""
-    if not (math.isfinite(f) and f >= 1):
-        raise DomainError(f"supply factor must be finite and >= 1, got {f}")
+    _check_supply(f)
     return f - f * math.exp(-1.0 / f)

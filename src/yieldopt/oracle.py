@@ -19,7 +19,7 @@ import numpy as np
 from .dist import RewardDistribution, sample_array, top_quantile_mean
 from .engine import run_rewards
 from .errors import DomainError, SizeLimit
-from .instances import Instance
+from .instances import Instance, _check_demand, _check_supply
 from .policy import AdversaryProfile, ThresholdPolicy, index_weights
 
 _MAX_EXACT_QUERIES = 100_000
@@ -62,8 +62,8 @@ def offline_opt_formula(dist: RewardDistribution, f: float, N: float) -> float:
 
     ``(f - 1) * N * (mean of the top 1 - 1/f probability mass)``; zero at f = 1.
     """
-    if f < 1.0:
-        raise DomainError(f"supply factor must be >= 1, got {f}")
+    _check_supply(f)
+    _check_demand(N)
     if f == 1.0:
         return 0.0
     return (f - 1.0) * N * top_quantile_mean(dist, 1.0 - 1.0 / f)
@@ -275,6 +275,8 @@ def adversary_lp_tight(
     """
     if t < 2:
         raise DomainError(f"t must be >= 2, got {t}")
+    _check_supply(f)
+    _check_demand(N)
     w = index_weights(policy.dist, policy.thresholds, t)
     beta = np.empty(t)
     beta[0] = N / t
@@ -293,6 +295,8 @@ def lp_residuals(
     ``equality``: max |f t beta_1 - f t beta_{j+1} - sum_{l<=j} w_l beta_l|,
     ``beta1``: |beta_1 - N/t|, ``negativity``: max(0, -min beta).
     """
+    _check_supply(f)
+    _check_demand(N)
     t = profile.t
     beta = profile.beta
     w = index_weights(policy.dist, policy.thresholds, t)

@@ -30,6 +30,7 @@ from numpy.typing import ArrayLike
 
 from .dist import RewardDistribution, cond_mean_below, normalize, validate
 from .errors import DomainError, InfeasibleDecay, TooManyThresholds
+from .instances import _check_demand, _check_supply
 
 DEFAULT_GRID = 1.0 / 200.0
 
@@ -119,8 +120,7 @@ def binary_threshold(f: float, q: float, r: float, c: float) -> float:
     """
     if not 0.0 < q < 1.0:
         raise DomainError(f"q must be in (0, 1), got {q}")
-    if f < 1.0:
-        raise DomainError(f"supply factor must be >= 1, got {f}")
+    _check_supply(f)
     if not 0.0 <= r < c:
         raise DomainError(f"need 0 <= r < c, got r={r}, c={c}")
     return max(0.0, 1.0 + f * q * math.log(1.0 - r / c))
@@ -171,6 +171,8 @@ def beta_closed_form(policy: ThresholdPolicy, f: float, N: float, t: int) -> Adv
     """
     if t < 1:
         raise DomainError(f"t must be >= 1, got {t}")
+    _check_supply(f)
+    _check_demand(N)
     w = index_weights(policy.dist, policy.thresholds, t)
     factors = 1.0 - w / (t * f)
     if np.any(factors < 0.0):
@@ -188,6 +190,8 @@ def lb_discrete(policy: ThresholdPolicy, f: float, c: float, N: float, t: int) -
     ``-cN + sum_u fN (q_u - q_{u-1}) r_u
     + sum_u sum_{j in segment u} beta*_j (c - E[r | r <= r_{d+1-u}])``
     """
+    _check_supply(f)
+    _check_demand(N)
     dist = _require_normalized(policy.dist, c)
     beta = beta_closed_form(policy, f, N, t).beta
     d = dist.d
@@ -241,6 +245,8 @@ def ub_continuous(
     ``-cN + sum_u fN (q_u - q_{u-1}) r_u + fN * sum_u
     (1 - exp(-sum_{j<=d+1-u} (s_j - s_{j-1})/(f q_{d+1-j}))) (q_u - q_{u-1}) (c - r_u)``
     """
+    _check_supply(f)
+    _check_demand(N)
     checked = _require_normalized(dist, c)
     ts = ThresholdPolicy(thresholds, checked).thresholds
     return float(_ub_value(checked.support, checked.cum_mass, ts, f, c, N))
@@ -267,8 +273,7 @@ def optimize_thresholds_exact(dist: RewardDistribution, f: float, c: float) -> T
     which is non-decreasing in the threshold index, equals 1 for ``k = 1``
     and is 0 for every atom with ``r_k = c``.
     """
-    if not (math.isfinite(f) and f >= 1.0):
-        raise DomainError(f"supply factor must be finite and >= 1, got {f}")
+    _check_supply(f)
     checked = _require_normalized(dist, c)
     masses = checked.point_masses()
     logs = [-math.inf if r >= c else math.log(1.0 - r / c) for r in checked.support]
@@ -311,6 +316,8 @@ def optimize_thresholds_grid(
     Exact grid optimum of ``ub_continuous``; independent test oracle for
     :func:`optimize_thresholds_exact`.
     """
+    _check_supply(f)
+    _check_demand(N)
     checked = _require_normalized(dist, c)
     d = checked.d
     if d > 4:
@@ -352,7 +359,7 @@ def make_policy(
     size goes through the closed-form solver
     :func:`optimize_thresholds_exact`, which reduces to
     :func:`binary_threshold` for binary distributions.  Rejects a supply
-    factor below 1 or non-finite.
+    factor below 1 and a total demand of 0 or below, and either non-finite.
     """
     checked = validate(dist, penalty)
     shifted, c_shifted, offset = normalize(checked, penalty, f, N)

@@ -15,6 +15,7 @@ from typing import Optional, Tuple
 
 from .dist import RewardDistribution, normalize, validate
 from .errors import DomainError
+from .instances import _check_supply
 from .policy import make_policy, optimize_thresholds_grid, ub_continuous
 
 
@@ -45,8 +46,7 @@ def binary_alg_bound(f: float, q: float, r: float, c: float) -> Tuple[float, boo
     """
     if not 0.0 < q < 1.0:
         raise DomainError(f"q must be in (0, 1), got {q}")
-    if f < 1.0:
-        raise DomainError(f"supply factor must be >= 1, got {f}")
+    _check_supply(f)
     if not 0.0 <= r <= c:
         raise DomainError(f"need 0 <= r <= c, got r={r}, c={c}")
     unclamped = 1.0 + f * q * math.log(1.0 - r / c) if r < c else -math.inf
@@ -61,6 +61,7 @@ def binary_alg_bound(f: float, q: float, r: float, c: float) -> Tuple[float, boo
 
 def binary_opt(f: float, q: float, r: float) -> float:
     """Offline optimum per unit demand for the binary distribution."""
+    _check_supply(f)
     return f * (1.0 - q) * r if q > 1.0 / f else f * (1.0 - 1.0 / f) * r
 
 
@@ -73,6 +74,7 @@ def binary_ratio(f: float, q: float, r: float, c: float) -> RatioReport:
     undefined: the report then has ``ratio=None`` and still carries the
     absolute bound and the case.
     """
+    _check_supply(f)
     if not 0.0 <= r < c:
         raise DomainError(f"need 0 <= r < c, got r={r}, c={c}")
     alg, interior = binary_alg_bound(f, q, r, c)
@@ -146,6 +148,7 @@ def worst_case_distribution(mu: float, c: float, f: float) -> WorstCaseSpec:
     """
     if not 0.0 < mu <= c:
         raise DomainError(f"need 0 < mu <= c, got mu={mu}, c={c}")
+    _check_supply(f)
     if f <= 1.0:
         raise DomainError(f"supply factor must exceed 1, got {f}")
     tol = 1e-12

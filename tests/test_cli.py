@@ -5,10 +5,16 @@ import numpy as np
 import pytest
 
 from yieldopt.cli import main
+from yieldopt.instances import Instance, supply_factor
 from yieldopt.matching import empirical_ratio, perturbed_greedy, triangular_matching_instance
 from yieldopt.ratio import binary_ratio
 
 BINARY_JSON = '{"support": [0.0, 0.5], "cum_mass": [0.5, 1.0]}'
+# 4 queries for demand 2, but advertiser 1 sees only one of them: supply factor 1, not 2
+BOTTLENECK = {
+    "demands": [1, 1],
+    "groups": [{"count": 3, "eligible": [0]}, {"count": 1, "eligible": [1]}],
+}
 
 
 def run_cli(capsys, *argv):
@@ -152,6 +158,19 @@ class TestSimulate:
         assert config["undersupplied"] is True
         assert "grid" not in config
 
+    def test_report_measures_supply_factor(self, capsys, tmp_path):
+        report_path = tmp_path / "report.json"
+        code, _, _ = run_cli(
+            capsys,
+            "simulate", "--instance", json.dumps(BOTTLENECK), "--dist", BINARY_JSON,
+            "--penalty", "1.0", "--seed", "1", "--report", str(report_path),
+        )
+        assert code == 0
+        config = json.loads(report_path.read_text())["config"]
+        measured = supply_factor(Instance.from_json(json.dumps(BOTTLENECK)))
+        assert config["supply_factor_measured"] == measured
+        assert "supply_factor" not in config["instance"]
+
     def test_grid_option_removed(self, capsys):
         code, _, _ = run_cli(
             capsys, "thresholds", "--dist", BINARY_JSON, "--penalty", "1.0",
@@ -272,6 +291,27 @@ class TestOtherCommands:
             capsys, "matching", "--m", "3", "--supply", "2", "--trials", "2",
             "--seed", "1", "--weights", weights,
         )
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "DomainError"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("ratio", "--supply", "nan", "--q", "0.5", "--r", "0.5", "--penalty", "1"),
+            ("oracle", "--mode", "opt-formula", "--dist", BINARY_JSON, "--supply", "inf"),
+            ("oracle", "--mode", "opt-formula", "--dist", BINARY_JSON, "--supply", "2", "--demand", "nan"),
+            ("gen", "--m", "3", "--n", "2", "--supply", "nan", "--seed", "1"),
+            ("gen", "--kind", "complete", "--m", "3", "--n", "2", "--supply", "inf"),
+            (
+                "simulate", "--instance", json.dumps({**BOTTLENECK, "supply_factor": 2.0}),
+                "--dist", BINARY_JSON, "--penalty", "1", "--seed", "1",
+            ),
+        ],
+        ids=["ratio-nan", "opt-formula-inf", "opt-formula-demand-nan", "gen-nan", "gen-complete-inf",
+             "simulate-declared-supply"],
+    )
+    def test_bad_supply_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == "DomainError"
 

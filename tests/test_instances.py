@@ -1,7 +1,9 @@
 import json
+import math
 
 import pytest
 
+from yieldopt.dist import RewardDistribution, normalize
 from yieldopt.errors import DomainError, NonIntegralGroupSize
 from yieldopt.instances import (
     Instance,
@@ -9,6 +11,64 @@ from yieldopt.instances import (
     gen_upper_triangular,
     supply_factor,
 )
+from yieldopt.matching import guarantee
+from yieldopt.oracle import adversary_lp_tight, lp_residuals, offline_opt_formula
+from yieldopt.policy import (
+    ThresholdPolicy,
+    beta_closed_form,
+    binary_threshold,
+    lb_discrete,
+    make_policy,
+    optimize_thresholds_exact,
+    optimize_thresholds_grid,
+    ub_continuous,
+)
+from yieldopt.ratio import binary_alg_bound, binary_opt, binary_ratio, worst_case_distribution
+
+BINARY = RewardDistribution((0.0, 0.5), (0.5, 1.0))
+POLICY = ThresholdPolicy((0.3, 1.0), BINARY)
+PROFILE = beta_closed_form(POLICY, 2.0, 1.0, 100)
+
+# every function that takes a supply factor f or a total demand N, with
+# valid other arguments (f = 2 where N is the argument under test)
+RULES = {
+    ("binary_threshold", "f"): lambda f: binary_threshold(f, 0.5, 0.5, 1.0),
+    ("optimize_thresholds_exact", "f"): lambda f: optimize_thresholds_exact(BINARY, f, 1.0),
+    ("optimize_thresholds_grid", "f"): lambda f: optimize_thresholds_grid(BINARY, f, 1.0),
+    ("make_policy", "f"): lambda f: make_policy(BINARY, 1.0, f),
+    ("ub_continuous", "f"): lambda f: ub_continuous(POLICY.thresholds, BINARY, f, 1.0),
+    ("lb_discrete", "f"): lambda f: lb_discrete(POLICY, f, 1.0, 1.0, 100),
+    ("beta_closed_form", "f"): lambda f: beta_closed_form(POLICY, f, 1.0, 100),
+    ("adversary_lp_tight", "f"): lambda f: adversary_lp_tight(POLICY, f, 1.0, 100),
+    ("lp_residuals", "f"): lambda f: lp_residuals(PROFILE, POLICY, f, 1.0),
+    ("offline_opt_formula", "f"): lambda f: offline_opt_formula(BINARY, f, 1.0),
+    ("binary_alg_bound", "f"): lambda f: binary_alg_bound(f, 0.5, 0.5, 1.0),
+    ("binary_opt", "f"): lambda f: binary_opt(f, 0.5, 0.5),
+    ("binary_ratio", "f"): lambda f: binary_ratio(f, 0.5, 0.5, 1.0),
+    ("guarantee", "f"): guarantee,
+    ("worst_case_distribution", "f"): lambda f: worst_case_distribution(0.3, 1.0, f),
+    ("normalize", "N"): lambda N: normalize(BINARY, 1.0, 2.0, N),
+    ("make_policy", "N"): lambda N: make_policy(BINARY, 1.0, 2.0, N=N),
+    ("ub_continuous", "N"): lambda N: ub_continuous(POLICY.thresholds, BINARY, 2.0, 1.0, N),
+    ("lb_discrete", "N"): lambda N: lb_discrete(POLICY, 2.0, 1.0, N, 100),
+    ("beta_closed_form", "N"): lambda N: beta_closed_form(POLICY, 2.0, N, 100),
+    ("adversary_lp_tight", "N"): lambda N: adversary_lp_tight(POLICY, 2.0, N, 100),
+    ("lp_residuals", "N"): lambda N: lp_residuals(PROFILE, POLICY, 2.0, N),
+    ("optimize_thresholds_grid", "N"): lambda N: optimize_thresholds_grid(BINARY, 2.0, 1.0, N),
+    ("offline_opt_formula", "N"): lambda N: offline_opt_formula(BINARY, 2.0, N),
+}
+BAD = {"f": (math.nan, math.inf, 0.5), "N": (math.nan, math.inf, 0.0)}
+MESSAGE = {"f": "supply factor", "N": "total demand"}
+
+
+@pytest.mark.parametrize(
+    "name, arg, bad", [(name, arg, bad) for name, arg in sorted(RULES) for bad in BAD[arg]]
+)
+def test_domain_rule(name, arg, bad):
+    call = RULES[name, arg]
+    call(2.0)  # the valid value goes through
+    with pytest.raises(DomainError, match=MESSAGE[arg]):
+        call(bad)
 
 
 class TestGenUpperTriangular:
@@ -38,6 +98,13 @@ class TestGenUpperTriangular:
             inst = gen_upper_triangular(m=4, n=4, f=f, seed=2)
             assert supply_factor(inst) == pytest.approx(f, abs=1e-6)
 
+    def test_sizes_checked(self):
+        for m, n, f in ((2.5, 2, 1.0), (0, 2, 1.0), (2, -1, 1.0), (2, 2, 0.0), (2, 2, -1.0)):
+            with pytest.raises(DomainError):
+                gen_upper_triangular(m, n, f, 1)
+            with pytest.raises(DomainError):
+                complete_instance(m, n, f)
+
     def test_permutation_depends_on_seed(self):
         a = gen_upper_triangular(m=6, n=1, f=1.0, seed=1)
         b = gen_upper_triangular(m=6, n=1, f=1.0, seed=2)
@@ -46,13 +113,23 @@ class TestGenUpperTriangular:
 
 
 class TestInstanceValidation:
-    def test_declared_supply_must_match_queries(self):
-        with pytest.raises(DomainError):
-            Instance((2, 2), ((5, (0, 1)),), supply=2.0)  # needs 8 queries
+    def test_declared_supply_rejected(self):
+        # the supply factor is computed, never declared: no field, and the JSON key is refused
+        with pytest.raises(TypeError):
+            Instance((2, 2), ((8, (0, 1)),), supply=2.0)
+        declared = {
+            "demands": [1, 1],
+            "groups": [{"count": 3, "eligible": [0]}, {"count": 1, "eligible": [1]}],
+            "supply_factor": 2.0,  # queries / demand, but the graph gives 1
+        }
+        with pytest.raises(DomainError, match="'supply_factor'.*computed"):
+            Instance.from_json(json.dumps(declared))
 
     def test_non_integral_supply_times_demand(self):
-        with pytest.raises(DomainError):
-            Instance((1, 1, 1), ((5, (0, 1, 2)),), supply=1.7)
+        with pytest.raises(NonIntegralGroupSize):
+            complete_instance(3, 1, 1.7)  # f*m*n = 5.1
+        with pytest.raises(NonIntegralGroupSize):
+            gen_upper_triangular(3, 3, 1.7, seed=0)  # f*n = 5.1
 
     def test_eligibility_ids_checked(self):
         with pytest.raises(DomainError):
@@ -83,8 +160,11 @@ class TestInstanceValidation:
         assert all(type(n) is int for n in inst.demands + (inst.groups[0][0],))
 
     def test_non_finite_supply_rejected(self):
-        with pytest.raises(DomainError):
-            Instance((1,), ((2, (0,)),), supply=float("nan"))
+        for f in (math.nan, math.inf, -math.inf):
+            with pytest.raises(DomainError):
+                gen_upper_triangular(3, 2, f, seed=0)
+            with pytest.raises(DomainError):
+                complete_instance(3, 2, f)
 
     def test_expand_order(self):
         inst = Instance((1, 1), ((2, (0, 1)), (1, (1,))))
@@ -129,11 +209,12 @@ class TestJsonRoundtrip:
         assert back == inst
 
     def test_wire_format(self):
-        inst = Instance((1, 2), ((2, (0, 1)), (1, (1,))), supply=1.0)
+        inst = Instance((1, 2), ((2, (0, 1)), (1, (1,))))
         obj = json.loads(inst.to_json())
         assert obj["demands"] == [1, 2]
         assert obj["groups"][0] == {"count": 2, "eligible": [0, 1]}
-        assert obj["supply_factor"] == 1.0
+        assert "supply_factor" not in obj
+        assert "supply_factor" not in json.loads(gen_upper_triangular(3, 2, 2.0, 4).to_json())
 
     def test_bad_json_rejected(self):
         with pytest.raises(DomainError):

@@ -369,11 +369,6 @@ class TestOptimizers:
         with pytest.raises(DomainError):
             optimize_thresholds_grid(BINARY, 2.0, 1.0, grid=1.5)
 
-    def test_exact_rejects_bad_supply_factor(self):
-        for f in (0.5, math.nan, math.inf):
-            with pytest.raises(DomainError):
-                optimize_thresholds_exact(BINARY, f, 1.0)
-
     def test_exact_top_reward_at_penalty_inactive(self):
         # an atom with r = c gains nothing from delivery: its segment is empty
         d3 = RewardDistribution((0.0, 0.4, 1.0), (0.3, 0.7, 1.0))
