@@ -81,7 +81,7 @@ def _cmd_thresholds(args) -> int:
         {
             "thresholds": list(policy.thresholds),
             "objective_per_unit_demand": objective + offset,
-            "reserves": [policy.reserve(u) for u in range(1, policy.d + 1)],
+            "reserves": list(policy.reserves),
             "config": {
                 "penalty": args.penalty,
                 "supply": args.supply,

@@ -123,6 +123,12 @@ class RewardDistribution:
             raise MalformedDistribution(f"bad distribution JSON: {exc}") from exc
 
 
+def _check_penalty(penalty: float) -> None:
+    # the domain rule for a penalty c; engine checks it together with the offset
+    if not math.isfinite(penalty):
+        raise DomainError(f"penalty must be finite, got {penalty}")
+
+
 def validate(dist: RewardDistribution, penalty: float) -> RewardDistribution:
     """Gate for every downstream operation.
 
@@ -132,8 +138,7 @@ def validate(dist: RewardDistribution, penalty: float) -> RewardDistribution:
     truncating, so the caller can pre-filter.  A non-finite penalty is a
     :class:`DomainError`.
     """
-    if not math.isfinite(penalty):
-        raise DomainError(f"penalty must be finite, got {penalty}")
+    _check_penalty(penalty)
     # Reconstructing re-runs the structural checks.
     checked = RewardDistribution(dist.support, dist.cum_mass)
     if checked.support[-1] > penalty:

@@ -5,16 +5,19 @@ the lowest satisfaction ratio (SR = delivered / demand, ties toward the
 smallest id), look up the reserve of the segment that SR falls in, and send
 the query to the exchange only when the reward beats the reserve.
 
-:func:`serve_query` applies it to one query and is the reference.
-:func:`run_rewards` serves a whole instance against a fixed reward sequence
-with the same delivered vector, by segment jumps instead of a Python step
-per query.  Within a group the eligible set ``E`` is fixed, so the group's
-deliveries go to the keys ``(k/n_a, a)``, ``a`` in ``E`` and ``k = k_a ..
-n_a - 1`` from its delivered count ``k_a``, in sorted order.  A key's
-segment is monotone in its SR, so segment ``u`` takes exactly as many
-deliveries as it holds keys, ``D_u``, and the ``D_u``-th reward at or below
-its reserve ends it: O(d) numpy passes per group, then one water-level
-placement of the group's deliveries on its first keys.
+:func:`serve_query` applies it to one query and is the reference; it reads
+the reserve from the policy's precomputed ``reserves`` and returns a
+:class:`Decision`, an immutable ``NamedTuple`` (so besides its named fields
+it unpacks and compares like a tuple).  :func:`run_rewards` serves a whole
+instance against a fixed reward sequence with the same delivered vector, by
+segment jumps instead of a Python step per query.  Within a group the
+eligible set ``E`` is fixed, so the group's deliveries go to the keys
+``(k/n_a, a)``, ``a`` in ``E`` and ``k = k_a .. n_a - 1`` from its delivered
+count ``k_a``, in sorted order.  A key's segment is monotone in its SR, so
+segment ``u`` takes exactly as many deliveries as it holds keys, ``D_u``,
+and the ``D_u``-th reward at or below its reserve ends it: O(d) numpy passes
+per group, then one water-level placement of the group's deliveries on its
+first keys.
 
 Exactness: no SR is ever a float.  Segments come from integer cutoffs, the
 largest ``k`` with ``k/n < s_u`` from each threshold's exact integer ratio;
@@ -31,7 +34,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -55,9 +58,12 @@ class AllocationState:
         return cls(tuple(int(n) for n in demands), [0] * len(demands))
 
 
-@dataclass(frozen=True)
-class Decision:
-    """Outcome of a single query: contract target or exchange, with context."""
+class Decision(NamedTuple):
+    """Outcome of a single query: contract target or exchange, with context.
+
+    An immutable named tuple: fields read by name, and it also unpacks,
+    indexes and compares like a plain tuple of its five fields.
+    """
 
     kind: str  # "contract" | "exchange"
     advertiser: Optional[int] = None
@@ -102,9 +108,9 @@ def _route(
             best, bk, bn = a, k, n
     if best is None or bk == bn:
         return best, None
-    for u, (p, q) in enumerate(policy.ratios, start=1):
+    for (p, q), reserve in zip(policy.ratios, policy.reserves):
         if bk * q < p * bn:
-            return best, policy.reserve(u)
+            return best, reserve
     raise AssertionError("SR must be < 1 here")
 
 
@@ -265,9 +271,9 @@ def run_rewards(
     n = np.array(demands, dtype=dtype)
     k = np.zeros(len(demands), dtype=dtype)
     cuts_by_n = {v: _cutoffs(policy, v) for v in set(demands)}
-    # reach[a, u]: keys j <= cut_u(n_a), i.e. how far segments 1..u+1 take a from 0
-    reach = np.array([cuts_by_n[v] for v in demands], dtype=dtype) + 1
-    reserves = [policy.reserve(u) for u in range(1, policy.d + 1)]
+    # reach[u, a]: keys j <= cut_u(n_a), i.e. how far segments 1..u+1 take a from 0;
+    # one contiguous row per segment, so a group's columns come out in one take
+    reach = np.ascontiguousarray(np.array([cuts_by_n[v] for v in demands], dtype=dtype).T) + 1
     sold = np.ones(len(rewards), dtype=bool)
     end = 0
     for count, elig in instance.groups:
@@ -277,9 +283,11 @@ def run_rewards(
         e = np.fromiter(elig, np.intp, len(elig))
         ke = k[e]
         # the group's keys in segments 1..u+1, for each u; the last entry counts all of them
-        ends = np.maximum(reach[e] - ke[:, None], 0).sum(axis=0).tolist()
+        left = reach.take(e, axis=1)
+        left -= ke
+        ends = np.maximum(left, 0, out=left).sum(axis=1).tolist()
         taken = 0
-        for reserve, total in zip(reserves, ends):
+        for reserve, total in zip(policy.reserves, ends):
             if total == taken:
                 continue
             low = rewards[p:end] <= reserve

@@ -16,7 +16,7 @@ from typing import Dict, List, Set, Tuple
 
 import numpy as np
 
-from .dist import RewardDistribution, sample_array, top_quantile_mean
+from .dist import RewardDistribution, _check_penalty, sample_array, top_quantile_mean
 from .engine import run_rewards
 from .errors import DomainError, SizeLimit
 from .instances import Instance, _check_demand, _check_supply
@@ -85,8 +85,7 @@ def offline_opt_exact(realized: RealizedInstance, penalty: float) -> float:
     (the class's remaining queries, the free demand at its end, the flow on
     every rerouted edge).  Queries with reward above the penalty are sold.
     """
-    if not math.isfinite(penalty):
-        raise DomainError(f"penalty must be finite, got {penalty}")
+    _check_penalty(penalty)
     instance = realized.instance
     if instance.total_queries > _MAX_EXACT_QUERIES:
         raise SizeLimit(

@@ -28,7 +28,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .dist import RewardDistribution, cond_mean_below, normalize, validate
+from .dist import RewardDistribution, _check_penalty, cond_mean_below, normalize, validate
 from .errors import DomainError, InfeasibleDecay, TooManyThresholds
 from .instances import _check_demand, _check_supply
 
@@ -45,12 +45,14 @@ class ThresholdPolicy:
 
     ``reserve(u)`` returns the ``(d+1-u)``-th support value: the lower the
     least-satisfied contract sits, the higher the exchange bid must be.
+    ``reserves[u-1]`` holds the same value, precomputed for serving.
     """
 
     thresholds: Tuple[float, ...]
     dist: RewardDistribution
     # exact (p, q) with s_u = p / q, so k/n < s_u is the integer test k*q < p*n
     ratios: Tuple[Tuple[int, int], ...] = field(init=False, repr=False, compare=False)
+    reserves: Tuple[float, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         thresholds = tuple(float(v) for v in self.thresholds)
@@ -67,6 +69,7 @@ class ThresholdPolicy:
             raise DomainError(f"final threshold must be exactly 1, got {thresholds[-1]}")
         object.__setattr__(self, "thresholds", thresholds)
         object.__setattr__(self, "ratios", tuple(v.as_integer_ratio() for v in thresholds))
+        object.__setattr__(self, "reserves", self.dist.support[::-1])
 
     @property
     def d(self) -> int:
@@ -76,7 +79,7 @@ class ThresholdPolicy:
         """Reserve price while the minimum SR lies in segment ``u`` (1-based)."""
         if not 1 <= u <= self.d:
             raise DomainError(f"segment u={u} out of range 1..{self.d}")
-        return self.dist.support[self.d - u]
+        return self.reserves[u - 1]
 
     def with_distribution(self, dist: RewardDistribution) -> "ThresholdPolicy":
         """Rebind the same thresholds to another distribution (e.g. unshifted units)."""
@@ -121,6 +124,7 @@ def binary_threshold(f: float, q: float, r: float, c: float) -> float:
     if not 0.0 < q < 1.0:
         raise DomainError(f"q must be in (0, 1), got {q}")
     _check_supply(f)
+    _check_penalty(c)
     if not 0.0 <= r < c:
         raise DomainError(f"need 0 <= r < c, got r={r}, c={c}")
     return max(0.0, 1.0 + f * q * math.log(1.0 - r / c))

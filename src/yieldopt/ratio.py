@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .dist import RewardDistribution, normalize, validate
+from .dist import RewardDistribution, _check_penalty, normalize, validate
 from .errors import DomainError
 from .instances import _check_supply
 from .policy import make_policy, optimize_thresholds_grid, ub_continuous
@@ -47,6 +47,7 @@ def binary_alg_bound(f: float, q: float, r: float, c: float) -> Tuple[float, boo
     if not 0.0 < q < 1.0:
         raise DomainError(f"q must be in (0, 1), got {q}")
     _check_supply(f)
+    _check_penalty(c)
     if not 0.0 <= r <= c:
         raise DomainError(f"need 0 <= r <= c, got r={r}, c={c}")
     unclamped = 1.0 + f * q * math.log(1.0 - r / c) if r < c else -math.inf
@@ -75,6 +76,7 @@ def binary_ratio(f: float, q: float, r: float, c: float) -> RatioReport:
     absolute bound and the case.
     """
     _check_supply(f)
+    _check_penalty(c)
     if not 0.0 <= r < c:
         raise DomainError(f"need 0 <= r < c, got r={r}, c={c}")
     alg, interior = binary_alg_bound(f, q, r, c)

@@ -52,6 +52,14 @@ class TestThresholds:
         assert code == 0
         assert json.loads(out_path.read_text())["thresholds"][1] == 1.0
 
+    def test_reserves_listed_by_segment(self, capsys):
+        dist = '{"support": [0.1, 0.4, 0.9], "cum_mass": [0.3, 0.7, 1.0]}'
+        code, out, _ = run_cli(
+            capsys, "thresholds", "--dist", dist, "--penalty", "1.0", "--supply", "2.0"
+        )
+        assert code == 0
+        assert json.loads(out)["reserves"] == [0.9, 0.4, 0.1]  # segment u = 1, 2, 3
+
     def test_reward_above_penalty_is_validation_error(self, capsys):
         code, _, err = run_cli(
             capsys, "thresholds", "--dist", BINARY_JSON, "--penalty", "0.4", "--supply", "2.0"
@@ -312,6 +320,13 @@ class TestOtherCommands:
     )
     def test_bad_supply_exits_2(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "DomainError"
+
+    def test_infinite_penalty_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "ratio", "--supply", "2", "--q", "0.5", "--r", "0.5", "--penalty", "inf"
+        )
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == "DomainError"
 

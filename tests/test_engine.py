@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from yieldopt.dist import RewardDistribution, sample_array
 from yieldopt.engine import (
     AllocationState,
+    Decision,
     finalize,
     run_instance,
     run_rewards,
@@ -143,6 +144,54 @@ class TestMultiExchange:
             d2 = serve_query_multi_exchange(s2, BPOL, [0], [(0, clears, True)])
             assert d1.kind == d2.kind
             assert s1.delivered == s2.delivered
+
+
+class TestDecision:
+    def test_named_tuple_fields_and_defaults(self):
+        assert Decision._fields == (
+            "kind", "advertiser", "exchange_id", "reserve", "min_sr_advertiser"
+        )
+        assert Decision("exchange") == ("exchange", None, None, None, None)
+        kind, advertiser, _, reserve, min_sr = serve_query(
+            state_with([10], [1]), BPOL, [0], reward=0.5
+        )
+        assert (kind, advertiser, reserve, min_sr) == ("contract", 0, 0.5, 0)
+
+    def test_immutable(self):
+        decision = serve_query(state_with([10], [1]), BPOL, [0], reward=0.5)
+        for name in Decision._fields:
+            with pytest.raises(AttributeError):
+                setattr(decision, name, None)
+        assert decision.kind == "contract" and decision.advertiser == 0
+
+    @pytest.mark.parametrize(
+        "demands, delivered, eligible, reward, expected",
+        [
+            ([10], [1], [0], 0.5, Decision("contract", advertiser=0, reserve=0.5, min_sr_advertiser=0)),
+            ([10], [5], [0], 0.5, Decision("exchange", reserve=0.0, min_sr_advertiser=0)),
+            ([2, 3], [2, 3], [1, 0], 0.0, Decision("exchange", min_sr_advertiser=0)),
+            ([2], [0], [], 0.5, Decision("exchange")),
+        ],
+        ids=["contract", "exchange-above-reserve", "all-saturated", "no-eligible"],
+    )
+    def test_serve_query_fields(self, demands, delivered, eligible, reward, expected):
+        assert serve_query(state_with(demands, delivered), BPOL, eligible, reward) == expected
+
+    @pytest.mark.parametrize(
+        "delivered, bids, expected",
+        [
+            (5, [(0, False, False), (1, True, True)],
+             Decision("exchange", exchange_id=1, reserve=0.0, min_sr_advertiser=0)),
+            (1, [(0, False, False), (1, False, True)],
+             Decision("contract", advertiser=0, reserve=0.5, min_sr_advertiser=0)),
+            (10, [(0, False, False), (1, False, True)],
+             Decision("exchange", exchange_id=1, min_sr_advertiser=0)),
+        ],
+        ids=["exchange-winner", "contract", "saturated"],
+    )
+    def test_multi_exchange_fields(self, delivered, bids, expected):
+        state = state_with([10], [delivered])
+        assert serve_query_multi_exchange(state, BPOL, [0], bids) == expected
 
 
 class TestFinalize:

@@ -418,6 +418,28 @@ class TestThresholdPolicyType:
         with pytest.raises(DomainError):
             ThresholdPolicy(thresholds, d)
 
+    @pytest.mark.parametrize("d", range(1, 7))
+    def test_reserves_precompute_reserve(self, d):
+        cum = tuple((i + 1) / d for i in range(d))
+        dist = RewardDistribution(tuple(0.1 * i for i in range(d)), cum)
+        policy = ThresholdPolicy(tuple((i + 1) / d for i in range(d)), dist)
+        assert policy.reserves == tuple(policy.reserve(u) for u in range(1, d + 1))
+        other = RewardDistribution(tuple(0.3 + 0.2 * i for i in range(d)), cum)
+        rebound = policy.with_distribution(other)
+        assert rebound.reserves == tuple(rebound.reserve(u) for u in range(1, d + 1))
+        assert rebound.reserves == other.support[::-1]
+        for u in (-1, 0, d + 1):
+            with pytest.raises(DomainError):
+                policy.reserve(u)
+
+    def test_reserves_outside_eq_hash_repr(self):
+        d3 = RewardDistribution((0.0, 0.4, 0.9), (0.3, 0.7, 1.0))
+        a = ThresholdPolicy((0.2, 0.6, 1.0), d3)
+        b = ThresholdPolicy((0.2, 0.6, 1.0), d3)
+        object.__setattr__(b, "reserves", (7.0, 8.0, 9.0))
+        assert a == b and hash(a) == hash(b)
+        assert repr(a) == repr(b) and "reserves" not in repr(a)
+
     def test_segment_bounds_pin_last(self):
         assert segment_bounds((0.305, 1.0), 10) == [0, 3, 10]
         assert segment_bounds((0.0, 1.0), 7) == [0, 0, 7]

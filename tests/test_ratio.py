@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -61,6 +63,12 @@ class TestBinaryRatio:
                     assert alg == pytest.approx(
                         ub_continuous((s1, 1.0), d, f, 1.0, 1.0), abs=1e-9
                     )
+
+    @pytest.mark.parametrize("c", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("fn", [binary_threshold, binary_alg_bound, binary_ratio])
+    def test_non_finite_penalty_rejected(self, fn, c):
+        with pytest.raises(DomainError, match="penalty must be finite"):
+            fn(2.0, 0.5, 0.5, c)
 
     def test_opt_cases(self):
         assert binary_opt(2.0, 0.75, 0.5) == pytest.approx(2 * 0.25 * 0.5)
