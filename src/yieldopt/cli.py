@@ -25,7 +25,7 @@ import numpy as np
 from . import __version__, matching, oracle, repro
 from .dist import RewardDistribution, validate
 from .engine import run_instance
-from .errors import YieldOptError
+from .errors import DomainError, YieldOptError, _positive
 from .instances import Instance, complete_instance, gen_upper_triangular, supply_factor
 from .policy import ThresholdPolicy, make_policy
 from .ratio import binary_ratio, worst_case_distribution
@@ -33,18 +33,11 @@ from .ratio import binary_ratio, worst_case_distribution
 SCHEMA_VERSION = 1
 
 
-def _load_dist(source: str) -> RewardDistribution:
-    text = source
-    if not source.lstrip().startswith("{"):
-        text = Path(source).read_text()
-    return RewardDistribution.from_json(text)
-
-
-def _load_instance(source: str) -> Instance:
-    text = source
-    if not source.lstrip().startswith("{"):
-        text = Path(source).read_text()
-    return Instance.from_json(text)
+def _load(cls, source: Optional[str], option: str):
+    """``cls.from_json`` of the JSON given inline to ``option``, or of the file it names."""
+    if source is None:
+        raise DomainError(f"{option} is required")
+    return cls.from_json(source if source.lstrip().startswith("{") else Path(source).read_text())
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -75,7 +68,7 @@ def _csv_out(header: List[str], rows: List[List[object]], out: Optional[str]) ->
 
 
 def _cmd_thresholds(args) -> int:
-    dist = _load_dist(args.dist)
+    dist = _load(RewardDistribution, args.dist, "--dist")
     policy, objective, offset = make_policy(dist, args.penalty, args.supply)
     _json_out(
         {
@@ -94,10 +87,9 @@ def _cmd_thresholds(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    if args.seeds < 1:
-        raise YieldOptError(f"--seeds must be >= 1, got {args.seeds}")
-    instance = _load_instance(args.instance)
-    dist = _load_dist(args.dist)
+    _positive(args.seeds, "--seeds")
+    instance = _load(Instance, args.instance, "--instance")
+    dist = _load(RewardDistribution, args.dist, "--dist")
     measured = supply_factor(instance)
     undersupplied = measured < 1.0
     if undersupplied:
@@ -161,26 +153,26 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    dist = _load(RewardDistribution, args.dist, "--dist")  # every mode takes one
     if args.mode == "opt-formula":
-        dist = _load_dist(args.dist)
         value = oracle.offline_opt_formula(dist, args.supply, args.demand)
         _json_out({"mode": args.mode, "value": value}, args.out)
     elif args.mode == "opt-exact":
-        instance = _load_instance(args.instance)
-        dist = _load_dist(args.dist)
+        instance = _load(Instance, args.instance, "--instance")
         if args.seed is None:
             raise YieldOptError("--seed is required for opt-exact sampling")
         realized = oracle.sample_realized(instance, dist, args.seed)
         value = oracle.offline_opt_exact(realized, args.penalty)
         _json_out({"mode": args.mode, "value": value, "seed": args.seed}, args.out)
     elif args.mode == "online-exact":
-        instance = _load_instance(args.instance)
-        dist = _load_dist(args.dist)
+        instance = _load(Instance, args.instance, "--instance")
         value = oracle.online_opt_bruteforce(instance, dist, args.penalty)
         _json_out({"mode": args.mode, "value": value}, args.out)
     else:  # beta
-        dist = _load_dist(args.dist)
-        thresholds = tuple(float(v) for v in json.loads(args.thresholds))
+        try:  # a missing --thresholds is None, a TypeError here
+            thresholds = tuple(float(v) for v in json.loads(args.thresholds))
+        except (TypeError, ValueError) as exc:
+            raise DomainError(f"--thresholds must list numbers, got {args.thresholds!r}") from exc
         policy = ThresholdPolicy(thresholds, validate(dist, args.penalty))
         profile = oracle.adversary_lp_tight(policy, args.supply, args.demand, args.t)
         _json_out(

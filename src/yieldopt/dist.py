@@ -20,7 +20,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .errors import DomainError, MalformedDistribution, RewardExceedsPenalty
-from .instances import _check_demand
+from .errors import _check_demand, _check_finite, _check_supply, _integer
 
 # Construction-time renormalization window for the final cumulative mass.
 _MASS_TOL = 1e-12
@@ -123,12 +123,6 @@ class RewardDistribution:
             raise MalformedDistribution(f"bad distribution JSON: {exc}") from exc
 
 
-def _check_penalty(penalty: float) -> None:
-    # the domain rule for a penalty c; engine checks it together with the offset
-    if not math.isfinite(penalty):
-        raise DomainError(f"penalty must be finite, got {penalty}")
-
-
 def validate(dist: RewardDistribution, penalty: float) -> RewardDistribution:
     """Gate for every downstream operation.
 
@@ -138,7 +132,7 @@ def validate(dist: RewardDistribution, penalty: float) -> RewardDistribution:
     truncating, so the caller can pre-filter.  A non-finite penalty is a
     :class:`DomainError`.
     """
-    _check_penalty(penalty)
+    _check_finite(penalty, "penalty")
     # Reconstructing re-runs the structural checks.
     checked = RewardDistribution(dist.support, dist.cum_mass)
     if checked.support[-1] > penalty:
@@ -160,6 +154,7 @@ def normalize(
     counts cancel.  Returns ``(shifted distribution, shifted penalty,
     offset)`` with the offset to add back when reporting absolute reward.
     """
+    _check_supply(f)
     _check_demand(total_demand)
     checked = validate(dist, penalty)
     r1 = checked.support[0]
@@ -174,6 +169,7 @@ def normalize(
 
 def cond_mean_below(dist: RewardDistribution, u: int) -> float:
     """Mean reward conditioned on the reward being at most ``r_u`` (1-based u)."""
+    u = _integer(u, "index u")
     if not 1 <= u <= dist.d:
         raise DomainError(f"index u={u} out of range 1..{dist.d}")
     masses = dist.point_masses()

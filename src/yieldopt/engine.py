@@ -39,7 +39,7 @@ from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .dist import RewardDistribution, sample_array
-from .errors import DomainError, MalformedBidSet
+from .errors import DomainError, MalformedBidSet, _check_finite, _check_rewards
 from .instances import Instance
 from .policy import ThresholdPolicy
 
@@ -168,11 +168,6 @@ def serve_query_multi_exchange(
     return Decision(kind="contract", advertiser=a, reserve=reserve, min_sr_advertiser=a)
 
 
-def _check_finite(penalty: float, offset: float) -> None:
-    if not (math.isfinite(penalty) and math.isfinite(offset)):
-        raise DomainError(f"penalty and offset must be finite, got {penalty}, {offset}")
-
-
 def finalize(
     state: AllocationState,
     penalty: float,
@@ -183,7 +178,8 @@ def finalize(
 
     Raises ``DomainError`` on a non-finite penalty or offset.
     """
-    _check_finite(penalty, offset)
+    _check_finite(penalty, "penalty")
+    _check_finite(offset, "offset")
     undelivered = sum(n - k for n, k in zip(state.demands, state.delivered))
     penalty_paid = penalty * undelivered
     return RunReport(
@@ -252,16 +248,9 @@ def run_rewards(
     query, computed a group at a time by segment jumps (module docstring).
     Exchange revenue is the numpy (pairwise) sum of the sold rewards, so it
     may differ from a replay's sequential sum in the last bits.  Raises
-    ``DomainError`` on a non-finite reward, penalty or offset.
+    ``DomainError`` on a wrong reward count or a non-finite reward, penalty or offset.
     """
-    _check_finite(penalty, offset)
-    rewards = np.asarray(rewards, dtype=float)
-    if len(rewards) != instance.total_queries:
-        raise ValueError(
-            f"expected {instance.total_queries} rewards, got {len(rewards)}"
-        )
-    if not np.isfinite(rewards).all():
-        raise DomainError("rewards must be finite")
+    rewards = _check_rewards(rewards, instance.total_queries)
     demands = instance.demands
     top = max(demands)
     scale = top * top

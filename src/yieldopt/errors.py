@@ -1,4 +1,22 @@
-"""Exception types shared across the package."""
+"""Exception types, and the input rules that raise them.
+
+Every error is a :class:`YieldOptError`, and every subclass is also a
+``ValueError``: :class:`DomainError` for an input outside its domain,
+:class:`MalformedDistribution` for a bad reward distribution, and one type
+per refused computation.  Each input rule below is written once and called
+by every public function taking that input; each raises ``DomainError``.
+``_integer``: an integer (``3.0`` passes; ``3.9``, NaN and inf do not);
+``_positive``: one >= 1, or >= ``least`` (a count; a resolution ``t``, >= 2
+for ``adversary_lp_tight``); ``_check_finite``: a finite scalar (penalty,
+offset); ``_check_supply``: a supply factor, finite and >= 1;
+``_check_demand``: a total demand, finite and > 0; ``_check_rewards``: one
+finite reward per query, as a float64 array; ``_check_binary``: ``0 < q < 1``
+and ``r`` finite and >= 0 (each caller bounds ``r`` by ``c`` itself).
+"""
+
+import math
+
+import numpy as np
 
 
 class YieldOptError(Exception):
@@ -39,3 +57,52 @@ class SizeLimit(YieldOptError, ValueError):
 
 class MalformedBidSet(YieldOptError, ValueError):
     """Multi-exchange bid set flags more than one highest bidder."""
+
+
+def _integer(value, what: str) -> int:
+    """``value`` as an int; integral floats pass, fractions and non-numbers raise."""
+    try:
+        as_int = int(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise DomainError(f"{what} must be an integer, got {value!r}") from exc
+    if as_int != value:
+        raise DomainError(f"{what} must be an integer, got {value!r}")
+    return as_int
+
+
+def _positive(value, what: str, least: int = 1) -> int:
+    count = _integer(value, what)
+    if count < least:
+        raise DomainError(f"{what} must be an integer >= {least}, got {value!r}")
+    return count
+
+
+def _check_finite(value: float, what: str) -> None:
+    if not math.isfinite(value):
+        raise DomainError(f"{what} must be finite, got {value}")
+
+
+def _check_supply(f: float) -> None:
+    if not (math.isfinite(f) and f >= 1.0):
+        raise DomainError(f"supply factor must be finite and >= 1, got {f}")
+
+
+def _check_demand(N: float) -> None:
+    if not (math.isfinite(N) and N > 0.0):
+        raise DomainError(f"total demand must be finite and > 0, got {N}")
+
+
+def _check_rewards(rewards, count: int) -> np.ndarray:
+    out = np.asarray(rewards, dtype=float)
+    if out.shape != (count,):
+        raise DomainError(f"expected {count} rewards, got an array of shape {out.shape}")
+    if not np.isfinite(out).all():
+        raise DomainError("rewards must be finite")
+    return out
+
+
+def _check_binary(q: float, r: float) -> None:
+    if not 0.0 < q < 1.0:
+        raise DomainError(f"q must be in (0, 1), got {q}")
+    if not (math.isfinite(r) and r >= 0.0):
+        raise DomainError(f"r must be finite and >= 0, got {r}")

@@ -6,8 +6,7 @@ an ordered list of query groups, each group carrying its eligibility set.
 The supply factor of an instance is the largest ``f`` such that a
 fractional offline allocation can deliver ``f * n_a`` to every advertiser.
 It is never declared: :func:`supply_factor` computes it by binary search
-over max-flow feasibility.  The rules every module applies to a supply
-factor and to a total demand are written here once.
+over max-flow feasibility.
 """
 
 from __future__ import annotations
@@ -20,40 +19,10 @@ from typing import List, Optional, Tuple
 import networkx as nx
 import numpy as np
 
-from .errors import DomainError, NonIntegralGroupSize
+from .errors import DomainError, NonIntegralGroupSize, _integer, _positive
 
 _INTEGRALITY_TOL = 1e-9  # generators: relative distance of f*n from an integer
 _SUPPLY_TOL = 1e-9  # supply_factor: width of the final bisection interval
-
-
-def _integer(value, what: str) -> int:
-    """``value`` as an int; integral floats pass, fractions and non-numbers raise."""
-    try:
-        as_int = int(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise DomainError(f"{what} must be an integer, got {value!r}") from exc
-    if as_int != value:
-        raise DomainError(f"{what} must be an integer, got {value!r}")
-    return as_int
-
-
-def _positive(value, what: str) -> int:
-    count = _integer(value, what)
-    if count < 1:
-        raise DomainError(f"{what} must be a positive integer, got {value!r}")
-    return count
-
-
-def _check_supply(f: float) -> None:
-    """The supply-factor rule: finite and >= 1, else :class:`DomainError`."""
-    if not (math.isfinite(f) and f >= 1.0):
-        raise DomainError(f"supply factor must be finite and >= 1, got {f}")
-
-
-def _check_demand(N: float) -> None:
-    """The total-demand rule: finite and > 0, else :class:`DomainError`."""
-    if not (math.isfinite(N) and N > 0.0):
-        raise DomainError(f"total demand must be finite and > 0, got {N}")
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,7 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import DomainError
-from .instances import _check_supply, _positive
+from .errors import DomainError, _check_supply, _positive
 
 # Copies per working array in one block of trials; bounds trial_weights'
 # memory independently of the trial count.

@@ -16,10 +16,11 @@ from typing import Dict, List, Set, Tuple
 
 import numpy as np
 
-from .dist import RewardDistribution, _check_penalty, sample_array, top_quantile_mean
+from .dist import RewardDistribution, sample_array, top_quantile_mean
 from .engine import run_rewards
-from .errors import DomainError, SizeLimit
-from .instances import Instance, _check_demand, _check_supply
+from .errors import SizeLimit, _positive
+from .errors import _check_demand, _check_finite, _check_rewards, _check_supply
+from .instances import Instance
 from .policy import AdversaryProfile, ThresholdPolicy, index_weights
 
 _MAX_EXACT_QUERIES = 100_000
@@ -34,13 +35,7 @@ class RealizedInstance:
     rewards: Tuple[float, ...]
 
     def __post_init__(self):
-        rewards = np.asarray(self.rewards, dtype=float)
-        if len(rewards) != self.instance.total_queries:
-            raise DomainError(
-                f"expected {self.instance.total_queries} rewards, got {len(rewards)}"
-            )
-        if not np.isfinite(rewards).all():
-            raise DomainError("rewards must be finite")
+        rewards = _check_rewards(self.rewards, self.instance.total_queries)
         object.__setattr__(self, "rewards", tuple(rewards.tolist()))
 
 
@@ -85,7 +80,7 @@ def offline_opt_exact(realized: RealizedInstance, penalty: float) -> float:
     (the class's remaining queries, the free demand at its end, the flow on
     every rerouted edge).  Queries with reward above the penalty are sold.
     """
-    _check_penalty(penalty)
+    _check_finite(penalty, "penalty")
     instance = realized.instance
     if instance.total_queries > _MAX_EXACT_QUERIES:
         raise SizeLimit(
@@ -192,6 +187,7 @@ def online_opt_bruteforce(
     ``V(i, d) = E_r[max(r + V(i+1, d), max_a V(i+1, d - e_a))]`` with
     terminal value ``-penalty * sum(d)``.
     """
+    _check_finite(penalty, "penalty")
     if instance.total_demand > 8:
         raise SizeLimit(f"total demand {instance.total_demand} > 8")
     if instance.total_queries > 12:
@@ -272,8 +268,7 @@ def adversary_lp_tight(
     from ``beta_1 = N/t``, with ``w_l = 1/q_{d+1-u(l)}``; this is the LP
     optimum without a general solver.
     """
-    if t < 2:
-        raise DomainError(f"t must be >= 2, got {t}")
+    t = _positive(t, "t", least=2)
     _check_supply(f)
     _check_demand(N)
     w = index_weights(policy.dist, policy.thresholds, t)

@@ -28,9 +28,9 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .dist import RewardDistribution, _check_penalty, cond_mean_below, normalize, validate
-from .errors import DomainError, InfeasibleDecay, TooManyThresholds
-from .instances import _check_demand, _check_supply
+from .dist import RewardDistribution, cond_mean_below, normalize, validate
+from .errors import DomainError, InfeasibleDecay, TooManyThresholds, _integer, _positive
+from .errors import _check_binary, _check_demand, _check_finite, _check_supply
 
 DEFAULT_GRID = 1.0 / 200.0
 
@@ -77,6 +77,7 @@ class ThresholdPolicy:
 
     def reserve(self, u: int) -> float:
         """Reserve price while the minimum SR lies in segment ``u`` (1-based)."""
+        u = _integer(u, "segment u")
         if not 1 <= u <= self.d:
             raise DomainError(f"segment u={u} out of range 1..{self.d}")
         return self.reserves[u - 1]
@@ -99,8 +100,7 @@ class AdversaryProfile:
     beta: np.ndarray
 
     def __post_init__(self):
-        if self.t < 1:
-            raise DomainError(f"t must be >= 1, got {self.t}")
+        object.__setattr__(self, "t", _positive(self.t, "t"))
         beta = np.asarray(self.beta, dtype=float)
         if beta.shape != (self.t,):
             raise DomainError(f"beta must have length t={self.t}")
@@ -121,12 +121,11 @@ def binary_threshold(f: float, q: float, r: float, c: float) -> float:
 
     Returns ``max(0, 1 + f*q*ln(1 - r/c))``; never exceeds 1 since r < c.
     """
-    if not 0.0 < q < 1.0:
-        raise DomainError(f"q must be in (0, 1), got {q}")
+    _check_binary(q, r)
     _check_supply(f)
-    _check_penalty(c)
-    if not 0.0 <= r < c:
-        raise DomainError(f"need 0 <= r < c, got r={r}, c={c}")
+    _check_finite(c, "penalty")
+    if r >= c:
+        raise DomainError(f"need r < c, got r={r}, c={c}")
     return max(0.0, 1.0 + f * q * math.log(1.0 - r / c))
 
 
@@ -135,7 +134,12 @@ def binary_threshold(f: float, q: float, r: float, c: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _require_normalized(dist: RewardDistribution, c: float) -> RewardDistribution:
+def _require_normalized(
+    dist: RewardDistribution, f: float, c: float, N: float = 1.0
+) -> RewardDistribution:
+    """``dist`` validated against ``c`` and with lowest reward 0, once ``f`` and ``N`` pass."""
+    _check_supply(f)
+    _check_demand(N)
     checked = validate(dist, c)
     if checked.support[0] != 0.0:
         raise DomainError(
@@ -173,8 +177,7 @@ def beta_closed_form(policy: ThresholdPolicy, f: float, N: float, t: int) -> Adv
     Within segment ``u`` the profile decays by ``1 - (1/q_{d+1-u})/(t*f)``
     per slice, chained across segments, starting from ``beta_1 = N/t``.
     """
-    if t < 1:
-        raise DomainError(f"t must be >= 1, got {t}")
+    t = _positive(t, "t")
     _check_supply(f)
     _check_demand(N)
     w = index_weights(policy.dist, policy.thresholds, t)
@@ -194,18 +197,16 @@ def lb_discrete(policy: ThresholdPolicy, f: float, c: float, N: float, t: int) -
     ``-cN + sum_u fN (q_u - q_{u-1}) r_u
     + sum_u sum_{j in segment u} beta*_j (c - E[r | r <= r_{d+1-u}])``
     """
-    _check_supply(f)
-    _check_demand(N)
-    dist = _require_normalized(policy.dist, c)
-    beta = beta_closed_form(policy, f, N, t).beta
+    dist = _require_normalized(policy.dist, f, c, N)
+    profile = beta_closed_form(policy, f, N, t)  # checks t
     d = dist.d
-    bounds = segment_bounds(policy.thresholds, t)
+    bounds = segment_bounds(policy.thresholds, profile.t)
     lengths = np.diff(bounds)
     coefs = np.array([c - cond_mean_below(dist, d + 1 - u) for u in range(1, d + 1)])
     per_index = np.repeat(coefs, lengths)
     masses = np.asarray(dist.point_masses())
     base = -c * N + f * N * float(masses @ np.asarray(dist.support))
-    return float(base + beta @ per_index)
+    return float(base + profile.beta @ per_index)
 
 
 # ---------------------------------------------------------------------------
@@ -249,9 +250,7 @@ def ub_continuous(
     ``-cN + sum_u fN (q_u - q_{u-1}) r_u + fN * sum_u
     (1 - exp(-sum_{j<=d+1-u} (s_j - s_{j-1})/(f q_{d+1-j}))) (q_u - q_{u-1}) (c - r_u)``
     """
-    _check_supply(f)
-    _check_demand(N)
-    checked = _require_normalized(dist, c)
+    checked = _require_normalized(dist, f, c, N)
     ts = ThresholdPolicy(thresholds, checked).thresholds
     return float(_ub_value(checked.support, checked.cum_mass, ts, f, c, N))
 
@@ -277,8 +276,7 @@ def optimize_thresholds_exact(dist: RewardDistribution, f: float, c: float) -> T
     which is non-decreasing in the threshold index, equals 1 for ``k = 1``
     and is 0 for every atom with ``r_k = c``.
     """
-    _check_supply(f)
-    checked = _require_normalized(dist, c)
+    checked = _require_normalized(dist, f, c)
     masses = checked.point_masses()
     logs = [-math.inf if r >= c else math.log(1.0 - r / c) for r in checked.support]
     thresholds = [1.0]  # s_d, s_{d-1}, ..., s_1
@@ -320,9 +318,7 @@ def optimize_thresholds_grid(
     Exact grid optimum of ``ub_continuous``; independent test oracle for
     :func:`optimize_thresholds_exact`.
     """
-    _check_supply(f)
-    _check_demand(N)
-    checked = _require_normalized(dist, c)
+    checked = _require_normalized(dist, f, c, N)
     d = checked.d
     if d > 4:
         raise TooManyThresholds(f"exhaustive search limited to d <= 4, got {d}")

@@ -13,9 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .dist import RewardDistribution, _check_penalty, normalize, validate
-from .errors import DomainError
-from .instances import _check_supply
+from .dist import RewardDistribution, normalize
+from .errors import DomainError, _check_binary, _check_finite, _check_supply
 from .policy import make_policy, optimize_thresholds_grid, ub_continuous
 
 
@@ -44,12 +43,11 @@ def binary_alg_bound(f: float, q: float, r: float, c: float) -> Tuple[float, boo
     threshold clamps to 0 and the value is
     ``cf((1-1/f) - (1-q)(1-r/c) - q e^(-1/(qf)))``.
     """
-    if not 0.0 < q < 1.0:
-        raise DomainError(f"q must be in (0, 1), got {q}")
+    _check_binary(q, r)
     _check_supply(f)
-    _check_penalty(c)
-    if not 0.0 <= r <= c:
-        raise DomainError(f"need 0 <= r <= c, got r={r}, c={c}")
+    _check_finite(c, "penalty")
+    if r > c or c <= 0.0:
+        raise DomainError(f"need r <= c and c > 0, got r={r}, c={c}")
     unclamped = 1.0 + f * q * math.log(1.0 - r / c) if r < c else -math.inf
     if unclamped > 0.0:
         value = c * f * ((1.0 - 1.0 / f) - (1.0 - r / c) ** (1.0 - q) * math.exp(-1.0 / f))
@@ -63,6 +61,7 @@ def binary_alg_bound(f: float, q: float, r: float, c: float) -> Tuple[float, boo
 def binary_opt(f: float, q: float, r: float) -> float:
     """Offline optimum per unit demand for the binary distribution."""
     _check_supply(f)
+    _check_binary(q, r)
     return f * (1.0 - q) * r if q > 1.0 / f else f * (1.0 - 1.0 / f) * r
 
 
@@ -75,11 +74,9 @@ def binary_ratio(f: float, q: float, r: float, c: float) -> RatioReport:
     undefined: the report then has ``ratio=None`` and still carries the
     absolute bound and the case.
     """
-    _check_supply(f)
-    _check_penalty(c)
-    if not 0.0 <= r < c:
-        raise DomainError(f"need 0 <= r < c, got r={r}, c={c}")
-    alg, interior = binary_alg_bound(f, q, r, c)
+    alg, interior = binary_alg_bound(f, q, r, c)  # checks f, q, r and c
+    if r == c:
+        raise DomainError(f"need r < c, got r={r}, c={c}")
     opt = binary_opt(f, q, r)
     case = (
         f"{'interior' if interior else 'boundary'}-threshold|"
@@ -132,8 +129,7 @@ def best_achievable_reward(
         return objective + offset
     if method != "grid":
         raise DomainError(f"unknown method {method!r}")
-    checked = validate(dist, penalty)
-    shifted, c_shifted, offset = normalize(checked, penalty, f, N)
+    shifted, c_shifted, offset = normalize(dist, penalty, f, N)
     policy = optimize_thresholds_grid(shifted, f, c_shifted, N)
     return ub_continuous(policy.thresholds, shifted, f, c_shifted, N) + offset
 

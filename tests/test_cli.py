@@ -306,6 +306,7 @@ class TestOtherCommands:
         "argv",
         [
             ("ratio", "--supply", "nan", "--q", "0.5", "--r", "0.5", "--penalty", "1"),
+            ("ratio", "--supply", "2", "--q", "0.5", "--r", "0", "--penalty", "0"),
             ("oracle", "--mode", "opt-formula", "--dist", BINARY_JSON, "--supply", "inf"),
             ("oracle", "--mode", "opt-formula", "--dist", BINARY_JSON, "--supply", "2", "--demand", "nan"),
             ("gen", "--m", "3", "--n", "2", "--supply", "nan", "--seed", "1"),
@@ -314,9 +315,25 @@ class TestOtherCommands:
                 "simulate", "--instance", json.dumps({**BOTTLENECK, "supply_factor": 2.0}),
                 "--dist", BINARY_JSON, "--penalty", "1", "--seed", "1",
             ),
+            ("oracle", "--mode", "opt-formula"),
+            ("oracle", "--mode", "opt-exact", "--dist", BINARY_JSON, "--seed", "1"),
+            ("oracle", "--mode", "online-exact", "--dist", BINARY_JSON),
+            ("oracle", "--mode", "beta", "--dist", BINARY_JSON),
+            ("oracle", "--mode", "beta", "--dist", BINARY_JSON, "--thresholds", '["a", 1]'),
+            ("oracle", "--mode", "beta", "--dist", BINARY_JSON, "--thresholds", "3"),
+            (
+                "oracle", "--mode", "online-exact", "--instance", json.dumps(BOTTLENECK),
+                "--dist", BINARY_JSON, "--penalty", "nan",
+            ),
+            (
+                "oracle", "--mode", "online-exact", "--instance", json.dumps(BOTTLENECK),
+                "--dist", BINARY_JSON, "--penalty", "inf",
+            ),
         ],
-        ids=["ratio-nan", "opt-formula-inf", "opt-formula-demand-nan", "gen-nan", "gen-complete-inf",
-             "simulate-declared-supply"],
+        ids=["ratio-nan", "ratio-zero-penalty", "opt-formula-inf", "opt-formula-demand-nan", "gen-nan", "gen-complete-inf",
+             "simulate-declared-supply", "opt-formula-no-dist", "opt-exact-no-instance",
+             "online-exact-no-instance", "beta-no-thresholds", "beta-thresholds-not-numbers",
+             "beta-thresholds-not-list", "online-exact-penalty-nan", "online-exact-penalty-inf"],
     )
     def test_bad_supply_exits_2(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)

@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from yieldopt.dist import RewardDistribution, normalize
+from yieldopt.dist import RewardDistribution, cond_mean_below, normalize, validate
+from yieldopt.engine import AllocationState, finalize, run_rewards
 from yieldopt.errors import DomainError, NonIntegralGroupSize
 from yieldopt.instances import (
     Instance,
@@ -12,8 +13,16 @@ from yieldopt.instances import (
     supply_factor,
 )
 from yieldopt.matching import guarantee
-from yieldopt.oracle import adversary_lp_tight, lp_residuals, offline_opt_formula
+from yieldopt.oracle import (
+    RealizedInstance,
+    adversary_lp_tight,
+    lp_residuals,
+    offline_opt_exact,
+    offline_opt_formula,
+    online_opt_bruteforce,
+)
 from yieldopt.policy import (
+    AdversaryProfile,
     ThresholdPolicy,
     beta_closed_form,
     binary_threshold,
@@ -28,9 +37,11 @@ from yieldopt.ratio import binary_alg_bound, binary_opt, binary_ratio, worst_cas
 BINARY = RewardDistribution((0.0, 0.5), (0.5, 1.0))
 POLICY = ThresholdPolicy((0.3, 1.0), BINARY)
 PROFILE = beta_closed_form(POLICY, 2.0, 1.0, 100)
+TINY = Instance((1,), ((2, (0,)),))
 
-# every function that takes a supply factor f or a total demand N, with
-# valid other arguments (f = 2 where N is the argument under test)
+# every function that takes a supply factor f, a total demand N, a penalty c,
+# an offset, a binary q or r, a resolution t, a 1-based index u or a reward
+# array, with valid other arguments (f = 2 where another one is under test)
 RULES = {
     ("binary_threshold", "f"): lambda f: binary_threshold(f, 0.5, 0.5, 1.0),
     ("optimize_thresholds_exact", "f"): lambda f: optimize_thresholds_exact(BINARY, f, 1.0),
@@ -56,9 +67,55 @@ RULES = {
     ("lp_residuals", "N"): lambda N: lp_residuals(PROFILE, POLICY, 2.0, N),
     ("optimize_thresholds_grid", "N"): lambda N: optimize_thresholds_grid(BINARY, 2.0, 1.0, N),
     ("offline_opt_formula", "N"): lambda N: offline_opt_formula(BINARY, 2.0, N),
+    ("normalize", "f"): lambda f: normalize(BINARY, 1.0, f, 1.0),
+    ("validate", "c"): lambda c: validate(BINARY, c),
+    ("make_policy", "c"): lambda c: make_policy(BINARY, c, 2.0),
+    ("offline_opt_exact", "c"): lambda c: offline_opt_exact(RealizedInstance(TINY, (0.0, 0.5)), c),
+    ("online_opt_bruteforce", "c"): lambda c: online_opt_bruteforce(TINY, BINARY, c),
+    ("finalize", "c"): lambda c: finalize(AllocationState.fresh((1,)), c),
+    ("run_rewards", "c"): lambda c: run_rewards(TINY, POLICY, c, (0.0, 0.5)),
+    ("finalize", "offset"): lambda o: finalize(AllocationState.fresh((1,)), 1.0, o),
+    ("run_rewards", "offset"): lambda o: run_rewards(TINY, POLICY, 1.0, (0.0, 0.5), o),
+    ("binary_threshold", "q"): lambda q: binary_threshold(2.0, q, 0.5, 1.0),
+    ("binary_alg_bound", "q"): lambda q: binary_alg_bound(2.0, q, 0.5, 1.0),
+    ("binary_ratio", "q"): lambda q: binary_ratio(2.0, q, 0.5, 1.0),
+    ("binary_opt", "q"): lambda q: binary_opt(2.0, q, 0.5),
+    ("binary_threshold", "r"): lambda r: binary_threshold(2.0, 0.5, r, 4.0),
+    ("binary_alg_bound", "r"): lambda r: binary_alg_bound(2.0, 0.5, r, 4.0),
+    ("binary_ratio", "r"): lambda r: binary_ratio(2.0, 0.5, r, 4.0),
+    ("binary_opt", "r"): lambda r: binary_opt(2.0, 0.5, r),
+    ("AdversaryProfile", "t"): lambda t: AdversaryProfile(t, (0.5, 0.25)),
+    ("beta_closed_form", "t"): lambda t: beta_closed_form(POLICY, 2.0, 1.0, t),
+    ("lb_discrete", "t"): lambda t: lb_discrete(POLICY, 2.0, 1.0, 1.0, t),
+    ("adversary_lp_tight", "t"): lambda t: adversary_lp_tight(POLICY, 2.0, 1.0, t),
+    ("cond_mean_below", "u"): lambda u: cond_mean_below(BINARY, u),
+    ("ThresholdPolicy.reserve", "u"): POLICY.reserve,
+    ("run_rewards", "rewards"): lambda x: run_rewards(TINY, POLICY, 1.0, x),
+    ("RealizedInstance", "rewards"): lambda x: RealizedInstance(TINY, x),
 }
-BAD = {"f": (math.nan, math.inf, 0.5), "N": (math.nan, math.inf, 0.0)}
-MESSAGE = {"f": "supply factor", "N": "total demand"}
+BAD = {
+    "f": (math.nan, math.inf, 0.5),
+    "N": (math.nan, math.inf, 0.0),
+    "c": (math.nan, math.inf, -math.inf),
+    "offset": (math.nan, math.inf, -math.inf),
+    "q": (math.nan, 0.0, 1.0, 1.5),
+    "r": (math.nan, math.inf, -0.5),
+    "t": (math.nan, 2.5, 0),
+    "u": (math.nan, math.inf, 1.5),
+    "rewards": ((0.0,), (0.0, 0.5, 0.5), (0.0, math.nan), (math.inf, 0.0)),
+}
+MESSAGE = {
+    "f": "supply factor",
+    "N": "total demand",
+    "c": "penalty must be finite",
+    "offset": "offset must be finite",
+    "q": "q must be in",
+    "r": "r must be finite",
+    "t": "t must be",
+    "u": "u must be an integer",
+    "rewards": "rewards",
+}
+VALID = {"q": 0.5, "rewards": (0.0, 0.5)}  # any other argument takes 2.0
 
 
 @pytest.mark.parametrize(
@@ -66,7 +123,7 @@ MESSAGE = {"f": "supply factor", "N": "total demand"}
 )
 def test_domain_rule(name, arg, bad):
     call = RULES[name, arg]
-    call(2.0)  # the valid value goes through
+    call(VALID.get(arg, 2.0))  # the valid value goes through
     with pytest.raises(DomainError, match=MESSAGE[arg]):
         call(bad)
 
