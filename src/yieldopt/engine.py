@@ -19,43 +19,86 @@ and the ``D_u``-th reward at or below its reserve ends it: O(d) numpy passes
 per group, then one water-level placement of the group's deliveries on its
 first keys.
 
-Exactness: no SR is ever a float.  Segments come from integer cutoffs, the
-largest ``k`` with ``k/n < s_u`` from each threshold's exact integer ratio;
-the water level is found by integer cross-multiplication; keys are ordered
-by the integer ``floor(k * D / n)`` with ``D`` the squared largest demand,
-strictly increasing in ``k/n`` because distinct such ratios differ by at
-least ``1/D``.
+Exactness: no SR is ever a float.  Both paths order SRs by the integer
+``floor(k * D / n)``, with ``D`` the squared largest demand
+(:func:`_sr_scale`).  It is strictly increasing in ``k/n``: distinct ratios
+with denominators at most ``sqrt(D)`` differ by at least ``1/D``, so their
+scaled values differ by at least 1.  Per query, ``AllocationState.rank[a]
+= floor(k_a * D / n_a) * m + a`` therefore orders advertisers exactly by
+(SR, id), ties included, and the target is the eligible id of least rank;
+``_fill`` sorts a group's keys by the same integer.  Segments come from
+integer cutoffs, the largest ``k`` with ``k/n < s_u`` from each threshold's
+exact integer ratio, and the water level is found by integer
+cross-multiplication.
 
-One ``AllocationState`` belongs to one run and is mutated single-threaded;
-runs are independent and parallelizable across seeds.
+``delivered`` is written only through :func:`_deliver`, which keeps ``rank``
+in step with it.  One ``AllocationState`` belongs to one run and is mutated
+single-threaded; runs are independent and parallelizable across seeds.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .dist import RewardDistribution, sample_array
-from .errors import DomainError, MalformedBidSet, _check_finite, _check_rewards
+from .errors import DomainError, MalformedBidSet
+from .errors import _check_finite, _check_rewards, _integer, _positive
 from .instances import Instance
 from .policy import ThresholdPolicy
 
 
+def _sr_scale(demands: Sequence[int]) -> int:
+    """``D``, the squared largest demand: ``floor(k * D / n)`` orders SRs exactly."""
+    top = max(demands)
+    return top * top
+
+
 @dataclass
 class AllocationState:
-    """Per-advertiser delivery progress plus running exchange revenue."""
+    """Per-advertiser delivery progress plus running exchange revenue.
+
+    ``scale`` is ``D`` and ``rank[a]`` is advertiser ``a``'s exact (SR, id)
+    key (module docstring); both are derived, and :func:`_deliver` keeps
+    ``rank`` in step.  Raises ``DomainError`` unless the demands are
+    integers >= 1 and ``delivered`` holds one integer ``0 <= k <= n`` per
+    demand ``n``.
+    """
 
     demands: Tuple[int, ...]
     delivered: List[int]
     exchange_revenue: float = 0.0
     queries: int = 0
+    rank: List[int] = field(init=False, repr=False, compare=False)
+    scale: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        demands = tuple(_positive(n, "demand") for n in self.demands)
+        if not demands:
+            raise DomainError("demands must not be empty")
+        delivered = [_integer(k, "delivered count") for k in self.delivered]
+        if len(delivered) != len(demands):
+            raise DomainError(f"expected {len(demands)} delivered counts, got {len(delivered)}")
+        for k, n in zip(delivered, demands):
+            if not 0 <= k <= n:
+                raise DomainError(f"delivered count must be in [0, {n}], got {k}")
+        m, scale = len(demands), _sr_scale(demands)
+        self.demands, self.delivered, self.scale = demands, delivered, scale
+        self.rank = [k * scale // n * m + a for a, (k, n) in enumerate(zip(delivered, demands))]
 
     @classmethod
     def fresh(cls, demands: Sequence[int]) -> "AllocationState":
-        return cls(tuple(int(n) for n in demands), [0] * len(demands))
+        return cls(tuple(demands), [0] * len(demands))
+
+
+def _deliver(state: AllocationState, a: int) -> None:
+    # the one writer of delivered, and of rank after construction
+    k = state.delivered[a] + 1
+    state.delivered[a] = k
+    state.rank[a] = k * state.scale // state.demands[a] * len(state.demands) + a
 
 
 class Decision(NamedTuple):
@@ -94,22 +137,23 @@ def _route(
     state: AllocationState, policy: ThresholdPolicy, eligible: Iterable[int]
 ) -> Tuple[Optional[int], Optional[float]]:
     # The threshold rule's target and reserve, both found exactly.  The target
-    # has the smallest satisfaction ratio, ties toward the smallest id, by
-    # cross-multiplied integer comparison; the starting ratio 1/0 lies above
-    # every real one.  Its reserve is that of the first segment u with
-    # k/n < s_u, tested as k*q < p*n for s_u = p/q.  The reserve is None when
-    # no eligible advertiser can take the query (none, or saturated).
-    delivered, demands = state.delivered, state.demands
-    best, bk, bn = None, 1, 0
+    # is the eligible id of least rank: smallest SR, ties toward the smallest
+    # id.  Its reserve is that of the first segment u with k/n < s_u, tested
+    # as k*q < p*n for s_u = p/q.  The reserve is None when no eligible
+    # advertiser can take the query (none, or saturated).
+    rank = state.rank
+    best, least = None, math.inf
     for a in eligible:
-        k, n = delivered[a], demands[a]
-        lhs, rhs = k * bn, bk * n
-        if lhs < rhs or (lhs == rhs and a < best):
-            best, bk, bn = a, k, n
-    if best is None or bk == bn:
+        r = rank[a]
+        if r < least:
+            best, least = a, r
+    if best is None:
+        return None, None
+    k, n = state.delivered[best], state.demands[best]
+    if k == n:
         return best, None
     for (p, q), reserve in zip(policy.ratios, policy.reserves):
-        if bk * q < p * bn:
+        if k * q < p * n:
             return best, reserve
     raise AssertionError("SR must be < 1 here")
 
@@ -130,7 +174,7 @@ def serve_query(
     state.queries += 1
     a, reserve = _route(state, policy, eligible)
     if reserve is not None and reward <= reserve:
-        state.delivered[a] += 1
+        _deliver(state, a)
         return Decision(kind="contract", advertiser=a, reserve=reserve, min_sr_advertiser=a)
     state.exchange_revenue += reward
     return Decision(kind="exchange", reserve=reserve, min_sr_advertiser=a)
@@ -164,7 +208,7 @@ def serve_query_multi_exchange(
         return Decision(
             kind="exchange", exchange_id=winner, reserve=reserve, min_sr_advertiser=a
         )
-    state.delivered[a] += 1
+    _deliver(state, a)
     return Decision(kind="contract", advertiser=a, reserve=reserve, min_sr_advertiser=a)
 
 
@@ -178,18 +222,33 @@ def finalize(
 
     Raises ``DomainError`` on a non-finite penalty or offset.
     """
+    return _report(
+        state.demands, tuple(state.delivered), state.exchange_revenue, state.queries,
+        penalty, offset, seed,
+    )
+
+
+def _report(
+    demands: Tuple[int, ...],
+    delivered: Tuple[int, ...],
+    revenue: float,
+    queries: int,
+    penalty: float,
+    offset: float,
+    seed: Optional[int],
+) -> RunReport:
     _check_finite(penalty, "penalty")
     _check_finite(offset, "offset")
-    undelivered = sum(n - k for n, k in zip(state.demands, state.delivered))
+    undelivered = sum(n - k for n, k in zip(demands, delivered))
     penalty_paid = penalty * undelivered
     return RunReport(
-        reward=state.exchange_revenue - penalty_paid + offset,
-        exchange_revenue=state.exchange_revenue,
+        reward=revenue - penalty_paid + offset,
+        exchange_revenue=revenue,
         penalty_paid=penalty_paid,
         offset=offset,
-        demands=state.demands,
-        delivered=tuple(state.delivered),
-        queries=state.queries,
+        demands=demands,
+        delivered=delivered,
+        queries=queries,
         seed=seed,
     )
 
@@ -252,8 +311,7 @@ def run_rewards(
     """
     rewards = _check_rewards(rewards, instance.total_queries)
     demands = instance.demands
-    top = max(demands)
-    scale = top * top
+    top, scale = max(demands), _sr_scale(demands)
     # products in _fill stay below top**3 and top * total demand; past int64
     # the same code runs on Python integers
     dtype = np.int64 if max(top * scale, top * instance.total_demand) < 2**63 else object
@@ -294,8 +352,8 @@ def run_rewards(
         if taken:
             k[e] = _fill(ke, n[e], taken, scale)
     revenue = float(rewards[sold].sum())
-    state = AllocationState(demands, [int(v) for v in k], revenue, int(len(rewards)))
-    return finalize(state, penalty, offset=offset, seed=seed)
+    delivered = tuple(int(v) for v in k)
+    return _report(demands, delivered, revenue, int(len(rewards)), penalty, offset, seed)
 
 
 def run_instance(

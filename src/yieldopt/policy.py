@@ -153,7 +153,9 @@ def segment_bounds(thresholds: Sequence[float], t: int) -> List[int]:
 
     Slice index ``j`` (1-based) belongs to segment ``u`` when
     ``b_{u-1} < j <= b_u``; empty segments are allowed after rounding.
+    Raises ``DomainError`` unless ``t`` is an integer >= 1.
     """
+    t = _positive(t, "t")
     bounds = [0]
     for s in thresholds:
         b = int(math.floor(s * t + 0.5))
@@ -163,7 +165,11 @@ def segment_bounds(thresholds: Sequence[float], t: int) -> List[int]:
 
 
 def index_weights(dist: RewardDistribution, thresholds: Sequence[float], t: int) -> np.ndarray:
-    """Per-slice LP weights ``w_j = 1/q_{d+1-u(j)}`` as a length-t array."""
+    """Per-slice LP weights ``w_j = 1/q_{d+1-u(j)}`` as a length-t array.
+
+    Raises ``DomainError`` unless ``t`` is an integer >= 1.
+    """
+    t = _positive(t, "t")
     d = dist.d
     bounds = segment_bounds(thresholds, t)
     lengths = np.diff(bounds)

@@ -89,6 +89,20 @@ class TestServeQuery:
                 serve_query(state, BPOL, [0], reward=bad)
             assert state.queries == 0 and state.exchange_revenue == 0.0
 
+    @pytest.mark.parametrize(
+        "demands, delivered, message",
+        [
+            ((2, 3), [0], "expected 2 delivered counts, got 1"),
+            ((2,), [0, 0], "expected 1 delivered counts, got 2"),
+            ((), [], "demands must not be empty"),
+        ],
+        ids=["short", "long", "empty"],
+    )
+    def test_bad_state_shape_rejected(self, demands, delivered, message):
+        # the demand and delivered-count rules are rows of test_domain_rule
+        with pytest.raises(DomainError, match=message):
+            serve_query(AllocationState(demands, delivered), BPOL, range(len(demands)), 0.0)
+
     def test_min_sr_invariant_each_call(self):
         rng = np.random.default_rng(4)
         state = state_with([3, 5, 2], [0, 0, 0])
@@ -389,3 +403,99 @@ class TestSegmentJumpEngine:
             inst = Instance(demands, groups)
             rewards = sample_array(TRI3, rng, inst.total_queries)
             assert_replays(inst, policy, rewards)
+
+
+def reference_route(demands, delivered, policy, eligible):
+    """The threshold rule by Fractions: the least (SR, id) over ``eligible``, and its reserve."""
+    if not eligible:
+        return None, None
+    a = min((Fraction(delivered[b], demands[b]), b) for b in eligible)[1]
+    sr = Fraction(delivered[a], demands[a])
+    if sr == 1:
+        return a, None
+    u = next(u for u, s in enumerate(policy.thresholds) if sr < Fraction(s))
+    return a, policy.reserves[u]
+
+
+def recomputed_ranks(state):
+    scale, m = max(state.demands) ** 2, len(state.demands)
+    return [k * scale // n * m + a for a, (k, n) in enumerate(zip(state.delivered, state.demands))]
+
+
+FORMS = {
+    "list": list,
+    "reversed": lambda ids: list(reversed(ids)),
+    "set": set,
+    "generator": lambda ids: (a for a in ids),
+}
+
+
+@st.composite
+def serving_cases(draw):
+    d = draw(st.sampled_from((2, 3)))
+    support = (0.0, 0.3, 0.6)[:d]
+    dist = RewardDistribution.from_masses(support, (1.0 / d,) * d)
+    level = st.one_of(st.sampled_from((0.0, 1 / 3, 0.5, 2 / 3)), st.floats(0.0, 1.0))
+    inner = sorted(draw(st.lists(level, min_size=d - 1, max_size=d - 1)))
+    policy = ThresholdPolicy((*inner, 1.0), dist)
+    # demands are multiples of a unit, small or past 2**32 (big-int ranks),
+    # and delivered counts often a simple fraction of them, so SRs tie across ids
+    m = draw(st.integers(1, 8))
+    unit = st.sampled_from((1, 2**32 + 1, 3**25))
+    demands = [draw(unit) * draw(st.integers(1, 6)) for _ in range(m)]
+    delivered = [
+        draw(st.one_of(st.integers(0, n), st.integers(0, 6).map(lambda j, n=n: n * j // 6)))
+        for n in demands
+    ]
+    rewards = st.sampled_from(support + (0.15, 0.45, 0.9))
+    bids = st.lists(st.tuples(st.integers(0, 3), st.booleans()), max_size=3)
+    step = st.tuples(
+        st.lists(st.integers(0, m - 1), max_size=m + 2),
+        st.sampled_from(sorted(FORMS)),
+        rewards,
+        bids,
+        st.integers(0, 3),
+    )
+    return tuple(demands), delivered, policy, draw(st.lists(step, min_size=1, max_size=25))
+
+
+class TestServingRule:
+    """``serve_query`` and ``serve_query_multi_exchange`` against the Fraction reference."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=serving_cases())
+    def test_serve_query(self, case):
+        demands, delivered, policy, steps = case
+        state = AllocationState(demands, delivered)
+        assert state.rank == recomputed_ranks(state)
+        for ids, form, reward, _, _ in steps:
+            a, reserve = reference_route(demands, state.delivered, policy, ids)
+            expected = list(state.delivered)
+            decision = serve_query(state, policy, FORMS[form](ids), reward)
+            if reserve is not None and reward <= reserve:
+                assert decision == Decision("contract", a, None, reserve, a)
+                expected[a] += 1
+            else:
+                assert decision == Decision("exchange", None, None, reserve, a)
+            assert state.delivered == expected
+            assert state.rank == recomputed_ranks(state)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=serving_cases())
+    def test_serve_query_multi_exchange(self, case):
+        demands, delivered, policy, steps = case
+        state = AllocationState(demands, delivered)
+        for ids, form, _, bids, top in steps:
+            # at most one bid flagged highest: the one at index top, if there is one
+            bids = [(x, clears, i == top) for i, (x, clears) in enumerate(bids)]
+            a, reserve = reference_route(demands, state.delivered, policy, ids)
+            expected = list(state.delivered)
+            decision = serve_query_multi_exchange(state, policy, FORMS[form](ids), bids)
+            assert decision.min_sr_advertiser == a and decision.reserve == reserve
+            if reserve is not None and not any(clears for _, clears, _ in bids):
+                assert decision == Decision("contract", a, None, reserve, a)
+                expected[a] += 1
+            else:
+                assert decision.kind == "exchange"
+            assert state.delivered == expected
+            assert state.rank == recomputed_ranks(state)

@@ -4,7 +4,7 @@ import math
 import pytest
 
 from yieldopt.dist import RewardDistribution, cond_mean_below, normalize, validate
-from yieldopt.engine import AllocationState, finalize, run_rewards
+from yieldopt.engine import AllocationState, finalize, run_rewards, serve_query
 from yieldopt.errors import DomainError, NonIntegralGroupSize
 from yieldopt.instances import (
     Instance,
@@ -26,10 +26,12 @@ from yieldopt.policy import (
     ThresholdPolicy,
     beta_closed_form,
     binary_threshold,
+    index_weights,
     lb_discrete,
     make_policy,
     optimize_thresholds_exact,
     optimize_thresholds_grid,
+    segment_bounds,
     ub_continuous,
 )
 from yieldopt.ratio import binary_alg_bound, binary_opt, binary_ratio, worst_case_distribution
@@ -40,8 +42,9 @@ PROFILE = beta_closed_form(POLICY, 2.0, 1.0, 100)
 TINY = Instance((1,), ((2, (0,)),))
 
 # every function that takes a supply factor f, a total demand N, a penalty c,
-# an offset, a binary q or r, a resolution t, a 1-based index u or a reward
-# array, with valid other arguments (f = 2 where another one is under test)
+# an offset, a binary q or r, a resolution t, a 1-based index u, a reward
+# array, or an advertiser's demand or delivered count, with valid other
+# arguments (f = 2 where another one is under test)
 RULES = {
     ("binary_threshold", "f"): lambda f: binary_threshold(f, 0.5, 0.5, 1.0),
     ("optimize_thresholds_exact", "f"): lambda f: optimize_thresholds_exact(BINARY, f, 1.0),
@@ -93,6 +96,14 @@ RULES = {
     ("run_rewards", "rewards"): lambda x: run_rewards(TINY, POLICY, 1.0, x),
     ("RealizedInstance", "rewards"): lambda x: RealizedInstance(TINY, x),
 }
+# pytest names a tuple-valued case by its position in the case list, so these
+# rules follow RULES' sorted cases and every case before them keeps its name
+MORE_RULES = {
+    ("segment_bounds", "t"): lambda t: segment_bounds(POLICY.thresholds, t),
+    ("index_weights", "t"): lambda t: index_weights(BINARY, POLICY.thresholds, t),
+    ("AllocationState", "demand"): lambda n: serve_query(AllocationState.fresh((n, 2)), POLICY, [0, 1], 0.0),
+    ("AllocationState", "delivered"): lambda k: serve_query(AllocationState((2,), [k]), POLICY, [0], 0.0),
+}
 BAD = {
     "f": (math.nan, math.inf, 0.5),
     "N": (math.nan, math.inf, 0.0),
@@ -103,6 +114,8 @@ BAD = {
     "t": (math.nan, 2.5, 0),
     "u": (math.nan, math.inf, 1.5),
     "rewards": ((0.0,), (0.0, 0.5, 0.5), (0.0, math.nan), (math.inf, 0.0)),
+    "demand": (0, -1, 2.5, math.nan, math.inf),
+    "delivered": (-1, 3, 2.5, math.nan, math.inf),
 }
 MESSAGE = {
     "f": "supply factor",
@@ -114,15 +127,19 @@ MESSAGE = {
     "t": "t must be",
     "u": "u must be an integer",
     "rewards": "rewards",
+    "demand": "demand must be an integer",
+    "delivered": "delivered count must be",
 }
 VALID = {"q": 0.5, "rewards": (0.0, 0.5)}  # any other argument takes 2.0
 
 
 @pytest.mark.parametrize(
-    "name, arg, bad", [(name, arg, bad) for name, arg in sorted(RULES) for bad in BAD[arg]]
+    "name, arg, bad",
+    [(name, arg, bad) for name, arg in sorted(RULES) for bad in BAD[arg]]
+    + [(name, arg, bad) for name, arg in MORE_RULES for bad in BAD[arg]],
 )
 def test_domain_rule(name, arg, bad):
-    call = RULES[name, arg]
+    call = {**RULES, **MORE_RULES}[name, arg]
     call(VALID.get(arg, 2.0))  # the valid value goes through
     with pytest.raises(DomainError, match=MESSAGE[arg]):
         call(bad)
