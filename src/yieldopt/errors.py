@@ -6,12 +6,14 @@ Every error is a :class:`YieldOptError`, and every subclass is also a
 per refused computation.  Each input rule below is written once and called
 by every public function taking that input; each raises ``DomainError``.
 ``_integer``: an integer (``3.0`` passes; ``3.9``, NaN and inf do not);
-``_positive``: one >= 1, or >= ``least`` (a count; a resolution ``t``, >= 2
-for ``adversary_lp_tight``); ``_check_finite``: a finite scalar (penalty,
-offset); ``_check_supply``: a supply factor, finite and >= 1;
-``_check_demand``: a total demand, finite and > 0; ``_check_rewards``: one
-finite reward per query, as a float64 array; ``_check_binary``: ``0 < q < 1``
-and ``r`` finite and >= 0 (each caller bounds ``r`` by ``c`` itself).
+``_integers``: ``_integer`` applied to every value of a sequence (demands,
+ids); ``_positive``: one >= 1, or >= ``least`` (a count; a seed, >= 0; a
+resolution ``t``, >= 2 for ``adversary_lp_tight``); ``_check_finite``: a
+finite scalar (penalty, offset); ``_check_supply``: a supply factor, finite
+and >= 1; ``_check_demand``: a total demand, finite and > 0;
+``_check_rewards``: one finite reward per query, as a float64 array;
+``_check_binary``: ``0 < q < 1`` and ``r`` finite and >= 0 (each caller
+bounds ``r`` by ``c`` itself).
 """
 
 import math
@@ -68,6 +70,18 @@ def _integer(value, what: str) -> int:
     if as_int != value:
         raise DomainError(f"{what} must be an integer, got {value!r}")
     return as_int
+
+
+def _integers(values, what: str) -> list[int]:
+    """``_integer`` of every value, as a list; converts and compares in C unless one fails."""
+    values = list(values)
+    try:
+        as_ints = list(map(int, values))
+    except (TypeError, ValueError, OverflowError):
+        as_ints = None
+    if as_ints != values:
+        as_ints = [_integer(v, what) for v in values]
+    return as_ints
 
 
 def _positive(value, what: str, least: int = 1) -> int:

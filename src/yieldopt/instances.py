@@ -16,10 +16,9 @@ import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-import networkx as nx
 import numpy as np
 
-from .errors import DomainError, NonIntegralGroupSize, _integer, _positive
+from .errors import DomainError, NonIntegralGroupSize, _integer, _integers, _positive
 
 _INTEGRALITY_TOL = 1e-9  # generators: relative distance of f*n from an integer
 _SUPPLY_TOL = 1e-9  # supply_factor: width of the final bisection interval
@@ -34,21 +33,28 @@ class Instance:
     seed: Optional[int] = None
 
     def __post_init__(self):
-        demands = tuple(_integer(n, "demand") for n in self.demands)
+        demands = tuple(_integers(self.demands, "demand"))
         if not demands or any(n <= 0 for n in demands):
             raise DomainError(f"demands must be positive integers: {demands}")
         m = len(demands)
         groups = []
-        for count, elig in self.groups:
+        for i, group in enumerate(self.groups):
+            try:
+                count, elig = group
+                iter(elig)
+            except (TypeError, ValueError) as exc:
+                raise DomainError(f"group {i} must be a (count, eligible ids) pair, got {group!r}") from exc
             count = _integer(count, "group count")
             if count < 0:
                 raise DomainError(f"group count must be >= 0, got {count}")
-            ids = tuple(sorted(set(_integer(a, "advertiser id") for a in elig)))
+            ids = tuple(sorted(set(_integers(elig, "advertiser id"))))
             if ids and (ids[0] < 0 or ids[-1] >= m):
                 raise DomainError(f"eligibility ids out of range 0..{m - 1}: {ids}")
             groups.append((count, ids))
         object.__setattr__(self, "demands", demands)
         object.__setattr__(self, "groups", tuple(groups))
+        if self.seed is not None:
+            object.__setattr__(self, "seed", _positive(self.seed, "seed", least=0))
 
     @property
     def m(self) -> int:
@@ -114,11 +120,9 @@ def gen_upper_triangular(m: int, n: int, f: float, seed: int) -> Instance:
     per group.  Its supply factor is ``f`` by construction (Hall-tight).
     """
     m, n, group_size = _query_count(m, n, f, per_group=True)
+    seed = _positive(seed, "seed", least=0)
     perm = np.random.default_rng(seed).permutation(m)
-    groups = tuple(
-        (group_size, tuple(int(j) for j in np.nonzero(perm >= i)[0]))
-        for i in range(m)
-    )
+    groups = tuple((group_size, tuple(np.flatnonzero(perm >= i).tolist())) for i in range(m))
     return Instance((n,) * m, groups, seed=seed)
 
 
@@ -129,6 +133,8 @@ def complete_instance(m: int, n: int, f: float) -> Instance:
 
 
 def _flow_feasible(instance: Instance, f: float, tol: float = 1e-9) -> bool:
+    import networkx as nx  # imported here only: it is most of the package's import time
+
     g = nx.DiGraph()
     src, snk = "s", "t"
     for i, (count, elig) in enumerate(instance.groups):

@@ -329,11 +329,17 @@ class TestOtherCommands:
                 "oracle", "--mode", "online-exact", "--instance", json.dumps(BOTTLENECK),
                 "--dist", BINARY_JSON, "--penalty", "inf",
             ),
+            ("gen", "--kind", "triangular", "--m", "3", "--n", "2", "--supply", "2", "--seed", "-1"),
+            (
+                "simulate", "--instance", json.dumps({**BOTTLENECK, "seed": "abc"}),
+                "--dist", BINARY_JSON, "--penalty", "1", "--seed", "1",
+            ),
         ],
         ids=["ratio-nan", "ratio-zero-penalty", "opt-formula-inf", "opt-formula-demand-nan", "gen-nan", "gen-complete-inf",
              "simulate-declared-supply", "opt-formula-no-dist", "opt-exact-no-instance",
              "online-exact-no-instance", "beta-no-thresholds", "beta-thresholds-not-numbers",
-             "beta-thresholds-not-list", "online-exact-penalty-nan", "online-exact-penalty-inf"],
+             "beta-thresholds-not-list", "online-exact-penalty-nan", "online-exact-penalty-inf",
+             "gen-negative-seed", "simulate-seed-not-integer"],
     )
     def test_bad_supply_exits_2(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)

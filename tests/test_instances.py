@@ -1,11 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from yieldopt.dist import RewardDistribution, cond_mean_below, normalize, validate
 from yieldopt.engine import AllocationState, finalize, run_rewards, serve_query
-from yieldopt.errors import DomainError, NonIntegralGroupSize
+from yieldopt.errors import DomainError, NonIntegralGroupSize, _integer, _integers
 from yieldopt.instances import (
     Instance,
     complete_instance,
@@ -103,6 +109,10 @@ MORE_RULES = {
     ("index_weights", "t"): lambda t: index_weights(BINARY, POLICY.thresholds, t),
     ("AllocationState", "demand"): lambda n: serve_query(AllocationState.fresh((n, 2)), POLICY, [0, 1], 0.0),
     ("AllocationState", "delivered"): lambda k: serve_query(AllocationState((2,), [k]), POLICY, [0], 0.0),
+    ("Instance", "seed"): lambda s: Instance((1,), ((1, (0,)),), seed=s),
+    ("Instance.from_json", "seed"): lambda s: Instance.from_json(json.dumps({**json.loads(TINY.to_json()), "seed": s})),
+    ("gen_upper_triangular", "seed"): lambda s: gen_upper_triangular(3, 2, 2.0, seed=s),
+    ("Instance", "group"): lambda g: Instance((1,), (g,)),
 }
 BAD = {
     "f": (math.nan, math.inf, 0.5),
@@ -116,6 +126,8 @@ BAD = {
     "rewards": ((0.0,), (0.0, 0.5, 0.5), (0.0, math.nan), (math.inf, 0.0)),
     "demand": (0, -1, 2.5, math.nan, math.inf),
     "delivered": (-1, 3, 2.5, math.nan, math.inf),
+    "seed": (1.5, -1, "abc", math.nan, math.inf),
+    "group": ((1, 0), (1,), 5),
 }
 MESSAGE = {
     "f": "supply factor",
@@ -129,8 +141,10 @@ MESSAGE = {
     "rewards": "rewards",
     "demand": "demand must be an integer",
     "delivered": "delivered count must be",
+    "seed": "seed must be an integer",
+    "group": "group 0 must be a",
 }
-VALID = {"q": 0.5, "rewards": (0.0, 0.5)}  # any other argument takes 2.0
+VALID = {"q": 0.5, "rewards": (0.0, 0.5), "group": (1, (0,))}  # any other argument takes 2.0
 
 
 @pytest.mark.parametrize(
@@ -145,7 +159,58 @@ def test_domain_rule(name, arg, bad):
         call(bad)
 
 
+# every kind of value an id, demand or count can arrive as, valid or not
+ANY_VALUE = st.one_of(
+    st.integers(-(2**70), 2**70),
+    st.integers(-(2**52), 2**52).map(float),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.booleans(),
+    st.sampled_from([0.5, -2.5, math.nan, math.inf, -math.inf, "3", "a", None, np.float64(1.5)]),
+    st.floats(),
+)
+
+
+def _outcome(rule, *args):
+    try:
+        return "ok", rule(*args)
+    except DomainError as exc:
+        return "DomainError", str(exc)
+
+
+class TestIntegerRule:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(ANY_VALUE, max_size=8))
+    def test_integers_matches_integer_per_value(self, values):
+        got = _outcome(_integers, values, "id")
+        assert got == _outcome(lambda vs: [_integer(v, "id") for v in vs], values)
+        if got[0] == "ok":
+            assert all(type(a) is int for a in got[1])
+
+    def test_integers_takes_any_iterable(self):
+        assert _integers((2, 1.0), "id") == [2, 1]
+        assert _integers(iter([np.int64(4), True]), "id") == [4, 1]
+        with pytest.raises(DomainError, match="id must be an integer, got 0.5"):
+            _integers((1, 0.5, "x"), "id")
+
+
+def _triangular_reference(m, n, f, seed):
+    """The generator as first written: one ``int(j)`` per eligible id."""
+    perm = np.random.default_rng(seed).permutation(m)
+    groups = tuple(
+        (int(round(f * n)), tuple(int(j) for j in np.nonzero(perm >= i)[0]))
+        for i in range(m)
+    )
+    return Instance((n,) * m, groups, seed=seed)
+
+
 class TestGenUpperTriangular:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(1, 300), st.integers(0, 2**32), st.sampled_from([1.0, 1.5, 2.0]))
+    def test_matches_reference_construction(self, m, seed, f):
+        inst = gen_upper_triangular(m, 2, f, seed)
+        assert inst == _triangular_reference(m, 2, f, seed)
+        assert all(type(a) is int for _, elig in inst.groups for a in elig)
+
     def test_group_structure(self):
         inst = gen_upper_triangular(m=3, n=2, f=2.0, seed=1)
         assert len(inst.groups) == 3
@@ -187,6 +252,24 @@ class TestGenUpperTriangular:
 
 
 class TestInstanceValidation:
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_id_spellings_build_equal_instances(self, data):
+        m = data.draw(st.integers(1, 8))
+        demands = data.draw(st.lists(st.integers(1, 5), min_size=m, max_size=m))
+        ids = st.lists(st.integers(0, m - 1), unique=True).map(sorted)
+        groups = data.draw(st.lists(st.tuples(st.integers(0, 9), ids), max_size=6))
+        spell = st.sampled_from([int, float, np.int64, np.float64])
+        spelled = []
+        for count, elig in groups:
+            again = elig + data.draw(st.lists(st.sampled_from(elig), max_size=4)) if elig else []
+            again = data.draw(st.permutations(again))
+            spelled.append((data.draw(spell)(count), [data.draw(spell)(a) for a in again]))
+        expected = Instance(tuple(demands), tuple((c, tuple(e)) for c, e in groups))
+        got = Instance([data.draw(spell)(n) for n in demands], spelled)
+        assert got == expected
+        assert all(type(a) is int for _, elig in got.groups for a in elig)
+
     def test_declared_supply_rejected(self):
         # the supply factor is computed, never declared: no field, and the JSON key is refused
         with pytest.raises(TypeError):
@@ -246,6 +329,20 @@ class TestInstanceValidation:
 
 
 class TestSupplyFactor:
+    def test_networkx_loaded_only_by_supply_factor(self):
+        # networkx is most of the package's import time; only the max-flow check needs it
+        import yieldopt
+
+        code = (
+            "import sys, yieldopt\n"
+            "assert 'networkx' not in sys.modules, 'import yieldopt loaded networkx'\n"
+            "assert yieldopt.supply_factor(yieldopt.Instance((1,), ((2, (0,)),))) == 2.0\n"
+            "assert 'networkx' in sys.modules\n"
+        )
+        env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(yieldopt.__file__))}
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+
     def test_complete_bipartite(self):
         for f in (1.0, 1.5, 2.0, 3.0):
             inst = complete_instance(m=3, n=4, f=f)
