@@ -8,16 +8,16 @@ the query to the exchange only when the reward beats the reserve.
 :func:`serve_query` applies it to one query and is the reference; it reads
 the reserve from the policy's precomputed ``reserves`` and returns a
 :class:`Decision`, an immutable ``NamedTuple`` (so besides its named fields
-it unpacks and compares like a tuple).  :func:`run_rewards` serves a whole
-instance against a fixed reward sequence with the same delivered vector, by
-segment jumps instead of a Python step per query.  Within a group the
-eligible set ``E`` is fixed, so the group's deliveries go to the keys
-``(k/n_a, a)``, ``a`` in ``E`` and ``k = k_a .. n_a - 1`` from its delivered
-count ``k_a``, in sorted order.  A key's segment is monotone in its SR, so
-segment ``u`` takes exactly as many deliveries as it holds keys, ``D_u``,
-and the ``D_u``-th reward at or below its reserve ends it: O(d) numpy passes
-per group, then one water-level placement of the group's deliveries on its
-first keys.
+it unpacks and compares like a tuple), built by one C call.
+:func:`run_rewards` serves a whole instance against a fixed reward sequence
+with the same delivered vector, by segment jumps instead of a Python step
+per query.  Within a group the eligible set ``E`` is fixed, so the group's
+deliveries go to the keys ``(k/n_a, a)``, ``a`` in ``E`` and ``k = k_a ..
+n_a - 1`` from its delivered count ``k_a``, in sorted order.  A key's
+segment is monotone in its SR, so segment ``u`` takes exactly as many
+deliveries as it holds keys, ``D_u``, and the ``D_u``-th reward at or below
+its reserve ends it: O(d) numpy passes per group, then one water-level
+placement of the group's deliveries on its first keys.
 
 Exactness: no SR is ever a float.  Both paths order SRs by the integer
 ``floor(k * D / n)``, with ``D`` the squared largest demand
@@ -26,10 +26,11 @@ with denominators at most ``sqrt(D)`` differ by at least ``1/D``, so their
 scaled values differ by at least 1.  Per query, ``AllocationState.rank[a]
 = floor(k_a * D / n_a) * m + a`` therefore orders advertisers exactly by
 (SR, id), ties included, and the target is the eligible id of least rank;
-``_fill`` sorts a group's keys by the same integer.  Segments come from
-integer cutoffs, the largest ``k`` with ``k/n < s_u`` from each threshold's
-exact integer ratio, and the water level is found by integer
-cross-multiplication.
+``_fill`` sorts a group's keys by the same integer.  Both paths take
+segments from :meth:`ThresholdPolicy.cutoffs`: ``cutoffs(n)[u-1]`` is the
+largest ``k`` with ``k/n < s_u``, from the threshold's exact integer ratio,
+so a delivered count lies in the first segment whose cutoff it does not
+exceed.  The water level is found by integer cross-multiplication.
 
 ``delivered`` is written only through :func:`_deliver`, which keeps ``rank``
 in step with it.  One ``AllocationState`` belongs to one run and is mutated
@@ -39,14 +40,16 @@ single-threaded; runs are independent and parallelizable across seeds.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .dist import RewardDistribution, sample_array
 from .errors import DomainError, MalformedBidSet
-from .errors import _check_finite, _check_rewards, _integer, _positive
+from .errors import _check_finite, _check_rewards, _integers, _positive, _sequence
 from .instances import Instance
 from .policy import ThresholdPolicy
 
@@ -76,10 +79,10 @@ class AllocationState:
     scale: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        demands = tuple(_positive(n, "demand") for n in self.demands)
+        demands = tuple(_positive(n, "demand") for n in _sequence(self.demands, "demands"))
         if not demands:
             raise DomainError("demands must not be empty")
-        delivered = [_integer(k, "delivered count") for k in self.delivered]
+        delivered = _integers(self.delivered, "delivered count")
         if len(delivered) != len(demands):
             raise DomainError(f"expected {len(demands)} delivered counts, got {len(delivered)}")
         for k, n in zip(delivered, demands):
@@ -137,25 +140,35 @@ def _route(
     state: AllocationState, policy: ThresholdPolicy, eligible: Iterable[int]
 ) -> Tuple[Optional[int], Optional[float]]:
     # The threshold rule's target and reserve, both found exactly.  The target
-    # is the eligible id of least rank: smallest SR, ties toward the smallest
-    # id.  Its reserve is that of the first segment u with k/n < s_u, tested
-    # as k*q < p*n for s_u = p/q.  The reserve is None when no eligible
-    # advertiser can take the query (none, or saturated).
+    # is the eligible id of least rank, the first one met on a tie (ranks of
+    # distinct ids differ): smallest SR, ties toward the smallest id.  Its
+    # reserve is that of the first segment u with k <= cut_u, found by
+    # bisection since the cutoffs are non-decreasing.  The reserve is None
+    # when no eligible advertiser can take the query (none, or saturated).
+    # A negative id -j reads rank[m - j]: unless it is the target, the target
+    # is the valid ids' own, and when it is, the query is rejected.
     rank = state.rank
     best, least = None, math.inf
-    for a in eligible:
-        r = rank[a]
-        if r < least:
-            best, least = a, r
+    try:
+        for a in eligible:
+            r = rank[a]
+            if r < least:
+                best, least = a, r
+    except (TypeError, IndexError) as exc:
+        raise DomainError(f"advertiser ids must be integers in 0..{len(rank) - 1}: {exc}") from exc
     if best is None:
         return None, None
+    if best < 0:
+        raise DomainError(f"advertiser ids must be integers in 0..{len(rank) - 1}, got {best}")
     k, n = state.delivered[best], state.demands[best]
     if k == n:
         return best, None
-    for (p, q), reserve in zip(policy.ratios, policy.reserves):
-        if k * q < p * n:
-            return best, reserve
-    raise AssertionError("SR must be < 1 here")
+    return best, policy.reserves[bisect_left(policy.cutoffs(n), k)]
+
+
+# Decision's fields in order, built by one C call (tuple.__new__) instead of
+# NamedTuple's keyword __new__
+_decision = partial(tuple.__new__, Decision)
 
 
 def serve_query(
@@ -167,17 +180,23 @@ def serve_query(
     """Route one query; mutates ``state``. Deterministic given its inputs.
 
     ``eligible`` may be any iterable of advertiser ids, in any order.
-    Raises ``DomainError`` on a non-finite reward.
+    Raises ``DomainError``, leaving ``state`` as it was, on a reward that is
+    not a finite real number and on an id that is not an integer in
+    ``0..m-1`` (a negative id only when it would be the target).
     """
-    if not math.isfinite(reward):
+    try:  # errors._finite, inlined: it costs every query a call
+        finite = math.isfinite(reward)
+    except TypeError:
+        finite = False
+    if not finite:
         raise DomainError(f"reward must be finite, got {reward!r}")
-    state.queries += 1
     a, reserve = _route(state, policy, eligible)
+    state.queries += 1
     if reserve is not None and reward <= reserve:
         _deliver(state, a)
-        return Decision(kind="contract", advertiser=a, reserve=reserve, min_sr_advertiser=a)
+        return _decision(("contract", a, None, reserve, a))
     state.exchange_revenue += reward
-    return Decision(kind="exchange", reserve=reserve, min_sr_advertiser=a)
+    return _decision(("exchange", None, None, reserve, a))
 
 
 def serve_query_multi_exchange(
@@ -192,13 +211,14 @@ def serve_query_multi_exchange(
     most one bid may be flagged highest.  The same reserve is broadcast to
     every exchange, the highest bidder that clears it wins, otherwise the
     least-satisfied contract gets the impression.  Exchange revenue is not
-    tracked here: the exact bid value is intentionally unknown.
+    tracked here: the exact bid value is intentionally unknown.  Rejects the
+    eligible ids :func:`serve_query` rejects, leaving ``state`` as it was.
     """
     highest = [b[0] for b in bids if b[2]]
     if len(highest) > 1:
         raise MalformedBidSet(f"multiple bids flagged highest: {highest}")
-    state.queries += 1
     a, reserve = _route(state, policy, eligible)
+    state.queries += 1
     if reserve is None:
         winner = highest[0] if highest else None
         return Decision(kind="exchange", exchange_id=winner, min_sr_advertiser=a)
@@ -258,12 +278,6 @@ def _report(
 # ---------------------------------------------------------------------------
 
 
-def _cutoffs(policy: ThresholdPolicy, n: int) -> List[int]:
-    # cut[u-1] = largest delivered count k with k/n strictly below s_u = p/q,
-    # i.e. the largest k with k*q <= p*n - 1
-    return [(p * n - 1) // q for p, q in policy.ratios]
-
-
 def _fill(k: np.ndarray, n: np.ndarray, t: int, scale: int) -> np.ndarray:
     """Delivered counts after ``t`` deliveries to the first ``t`` keys.
 
@@ -317,10 +331,10 @@ def run_rewards(
     dtype = np.int64 if max(top * scale, top * instance.total_demand) < 2**63 else object
     n = np.array(demands, dtype=dtype)
     k = np.zeros(len(demands), dtype=dtype)
-    cuts_by_n = {v: _cutoffs(policy, v) for v in set(demands)}
     # reach[u, a]: keys j <= cut_u(n_a), i.e. how far segments 1..u+1 take a from 0;
     # one contiguous row per segment, so a group's columns come out in one take
-    reach = np.ascontiguousarray(np.array([cuts_by_n[v] for v in demands], dtype=dtype).T) + 1
+    cuts = [policy.cutoffs(v) for v in demands]
+    reach = np.ascontiguousarray(np.array(cuts, dtype=dtype).T) + 1
     sold = np.ones(len(rewards), dtype=bool)
     end = 0
     for count, elig in instance.groups:

@@ -6,11 +6,14 @@ Every error is a :class:`YieldOptError`, and every subclass is also a
 per refused computation.  Each input rule below is written once and called
 by every public function taking that input; each raises ``DomainError``.
 ``_integer``: an integer (``3.0`` passes; ``3.9``, NaN and inf do not);
+``_sequence``: an iterable, as a list (demands, delivered counts, groups);
 ``_integers``: ``_integer`` applied to every value of a sequence (demands,
 ids); ``_positive``: one >= 1, or >= ``least`` (a count; a seed, >= 0; a
-resolution ``t``, >= 2 for ``adversary_lp_tight``); ``_check_finite``: a
-finite scalar (penalty, offset); ``_check_supply``: a supply factor, finite
-and >= 1; ``_check_demand``: a total demand, finite and > 0;
+resolution ``t``, >= 2 for ``adversary_lp_tight``); ``_finite``: whether a
+value is a finite real number, False for a string or ``None``;
+``_check_finite``: a finite scalar (penalty, offset); ``_check_supply``: a
+supply factor, finite and >= 1; ``_check_demand``: a total demand, finite
+and > 0;
 ``_check_rewards``: one finite reward per query, as a float64 array;
 ``_check_binary``: ``0 < q < 1`` and ``r`` finite and >= 0 (each caller
 bounds ``r`` by ``c`` itself).
@@ -72,9 +75,20 @@ def _integer(value, what: str) -> int:
     return as_int
 
 
+def _sequence(values, what: str) -> list:
+    """``values`` as a list; raises unless it is iterable."""
+    try:
+        return list(values)
+    except TypeError as exc:
+        raise DomainError(f"{what} must be a sequence, got {values!r}") from exc
+
+
 def _integers(values, what: str) -> list[int]:
-    """``_integer`` of every value, as a list; converts and compares in C unless one fails."""
-    values = list(values)
+    """``_integer`` of every value, as a list; converts and compares in C unless one fails.
+
+    ``what`` names one value; the sequence is named by its plural.
+    """
+    values = _sequence(values, f"{what}s")
     try:
         as_ints = list(map(int, values))
     except (TypeError, ValueError, OverflowError):
@@ -91,19 +105,26 @@ def _positive(value, what: str, least: int = 1) -> int:
     return count
 
 
+def _finite(value) -> bool:
+    try:
+        return math.isfinite(value)
+    except TypeError:
+        return False
+
+
 def _check_finite(value: float, what: str) -> None:
-    if not math.isfinite(value):
-        raise DomainError(f"{what} must be finite, got {value}")
+    if not _finite(value):
+        raise DomainError(f"{what} must be finite, got {value!r}")
 
 
 def _check_supply(f: float) -> None:
-    if not (math.isfinite(f) and f >= 1.0):
-        raise DomainError(f"supply factor must be finite and >= 1, got {f}")
+    if not (_finite(f) and f >= 1.0):
+        raise DomainError(f"supply factor must be finite and >= 1, got {f!r}")
 
 
 def _check_demand(N: float) -> None:
-    if not (math.isfinite(N) and N > 0.0):
-        raise DomainError(f"total demand must be finite and > 0, got {N}")
+    if not (_finite(N) and N > 0.0):
+        raise DomainError(f"total demand must be finite and > 0, got {N!r}")
 
 
 def _check_rewards(rewards, count: int) -> np.ndarray:
@@ -116,7 +137,7 @@ def _check_rewards(rewards, count: int) -> np.ndarray:
 
 
 def _check_binary(q: float, r: float) -> None:
-    if not 0.0 < q < 1.0:
-        raise DomainError(f"q must be in (0, 1), got {q}")
-    if not (math.isfinite(r) and r >= 0.0):
-        raise DomainError(f"r must be finite and >= 0, got {r}")
+    if not (_finite(q) and 0.0 < q < 1.0):
+        raise DomainError(f"q must be in (0, 1), got {q!r}")
+    if not (_finite(r) and r >= 0.0):
+        raise DomainError(f"r must be finite and >= 0, got {r!r}")

@@ -12,13 +12,13 @@ over max-flow feasibility.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import DomainError, NonIntegralGroupSize, _integer, _integers, _positive
+from .errors import DomainError, NonIntegralGroupSize, _finite, _integer, _integers, _positive
+from .errors import _sequence
 
 _INTEGRALITY_TOL = 1e-9  # generators: relative distance of f*n from an integer
 _SUPPLY_TOL = 1e-9  # supply_factor: width of the final bisection interval
@@ -38,7 +38,7 @@ class Instance:
             raise DomainError(f"demands must be positive integers: {demands}")
         m = len(demands)
         groups = []
-        for i, group in enumerate(self.groups):
+        for i, group in enumerate(_sequence(self.groups, "groups")):
             try:
                 count, elig = group
                 iter(elig)
@@ -104,8 +104,8 @@ class Instance:
 def _query_count(m, n, f: float, per_group: bool) -> Tuple[int, int, int]:
     """Checked ``(m, n, count)`` of a generator; ``count`` is ``f*n``, or ``f*m*n`` in all."""
     m, n = _positive(m, "m"), _positive(n, "n")
-    if not (math.isfinite(f) and f > 0.0):
-        raise DomainError(f"supply factor must be finite and > 0, got {f}")
+    if not (_finite(f) and f > 0.0):
+        raise DomainError(f"supply factor must be finite and > 0, got {f!r}")
     count = f * n if per_group else f * m * n
     if abs(count - round(count)) > _INTEGRALITY_TOL * max(1.0, count):
         raise NonIntegralGroupSize(f"{'f*n' if per_group else 'f*m*n'} = {count} is not an integer")

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations_with_replacement
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from numpy.typing import ArrayLike
@@ -45,14 +45,16 @@ class ThresholdPolicy:
 
     ``reserve(u)`` returns the ``(d+1-u)``-th support value: the lower the
     least-satisfied contract sits, the higher the exchange bid must be.
-    ``reserves[u-1]`` holds the same value, precomputed for serving.
+    ``reserves[u-1]`` holds the same value, precomputed for serving, and
+    :meth:`cutoffs` gives the segments as integer delivered counts.
     """
 
     thresholds: Tuple[float, ...]
     dist: RewardDistribution
-    # exact (p, q) with s_u = p / q, so k/n < s_u is the integer test k*q < p*n
-    ratios: Tuple[Tuple[int, int], ...] = field(init=False, repr=False, compare=False)
     reserves: Tuple[float, ...] = field(init=False, repr=False, compare=False)
+    # demand n -> cutoffs(n), filled on first use; not part of the value.  A fill
+    # stores what any other would, so concurrent callers can only repeat work.
+    _cuts: Dict[int, Tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         thresholds = tuple(float(v) for v in self.thresholds)
@@ -68,8 +70,8 @@ class ThresholdPolicy:
         if thresholds[-1] != 1.0:
             raise DomainError(f"final threshold must be exactly 1, got {thresholds[-1]}")
         object.__setattr__(self, "thresholds", thresholds)
-        object.__setattr__(self, "ratios", tuple(v.as_integer_ratio() for v in thresholds))
         object.__setattr__(self, "reserves", self.dist.support[::-1])
+        object.__setattr__(self, "_cuts", {})
 
     @property
     def d(self) -> int:
@@ -81,6 +83,23 @@ class ThresholdPolicy:
         if not 1 <= u <= self.d:
             raise DomainError(f"segment u={u} out of range 1..{self.d}")
         return self.reserves[u - 1]
+
+    def cutoffs(self, n: int) -> Tuple[int, ...]:
+        """Segment cutoffs for demand ``n``, exact and memoized per ``n``.
+
+        ``cut[u-1]`` is the largest delivered count ``k`` with ``k/n < s_u``:
+        with ``s_u = p/q`` exactly, ``k <= cut`` if and only if ``k*q < p*n``,
+        so ``cut = (p*n - 1) // q``.  It is -1 for ``s_u = 0`` and ``n - 1``
+        for ``s_u = 1``, and non-decreasing in ``u``.  Raises ``DomainError``
+        unless ``n`` is an integer >= 1.
+        """
+        try:
+            return self._cuts[n]
+        except (KeyError, TypeError):
+            n = _positive(n, "demand")
+        ratios = map(float.as_integer_ratio, self.thresholds)
+        cut = self._cuts[n] = tuple((p * n - 1) // q for p, q in ratios)
+        return cut
 
     def with_distribution(self, dist: RewardDistribution) -> "ThresholdPolicy":
         """Rebind the same thresholds to another distribution (e.g. unshifted units)."""

@@ -89,6 +89,27 @@ class TestServeQuery:
                 serve_query(state, BPOL, [0], reward=bad)
             assert state.queries == 0 and state.exchange_revenue == 0.0
 
+    def test_bad_id_or_reward_leaves_state_unchanged(self):
+        # the id and reward rules are rows of test_domain_rule
+        state = state_with([2, 2], [1, 0])
+        for eligible in ([0, 2], [1.0], [-1], 5):
+            with pytest.raises(DomainError, match="advertiser ids must be integers in 0..1"):
+                serve_query(state, BPOL, eligible, 0.0)
+            with pytest.raises(DomainError, match="advertiser ids must be integers in 0..1"):
+                serve_query_multi_exchange(state, BPOL, eligible, [(0, False, True)])
+        for reward in ("0.3", None):
+            with pytest.raises(DomainError, match="reward must be finite"):
+                serve_query(state, BPOL, [0], reward)
+        assert state == state_with([2, 2], [1, 0]) and state.rank == [4, 1]
+
+    def test_negative_id_that_is_not_the_target_changes_nothing(self):
+        # -1 reads advertiser 1's rank; advertiser 0 is hungrier, so the
+        # decision is that of the valid ids alone
+        for reward in (0.0, 0.5):
+            state, twin = state_with([4, 2], [1, 1]), state_with([4, 2], [1, 1])
+            assert serve_query(state, BPOL, [-1, 0], reward) == serve_query(twin, BPOL, [0], reward)
+            assert state == twin and state.rank == twin.rank
+
     @pytest.mark.parametrize(
         "demands, delivered, message",
         [
@@ -329,16 +350,18 @@ def assert_replays(inst, policy, rewards):
     assert abs(report.exchange_revenue - ref.exchange_revenue) <= 1e-12 * scale
 
 
+# thresholds on ratios k/n with small n (hit exactly by some SR), near them
+# (1/3 as a float) and arbitrary floats
+LEVEL = st.one_of(st.sampled_from((0.0, 0.25, 1 / 3, 0.5, 2 / 3, 0.75, 11 / 12)), st.floats(0.0, 1.0))
+
+
 @st.composite
 def engine_cases(draw):
     d = draw(st.sampled_from((2, 3, 4)))
     ticks = draw(st.lists(st.integers(0, 20), min_size=d, max_size=d, unique=True))
     support = tuple(v / 20 for v in sorted(ticks))
     dist = RewardDistribution.from_masses(support, (1.0 / d,) * d)
-    # thresholds on ratios k/n with small n (hit exactly by some SR), near
-    # them (1/3 as a float) and arbitrary floats
-    level = st.one_of(st.sampled_from((0.0, 0.25, 1 / 3, 0.5, 2 / 3, 0.75, 11 / 12)), st.floats(0.0, 1.0))
-    inner = sorted(draw(st.lists(level, min_size=d - 1, max_size=d - 1)))
+    inner = sorted(draw(st.lists(LEVEL, min_size=d - 1, max_size=d - 1)))
     policy = ThresholdPolicy((*inner, 1.0), dist)
     m = draw(st.integers(1, 6))
     demand = st.one_of(st.just(1), st.just(12), st.integers(1, 12))
@@ -403,6 +426,43 @@ class TestSegmentJumpEngine:
             inst = Instance(demands, groups)
             rewards = sample_array(TRI3, rng, inst.total_queries)
             assert_replays(inst, policy, rewards)
+
+
+class TestCutoffs:
+    """``ThresholdPolicy.cutoffs``, the segment table both serving paths read."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        inner=st.lists(LEVEL, min_size=1, max_size=3),
+        n=st.one_of(st.integers(1, 12), st.sampled_from((10**12, 10**12 - 1, 3**25)), st.integers(1, 10**12)),
+    )
+    def test_largest_count_below_each_threshold(self, inner, n):
+        thresholds = (*sorted(inner), 1.0)
+        d = len(thresholds)
+        policy = ThresholdPolicy(thresholds, RewardDistribution.from_masses(tuple(range(d)), (1 / d,) * d))
+        cut = policy.cutoffs(n)
+        assert len(cut) == d and list(cut) == sorted(cut)
+        for k, s in zip(cut, thresholds):
+            # k is in -1..n-1, below s, and k + 1 is not
+            assert -1 <= k <= n - 1 and Fraction(k, n) < Fraction(s)
+            assert k == n - 1 or Fraction(k + 1, n) >= Fraction(s)
+        assert policy.cutoffs(n) is cut  # memoized
+
+    def test_ends(self):
+        policy = ThresholdPolicy((0.0, 0.5, 1.0), TRI3)
+        assert policy.cutoffs(1) == (-1, 0, 0)
+        assert policy.cutoffs(4) == (-1, 1, 3)
+        assert policy.cutoffs(4.0) == (-1, 1, 3)
+
+    def test_memo_leaves_the_policy_value_unchanged(self):
+        policy, twin = ThresholdPolicy((S_STAR, 1.0), BINARY), ThresholdPolicy((S_STAR, 1.0), BINARY)
+        before = (hash(policy), repr(policy))
+        for n in (1, 7, 10**12):
+            policy.cutoffs(n)
+        assert (hash(policy), repr(policy)) == before
+        assert policy == twin and hash(policy) == hash(twin) and {policy, twin} == {twin}
+        rebound = policy.with_distribution(RewardDistribution((0.0, 1.0), (0.5, 1.0)))
+        assert rebound.cutoffs(10) == policy.cutoffs(10) == (3, 9)
 
 
 def reference_route(demands, delivered, policy, eligible):
@@ -472,6 +532,7 @@ class TestServingRule:
             a, reserve = reference_route(demands, state.delivered, policy, ids)
             expected = list(state.delivered)
             decision = serve_query(state, policy, FORMS[form](ids), reward)
+            assert type(decision) is Decision
             if reserve is not None and reward <= reserve:
                 assert decision == Decision("contract", a, None, reserve, a)
                 expected[a] += 1
@@ -491,6 +552,7 @@ class TestServingRule:
             a, reserve = reference_route(demands, state.delivered, policy, ids)
             expected = list(state.delivered)
             decision = serve_query_multi_exchange(state, policy, FORMS[form](ids), bids)
+            assert type(decision) is Decision
             assert decision.min_sr_advertiser == a and decision.reserve == reserve
             if reserve is not None and not any(clears for _, clears, _ in bids):
                 assert decision == Decision("contract", a, None, reserve, a)

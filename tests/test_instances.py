@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from yieldopt.dist import RewardDistribution, cond_mean_below, normalize, validate
-from yieldopt.engine import AllocationState, finalize, run_rewards, serve_query
+from yieldopt.engine import AllocationState, finalize, run_rewards, serve_query, serve_query_multi_exchange
 from yieldopt.errors import DomainError, NonIntegralGroupSize, _integer, _integers
 from yieldopt.instances import (
     Instance,
@@ -113,6 +113,18 @@ MORE_RULES = {
     ("Instance.from_json", "seed"): lambda s: Instance.from_json(json.dumps({**json.loads(TINY.to_json()), "seed": s})),
     ("gen_upper_triangular", "seed"): lambda s: gen_upper_triangular(3, 2, 2.0, seed=s),
     ("Instance", "group"): lambda g: Instance((1,), (g,)),
+    ("Instance", "demands"): lambda d: Instance(d, ((1, (0,)),)),
+    ("Instance", "groups"): lambda g: Instance((1,), g),
+    ("AllocationState", "demands"): lambda d: AllocationState(d, [0]),
+    ("AllocationState", "delivered counts"): lambda k: AllocationState((1,), k),
+    ("gen_upper_triangular", "generator f"): lambda f: gen_upper_triangular(3, 2, f, 1),
+    ("complete_instance", "generator f"): lambda f: complete_instance(3, 2, f),
+    ("serve_query", "advertiser id"): lambda a: serve_query(AllocationState.fresh((2, 2)), POLICY, [a], 0.0),
+    ("serve_query_multi_exchange", "advertiser id"): lambda a: serve_query_multi_exchange(
+        AllocationState.fresh((2, 2)), POLICY, [a], [(0, False, True)]
+    ),
+    ("serve_query", "reward"): lambda r: serve_query(AllocationState.fresh((2,)), POLICY, [0], r),
+    ("ThresholdPolicy.cutoffs", "demand"): POLICY.cutoffs,
 }
 BAD = {
     "f": (math.nan, math.inf, 0.5),
@@ -128,6 +140,13 @@ BAD = {
     "delivered": (-1, 3, 2.5, math.nan, math.inf),
     "seed": (1.5, -1, "abc", math.nan, math.inf),
     "group": ((1, 0), (1,), 5),
+    "demands": (5, None),
+    "groups": (5, None),
+    "delivered counts": (5, None),
+    "generator f": ("2", None, math.nan, 0.0),
+    # -1 would be served as advertiser 1 if it were not rejected
+    "advertiser id": (-1, 2, 1.0, "0", None),
+    "reward": ("0.3", None, math.nan, math.inf),
 }
 MESSAGE = {
     "f": "supply factor",
@@ -143,8 +162,22 @@ MESSAGE = {
     "delivered": "delivered count must be",
     "seed": "seed must be an integer",
     "group": "group 0 must be a",
+    "demands": "demands must be a sequence",
+    "groups": "groups must be a sequence",
+    "delivered counts": "delivered counts must be a sequence",
+    "generator f": "supply factor must be finite and > 0",
+    "advertiser id": "advertiser ids must be integers in 0..1",
+    "reward": "reward must be finite",
 }
-VALID = {"q": 0.5, "rewards": (0.0, 0.5), "group": (1, (0,))}  # any other argument takes 2.0
+VALID = {  # any other argument takes 2.0
+    "q": 0.5,
+    "rewards": (0.0, 0.5),
+    "group": (1, (0,)),
+    "demands": (1,),
+    "groups": ((1, (0,)),),
+    "delivered counts": [0],
+    "advertiser id": 1,
+}
 
 
 @pytest.mark.parametrize(
@@ -157,6 +190,16 @@ def test_domain_rule(name, arg, bad):
     call(VALID.get(arg, 2.0))  # the valid value goes through
     with pytest.raises(DomainError, match=MESSAGE[arg]):
         call(bad)
+
+
+@pytest.mark.parametrize(
+    "name, arg", [(name, arg) for name, arg in sorted(RULES) if arg in ("f", "N", "c", "offset", "q", "r")]
+)
+def test_real_number_rule(name, arg):
+    # a value that is not a real number is outside every real domain
+    for bad in ("2", None, 1j):
+        with pytest.raises(DomainError, match=MESSAGE[arg]):
+            RULES[name, arg](bad)
 
 
 # every kind of value an id, demand or count can arrive as, valid or not
