@@ -102,7 +102,7 @@ def _cmd_simulate(args) -> int:
     rows = []
     for i in range(args.seeds):
         seed = args.seed + i
-        rep = run_instance(instance, policy, args.penalty, dist, seed=seed, offset=offset)
+        rep = run_instance(instance, policy, args.penalty, dist, seed=seed)
         rows.append(
             [seed, rep.reward, rep.exchange_revenue, rep.penalty_paid, rep.fill_rate]
         )
@@ -170,16 +170,16 @@ def _cmd_oracle(args) -> int:
         _json_out({"mode": args.mode, "value": value}, args.out)
     else:  # beta
         try:  # a missing --thresholds is None, a TypeError here
-            thresholds = tuple(float(v) for v in json.loads(args.thresholds))
+            thresholds = json.loads(args.thresholds)
         except (TypeError, ValueError) as exc:
-            raise DomainError(f"--thresholds must list numbers, got {args.thresholds!r}") from exc
+            raise DomainError(f"--thresholds must be a JSON list, got {args.thresholds!r}") from exc
         policy = ThresholdPolicy(thresholds, validate(dist, args.penalty))
         profile = oracle.adversary_lp_tight(policy, args.supply, args.demand, args.t)
         _json_out(
             {
                 "mode": args.mode,
                 "t": args.t,
-                "beta": [float(v) for v in profile.beta],
+                "beta": profile.beta.tolist(),
                 "residuals": oracle.lp_residuals(profile, policy, args.supply, args.demand),
             },
             args.out,

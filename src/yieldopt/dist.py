@@ -13,14 +13,14 @@ random streams are always passed in by the caller, never stored.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Sequence, Tuple
 
 import numpy as np
 
 from .errors import DomainError, MalformedDistribution, RewardExceedsPenalty
-from .errors import _check_demand, _check_finite, _check_supply, _integer
+from .errors import _check_binary, _check_demand, _check_finite, _check_supply, _finite, _integer
+from .errors import _reals
 
 # Construction-time renormalization window for the final cumulative mass.
 _MASS_TOL = 1e-12
@@ -43,16 +43,14 @@ class RewardDistribution:
     cum_mass: Tuple[float, ...]
 
     def __post_init__(self):
-        support = tuple(float(v) for v in self.support)
-        cum = tuple(float(v) for v in self.cum_mass)
+        support = tuple(_reals(self.support, "support", MalformedDistribution).tolist())
+        cum = tuple(_reals(self.cum_mass, "cum_mass", MalformedDistribution).tolist())
         if len(support) == 0:
             raise MalformedDistribution("support must be non-empty")
         if len(support) != len(cum):
             raise MalformedDistribution(
                 f"support and cum_mass lengths differ: {len(support)} vs {len(cum)}"
             )
-        if not all(map(math.isfinite, support + cum)):
-            raise MalformedDistribution(f"support and cum_mass must be finite: {support}, {cum}")
         if any(v < 0.0 for v in support):
             raise MalformedDistribution("rewards must be non-negative")
         if any(b <= a for a, b in zip(support, support[1:])):
@@ -79,18 +77,14 @@ class RewardDistribution:
 
     @classmethod
     def binary(cls, q: float, r: float) -> "RewardDistribution":
-        """Reward 0 with probability q, reward r with probability 1 - q."""
-        if not 0.0 < q < 1.0:
-            raise MalformedDistribution(f"q must be in (0, 1), got {q}")
-        if r <= 0.0:
-            raise MalformedDistribution(f"binary high reward must be > 0, got {r}")
-        return cls((0.0, float(r)), (float(q), 1.0))
+        """Reward 0 with probability q, reward r > 0 with probability 1 - q."""
+        _check_binary(q, r)
+        return cls((0.0, r), (q, 1.0))
 
     @classmethod
     def from_masses(cls, support: Sequence[float], masses: Sequence[float]) -> "RewardDistribution":
         """Build from point masses instead of cumulative masses."""
-        cum = np.cumsum(np.asarray(masses, dtype=float))
-        return cls(tuple(float(v) for v in support), tuple(cum))
+        return cls(support, np.cumsum(_reals(masses, "masses", MalformedDistribution)))
 
     # ---- basic queries ----
 
@@ -118,7 +112,7 @@ class RewardDistribution:
     def from_json(cls, text: str) -> "RewardDistribution":
         obj = json.loads(text)
         try:
-            return cls(tuple(obj["support"]), tuple(obj["cum_mass"]))
+            return cls(obj["support"], obj["cum_mass"])
         except (KeyError, TypeError) as exc:
             raise MalformedDistribution(f"bad distribution JSON: {exc}") from exc
 
@@ -184,7 +178,7 @@ def top_quantile_mean(dist: RewardDistribution, p: float) -> float:
     atom straddling the ``1 - p`` quantile contributes only the part of its
     mass that lies inside the top ``p``.
     """
-    if not 0.0 <= p <= 1.0:
+    if not (_finite(p) and 0.0 <= p <= 1.0):
         raise DomainError(f"p must be in [0, 1], got {p}")
     if p == 0.0:
         return 0.0

@@ -179,17 +179,19 @@ def serve_query(
 ) -> Decision:
     """Route one query; mutates ``state``. Deterministic given its inputs.
 
-    ``eligible`` may be any iterable of advertiser ids, in any order.
-    Raises ``DomainError``, leaving ``state`` as it was, on a reward that is
-    not a finite real number and on an id that is not an integer in
-    ``0..m-1`` (a negative id only when it would be the target).
+    ``eligible`` may be any iterable of advertiser ids, in any order; the
+    reward is read as a float, as :func:`run_rewards` reads it.  Raises
+    ``DomainError``, leaving ``state`` as it was, on a reward that is not a
+    finite real number and on an id that is not an integer in ``0..m-1``
+    (a negative id only when it would be the target).
     """
     try:  # errors._finite, inlined: it costs every query a call
         finite = math.isfinite(reward)
-    except TypeError:
+    except (TypeError, OverflowError):
         finite = False
     if not finite:
         raise DomainError(f"reward must be finite, got {reward!r}")
+    reward = float(reward)  # the float64 run_rewards compares and sums
     a, reserve = _route(state, policy, eligible)
     state.queries += 1
     if reserve is not None and reward <= reserve:
@@ -240,7 +242,8 @@ def finalize(
 ) -> RunReport:
     """Reward = exchange revenue - penalty * undelivered + offset.
 
-    Raises ``DomainError`` on a non-finite penalty or offset.
+    ``offset`` is added to the reward as given; rewards served in original
+    units need none.  Raises ``DomainError`` on a non-finite penalty or offset.
     """
     return _report(
         state.demands, tuple(state.delivered), state.exchange_revenue, state.queries,
@@ -320,8 +323,10 @@ def run_rewards(
     Same delivered vector and query count as calling :func:`serve_query` per
     query, computed a group at a time by segment jumps (module docstring).
     Exchange revenue is the numpy (pairwise) sum of the sold rewards, so it
-    may differ from a replay's sequential sum in the last bits.  Raises
-    ``DomainError`` on a wrong reward count or a non-finite reward, penalty or offset.
+    may differ from a replay's sequential sum in the last bits.  ``offset``
+    is added to the reward as given (sampled rewards are in original units
+    and need none).  Raises ``DomainError`` unless ``rewards`` holds one
+    finite real number per query, and on a non-finite penalty or offset.
     """
     rewards = _check_rewards(rewards, instance.total_queries)
     demands = instance.demands
@@ -376,9 +381,8 @@ def run_instance(
     penalty: float,
     dist: RewardDistribution,
     seed: int,
-    offset: float = 0.0,
 ) -> RunReport:
-    """Sample a reward per query from ``dist`` under ``seed`` and run."""
+    """Sample a reward per query from ``dist`` under ``seed`` and run, in ``dist``'s units."""
     rng = np.random.default_rng(seed)
     rewards = sample_array(dist, rng, instance.total_queries)
-    return run_rewards(instance, policy, penalty, rewards, offset=offset, seed=seed)
+    return run_rewards(instance, policy, penalty, rewards, seed=seed)

@@ -10,16 +10,19 @@ by every public function taking that input; each raises ``DomainError``.
 ``_integers``: ``_integer`` applied to every value of a sequence (demands,
 ids); ``_positive``: one >= 1, or >= ``least`` (a count; a seed, >= 0; a
 resolution ``t``, >= 2 for ``adversary_lp_tight``); ``_finite``: whether a
-value is a finite real number, False for a string or ``None``;
-``_check_finite``: a finite scalar (penalty, offset); ``_check_supply``: a
-supply factor, finite and >= 1; ``_check_demand``: a total demand, finite
-and > 0;
-``_check_rewards``: one finite reward per query, as a float64 array;
+value is a finite real number, False for a string, ``None``, a complex
+number or an int beyond float range; ``_reals``: ``_finite`` applied to
+every value of a sequence, as a float64 array (support, masses, thresholds,
+beta, rewards, weights); ``_check_finite``: a finite scalar (penalty,
+offset); ``_check_supply``: a supply factor, finite and >= 1;
+``_check_demand``: a total demand, finite and > 0;
+``_check_rewards``: ``_reals`` with one reward per query;
 ``_check_binary``: ``0 < q < 1`` and ``r`` finite and >= 0 (each caller
 bounds ``r`` by ``c`` itself).
 """
 
 import math
+import reprlib
 
 import numpy as np
 
@@ -108,8 +111,26 @@ def _positive(value, what: str, least: int = 1) -> int:
 def _finite(value) -> bool:
     try:
         return math.isfinite(value)
-    except TypeError:
+    except (TypeError, OverflowError):
         return False
+
+
+def _reals(values, what: str, error: type = DomainError) -> np.ndarray:
+    """``_finite`` of every value, as a 1-D float64 array; raises ``error`` naming ``what``.
+
+    Any iterable passes whose values ``_finite`` accepts; nested sequences
+    do not.  Checked in C, and a float64 array is returned uncopied.
+    """
+    try:
+        arr = values if isinstance(values, np.ndarray) else np.asarray(_sequence(values, what))
+        if arr.dtype == object and all(map(math.isfinite, arr)):
+            arr = arr.astype(float)
+        out = arr.astype(float, copy=False) if arr.dtype.kind in "biuf" else None
+    except (TypeError, ValueError, OverflowError):  # DomainError is a ValueError
+        out = None
+    if out is None or out.ndim != 1 or not np.isfinite(out).all():
+        raise error(f"{what} must be a sequence of finite real numbers, got {reprlib.repr(values)}")
+    return out
 
 
 def _check_finite(value: float, what: str) -> None:
@@ -128,11 +149,9 @@ def _check_demand(N: float) -> None:
 
 
 def _check_rewards(rewards, count: int) -> np.ndarray:
-    out = np.asarray(rewards, dtype=float)
-    if out.shape != (count,):
-        raise DomainError(f"expected {count} rewards, got an array of shape {out.shape}")
-    if not np.isfinite(out).all():
-        raise DomainError("rewards must be finite")
+    out = _reals(rewards, "rewards")
+    if len(out) != count:
+        raise DomainError(f"expected {count} rewards, got {len(out)}")
     return out
 
 

@@ -25,7 +25,7 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import DomainError, _check_supply, _positive
+from .errors import DomainError, _check_supply, _positive, _reals
 
 # Copies per working array in one block of trials; bounds trial_weights'
 # memory independently of the trial count.
@@ -36,14 +36,11 @@ def _advertiser_weights(m: int, weights: Optional[Sequence[float]]) -> np.ndarra
     """Per-advertiser weights: ones by default, else finite, non-negative, not all zero."""
     if weights is None:
         return np.ones(m)
-    try:
-        w = np.asarray(weights, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise DomainError(f"weights must be numbers, got {weights!r}") from exc
-    if w.shape != (m,):
-        raise DomainError(f"expected {m} weights, got shape {w.shape}")
-    if not np.isfinite(w).all() or (w < 0).any():
-        raise DomainError(f"weights must be finite and non-negative, got {w.tolist()}")
+    w = _reals(weights, "weights")
+    if len(w) != m:
+        raise DomainError(f"expected {m} weights, got {len(w)}")
+    if (w < 0).any():
+        raise DomainError(f"weights must be non-negative, got {w.tolist()}")
     if w.sum() == 0:
         raise DomainError("weights sum to 0, so the offline optimum is 0")
     return w
@@ -58,7 +55,7 @@ class MatchingInstance:
     f: int
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
+        object.__setattr__(self, "weights", _reals(self.weights, "weights"))
         object.__setattr__(self, "f", _positive(self.f, "supply factor"))
 
 

@@ -230,7 +230,6 @@ def exhaustive_values(
     dist: RewardDistribution,
     penalty: float,
     policy: ThresholdPolicy,
-    offset: float = 0.0,
 ) -> Tuple[float, float]:
     """Exact (E[threshold algorithm], E[offline optimum]) by enumerating
     every reward realization with its probability.  Tiny instances only."""
@@ -246,11 +245,9 @@ def exhaustive_values(
         for u in combo:
             prob *= masses[u]
         rewards = tuple(support[u] for u in combo)
-        report = run_rewards(instance, policy, penalty, rewards, offset=offset)
+        report = run_rewards(instance, policy, penalty, rewards)
         e_alg += prob * report.reward
-        e_off += prob * (
-            offline_opt_exact(RealizedInstance(instance, rewards), penalty) + offset
-        )
+        e_off += prob * offline_opt_exact(RealizedInstance(instance, rewards), penalty)
     return e_alg, e_off
 
 

@@ -30,7 +30,7 @@ from numpy.typing import ArrayLike
 
 from .dist import RewardDistribution, cond_mean_below, normalize, validate
 from .errors import DomainError, InfeasibleDecay, TooManyThresholds, _integer, _positive
-from .errors import _check_binary, _check_demand, _check_finite, _check_supply
+from .errors import _check_binary, _check_demand, _check_finite, _check_supply, _reals
 
 DEFAULT_GRID = 1.0 / 200.0
 
@@ -57,7 +57,7 @@ class ThresholdPolicy:
     _cuts: Dict[int, Tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        thresholds = tuple(float(v) for v in self.thresholds)
+        thresholds = tuple(_reals(self.thresholds, "thresholds").tolist())
         d = self.dist.d
         if len(thresholds) != d:
             raise DomainError(
@@ -120,7 +120,7 @@ class AdversaryProfile:
 
     def __post_init__(self):
         object.__setattr__(self, "t", _positive(self.t, "t"))
-        beta = np.asarray(self.beta, dtype=float)
+        beta = _reals(self.beta, "beta")
         if beta.shape != (self.t,):
             raise DomainError(f"beta must have length t={self.t}")
         object.__setattr__(self, "beta", beta)
@@ -367,8 +367,7 @@ def optimize_thresholds_grid(
             best_val = float(obj[i])
             best_row = S[i]
     assert best_row is not None
-    thresholds = tuple(float(v) for v in best_row[:-1]) + (1.0,)
-    return ThresholdPolicy(thresholds, checked)
+    return ThresholdPolicy(best_row, checked)  # its last entry is 1.0
 
 
 def make_policy(

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .dist import RewardDistribution, normalize
-from .errors import DomainError, _check_binary, _check_finite, _check_supply
+from .errors import DomainError, _check_binary, _check_finite, _check_supply, _finite
 from .policy import make_policy, optimize_thresholds_grid, ub_continuous
 
 
@@ -144,8 +144,9 @@ def worst_case_distribution(mu: float, c: float, f: float) -> WorstCaseSpec:
     two binary candidates are mutually exclusive except at the boundary
     where they coincide.
     """
-    if not 0.0 < mu <= c:
-        raise DomainError(f"need 0 < mu <= c, got mu={mu}, c={c}")
+    _check_finite(c, "penalty")
+    if not (_finite(mu) and 0.0 < mu <= c):
+        raise DomainError(f"need 0 < mu <= c, got mu={mu!r}, c={c!r}")
     _check_supply(f)
     if f <= 1.0:
         raise DomainError(f"supply factor must exceed 1, got {f}")

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import math
 
@@ -7,9 +9,12 @@ import pytest
 from yieldopt.cli import main
 from yieldopt.instances import Instance, supply_factor
 from yieldopt.matching import empirical_ratio, perturbed_greedy, triangular_matching_instance
+from yieldopt.oracle import RealizedInstance, offline_opt_exact
 from yieldopt.ratio import binary_ratio
 
 BINARY_JSON = '{"support": [0.0, 0.5], "cum_mass": [0.5, 1.0]}'
+# lowest bid 0.2 > 0: the policy is solved on rewards shifted down by 0.2
+SHIFTED_JSON = '{"support": [0.2, 0.5], "cum_mass": [0.5, 1.0]}'
 # 4 queries for demand 2, but advertiser 1 sees only one of them: supply factor 1, not 2
 BOTTLENECK = {
     "demands": [1, 1],
@@ -179,6 +184,40 @@ class TestSimulate:
         assert config["supply_factor_measured"] == measured
         assert "supply_factor" not in config["instance"]
 
+    def test_reward_is_revenue_minus_penalty(self, capsys, tmp_path):
+        # rewards are sampled in original units, so the shift is not added back
+        inst_path = tmp_path / "inst.json"
+        run_cli(
+            capsys, "gen", "--kind", "triangular", "--m", "5", "--n", "20",
+            "--supply", "2.0", "--seed", "3", "--out", str(inst_path),
+        )
+        code, out, _ = run_cli(
+            capsys,
+            "simulate", "--instance", str(inst_path), "--dist", SHIFTED_JSON,
+            "--penalty", "1.0", "--seeds", "4", "--seed", "11",
+        )
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert len(rows) == 4
+        for row in rows:
+            assert float(row["reward"]) == float(row["exchange_revenue"]) - float(row["penalty_paid"])
+
+    def test_point_mass_reward_is_the_offline_optimum(self, capsys):
+        # demand 1, two queries, every bid 0.5: one is delivered at reserve
+        # 0.5 and the other sold for 0.5, which is also the exact offline OPT
+        inst = '{"demands": [1], "groups": [{"count": 2, "eligible": [0]}]}'
+        code, out, _ = run_cli(
+            capsys,
+            "simulate", "--instance", inst, "--dist", '{"support": [0.5], "cum_mass": [1.0]}',
+            "--penalty", "1", "--seeds", "2", "--seed", "1",
+        )
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        opt = offline_opt_exact(RealizedInstance(Instance.from_json(inst), (0.5, 0.5)), 1.0)
+        assert [float(row["reward"]) for row in rows] == [opt, opt] == [0.5, 0.5]
+        assert [float(row["exchange_revenue"]) for row in rows] == [0.5, 0.5]
+        assert [float(row["penalty_paid"]) for row in rows] == [0.0, 0.0]
+
     def test_grid_option_removed(self, capsys):
         code, _, _ = run_cli(
             capsys, "thresholds", "--dist", BINARY_JSON, "--penalty", "1.0",
@@ -334,12 +373,16 @@ class TestOtherCommands:
                 "simulate", "--instance", json.dumps({**BOTTLENECK, "seed": "abc"}),
                 "--dist", BINARY_JSON, "--penalty", "1", "--seed", "1",
             ),
+            ("oracle", "--mode", "beta", "--dist", BINARY_JSON, "--thresholds", '["0.3", 1.0]'),
+            ("oracle", "--mode", "beta", "--dist", BINARY_JSON, "--thresholds", "[0.3, null]"),
+            ("oracle", "--mode", "beta", "--dist", BINARY_JSON, "--thresholds", "not json"),
         ],
         ids=["ratio-nan", "ratio-zero-penalty", "opt-formula-inf", "opt-formula-demand-nan", "gen-nan", "gen-complete-inf",
              "simulate-declared-supply", "opt-formula-no-dist", "opt-exact-no-instance",
              "online-exact-no-instance", "beta-no-thresholds", "beta-thresholds-not-numbers",
              "beta-thresholds-not-list", "online-exact-penalty-nan", "online-exact-penalty-inf",
-             "gen-negative-seed", "simulate-seed-not-integer"],
+             "gen-negative-seed", "simulate-seed-not-integer", "beta-thresholds-strings",
+             "beta-thresholds-null", "beta-thresholds-not-json"],
     )
     def test_bad_supply_exits_2(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)

@@ -89,6 +89,16 @@ class TestServeQuery:
                 serve_query(state, BPOL, [0], reward=bad)
             assert state.queries == 0 and state.exchange_revenue == 0.0
 
+    def test_reward_read_as_float(self):
+        # as run_rewards reads it: a Fraction that rounds to the reserve 0.5
+        # meets it, and a float32 bid adds its exact value to a float revenue
+        state = state_with([10], [1])
+        assert serve_query(state, BPOL, [0], Fraction(1, 2) + Fraction(1, 10**30)).kind == "contract"
+        state = state_with([10], [5])
+        serve_query(state, BPOL, [0], 0.4)
+        serve_query(state, BPOL, [0], np.float32(0.25))
+        assert type(state.exchange_revenue) is float and state.exchange_revenue == 0.4 + 0.25
+
     def test_bad_id_or_reward_leaves_state_unchanged(self):
         # the id and reward rules are rows of test_domain_rule
         state = state_with([2, 2], [1, 0])
@@ -561,3 +571,58 @@ class TestServingRule:
                 assert decision.kind == "exchange"
             assert state.delivered == expected
             assert state.rank == recomputed_ranks(state)
+
+
+# a reward as it may arrive: floats at and between the reserves, ints,
+# Fractions (some a float does not hold), numpy numbers, and values outside
+# the reward rule
+ANY_REWARD = st.one_of(
+    st.sampled_from((0.0, 0.25, 0.4, 0.5, 0.9, 1.0)),
+    st.integers(0, 2),
+    st.fractions(0, 1),
+    st.sampled_from((Fraction(1, 2) + Fraction(1, 10**30), Fraction(9, 10))),
+    st.sampled_from((np.float64(0.5), np.float32(0.25), np.int64(0), True)),
+    st.sampled_from(("0.5", "a", None, math.nan, math.inf, -math.inf, 10**400)),
+)
+REWARD_FORMS = {"list": list, "tuple": tuple, "array": np.array, "generator": lambda v: (x for x in v)}
+
+
+@st.composite
+def raw_reward_cases(draw):
+    m = draw(st.integers(1, 3))
+    demands = draw(st.lists(st.integers(1, 4), min_size=m, max_size=m))
+    elig = st.lists(st.integers(0, m - 1), max_size=m)
+    groups = draw(st.lists(st.tuples(st.integers(0, 5), elig), min_size=1, max_size=4))
+    inst = Instance(tuple(demands), tuple(groups))
+    policy = draw(st.sampled_from((BPOL, ThresholdPolicy((0.0, 0.5, 1.0), TRI3))))
+    values = draw(st.lists(ANY_REWARD, min_size=inst.total_queries, max_size=inst.total_queries))
+    return inst, policy, values, draw(st.sampled_from(sorted(REWARD_FORMS)))
+
+
+def replay_raw(inst, policy, rewards):
+    """The serve_query reference on the rewards as given, unconverted."""
+    state = AllocationState.fresh(inst.demands)
+    rewards = iter(rewards)
+    for count, elig in inst.groups:
+        for _ in range(count):
+            serve_query(state, policy, elig, next(rewards))
+    return finalize(state, 1.0)
+
+
+class TestRewardRule:
+    @settings(max_examples=300, deadline=None)
+    @given(case=raw_reward_cases())
+    def test_batch_and_reference_accept_the_same_rewards(self, case):
+        inst, policy, values, form = case
+        outcomes = []
+        for run in (lambda r: run_rewards(inst, policy, 1.0, r), lambda r: replay_raw(inst, policy, r)):
+            try:
+                outcomes.append(run(REWARD_FORMS[form](values)))
+            except DomainError:
+                outcomes.append("DomainError")
+        batch, ref = outcomes
+        if "DomainError" in outcomes:
+            assert batch == ref
+        else:
+            assert batch.delivered == ref.delivered and batch.queries == ref.queries
+            assert batch.exchange_revenue == pytest.approx(float(ref.exchange_revenue), abs=1e-12)

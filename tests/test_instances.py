@@ -3,22 +3,24 @@ import math
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from yieldopt.dist import RewardDistribution, cond_mean_below, normalize, validate
+from yieldopt.dist import RewardDistribution, cond_mean_below, normalize, top_quantile_mean, validate
 from yieldopt.engine import AllocationState, finalize, run_rewards, serve_query, serve_query_multi_exchange
-from yieldopt.errors import DomainError, NonIntegralGroupSize, _integer, _integers
+from yieldopt.errors import DomainError, MalformedDistribution, NonIntegralGroupSize
+from yieldopt.errors import _finite, _integer, _integers, _reals
 from yieldopt.instances import (
     Instance,
     complete_instance,
     gen_upper_triangular,
     supply_factor,
 )
-from yieldopt.matching import guarantee
+from yieldopt.matching import MatchingInstance, guarantee, triangular_matching_instance
 from yieldopt.oracle import (
     RealizedInstance,
     adversary_lp_tight,
@@ -125,6 +127,11 @@ MORE_RULES = {
     ),
     ("serve_query", "reward"): lambda r: serve_query(AllocationState.fresh((2,)), POLICY, [0], r),
     ("ThresholdPolicy.cutoffs", "demand"): POLICY.cutoffs,
+    ("RewardDistribution.binary", "q"): lambda q: RewardDistribution.binary(q, 0.5),
+    ("RewardDistribution.binary", "r"): lambda r: RewardDistribution.binary(0.5, r),
+    ("top_quantile_mean", "p"): lambda p: top_quantile_mean(BINARY, p),
+    ("worst_case_distribution", "mu"): lambda mu: worst_case_distribution(mu, 1.0, 2.0),
+    ("worst_case_distribution", "c"): lambda c: worst_case_distribution(0.3, c, 2.0),
 }
 BAD = {
     "f": (math.nan, math.inf, 0.5),
@@ -147,6 +154,8 @@ BAD = {
     # -1 would be served as advertiser 1 if it were not rejected
     "advertiser id": (-1, 2, 1.0, "0", None),
     "reward": ("0.3", None, math.nan, math.inf),
+    "p": (math.nan, -0.5, 1.5),
+    "mu": (math.nan, 0.0, 1.5),
 }
 MESSAGE = {
     "f": "supply factor",
@@ -168,6 +177,8 @@ MESSAGE = {
     "generator f": "supply factor must be finite and > 0",
     "advertiser id": "advertiser ids must be integers in 0..1",
     "reward": "reward must be finite",
+    "p": "p must be in",
+    "mu": "need 0 < mu <= c",
 }
 VALID = {  # any other argument takes 2.0
     "q": 0.5,
@@ -177,6 +188,8 @@ VALID = {  # any other argument takes 2.0
     "groups": ((1, (0,)),),
     "delivered counts": [0],
     "advertiser id": 1,
+    "p": 0.5,
+    "mu": 0.3,
 }
 
 
@@ -193,13 +206,76 @@ def test_domain_rule(name, arg, bad):
 
 
 @pytest.mark.parametrize(
-    "name, arg", [(name, arg) for name, arg in sorted(RULES) if arg in ("f", "N", "c", "offset", "q", "r")]
+    "name, arg",
+    [(name, arg) for name, arg in [*sorted(RULES), *MORE_RULES] if arg in ("f", "N", "c", "offset", "q", "r", "p", "mu")],
 )
 def test_real_number_rule(name, arg):
-    # a value that is not a real number is outside every real domain
-    for bad in ("2", None, 1j):
+    # a value that is not a real number, or not one a float holds, is outside every real domain
+    for bad in ("2", None, 1j, 10**400):
         with pytest.raises(DomainError, match=MESSAGE[arg]):
-            RULES[name, arg](bad)
+            {**RULES, **MORE_RULES}[name, arg](bad)
+
+
+# every function that takes a sequence of real numbers: the call, a valid
+# value and the error the rule raises there
+SEQUENCES = {
+    ("RewardDistribution", "support"): (lambda v: RewardDistribution(v, (0.5, 1.0)), (0.0, 0.5), MalformedDistribution),
+    ("RewardDistribution", "cum_mass"): (lambda v: RewardDistribution((0.0, 0.5), v), (0.5, 1.0), MalformedDistribution),
+    ("RewardDistribution.from_masses", "support"): (
+        lambda v: RewardDistribution.from_masses(v, (0.5, 0.5)), (0.0, 0.5), MalformedDistribution
+    ),
+    ("RewardDistribution.from_masses", "masses"): (
+        lambda v: RewardDistribution.from_masses((0.0, 0.5), v), (0.5, 0.5), MalformedDistribution
+    ),
+    ("ThresholdPolicy", "thresholds"): (lambda v: ThresholdPolicy(v, BINARY), (0.3, 1.0), DomainError),
+    ("AdversaryProfile", "beta"): (lambda v: AdversaryProfile(2, v), (0.5, 0.25), DomainError),
+    ("run_rewards", "rewards"): (lambda v: run_rewards(TINY, POLICY, 1.0, v), (0.0, 0.5), DomainError),
+    ("RealizedInstance", "rewards"): (lambda v: RealizedInstance(TINY, v), (0.0, 0.5), DomainError),
+    ("triangular_matching_instance", "weights"): (
+        lambda v: triangular_matching_instance(2, 1, 1, np.random.default_rng(0), v), (1.0, 2.0), DomainError
+    ),
+    ("MatchingInstance", "weights"): (lambda v: MatchingInstance(v, (), 1), (1.0, 2.0), DomainError),
+}
+# a first value outside the rule, or a whole sequence outside it
+NOT_REALS = {
+    "string": lambda valid: ("0.3", *valid[1:]),
+    "None": lambda valid: (None, *valid[1:]),
+    "complex": lambda valid: (1j, *valid[1:]),
+    "huge-int": lambda valid: (10**400, *valid[1:]),
+    "nan": lambda valid: (math.nan, *valid[1:]),
+    "inf": lambda valid: np.array([math.inf, *valid[1:]]),
+    "ragged": lambda valid: ([valid[0]], *valid[1:]),
+    "matrix": lambda valid: np.array([valid]),
+    "strings": lambda valid: [str(v) for v in valid],
+    "not-a-sequence": lambda valid: valid[0],
+}
+
+
+@pytest.mark.parametrize("name, arg", sorted(SEQUENCES))
+@pytest.mark.parametrize("bad", NOT_REALS)
+def test_sequence_rule(name, arg, bad):
+    call, valid, error = SEQUENCES[name, arg]
+    call(valid)
+    call(iter(valid))  # any iterable
+    with pytest.raises(error, match=f"{arg} must be a sequence of finite real numbers"):
+        call(NOT_REALS[bad](valid))
+
+
+def test_exact_values_build_their_float_spellings():
+    # an int, a Fraction or a numpy number stands for the float it converts to
+    tri = RewardDistribution((0.0, 0.25, 0.75), (0.5, 0.75, 1.0))
+    assert RewardDistribution((0, Fraction(1, 4), np.float32(0.75)), (Fraction(1, 2), np.float64(0.75), 1)) == tri
+    assert RewardDistribution.from_masses([0, Fraction(1, 4), 0.75], np.array([2, 1, 1]) / 4) == tri
+    assert RewardDistribution.binary(Fraction(1, 2), np.float32(0.5)) == BINARY
+    assert ThresholdPolicy((np.float32(0.5), 1), BINARY) == ThresholdPolicy((0.5, 1.0), BINARY)
+    assert ThresholdPolicy(np.array([Fraction(3, 10), True], dtype=object), BINARY) == POLICY
+    assert AdversaryProfile(2, (1, Fraction(1, 4))).beta.tolist() == [1.0, 0.25]
+    assert run_rewards(TINY, POLICY, 1.0, (0, Fraction(1, 2))) == run_rewards(TINY, POLICY, 1.0, (0.0, 0.5))
+    assert RealizedInstance(TINY, [np.int64(0), np.float32(0.5)]) == RealizedInstance(TINY, (0.0, 0.5))
+    w = [1, Fraction(5, 2), np.float32(0.5)]
+    a = triangular_matching_instance(3, 2, 2, np.random.default_rng(4), w)
+    b = triangular_matching_instance(3, 2, 2, np.random.default_rng(4), [1.0, 2.5, 0.5])
+    assert a.weights.dtype == b.weights.dtype and np.array_equal(a.weights, b.weights)
 
 
 # every kind of value an id, demand or count can arrive as, valid or not
@@ -234,6 +310,38 @@ class TestIntegerRule:
         assert _integers(iter([np.int64(4), True]), "id") == [4, 1]
         with pytest.raises(DomainError, match="id must be an integer, got 0.5"):
             _integers((1, 0.5, "x"), "id")
+
+
+class TestRealsRule:
+    # every kind of value a reward, mass or threshold can arrive as
+    VALUE = st.one_of(
+        st.floats(),
+        st.integers(-(2**1100), 2**1100),
+        st.fractions(),
+        st.booleans(),
+        st.integers(-(2**63), 2**63 - 1).map(np.int64),
+        st.integers(0, 2**64 - 1).map(np.uint64),
+        st.floats(width=32).map(np.float32),
+        st.sampled_from(["0.5", "a", None, 1j, b"1", [0.5]]),
+    )
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(VALUE, max_size=6), st.sampled_from([list, tuple, iter, np.array]))
+    def test_matches_finite_and_float_per_value(self, values, form):
+        try:
+            seq = form(values)
+        except (ValueError, OverflowError):  # numpy refuses a ragged or huge list itself
+            seq = values
+        got = _outcome(_reals, seq, "values")
+        if all(map(_finite, values)):
+            assert got[0] == "ok" and got[1].tolist() == [float(v) for v in values]
+        else:
+            assert got[0] == "DomainError" and got[1].startswith("values must be a sequence of finite real numbers")
+
+    def test_a_float64_array_is_not_copied(self):
+        rewards = np.linspace(0.0, 1.0, 5)
+        assert _reals(rewards, "rewards") is rewards
+        assert _reals(rewards.astype(np.float32), "rewards").dtype == np.float64
 
 
 def _triangular_reference(m, n, f, seed):
