@@ -40,7 +40,6 @@ from .errors import (
     NonIntegralGroupSize,
     RewardExceedsPenalty,
     SizeLimit,
-    TooManyThresholds,
     YieldOptError,
 )
 from .instances import Instance, complete_instance, gen_upper_triangular, supply_factor

@@ -49,7 +49,7 @@ import numpy as np
 
 from .dist import RewardDistribution, sample_array
 from .errors import DomainError, MalformedBidSet
-from .errors import _check_finite, _check_rewards, _integers, _positive, _sequence
+from .errors import _check_finite, _check_rewards, _finite, _integers, _positive, _sequence
 from .instances import Instance
 from .policy import ThresholdPolicy
 
@@ -185,13 +185,13 @@ def serve_query(
     finite real number and on an id that is not an integer in ``0..m-1``
     (a negative id only when it would be the target).
     """
-    try:  # errors._finite, inlined: it costs every query a call
+    if type(reward) is float:  # checked inline: errors._finite costs every query a call
         finite = math.isfinite(reward)
-    except (TypeError, OverflowError):
-        finite = False
+    else:
+        finite = _finite(reward)
+        reward = float(reward) if finite else reward  # the float64 run_rewards compares and sums
     if not finite:
         raise DomainError(f"reward must be finite, got {reward!r}")
-    reward = float(reward)  # the float64 run_rewards compares and sums
     a, reserve = _route(state, policy, eligible)
     state.queries += 1
     if reserve is not None and reward <= reserve:
@@ -383,6 +383,6 @@ def run_instance(
     seed: int,
 ) -> RunReport:
     """Sample a reward per query from ``dist`` under ``seed`` and run, in ``dist``'s units."""
-    rng = np.random.default_rng(seed)
-    rewards = sample_array(dist, rng, instance.total_queries)
+    seed = _positive(seed, "seed", least=0)
+    rewards = sample_array(dist, np.random.default_rng(seed), instance.total_queries)
     return run_rewards(instance, policy, penalty, rewards, seed=seed)

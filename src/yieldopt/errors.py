@@ -51,10 +51,6 @@ class InfeasibleDecay(YieldOptError, ValueError):
     """Quantile grid too coarse: a per-step decay factor would go negative."""
 
 
-class TooManyThresholds(YieldOptError, ValueError):
-    """Exhaustive threshold enumeration requested for too large a support."""
-
-
 class NonIntegralGroupSize(YieldOptError, ValueError):
     """Supply factor times per-advertiser demand is not an integer."""
 
@@ -109,6 +105,8 @@ def _positive(value, what: str, least: int = 1) -> int:
 
 
 def _finite(value) -> bool:
+    if isinstance(value, np.complexfloating):  # float() would drop the imaginary part
+        return False
     try:
         return math.isfinite(value)
     except (TypeError, OverflowError):
@@ -123,7 +121,7 @@ def _reals(values, what: str, error: type = DomainError) -> np.ndarray:
     """
     try:
         arr = values if isinstance(values, np.ndarray) else np.asarray(_sequence(values, what))
-        if arr.dtype == object and all(map(math.isfinite, arr)):
+        if arr.dtype == object and all(map(_finite, arr)):
             arr = arr.astype(float)
         out = arr.astype(float, copy=False) if arr.dtype.kind in "biuf" else None
     except (TypeError, ValueError, OverflowError):  # DomainError is a ValueError

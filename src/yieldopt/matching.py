@@ -92,7 +92,9 @@ def perturbed_greedy(
     break toward the smallest advertiser id.  This is the per-instance
     reference that :func:`trial_weights` reproduces bit for bit.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = seed
+    if not isinstance(rng, np.random.Generator):
+        rng = np.random.default_rng(_positive(seed, "seed", least=0))
     x = rng.random(len(instance.weights))
     psi = 1.0 - np.exp(-(1.0 - x) / instance.f)
     score = instance.weights * psi
@@ -159,7 +161,7 @@ def trial_weights(
     ``_BLOCK_ELEMENTS`` copies, so memory does not grow with ``trials``.
     """
     m, n, f = _positive(m, "m"), _positive(n, "n"), _positive(f, "supply factor")
-    trials = _positive(trials, "trials")
+    trials, seed = _positive(trials, "trials"), _positive(seed, "seed", least=0)
     copy_w = np.repeat(_advertiser_weights(m, weights), n)
     block = max(1, _BLOCK_ELEMENTS // (m * n))
     out = np.empty(trials)

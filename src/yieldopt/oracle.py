@@ -42,7 +42,7 @@ class RealizedInstance:
 def sample_realized(
     instance: Instance, dist: RewardDistribution, seed: int
 ) -> RealizedInstance:
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_positive(seed, "seed", least=0))
     rewards = sample_array(dist, rng, instance.total_queries)
     return RealizedInstance(instance, tuple(rewards))
 

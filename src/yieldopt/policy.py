@@ -11,7 +11,8 @@ the query.  This module computes those thresholds:
   and in its exact large-``t`` closed form (``ub_continuous``),
 * the exact maximizer of that objective for any support size, a
   water-filling closed form that generalizes the binary one, plus an
-  exhaustive grid oracle used in tests.
+  exact grid oracle, a backward recursion over grid thresholds, used to
+  check it.
 
 All operations are pure functions of immutable inputs and safe to run in
 parallel across parameter grids.
@@ -21,16 +22,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
-from itertools import combinations_with_replacement
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 from numpy.typing import ArrayLike
 
 from .dist import RewardDistribution, cond_mean_below, normalize, validate
-from .errors import DomainError, InfeasibleDecay, TooManyThresholds, _integer, _positive
-from .errors import _check_binary, _check_demand, _check_finite, _check_supply, _reals
+from .errors import DomainError, InfeasibleDecay, _integer, _positive
+from .errors import _check_binary, _check_demand, _check_finite, _check_supply, _finite, _reals
 
 DEFAULT_GRID = 1.0 / 200.0
 
@@ -239,6 +238,17 @@ def lb_discrete(policy: ThresholdPolicy, f: float, c: float, N: float, t: int) -
 # ---------------------------------------------------------------------------
 
 
+def _ub_terms(
+    support: Sequence[float], cum_mass: Sequence[float], c: float
+) -> Tuple[float, np.ndarray, np.ndarray]:
+    # ub_continuous's decomposition: the mean reward, and per segment v the
+    # coefficient a_v = m_{d+1-v} (c - r_{d+1-v}) and weight 1/q_{d+1-v}.
+    support = np.asarray(support, dtype=float)
+    cum = np.asarray(cum_mass, dtype=float)
+    masses = np.diff(cum, prepend=0.0)
+    return float(masses @ support), (masses * (c - support))[::-1], 1.0 / cum[::-1]
+
+
 def _ub_value(
     support: Sequence[float],
     cum_mass: Sequence[float],
@@ -248,19 +258,12 @@ def _ub_value(
     N: float,
 ) -> np.ndarray:
     # Raw-array core of ub_continuous: one objective per threshold vector,
-    # a row of ``thresholds``.  The grid oracle and the refinement-invariance
-    # property test call it directly.
-    support = np.asarray(support, dtype=float)
-    cum = np.asarray(cum_mass, dtype=float)
-    masses = np.diff(cum, prepend=0.0)
+    # a row of ``thresholds``.  Tests call it directly on batches.
+    mean, coefs, inv_q = _ub_terms(support, cum_mass, c)
     diffs = np.diff(np.asarray(thresholds, dtype=float), prepend=0.0, axis=-1)
-    # X_k = sum_{j<=k} (s_j - s_{j-1}) / (f q_{d+1-j})
-    inv_q = 1.0 / cum[::-1]
+    # X_v = sum_{j<=v} (s_j - s_{j-1}) / (f q_{d+1-j})
     X = np.cumsum(diffs * inv_q, axis=-1) / f
-    # segment v term pairs with atom d+1-v
-    coefs = (masses * (c - support))[::-1]
-    base = -c * N + f * N * float(masses @ support)
-    return base + f * N * ((1.0 - np.exp(-X)) @ coefs)
+    return -c * N + f * N * mean + f * N * ((1.0 - np.exp(-X)) @ coefs)
 
 
 def ub_continuous(
@@ -314,21 +317,15 @@ def optimize_thresholds_exact(dist: RewardDistribution, f: float, c: float) -> T
 
 
 def _grid_values(grid: float) -> np.ndarray:
-    if not 0.0 < grid < 1.0:
-        raise DomainError(f"grid step must be in (0, 1), got {grid}")
+    if not (_finite(grid) and 0.0 < grid < 1.0):
+        raise DomainError(f"grid step must be in (0, 1), got {grid!r}")
+    grid = float(grid)
     n = int(math.floor(1.0 / grid + 1e-9))
     values = np.arange(n + 1) * grid
     if values[-1] < 1.0 - 1e-12:
         values = np.append(values, 1.0)
     values[-1] = 1.0
     return values
-
-
-@lru_cache(maxsize=8)
-def _monotone_combos(ny: int, k: int) -> np.ndarray:
-    return np.array(
-        list(combinations_with_replacement(range(ny), k)), dtype=np.int32
-    ).reshape(-1, k)
 
 
 def optimize_thresholds_grid(
@@ -338,36 +335,35 @@ def optimize_thresholds_grid(
     N: float = 1.0,
     grid: float = DEFAULT_GRID,
 ) -> ThresholdPolicy:
-    """Exhaustive enumeration of monotone grid threshold vectors (d <= 4).
+    """Exact optimum of ``ub_continuous`` over monotone grid threshold vectors.
 
-    Exact grid optimum of ``ub_continuous``; independent test oracle for
-    :func:`optimize_thresholds_exact`.
+    An independent oracle for :func:`optimize_thresholds_exact`, for any d.
+    Maximizing the objective minimizes ``sum_v a_v exp(-X_v)``, which nests
+    as ``e_1 (a_1 + e_2 (a_2 + ...))`` with ``e_v = exp(-(s_v - s_{v-1}) w_v)``
+    and ``w_v = 1/(f q_{d+1-v})``: one backward pass picks the best
+    ``s_v >= s_{v-1}`` for every grid value of ``s_{v-1}``, the smallest on a
+    tie, so the result is the first optimum in lexicographic order.  Each
+    ``e_v`` is computed whole: the factored ``exp(s_{v-1} w_v) exp(-s_v w_v)``
+    overflows or cancels at large ``w_v``.  O(d |grid|^2) time.
     """
     checked = _require_normalized(dist, f, c, N)
-    d = checked.d
-    if d > 4:
-        raise TooManyThresholds(f"exhaustive search limited to d <= 4, got {d}")
-    if d == 1:
-        return ThresholdPolicy((1.0,), checked)
     ys = _grid_values(grid)
-    combos = _monotone_combos(len(ys), d - 1)
-
-    best_val = -np.inf
-    best_row: Optional[np.ndarray] = None
-    # A chunk's temporaries are freed when _ub_value returns; at 50k rows the
-    # allocator reuses them, at 200k it hands them back to the OS and every
-    # chunk page-faults them in again (about 14k minor faults per d = 4 call).
-    chunk = 50_000
-    for lo in range(0, len(combos), chunk):
-        block = ys[combos[lo : lo + chunk]]
-        S = np.concatenate([block, np.ones((len(block), 1))], axis=1)
-        obj = _ub_value(checked.support, checked.cum_mass, S, f, c, N)
-        i = int(np.argmax(obj))
-        if obj[i] > best_val:
-            best_val = float(obj[i])
-            best_row = S[i]
-    assert best_row is not None
-    return ThresholdPolicy(best_row, checked)  # its last entry is 1.0
+    _, a, inv_q = _ub_terms(checked.support, checked.cum_mass, c)
+    w = inv_q / f
+    # tail[k]: the least e_v (a_v + e_{v+1} (a_{v+1} + ...)) given s_{v-1} = ys[k]
+    tail = a[-1] * np.exp((ys - 1.0) * w[-1])  # v = d, where s_d = 1
+    picks = []
+    for v in range(checked.d - 1, 0, -1):
+        gap = np.subtract.outer(ys if v > 1 else ys[:1], ys)  # s_{v-1} - s_v, with s_0 = 0
+        cost = np.exp(np.minimum(gap, 0.0) * w[v - 1]) * (a[v - 1] + tail)
+        cost[gap > 0.0] = np.inf
+        picks.append(cost.argmin(axis=1))
+        tail = cost.min(axis=1)
+    k, thresholds = 0, []
+    for pick in reversed(picks):
+        k = pick[k]
+        thresholds.append(ys[k])
+    return ThresholdPolicy((*thresholds, 1.0), checked)
 
 
 def make_policy(

@@ -122,7 +122,7 @@ def best_achievable_reward(
     in original units.  ``method="exact"`` uses the closed-form solver behind
     :func:`make_policy`; ``method="grid"`` takes the optimum of
     :func:`optimize_thresholds_grid` over the ``DEFAULT_GRID``-spaced
-    threshold vectors (d <= 4), an independent check of the exact solver.
+    threshold vectors, an independent check of the exact solver.
     """
     if method == "exact":
         _, objective, offset = make_policy(dist, penalty, f, N=N)

@@ -18,7 +18,7 @@ LIMITS = {
     "matching-ratio": 60.0,
     "opt-concentration": 60.0,
     "supply-recovery": 10.0,
-    "worstcase-fixed-mean": 120.0,
+    "worstcase-fixed-mean": 10.0,
 }
 
 

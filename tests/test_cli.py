@@ -376,13 +376,23 @@ class TestOtherCommands:
             ("oracle", "--mode", "beta", "--dist", BINARY_JSON, "--thresholds", '["0.3", 1.0]'),
             ("oracle", "--mode", "beta", "--dist", BINARY_JSON, "--thresholds", "[0.3, null]"),
             ("oracle", "--mode", "beta", "--dist", BINARY_JSON, "--thresholds", "not json"),
+            (
+                "simulate", "--instance", json.dumps(BOTTLENECK),
+                "--dist", BINARY_JSON, "--penalty", "1", "--seed", "-1",
+            ),
+            (
+                "oracle", "--mode", "opt-exact", "--instance", json.dumps(BOTTLENECK),
+                "--dist", BINARY_JSON, "--seed", "-1",
+            ),
+            ("matching", "--m", "3", "--supply", "2", "--trials", "2", "--seed", "-1"),
         ],
         ids=["ratio-nan", "ratio-zero-penalty", "opt-formula-inf", "opt-formula-demand-nan", "gen-nan", "gen-complete-inf",
              "simulate-declared-supply", "opt-formula-no-dist", "opt-exact-no-instance",
              "online-exact-no-instance", "beta-no-thresholds", "beta-thresholds-not-numbers",
              "beta-thresholds-not-list", "online-exact-penalty-nan", "online-exact-penalty-inf",
              "gen-negative-seed", "simulate-seed-not-integer", "beta-thresholds-strings",
-             "beta-thresholds-null", "beta-thresholds-not-json"],
+             "beta-thresholds-null", "beta-thresholds-not-json", "simulate-negative-seed",
+             "opt-exact-negative-seed", "matching-negative-seed"],
     )
     def test_bad_supply_exits_2(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from yieldopt.dist import RewardDistribution, cond_mean_below, normalize, top_quantile_mean, validate
-from yieldopt.engine import AllocationState, finalize, run_rewards, serve_query, serve_query_multi_exchange
+from yieldopt.engine import AllocationState, finalize, run_instance, run_rewards, serve_query, serve_query_multi_exchange
 from yieldopt.errors import DomainError, MalformedDistribution, NonIntegralGroupSize
 from yieldopt.errors import _finite, _integer, _integers, _reals
 from yieldopt.instances import (
@@ -20,7 +20,14 @@ from yieldopt.instances import (
     gen_upper_triangular,
     supply_factor,
 )
-from yieldopt.matching import MatchingInstance, guarantee, triangular_matching_instance
+from yieldopt.matching import (
+    MatchingInstance,
+    empirical_ratio,
+    guarantee,
+    perturbed_greedy,
+    trial_weights,
+    triangular_matching_instance,
+)
 from yieldopt.oracle import (
     RealizedInstance,
     adversary_lp_tight,
@@ -28,6 +35,7 @@ from yieldopt.oracle import (
     offline_opt_exact,
     offline_opt_formula,
     online_opt_bruteforce,
+    sample_realized,
 )
 from yieldopt.policy import (
     AdversaryProfile,
@@ -48,6 +56,7 @@ BINARY = RewardDistribution((0.0, 0.5), (0.5, 1.0))
 POLICY = ThresholdPolicy((0.3, 1.0), BINARY)
 PROFILE = beta_closed_form(POLICY, 2.0, 1.0, 100)
 TINY = Instance((1,), ((2, (0,)),))
+MATCH = triangular_matching_instance(2, 1, 1, np.random.default_rng(0))
 
 # every function that takes a supply factor f, a total demand N, a penalty c,
 # an offset, a binary q or r, a resolution t, a 1-based index u, a reward
@@ -132,6 +141,12 @@ MORE_RULES = {
     ("top_quantile_mean", "p"): lambda p: top_quantile_mean(BINARY, p),
     ("worst_case_distribution", "mu"): lambda mu: worst_case_distribution(mu, 1.0, 2.0),
     ("worst_case_distribution", "c"): lambda c: worst_case_distribution(0.3, c, 2.0),
+    ("run_instance", "seed"): lambda s: run_instance(TINY, POLICY, 1.0, BINARY, s),
+    ("sample_realized", "seed"): lambda s: sample_realized(TINY, BINARY, s),
+    ("trial_weights", "seed"): lambda s: trial_weights(2, 1, 1, 2, s),
+    ("empirical_ratio", "seed"): lambda s: empirical_ratio(2, 1, 1, 2, s),
+    ("perturbed_greedy", "seed"): lambda s: perturbed_greedy(MATCH, s),
+    ("optimize_thresholds_grid", "grid"): lambda g: optimize_thresholds_grid(BINARY, 2.0, 1.0, grid=g),
 }
 BAD = {
     "f": (math.nan, math.inf, 0.5),
@@ -153,9 +168,10 @@ BAD = {
     "generator f": ("2", None, math.nan, 0.0),
     # -1 would be served as advertiser 1 if it were not rejected
     "advertiser id": (-1, 2, 1.0, "0", None),
-    "reward": ("0.3", None, math.nan, math.inf),
+    "reward": ("0.3", None, math.nan, math.inf, np.complex128(1 + 1j)),
     "p": (math.nan, -0.5, 1.5),
     "mu": (math.nan, 0.0, 1.5),
+    "grid": ("0.1", None, math.nan, 0.0, 1.0),
 }
 MESSAGE = {
     "f": "supply factor",
@@ -179,6 +195,7 @@ MESSAGE = {
     "reward": "reward must be finite",
     "p": "p must be in",
     "mu": "need 0 < mu <= c",
+    "grid": "grid step must be in",
 }
 VALID = {  # any other argument takes 2.0
     "q": 0.5,
@@ -190,6 +207,7 @@ VALID = {  # any other argument takes 2.0
     "advertiser id": 1,
     "p": 0.5,
     "mu": 0.3,
+    "grid": 0.3,
 }
 
 
@@ -207,11 +225,11 @@ def test_domain_rule(name, arg, bad):
 
 @pytest.mark.parametrize(
     "name, arg",
-    [(name, arg) for name, arg in [*sorted(RULES), *MORE_RULES] if arg in ("f", "N", "c", "offset", "q", "r", "p", "mu")],
+    [(name, arg) for name, arg in [*sorted(RULES), *MORE_RULES] if arg in ("f", "N", "c", "offset", "q", "r", "p", "mu", "grid")],
 )
 def test_real_number_rule(name, arg):
     # a value that is not a real number, or not one a float holds, is outside every real domain
-    for bad in ("2", None, 1j, 10**400):
+    for bad in ("2", None, 1j, np.complex128(1 + 1j), 10**400):
         with pytest.raises(DomainError, match=MESSAGE[arg]):
             {**RULES, **MORE_RULES}[name, arg](bad)
 
@@ -241,6 +259,7 @@ NOT_REALS = {
     "string": lambda valid: ("0.3", *valid[1:]),
     "None": lambda valid: (None, *valid[1:]),
     "complex": lambda valid: (1j, *valid[1:]),
+    "numpy-complex": lambda valid: np.array([np.complex128(1 + 1j), *map(Fraction, valid[1:])], dtype=object),
     "huge-int": lambda valid: (10**400, *valid[1:]),
     "nan": lambda valid: (math.nan, *valid[1:]),
     "inf": lambda valid: np.array([math.inf, *valid[1:]]),
@@ -322,7 +341,7 @@ class TestRealsRule:
         st.integers(-(2**63), 2**63 - 1).map(np.int64),
         st.integers(0, 2**64 - 1).map(np.uint64),
         st.floats(width=32).map(np.float32),
-        st.sampled_from(["0.5", "a", None, 1j, b"1", [0.5]]),
+        st.sampled_from(["0.5", "a", None, 1j, np.complex128(1 + 1j), np.complex64(0.5j), b"1", [0.5]]),
     )
 
     @settings(max_examples=400, deadline=None)

@@ -1,4 +1,5 @@
 import math
+from itertools import combinations_with_replacement
 
 import numpy as np
 import pytest
@@ -6,10 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from yieldopt.dist import RewardDistribution
-from yieldopt.errors import DomainError, InfeasibleDecay, TooManyThresholds
+from yieldopt.errors import DomainError, InfeasibleDecay
 from yieldopt.oracle import adversary_lp_tight, lp_residuals
 from yieldopt.policy import (
     ThresholdPolicy,
+    _grid_values,
     _ub_value,
     beta_closed_form,
     binary_threshold,
@@ -256,7 +258,7 @@ class TestUbContinuous:
             ub_continuous(thresholds, three, 2.0, 1.0, 1.0)
 
     def test_rows_match_ub_continuous(self):
-        # the grid oracle's batched call is the same objective row by row
+        # a batched call is the same objective row by row
         rng = np.random.default_rng(5)
         for d in range(1, 5):
             support = (0.0,) + tuple(np.sort(rng.uniform(0.05, 0.9, d - 1)))
@@ -275,6 +277,39 @@ class TestUbContinuous:
 def _grid_neighbours(s, eps):
     lo = math.floor(s / eps) * eps
     return {round(lo, 12), round(min(1.0, lo + eps), 12)}
+
+
+def _enumerated_grid_optimum(dist, f, c, grid):
+    """The grid oracle by enumeration: every monotone grid vector, first maximum."""
+    ys = _grid_values(grid)
+    rows = [(*row, 1.0) for row in combinations_with_replacement(ys.tolist(), dist.d - 1)]
+    rows = np.array(rows)
+    values = _ub_value(dist.support, dist.cum_mass, rows, f, c, 1.0)
+    return tuple(rows[int(np.argmax(values))].tolist())
+
+
+@st.composite
+def grid_problems(draw):
+    """A normalized problem (d <= 6) and a grid coarse enough to enumerate.
+
+    Atoms at the penalty, equal masses, f = 1 and cumulative masses down to
+    1e-9 all occur.
+    """
+    d = draw(st.integers(1, 6))
+    fine = [1 / 200] if d <= 3 else []
+    medium = [1 / 50, 1 / 20] if d <= 4 else []
+    grid = draw(st.sampled_from(fine + medium + [1 / 7, 0.3]))
+    steps = draw(st.lists(st.floats(0.01, 1.0), min_size=d - 1, max_size=d - 1))
+    support = tuple(float(v) for v in np.cumsum([0.0] + steps))
+    if draw(st.booleans()):
+        masses = np.ones(d)
+    else:
+        masses = 10.0 ** np.array(draw(st.lists(st.floats(-9.0, 0.0), min_size=d, max_size=d)))
+    cum = tuple(np.cumsum(masses)[:-1] / masses.sum()) + (1.0,)
+    at_penalty = d > 1 and draw(st.booleans())
+    c = support[-1] + (0.0 if at_penalty else draw(st.floats(0.01, 1.0)))
+    f = draw(st.one_of(st.just(1.0), st.floats(1.0, 10.0)))
+    return RewardDistribution(support, cum), f, c, grid
 
 
 class TestOptimizers:
@@ -345,12 +380,28 @@ class TestOptimizers:
         point = RewardDistribution.point_mass(0.0)
         assert optimize_thresholds_grid(point, 2.0, 1.0).thresholds == (1.0,)
 
-    def test_grid_refuses_large_support(self):
-        big = RewardDistribution(
-            (0.0, 0.1, 0.2, 0.3, 0.4), (0.2, 0.4, 0.6, 0.8, 1.0)
-        )
-        with pytest.raises(TooManyThresholds):
-            optimize_thresholds_grid(big, 2.0, 1.0)
+    def test_dp_matches_grid_oracle_beyond_four_atoms(self):
+        # the recursion has no support-size cap
+        rng = np.random.default_rng(43)
+        for d in (5, 6):
+            support = (0.0,) + tuple(np.sort(rng.uniform(0.05, 0.95, d - 1)))
+            cum = tuple(np.sort(rng.uniform(0.05, 0.95, d - 1))) + (1.0,)
+            dist = RewardDistribution(support, cum)
+            exact = optimize_thresholds_exact(dist, 2.0, 1.0)
+            grid = optimize_thresholds_grid(dist, 2.0, 1.0)
+            assert len(grid.thresholds) == d
+            v_exact = ub_continuous(exact.thresholds, dist, 2.0, 1.0, 1.0)
+            v_grid = ub_continuous(grid.thresholds, dist, 2.0, 1.0, 1.0)
+            assert v_exact >= v_grid - 1e-12
+
+    def test_grid_ties_go_to_the_smallest_threshold(self):
+        # a_1 = 0 (top atom at the penalty) and weights of 5e8 and 1e9 make
+        # every row with s_1 < s_2 < 1 score exactly the same: the first such
+        # row in lexicographic order is returned, as the enumeration does
+        tied = RewardDistribution((0.0, 0.5, 1.0), (1e-9, 2e-9, 1.0))
+        want = (0.0, 0.005, 1.0)
+        assert _enumerated_grid_optimum(tied, 1.0, 1.0, 1 / 200) == want
+        assert optimize_thresholds_grid(tied, 1.0, 1.0).thresholds == want
 
     def test_dp_deterministic(self):
         d3 = RewardDistribution((0.0, 0.4, 0.9), (0.3, 0.7, 1.0))
@@ -386,6 +437,22 @@ class TestOptimizers:
         top = float(np.max(grad[y > 0.0]))
         assert np.all(np.abs(grad[y > 0.0] - top) <= 1e-9 * top)
         assert np.all(grad[y == 0.0] <= top * (1.0 + 1e-9))
+
+    @settings(max_examples=200, deadline=None)
+    @given(data=grid_problems())
+    def test_grid_recursion_matches_enumeration(self, data):
+        dist, f, c, grid = data
+        got = optimize_thresholds_grid(dist, f, c, grid=grid).thresholds
+        want = _enumerated_grid_optimum(dist, f, c, grid)
+        if got != want:
+            # The enumeration sums every segment's term before comparing rows,
+            # so a difference below the rounding of that sum (a term such as
+            # a_v exp(-X_v) with a tiny mass or a large X_v) ties its rows and
+            # it keeps the first.  The recursion compares each subproblem on
+            # its own scale and can tell such rows apart; it may then return
+            # a different row, but one the enumeration scored exactly the same.
+            values = _ub_value(dist.support, dist.cum_mass, np.array([got, want]), f, c, 1.0)
+            assert values[0] == values[1]
 
 
 class TestLpTightness:
