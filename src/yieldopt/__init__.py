@@ -30,12 +30,10 @@ from .engine import (
     run_instance,
     run_rewards,
     serve_query,
-    serve_query_multi_exchange,
 )
 from .errors import (
     DomainError,
     InfeasibleDecay,
-    MalformedBidSet,
     MalformedDistribution,
     NonIntegralGroupSize,
     RewardExceedsPenalty,

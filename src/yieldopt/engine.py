@@ -48,7 +48,7 @@ from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
 import numpy as np
 
 from .dist import RewardDistribution, sample_array
-from .errors import DomainError, MalformedBidSet
+from .errors import DomainError
 from .errors import _check_finite, _check_rewards, _finite, _integers, _positive, _sequence
 from .instances import Instance
 from .policy import ThresholdPolicy
@@ -108,12 +108,11 @@ class Decision(NamedTuple):
     """Outcome of a single query: contract target or exchange, with context.
 
     An immutable named tuple: fields read by name, and it also unpacks,
-    indexes and compares like a plain tuple of its five fields.
+    indexes and compares like a plain tuple of its four fields.
     """
 
     kind: str  # "contract" | "exchange"
     advertiser: Optional[int] = None
-    exchange_id: Optional[int] = None
     reserve: Optional[float] = None
     min_sr_advertiser: Optional[int] = None
 
@@ -136,36 +135,6 @@ class RunReport:
         return sum(self.delivered) / sum(self.demands)
 
 
-def _route(
-    state: AllocationState, policy: ThresholdPolicy, eligible: Iterable[int]
-) -> Tuple[Optional[int], Optional[float]]:
-    # The threshold rule's target and reserve, both found exactly.  The target
-    # is the eligible id of least rank, the first one met on a tie (ranks of
-    # distinct ids differ): smallest SR, ties toward the smallest id.  Its
-    # reserve is that of the first segment u with k <= cut_u, found by
-    # bisection since the cutoffs are non-decreasing.  The reserve is None
-    # when no eligible advertiser can take the query (none, or saturated).
-    # A negative id -j reads rank[m - j]: unless it is the target, the target
-    # is the valid ids' own, and when it is, the query is rejected.
-    rank = state.rank
-    best, least = None, math.inf
-    try:
-        for a in eligible:
-            r = rank[a]
-            if r < least:
-                best, least = a, r
-    except (TypeError, IndexError) as exc:
-        raise DomainError(f"advertiser ids must be integers in 0..{len(rank) - 1}: {exc}") from exc
-    if best is None:
-        return None, None
-    if best < 0:
-        raise DomainError(f"advertiser ids must be integers in 0..{len(rank) - 1}, got {best}")
-    k, n = state.delivered[best], state.demands[best]
-    if k == n:
-        return best, None
-    return best, policy.reserves[bisect_left(policy.cutoffs(n), k)]
-
-
 # Decision's fields in order, built by one C call (tuple.__new__) instead of
 # NamedTuple's keyword __new__
 _decision = partial(tuple.__new__, Decision)
@@ -183,7 +152,7 @@ def serve_query(
     reward is read as a float, as :func:`run_rewards` reads it.  Raises
     ``DomainError``, leaving ``state`` as it was, on a reward that is not a
     finite real number and on an id that is not an integer in ``0..m-1``
-    (a negative id only when it would be the target).
+    (a negative id or a bool only when it would be the target).
     """
     if type(reward) is float:  # checked inline: errors._finite costs every query a call
         finite = math.isfinite(reward)
@@ -192,46 +161,35 @@ def serve_query(
         reward = float(reward) if finite else reward  # the float64 run_rewards compares and sums
     if not finite:
         raise DomainError(f"reward must be finite, got {reward!r}")
-    a, reserve = _route(state, policy, eligible)
+    # The target is the eligible id of least rank, the first one met on a tie
+    # (ranks of distinct ids differ): smallest SR, ties toward the smallest id.
+    # Its reserve is that of the first segment u with k <= cut_u, found by
+    # bisection since the cutoffs are non-decreasing; it stays None when no
+    # eligible advertiser can take the query (none, or saturated).  A negative
+    # id -j reads rank[m - j], and a bool rank[0] or rank[1]: unless it is the
+    # target, the target is the valid ids' own, and when it is, the query is
+    # rejected.
+    rank = state.rank
+    best, least, reserve = None, math.inf, None
+    try:
+        for a in eligible:
+            r = rank[a]
+            if r < least:
+                best, least = a, r
+    except (TypeError, IndexError) as exc:
+        raise DomainError(f"advertiser ids must be integers in 0..{len(rank) - 1}: {exc}") from exc
+    if best is not None:
+        if best < 0 or type(best) is bool:
+            raise DomainError(f"advertiser ids must be integers in 0..{len(rank) - 1}, got {best}")
+        k, n = state.delivered[best], state.demands[best]
+        if k < n:
+            reserve = policy.reserves[bisect_left(policy.cutoffs(n), k)]
     state.queries += 1
     if reserve is not None and reward <= reserve:
-        _deliver(state, a)
-        return _decision(("contract", a, None, reserve, a))
+        _deliver(state, best)
+        return _decision(("contract", best, reserve, best))
     state.exchange_revenue += reward
-    return _decision(("exchange", None, None, reserve, a))
-
-
-def serve_query_multi_exchange(
-    state: AllocationState,
-    policy: ThresholdPolicy,
-    eligible: Iterable[int],
-    bids: Sequence[Tuple[int, bool, bool]],
-) -> Decision:
-    """Route one query given only per-exchange comparison outcomes.
-
-    ``bids`` holds ``(exchange_id, clears_reserve, is_highest)`` triples; at
-    most one bid may be flagged highest.  The same reserve is broadcast to
-    every exchange, the highest bidder that clears it wins, otherwise the
-    least-satisfied contract gets the impression.  Exchange revenue is not
-    tracked here: the exact bid value is intentionally unknown.  Rejects the
-    eligible ids :func:`serve_query` rejects, leaving ``state`` as it was.
-    """
-    highest = [b[0] for b in bids if b[2]]
-    if len(highest) > 1:
-        raise MalformedBidSet(f"multiple bids flagged highest: {highest}")
-    a, reserve = _route(state, policy, eligible)
-    state.queries += 1
-    if reserve is None:
-        winner = highest[0] if highest else None
-        return Decision(kind="exchange", exchange_id=winner, min_sr_advertiser=a)
-    clearing = [b[0] for b in bids if b[1]]
-    if clearing:
-        winner = highest[0] if highest and highest[0] in clearing else min(clearing)
-        return Decision(
-            kind="exchange", exchange_id=winner, reserve=reserve, min_sr_advertiser=a
-        )
-    _deliver(state, a)
-    return Decision(kind="contract", advertiser=a, reserve=reserve, min_sr_advertiser=a)
+    return _decision(("exchange", None, reserve, best))
 
 
 def finalize(

@@ -3,20 +3,23 @@
 Every error is a :class:`YieldOptError`, and every subclass is also a
 ``ValueError``: :class:`DomainError` for an input outside its domain,
 :class:`MalformedDistribution` for a bad reward distribution, and one type
-per refused computation.  Each input rule below is written once and called
-by every public function taking that input; each raises ``DomainError``.
+per refused computation: :class:`RewardExceedsPenalty`,
+:class:`InfeasibleDecay`, :class:`NonIntegralGroupSize` and
+:class:`SizeLimit`.  Each input rule below is written once and called by
+every public function taking that input; each raises ``DomainError``.  No
+rule takes a bool (``bool`` or ``numpy.bool_``) for a number.
 ``_integer``: an integer (``3.0`` passes; ``3.9``, NaN and inf do not);
 ``_sequence``: an iterable, as a list (demands, delivered counts, groups);
 ``_integers``: ``_integer`` applied to every value of a sequence (demands,
-ids); ``_positive``: one >= 1, or >= ``least`` (a count; a seed, >= 0; a
-resolution ``t``, >= 2 for ``adversary_lp_tight``); ``_finite``: whether a
-value is a finite real number, False for a string, ``None``, a complex
-number or an int beyond float range; ``_reals``: ``_finite`` applied to
-every value of a sequence, as a float64 array (support, masses, thresholds,
-beta, rewards, weights); ``_check_finite``: a finite scalar (penalty,
-offset); ``_check_supply``: a supply factor, finite and >= 1;
-``_check_demand``: a total demand, finite and > 0;
-``_check_rewards``: ``_reals`` with one reward per query;
+ids); ``_positive``: one >= 1, or >= ``least`` (a count; a seed or a sample
+size, >= 0; a resolution ``t``, >= 2 for ``adversary_lp_tight``);
+``_finite``: whether a value is a finite real number, False for a string,
+``None``, a bool, a complex number or an int beyond float range;
+``_reals``: ``_finite`` applied to every value of a sequence, as a float64
+array (support, masses, thresholds, beta, rewards, weights);
+``_check_finite``: a finite scalar (penalty, offset); ``_check_supply``: a
+supply factor, finite and >= 1; ``_check_demand``: a total demand, finite
+and > 0; ``_check_rewards``: ``_reals`` with one reward per query;
 ``_check_binary``: ``0 < q < 1`` and ``r`` finite and >= 0 (each caller
 bounds ``r`` by ``c`` itself).
 """
@@ -59,17 +62,17 @@ class SizeLimit(YieldOptError, ValueError):
     """Instance too large for an exact oracle computation."""
 
 
-class MalformedBidSet(YieldOptError, ValueError):
-    """Multi-exchange bid set flags more than one highest bidder."""
+# the types of a bool: Python and numpy read one as the number 0 or 1
+_BOOLS = frozenset((bool, np.bool_))
 
 
 def _integer(value, what: str) -> int:
-    """``value`` as an int; integral floats pass, fractions and non-numbers raise."""
+    """``value`` as an int; integral floats pass, fractions, bools and non-numbers raise."""
     try:
         as_int = int(value)
     except (TypeError, ValueError, OverflowError) as exc:
         raise DomainError(f"{what} must be an integer, got {value!r}") from exc
-    if as_int != value:
+    if as_int != value or type(value) in _BOOLS:
         raise DomainError(f"{what} must be an integer, got {value!r}")
     return as_int
 
@@ -92,7 +95,7 @@ def _integers(values, what: str) -> list[int]:
         as_ints = list(map(int, values))
     except (TypeError, ValueError, OverflowError):
         as_ints = None
-    if as_ints != values:
+    if as_ints != values or not _BOOLS.isdisjoint(map(type, values)):
         as_ints = [_integer(v, what) for v in values]
     return as_ints
 
@@ -105,7 +108,8 @@ def _positive(value, what: str, least: int = 1) -> int:
 
 
 def _finite(value) -> bool:
-    if isinstance(value, np.complexfloating):  # float() would drop the imaginary part
+    # float() would read a bool as 0 or 1 and drop a complex number's imaginary part
+    if type(value) in _BOOLS or isinstance(value, np.complexfloating):
         return False
     try:
         return math.isfinite(value)
@@ -117,13 +121,19 @@ def _reals(values, what: str, error: type = DomainError) -> np.ndarray:
     """``_finite`` of every value, as a 1-D float64 array; raises ``error`` naming ``what``.
 
     Any iterable passes whose values ``_finite`` accepts; nested sequences
-    do not.  Checked in C, and a float64 array is returned uncopied.
+    do not.  Checked in C, and a float64 array is returned uncopied.  numpy
+    would read a bool among numbers as 0 or 1, so a sequence holding one is
+    read as objects, value by value.
     """
     try:
-        arr = values if isinstance(values, np.ndarray) else np.asarray(_sequence(values, what))
+        if isinstance(values, np.ndarray):
+            arr = values
+        else:
+            seq = _sequence(values, what)
+            arr = np.asarray(seq, dtype=None if _BOOLS.isdisjoint(map(type, seq)) else object)
         if arr.dtype == object and all(map(_finite, arr)):
             arr = arr.astype(float)
-        out = arr.astype(float, copy=False) if arr.dtype.kind in "biuf" else None
+        out = arr.astype(float, copy=False) if arr.dtype.kind in "iuf" else None
     except (TypeError, ValueError, OverflowError):  # DomainError is a ValueError
         out = None
     if out is None or out.ndim != 1 or not np.isfinite(out).all():

@@ -25,7 +25,7 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import DomainError, _check_supply, _positive, _reals
+from .errors import DomainError, _check_supply, _integers, _positive, _reals, _sequence
 
 # Copies per working array in one block of trials; bounds trial_weights'
 # memory independently of the trial count.
@@ -48,14 +48,30 @@ def _advertiser_weights(m: int, weights: Optional[Sequence[float]]) -> np.ndarra
 
 @dataclass(frozen=True, eq=False)
 class MatchingInstance:
-    """Unit-demand advertisers (originals split into copies) plus query groups."""
+    """Unit-demand advertisers (originals split into copies) plus query groups.
+
+    Raises ``DomainError`` unless each group is a pair of a query count, an
+    integer >= 0, and eligible copy ids, integers in ``0..len(weights)-1``.
+    """
 
     weights: np.ndarray  # weight per unit copy
     groups: Tuple[Tuple[int, np.ndarray], ...]  # (query count, eligible copy ids)
     f: int
 
     def __post_init__(self):
-        object.__setattr__(self, "weights", _reals(self.weights, "weights"))
+        weights = _reals(self.weights, "weights")
+        groups = []
+        for i, group in enumerate(_sequence(self.groups, "groups")):
+            try:
+                count, elig = group
+            except (TypeError, ValueError) as exc:
+                raise DomainError(f"group {i} must be a (count, eligible copy ids) pair, got {group!r}") from exc
+            ids = _integers(elig, "copy id")
+            if ids and (min(ids) < 0 or max(ids) >= len(weights)):
+                raise DomainError(f"copy ids must be in 0..{len(weights) - 1}, got {ids}")
+            groups.append((_positive(count, "group count", least=0), np.array(ids, dtype=np.intp)))
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "groups", tuple(groups))
         object.__setattr__(self, "f", _positive(self.f, "supply factor"))
 
 
@@ -102,7 +118,7 @@ def perturbed_greedy(
     matched = 0.0
     for count, elig in instance.groups:
         sub = avail[elig]
-        for _ in range(count):
+        for _ in range(min(count, len(elig))):  # each copy is matched at most once
             j = int(np.argmax(sub))
             if sub[j] == -np.inf:
                 break

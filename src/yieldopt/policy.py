@@ -28,7 +28,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .dist import RewardDistribution, cond_mean_below, normalize, validate
-from .errors import DomainError, InfeasibleDecay, _integer, _positive
+from .errors import _BOOLS, DomainError, InfeasibleDecay, _integer, _positive
 from .errors import _check_binary, _check_demand, _check_finite, _check_supply, _finite, _reals
 
 DEFAULT_GRID = 1.0 / 200.0
@@ -92,10 +92,12 @@ class ThresholdPolicy:
         for ``s_u = 1``, and non-decreasing in ``u``.  Raises ``DomainError``
         unless ``n`` is an integer >= 1.
         """
-        try:
-            return self._cuts[n]
-        except (KeyError, TypeError):
-            n = _positive(n, "demand")
+        if type(n) not in _BOOLS:  # True == 1 would find demand 1's cutoffs
+            try:
+                return self._cuts[n]
+            except (KeyError, TypeError):
+                pass
+        n = _positive(n, "demand")
         ratios = map(float.as_integer_ratio, self.thresholds)
         cut = self._cuts[n] = tuple((p * n - 1) // q for p, q in ratios)
         return cut

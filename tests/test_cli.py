@@ -385,6 +385,10 @@ class TestOtherCommands:
                 "--dist", BINARY_JSON, "--seed", "-1",
             ),
             ("matching", "--m", "3", "--supply", "2", "--trials", "2", "--seed", "-1"),
+            (
+                "simulate", "--instance", json.dumps({**BOTTLENECK, "demands": [True, 1]}),
+                "--dist", BINARY_JSON, "--penalty", "1", "--seed", "1",
+            ),
         ],
         ids=["ratio-nan", "ratio-zero-penalty", "opt-formula-inf", "opt-formula-demand-nan", "gen-nan", "gen-complete-inf",
              "simulate-declared-supply", "opt-formula-no-dist", "opt-exact-no-instance",
@@ -392,12 +396,20 @@ class TestOtherCommands:
              "beta-thresholds-not-list", "online-exact-penalty-nan", "online-exact-penalty-inf",
              "gen-negative-seed", "simulate-seed-not-integer", "beta-thresholds-strings",
              "beta-thresholds-null", "beta-thresholds-not-json", "simulate-negative-seed",
-             "opt-exact-negative-seed", "matching-negative-seed"],
+             "opt-exact-negative-seed", "matching-negative-seed", "simulate-bool-demand"],
     )
     def test_bad_supply_exits_2(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == "DomainError"
+
+    def test_bool_support_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "thresholds", "--dist", '{"support": [false, true], "cum_mass": [0.5, 1.0]}',
+            "--penalty", "1", "--supply", "2",
+        )
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "MalformedDistribution"
 
     def test_infinite_penalty_exits_2(self, capsys):
         code, out, err = run_cli(

@@ -14,9 +14,8 @@ from yieldopt.engine import (
     run_instance,
     run_rewards,
     serve_query,
-    serve_query_multi_exchange,
 )
-from yieldopt.errors import DomainError, MalformedBidSet
+from yieldopt.errors import DomainError
 from yieldopt.instances import Instance, gen_upper_triangular
 from yieldopt.policy import ThresholdPolicy, make_policy
 
@@ -102,11 +101,9 @@ class TestServeQuery:
     def test_bad_id_or_reward_leaves_state_unchanged(self):
         # the id and reward rules are rows of test_domain_rule
         state = state_with([2, 2], [1, 0])
-        for eligible in ([0, 2], [1.0], [-1], 5):
+        for eligible in ([0, 2], [1.0], [-1], [True], 5):
             with pytest.raises(DomainError, match="advertiser ids must be integers in 0..1"):
                 serve_query(state, BPOL, eligible, 0.0)
-            with pytest.raises(DomainError, match="advertiser ids must be integers in 0..1"):
-                serve_query_multi_exchange(state, BPOL, eligible, [(0, False, True)])
         for reward in ("0.3", None):
             with pytest.raises(DomainError, match="reward must be finite"):
                 serve_query(state, BPOL, [0], reward)
@@ -150,54 +147,11 @@ class TestServeQuery:
                 )
 
 
-class TestMultiExchange:
-    def test_no_exchange_clears_goes_to_contract(self):
-        state = state_with([10], [1])
-        decision = serve_query_multi_exchange(
-            state, BPOL, [0], [(0, False, False), (1, False, True)]
-        )
-        assert decision.kind == "contract" and decision.advertiser == 0
-
-    def test_single_clearing_exchange_wins(self):
-        state = state_with([10], [5])
-        decision = serve_query_multi_exchange(
-            state, BPOL, [0], [(0, False, False), (1, True, True)]
-        )
-        assert decision.kind == "exchange" and decision.exchange_id == 1
-
-    def test_saturated_goes_to_highest_regardless(self):
-        state = state_with([2], [2])
-        decision = serve_query_multi_exchange(
-            state, BPOL, [0], [(0, False, False), (1, False, True)]
-        )
-        assert decision.kind == "exchange" and decision.exchange_id == 1
-
-    def test_multiple_highest_flags_rejected(self):
-        state = state_with([2], [0])
-        with pytest.raises(MalformedBidSet):
-            serve_query_multi_exchange(state, BPOL, [0], [(0, True, True), (1, True, True)])
-
-    def test_agrees_with_single_exchange_encoding(self):
-        rng = np.random.default_rng(9)
-        for _ in range(50):
-            delivered = int(rng.integers(0, 11))
-            reward = float(rng.choice([0.0, 0.5]))
-            s1 = state_with([10], [delivered])
-            s2 = state_with([10], [delivered])
-            d1 = serve_query(s1, BPOL, [0], reward)
-            clears = d1.reserve is not None and reward > d1.reserve
-            d2 = serve_query_multi_exchange(s2, BPOL, [0], [(0, clears, True)])
-            assert d1.kind == d2.kind
-            assert s1.delivered == s2.delivered
-
-
 class TestDecision:
     def test_named_tuple_fields_and_defaults(self):
-        assert Decision._fields == (
-            "kind", "advertiser", "exchange_id", "reserve", "min_sr_advertiser"
-        )
-        assert Decision("exchange") == ("exchange", None, None, None, None)
-        kind, advertiser, _, reserve, min_sr = serve_query(
+        assert Decision._fields == ("kind", "advertiser", "reserve", "min_sr_advertiser")
+        assert Decision("exchange") == ("exchange", None, None, None)
+        kind, advertiser, reserve, min_sr = serve_query(
             state_with([10], [1]), BPOL, [0], reward=0.5
         )
         assert (kind, advertiser, reserve, min_sr) == ("contract", 0, 0.5, 0)
@@ -221,22 +175,6 @@ class TestDecision:
     )
     def test_serve_query_fields(self, demands, delivered, eligible, reward, expected):
         assert serve_query(state_with(demands, delivered), BPOL, eligible, reward) == expected
-
-    @pytest.mark.parametrize(
-        "delivered, bids, expected",
-        [
-            (5, [(0, False, False), (1, True, True)],
-             Decision("exchange", exchange_id=1, reserve=0.0, min_sr_advertiser=0)),
-            (1, [(0, False, False), (1, False, True)],
-             Decision("contract", advertiser=0, reserve=0.5, min_sr_advertiser=0)),
-            (10, [(0, False, False), (1, False, True)],
-             Decision("exchange", exchange_id=1, min_sr_advertiser=0)),
-        ],
-        ids=["exchange-winner", "contract", "saturated"],
-    )
-    def test_multi_exchange_fields(self, delivered, bids, expected):
-        state = state_with([10], [delivered])
-        assert serve_query_multi_exchange(state, BPOL, [0], bids) == expected
 
 
 class TestFinalize:
@@ -518,19 +456,12 @@ def serving_cases(draw):
         for n in demands
     ]
     rewards = st.sampled_from(support + (0.15, 0.45, 0.9))
-    bids = st.lists(st.tuples(st.integers(0, 3), st.booleans()), max_size=3)
-    step = st.tuples(
-        st.lists(st.integers(0, m - 1), max_size=m + 2),
-        st.sampled_from(sorted(FORMS)),
-        rewards,
-        bids,
-        st.integers(0, 3),
-    )
+    step = st.tuples(st.lists(st.integers(0, m - 1), max_size=m + 2), st.sampled_from(sorted(FORMS)), rewards)
     return tuple(demands), delivered, policy, draw(st.lists(step, min_size=1, max_size=25))
 
 
 class TestServingRule:
-    """``serve_query`` and ``serve_query_multi_exchange`` against the Fraction reference."""
+    """``serve_query`` against the Fraction reference."""
 
     @settings(max_examples=200, deadline=None)
     @given(case=serving_cases())
@@ -538,37 +469,16 @@ class TestServingRule:
         demands, delivered, policy, steps = case
         state = AllocationState(demands, delivered)
         assert state.rank == recomputed_ranks(state)
-        for ids, form, reward, _, _ in steps:
+        for ids, form, reward in steps:
             a, reserve = reference_route(demands, state.delivered, policy, ids)
             expected = list(state.delivered)
             decision = serve_query(state, policy, FORMS[form](ids), reward)
             assert type(decision) is Decision
             if reserve is not None and reward <= reserve:
-                assert decision == Decision("contract", a, None, reserve, a)
+                assert decision == Decision("contract", a, reserve, a)
                 expected[a] += 1
             else:
-                assert decision == Decision("exchange", None, None, reserve, a)
-            assert state.delivered == expected
-            assert state.rank == recomputed_ranks(state)
-
-    @settings(max_examples=200, deadline=None)
-    @given(case=serving_cases())
-    def test_serve_query_multi_exchange(self, case):
-        demands, delivered, policy, steps = case
-        state = AllocationState(demands, delivered)
-        for ids, form, _, bids, top in steps:
-            # at most one bid flagged highest: the one at index top, if there is one
-            bids = [(x, clears, i == top) for i, (x, clears) in enumerate(bids)]
-            a, reserve = reference_route(demands, state.delivered, policy, ids)
-            expected = list(state.delivered)
-            decision = serve_query_multi_exchange(state, policy, FORMS[form](ids), bids)
-            assert type(decision) is Decision
-            assert decision.min_sr_advertiser == a and decision.reserve == reserve
-            if reserve is not None and not any(clears for _, clears, _ in bids):
-                assert decision == Decision("contract", a, None, reserve, a)
-                expected[a] += 1
-            else:
-                assert decision.kind == "exchange"
+                assert decision == Decision("exchange", None, reserve, a)
             assert state.delivered == expected
             assert state.rank == recomputed_ranks(state)
 

@@ -10,8 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from yieldopt.dist import RewardDistribution, cond_mean_below, normalize, top_quantile_mean, validate
-from yieldopt.engine import AllocationState, finalize, run_instance, run_rewards, serve_query, serve_query_multi_exchange
+from yieldopt.dist import RewardDistribution, cond_mean_below, normalize, sample_array, top_quantile_mean, validate
+from yieldopt.engine import AllocationState, finalize, run_instance, run_rewards, serve_query
 from yieldopt.errors import DomainError, MalformedDistribution, NonIntegralGroupSize
 from yieldopt.errors import _finite, _integer, _integers, _reals
 from yieldopt.instances import (
@@ -131,9 +131,6 @@ MORE_RULES = {
     ("gen_upper_triangular", "generator f"): lambda f: gen_upper_triangular(3, 2, f, 1),
     ("complete_instance", "generator f"): lambda f: complete_instance(3, 2, f),
     ("serve_query", "advertiser id"): lambda a: serve_query(AllocationState.fresh((2, 2)), POLICY, [a], 0.0),
-    ("serve_query_multi_exchange", "advertiser id"): lambda a: serve_query_multi_exchange(
-        AllocationState.fresh((2, 2)), POLICY, [a], [(0, False, True)]
-    ),
     ("serve_query", "reward"): lambda r: serve_query(AllocationState.fresh((2,)), POLICY, [0], r),
     ("ThresholdPolicy.cutoffs", "demand"): POLICY.cutoffs,
     ("RewardDistribution.binary", "q"): lambda q: RewardDistribution.binary(q, 0.5),
@@ -147,7 +144,14 @@ MORE_RULES = {
     ("empirical_ratio", "seed"): lambda s: empirical_ratio(2, 1, 1, 2, s),
     ("perturbed_greedy", "seed"): lambda s: perturbed_greedy(MATCH, s),
     ("optimize_thresholds_grid", "grid"): lambda g: optimize_thresholds_grid(BINARY, 2.0, 1.0, grid=g),
+    ("MatchingInstance", "group count"): lambda n: perturbed_greedy(MatchingInstance([1.0, 2.0], ((n, [0]),), 1), 0),
+    ("MatchingInstance", "copy id"): lambda a: perturbed_greedy(MatchingInstance([1.0, 2.0], ((1, np.array([a])),), 1), 0),
+    ("sample_array", "size"): lambda n: sample_array(BINARY, np.random.default_rng(0), n),
 }
+# a bool is not a number: these args' rows also refuse True and np.True_ (JSON
+# has only the one), in cases after all the others; the real-number args
+# refuse both in test_real_number_rule
+BOOL_ARGS = ("t", "u", "demand", "delivered", "seed", "generator f", "advertiser id", "reward", "group count", "copy id", "size")
 BAD = {
     "f": (math.nan, math.inf, 0.5),
     "N": (math.nan, math.inf, 0.0),
@@ -172,6 +176,10 @@ BAD = {
     "p": (math.nan, -0.5, 1.5),
     "mu": (math.nan, 0.0, 1.5),
     "grid": ("0.1", None, math.nan, 0.0, 1.0),
+    # -1 would serve the last copy, a count of -1 nothing
+    "group count": (-1, 1.5, math.nan, "1", None),
+    "copy id": (-1, 2, 0.5, math.nan),
+    "size": (-1, 2.5, math.nan, "3", None),
 }
 MESSAGE = {
     "f": "supply factor",
@@ -196,6 +204,9 @@ MESSAGE = {
     "p": "p must be in",
     "mu": "need 0 < mu <= c",
     "grid": "grid step must be in",
+    "group count": "group count must be an integer",
+    "copy id": "copy ids? must be",
+    "size": "size must be an integer",
 }
 VALID = {  # any other argument takes 2.0
     "q": 0.5,
@@ -208,13 +219,17 @@ VALID = {  # any other argument takes 2.0
     "p": 0.5,
     "mu": 0.3,
     "grid": 0.3,
+    "group count": 1,
+    "copy id": 1,
 }
 
 
 @pytest.mark.parametrize(
     "name, arg, bad",
     [(name, arg, bad) for name, arg in sorted(RULES) for bad in BAD[arg]]
-    + [(name, arg, bad) for name, arg in MORE_RULES for bad in BAD[arg]],
+    + [(name, arg, bad) for name, arg in MORE_RULES for bad in BAD[arg]]
+    + [(name, arg, bad) for name, arg in [*sorted(RULES), *MORE_RULES] if arg in BOOL_ARGS
+       for bad in ((True,) if name.endswith("from_json") else (True, np.True_))],
 )
 def test_domain_rule(name, arg, bad):
     call = {**RULES, **MORE_RULES}[name, arg]
@@ -229,7 +244,7 @@ def test_domain_rule(name, arg, bad):
 )
 def test_real_number_rule(name, arg):
     # a value that is not a real number, or not one a float holds, is outside every real domain
-    for bad in ("2", None, 1j, np.complex128(1 + 1j), 10**400):
+    for bad in ("2", None, 1j, np.complex128(1 + 1j), 10**400, True, np.True_):
         with pytest.raises(DomainError, match=MESSAGE[arg]):
             {**RULES, **MORE_RULES}[name, arg](bad)
 
@@ -287,7 +302,7 @@ def test_exact_values_build_their_float_spellings():
     assert RewardDistribution.from_masses([0, Fraction(1, 4), 0.75], np.array([2, 1, 1]) / 4) == tri
     assert RewardDistribution.binary(Fraction(1, 2), np.float32(0.5)) == BINARY
     assert ThresholdPolicy((np.float32(0.5), 1), BINARY) == ThresholdPolicy((0.5, 1.0), BINARY)
-    assert ThresholdPolicy(np.array([Fraction(3, 10), True], dtype=object), BINARY) == POLICY
+    assert ThresholdPolicy(np.array([Fraction(3, 10), np.int64(1)], dtype=object), BINARY) == POLICY
     assert AdversaryProfile(2, (1, Fraction(1, 4))).beta.tolist() == [1.0, 0.25]
     assert run_rewards(TINY, POLICY, 1.0, (0, Fraction(1, 2))) == run_rewards(TINY, POLICY, 1.0, (0.0, 0.5))
     assert RealizedInstance(TINY, [np.int64(0), np.float32(0.5)]) == RealizedInstance(TINY, (0.0, 0.5))
@@ -326,7 +341,10 @@ class TestIntegerRule:
 
     def test_integers_takes_any_iterable(self):
         assert _integers((2, 1.0), "id") == [2, 1]
-        assert _integers(iter([np.int64(4), True]), "id") == [4, 1]
+        assert _integers(iter([np.int64(4), 1.0]), "id") == [4, 1]
+        for flag in (True, np.True_):  # equal to 1, but no integer
+            with pytest.raises(DomainError, match="id must be an integer, got (np.)?True"):
+                _integers([1, flag], "id")
         with pytest.raises(DomainError, match="id must be an integer, got 0.5"):
             _integers((1, 0.5, "x"), "id")
 
@@ -351,6 +369,8 @@ class TestRealsRule:
             seq = form(values)
         except (ValueError, OverflowError):  # numpy refuses a ragged or huge list itself
             seq = values
+        if isinstance(seq, np.ndarray):  # the rule sees the values numpy made (a bool among numbers is 0 or 1)
+            values = seq.tolist()
         got = _outcome(_reals, seq, "values")
         if all(map(_finite, values)):
             assert got[0] == "ok" and got[1].tolist() == [float(v) for v in values]

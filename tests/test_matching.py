@@ -48,6 +48,10 @@ class TestPerturbedGreedy:
         inst = MatchingInstance(np.array([2.5]), ((1, np.array([0])),), 1)
         assert perturbed_greedy(inst, 0) == pytest.approx(2.5)
 
+    def test_group_with_no_eligible_copy_matches_nothing(self):
+        inst = MatchingInstance([2.5], ((2, []), (3, [0])), 1)
+        assert perturbed_greedy(inst, 0) == 2.5
+
     def test_scale_invariance_of_decisions(self):
         base = np.array([0.5, 1.0, 2.0, 4.0, 1.5])
         for seed in (3, 4, 5):
