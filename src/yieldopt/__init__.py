@@ -17,7 +17,6 @@ from .dist import (
     RewardDistribution,
     cond_mean_below,
     normalize,
-    sample,
     sample_array,
     top_quantile_mean,
     validate,
@@ -42,7 +41,6 @@ from .errors import (
 )
 from .instances import Instance, complete_instance, gen_upper_triangular, supply_factor
 from .matching import (
-    MatchingInstance,
     empirical_ratio,
     guarantee,
     perturbed_greedy,

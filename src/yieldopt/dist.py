@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, MalformedDistribution, RewardExceedsPenalty
 from .errors import _check_binary, _check_demand, _check_finite, _check_supply, _finite, _integer
-from .errors import _positive, _reals
+from .errors import _generator, _positive, _reals
 
 # Construction-time renormalization window for the final cumulative mass.
 _MASS_TOL = 1e-12
@@ -194,14 +194,10 @@ def top_quantile_mean(dist: RewardDistribution, p: float) -> float:
     return float(acc / p)
 
 
-def sample(dist: RewardDistribution, rng: np.random.Generator) -> float:
-    """Draw one reward; identical generator state gives identical draws."""
-    return float(sample_array(dist, rng, 1)[0])
-
-
 def sample_array(
     dist: RewardDistribution, rng: np.random.Generator, size: int
 ) -> np.ndarray:
-    u = rng.random(_positive(size, "size", least=0))
+    """``size`` rewards drawn from ``rng``; identical generator state gives identical draws."""
+    u = _generator(rng).random(_positive(size, "size", least=0))
     idx = np.searchsorted(np.asarray(dist.cum_mass), u, side="right")
     return np.asarray(dist.support, dtype=float)[idx]

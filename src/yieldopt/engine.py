@@ -49,7 +49,7 @@ import numpy as np
 
 from .dist import RewardDistribution, sample_array
 from .errors import DomainError
-from .errors import _check_finite, _check_rewards, _finite, _integers, _positive, _sequence
+from .errors import _check_finite, _check_rewards, _demands, _finite, _integers, _positive
 from .instances import Instance
 from .policy import ThresholdPolicy
 
@@ -79,9 +79,7 @@ class AllocationState:
     scale: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        demands = tuple(_positive(n, "demand") for n in _sequence(self.demands, "demands"))
-        if not demands:
-            raise DomainError("demands must not be empty")
+        demands = _demands(self.demands)
         delivered = _integers(self.delivered, "delivered count")
         if len(delivered) != len(demands):
             raise DomainError(f"expected {len(demands)} delivered counts, got {len(delivered)}")

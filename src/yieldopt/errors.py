@@ -10,9 +10,11 @@ every public function taking that input; each raises ``DomainError``.  No
 rule takes a bool (``bool`` or ``numpy.bool_``) for a number.
 ``_integer``: an integer (``3.0`` passes; ``3.9``, NaN and inf do not);
 ``_sequence``: an iterable, as a list (demands, delivered counts, groups);
-``_integers``: ``_integer`` applied to every value of a sequence (demands,
-ids); ``_positive``: one >= 1, or >= ``least`` (a count; a seed or a sample
-size, >= 0; a resolution ``t``, >= 2 for ``adversary_lp_tight``);
+``_integers``: ``_integer`` applied to every value of a sequence (delivered
+counts, ids); ``_demands``: a non-empty sequence of integers >= 1, as a
+tuple (``Instance``, ``AllocationState``); ``_positive``: one >= 1, or >=
+``least`` (a count; a seed or a sample size, >= 0; a resolution ``t``, >= 2
+for ``adversary_lp_tight``);
 ``_finite``: whether a value is a finite real number, False for a string,
 ``None``, a bool, a complex number or an int beyond float range;
 ``_reals``: ``_finite`` applied to every value of a sequence, as a float64
@@ -21,7 +23,7 @@ array (support, masses, thresholds, beta, rewards, weights);
 supply factor, finite and >= 1; ``_check_demand``: a total demand, finite
 and > 0; ``_check_rewards``: ``_reals`` with one reward per query;
 ``_check_binary``: ``0 < q < 1`` and ``r`` finite and >= 0 (each caller
-bounds ``r`` by ``c`` itself).
+bounds ``r`` by ``c`` itself); ``_generator``: a ``numpy.random.Generator``.
 """
 
 import math
@@ -100,6 +102,16 @@ def _integers(values, what: str) -> list[int]:
     return as_ints
 
 
+def _demands(values) -> tuple:
+    """``values`` as a tuple of ints, each >= 1; raises if it is empty."""
+    demands = tuple(_integers(values, "demand"))
+    if not demands:
+        raise DomainError("demands must not be empty")
+    if min(demands) < 1:
+        raise DomainError(f"demand must be an integer >= 1, got {min(demands)}")
+    return demands
+
+
 def _positive(value, what: str, least: int = 1) -> int:
     count = _integer(value, what)
     if count < least:
@@ -168,3 +180,9 @@ def _check_binary(q: float, r: float) -> None:
         raise DomainError(f"q must be in (0, 1), got {q!r}")
     if not (_finite(r) and r >= 0.0):
         raise DomainError(f"r must be finite and >= 0, got {r!r}")
+
+
+def _generator(rng) -> np.random.Generator:
+    if not isinstance(rng, np.random.Generator):
+        raise DomainError(f"rng must be a numpy.random.Generator, got {rng!r}")
+    return rng

@@ -17,7 +17,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .errors import DomainError, NonIntegralGroupSize, _finite, _integer, _integers, _positive
+from .errors import DomainError, NonIntegralGroupSize, _demands, _finite, _integers, _positive
 from .errors import _sequence
 
 _INTEGRALITY_TOL = 1e-9  # generators: relative distance of f*n from an integer
@@ -33,9 +33,7 @@ class Instance:
     seed: Optional[int] = None
 
     def __post_init__(self):
-        demands = tuple(_integers(self.demands, "demand"))
-        if not demands or any(n <= 0 for n in demands):
-            raise DomainError(f"demands must be positive integers: {demands}")
+        demands = _demands(self.demands)
         m = len(demands)
         groups = []
         for i, group in enumerate(_sequence(self.groups, "groups")):
@@ -44,9 +42,7 @@ class Instance:
                 iter(elig)
             except (TypeError, ValueError) as exc:
                 raise DomainError(f"group {i} must be a (count, eligible ids) pair, got {group!r}") from exc
-            count = _integer(count, "group count")
-            if count < 0:
-                raise DomainError(f"group count must be >= 0, got {count}")
+            count = _positive(count, "group count", least=0)
             ids = tuple(sorted(set(_integers(elig, "advertiser id"))))
             if ids and (ids[0] < 0 or ids[-1] >= m):
                 raise DomainError(f"eligibility ids out of range 0..{m - 1}: {ids}")
@@ -112,6 +108,12 @@ def _query_count(m, n, f: float, per_group: bool) -> Tuple[int, int, int]:
     return m, n, int(round(count))
 
 
+def _triangle(perm: np.ndarray, n: int, group_size: int, seed: Optional[int] = None) -> Instance:
+    """Demand ``n`` each; group ``i`` of ``group_size`` queries is eligible to ``j`` with ``perm[j] >= i``."""
+    groups = tuple((group_size, tuple(np.flatnonzero(perm >= i).tolist())) for i in range(len(perm)))
+    return Instance((n,) * len(perm), groups, seed=seed)
+
+
 def gen_upper_triangular(m: int, n: int, f: float, seed: int) -> Instance:
     """Adversarial construction: m groups of f*n queries under a random permutation.
 
@@ -121,9 +123,7 @@ def gen_upper_triangular(m: int, n: int, f: float, seed: int) -> Instance:
     """
     m, n, group_size = _query_count(m, n, f, per_group=True)
     seed = _positive(seed, "seed", least=0)
-    perm = np.random.default_rng(seed).permutation(m)
-    groups = tuple((group_size, tuple(np.flatnonzero(perm >= i).tolist())) for i in range(m))
-    return Instance((n,) * m, groups, seed=seed)
+    return _triangle(np.random.default_rng(seed).permutation(m), n, group_size, seed)
 
 
 def complete_instance(m: int, n: int, f: float) -> Instance:

@@ -7,25 +7,27 @@ weights this is exactly RANKING (largest potential = lowest rank).  The
 guarantee is ``f - f e^{-1/f}``, measured here empirically on the
 upper-triangular instance family.
 
-Two paths compute the same trials.  :func:`triangular_matching_instance`
-plus :func:`perturbed_greedy` build and serve one instance at a time: the
-plain reference.  :func:`trial_weights` serves every trial of a call at once
-on a ``(trials x copies)`` score matrix.  It draws each trial's permutation
-and uniforms from the same stream in the same order, applies the same
-elementwise float operations, picks by the same first-maximum rule and adds
-the picked weights in the same order, so its weights equal the reference's
-bit for bit.
+The matching instance is the yield-optimization :class:`Instance`: an
+advertiser's demand ``n_a`` is ``n_a`` unit copies.  Two paths compute the
+same trials.  :func:`perturbed_greedy` serves any ``Instance`` one trial at
+a time: the plain reference, fed the triangular family by
+:func:`triangular_matching_instance`.  :func:`trial_weights` serves every
+trial of a call on that family at once on a ``(trials x copies)`` score
+matrix.  It draws each trial's permutation and uniforms from the same
+stream in the same order, applies the same elementwise float operations,
+picks by the same first-maximum rule and adds the picked weights in the
+same order, so its weights equal the reference's bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import DomainError, _check_supply, _integers, _positive, _reals, _sequence
+from .errors import DomainError, _check_supply, _generator, _positive, _reals
+from .instances import Instance, _triangle
 
 # Copies per working array in one block of trials; bounds trial_weights'
 # memory independently of the trial count.
@@ -46,86 +48,50 @@ def _advertiser_weights(m: int, weights: Optional[Sequence[float]]) -> np.ndarra
     return w
 
 
-@dataclass(frozen=True, eq=False)
-class MatchingInstance:
-    """Unit-demand advertisers (originals split into copies) plus query groups.
+def triangular_matching_instance(m: int, n: int, f: int, rng: np.random.Generator) -> Instance:
+    """The upper-triangular :class:`Instance` on ``rng``'s permutation, with integer ``f``.
 
-    Raises ``DomainError`` unless each group is a pair of a query count, an
-    integer >= 0, and eligible copy ids, integers in ``0..len(weights)-1``.
-    """
-
-    weights: np.ndarray  # weight per unit copy
-    groups: Tuple[Tuple[int, np.ndarray], ...]  # (query count, eligible copy ids)
-    f: int
-
-    def __post_init__(self):
-        weights = _reals(self.weights, "weights")
-        groups = []
-        for i, group in enumerate(_sequence(self.groups, "groups")):
-            try:
-                count, elig = group
-            except (TypeError, ValueError) as exc:
-                raise DomainError(f"group {i} must be a (count, eligible copy ids) pair, got {group!r}") from exc
-            ids = _integers(elig, "copy id")
-            if ids and (min(ids) < 0 or max(ids) >= len(weights)):
-                raise DomainError(f"copy ids must be in 0..{len(weights) - 1}, got {ids}")
-            groups.append((_positive(count, "group count", least=0), np.array(ids, dtype=np.intp)))
-        object.__setattr__(self, "weights", weights)
-        object.__setattr__(self, "groups", tuple(groups))
-        object.__setattr__(self, "f", _positive(self.f, "supply factor"))
-
-
-def triangular_matching_instance(
-    m: int,
-    n: int,
-    f: int,
-    rng: np.random.Generator,
-    weights: Optional[Sequence[float]] = None,
-) -> MatchingInstance:
-    """Upper-triangular instance with each original advertiser split into n copies.
-
-    Group ``i`` holds ``f * n`` queries eligible to the copies of every
-    original whose permutation value is at least ``i``.
+    Every advertiser has demand ``n``; group ``i`` holds ``f * n`` queries
+    eligible to every advertiser whose permutation value is at least ``i``.
     """
     m, n, f = _positive(m, "m"), _positive(n, "n"), _positive(f, "supply factor")
-    w = _advertiser_weights(m, weights)
-    perm = rng.permutation(m)
-    copy_weights = np.repeat(w, n)
-    groups = []
-    for i in range(m):
-        originals = np.nonzero(perm >= i)[0]
-        copies = (originals[:, None] * n + np.arange(n)[None, :]).ravel()
-        groups.append((f * n, np.sort(copies)))
-    return MatchingInstance(copy_weights, tuple(groups), f)
+    return _triangle(_generator(rng).permutation(m), n, f * n)
 
 
 def perturbed_greedy(
-    instance: MatchingInstance, seed: Union[int, np.random.Generator]
+    instance: Instance,
+    f: float,
+    seed: Union[int, np.random.Generator],
+    weights: Optional[Sequence[float]] = None,
 ) -> float:
-    """Run one trial; returns total matched weight.
+    """Run one trial on ``instance``; returns the total matched weight.
 
-    Ranks are 64-bit uniforms, one per copy; ties in ``c_a * psi(x_a)``
-    break toward the smallest advertiser id.  This is the per-instance
-    reference that :func:`trial_weights` reproduces bit for bit.
+    Advertiser ``a``'s demand ``n_a`` becomes ``n_a`` unit copies of weight
+    ``w_a``, numbered in advertiser order, each with one 64-bit uniform rank
+    ``x``.  Each query takes the available eligible copy maximizing
+    ``w_a * psi(x)``; ties break toward the smallest copy id.  On the
+    instances of :func:`triangular_matching_instance` this is the reference
+    that :func:`trial_weights` reproduces bit for bit.
     """
+    _check_supply(f)
+    w = _advertiser_weights(instance.m, weights)
     rng = seed
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(_positive(seed, "seed", least=0))
-    x = rng.random(len(instance.weights))
-    psi = 1.0 - np.exp(-(1.0 - x) / instance.f)
-    score = instance.weights * psi
-    avail = score.copy()
+    owner = np.repeat(np.arange(instance.m), instance.demands)  # [copy]: its advertiser
+    copy_w = w[owner]
+    score = copy_w * (1.0 - np.exp(-(1.0 - rng.random(len(owner))) / float(f)))
     matched = 0.0
     for count, elig in instance.groups:
-        sub = avail[elig]
-        for _ in range(min(count, len(elig))):  # each copy is matched at most once
+        copies = np.flatnonzero(np.isin(owner, elig))
+        sub = score[copies]
+        for _ in range(min(count, len(copies))):  # each copy is matched at most once
             j = int(np.argmax(sub))
             if sub[j] == -np.inf:
                 break
-            copy = int(elig[j])
-            matched += float(instance.weights[copy])
+            matched += float(copy_w[copies[j]])
             sub[j] = -np.inf
-            avail[copy] = -np.inf
+            score[copies[j]] = -np.inf
     return matched
 
 

@@ -324,8 +324,8 @@ class TestOtherCommands:
             expected = ["trial,weight,ratio"]
             for trial in range(6):
                 rng = np.random.default_rng([11, trial])
-                inst = triangular_matching_instance(5, 3, 2, rng, w)
-                weight = perturbed_greedy(inst, rng)
+                inst = triangular_matching_instance(5, 3, 2, rng)
+                weight = perturbed_greedy(inst, 2, rng, w)
                 expected.append(f"{trial},{weight!r},{weight / opt!r}")
             assert out == "\n".join(expected) + "\n"
             ratios = [float(line.split(",")[2]) for line in expected[1:]]

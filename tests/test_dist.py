@@ -9,7 +9,6 @@ from yieldopt.dist import (
     RewardDistribution,
     cond_mean_below,
     normalize,
-    sample,
     sample_array,
     top_quantile_mean,
     validate,
@@ -184,7 +183,7 @@ class TestSampling:
     def test_point_mass_always_same(self):
         d = RewardDistribution.point_mass(0.3)
         rng = np.random.default_rng(0)
-        assert all(sample(d, rng) == 0.3 for _ in range(20))
+        assert all(sample_array(d, rng, 1)[0] == 0.3 for _ in range(20))
 
     def test_binary_frequency_clt(self):
         d = RewardDistribution((0.0, 0.5), (0.5, 1.0))

@@ -21,7 +21,6 @@ from yieldopt.instances import (
     supply_factor,
 )
 from yieldopt.matching import (
-    MatchingInstance,
     empirical_ratio,
     guarantee,
     perturbed_greedy,
@@ -142,16 +141,17 @@ MORE_RULES = {
     ("sample_realized", "seed"): lambda s: sample_realized(TINY, BINARY, s),
     ("trial_weights", "seed"): lambda s: trial_weights(2, 1, 1, 2, s),
     ("empirical_ratio", "seed"): lambda s: empirical_ratio(2, 1, 1, 2, s),
-    ("perturbed_greedy", "seed"): lambda s: perturbed_greedy(MATCH, s),
+    ("perturbed_greedy", "seed"): lambda s: perturbed_greedy(MATCH, 1, s),
     ("optimize_thresholds_grid", "grid"): lambda g: optimize_thresholds_grid(BINARY, 2.0, 1.0, grid=g),
-    ("MatchingInstance", "group count"): lambda n: perturbed_greedy(MatchingInstance([1.0, 2.0], ((n, [0]),), 1), 0),
-    ("MatchingInstance", "copy id"): lambda a: perturbed_greedy(MatchingInstance([1.0, 2.0], ((1, np.array([a])),), 1), 0),
+    ("perturbed_greedy", "f"): lambda f: perturbed_greedy(MATCH, f, 0),
+    ("triangular_matching_instance", "rng"): lambda g: triangular_matching_instance(2, 1, 1, g),
+    ("sample_array", "rng"): lambda g: sample_array(BINARY, g, 2),
     ("sample_array", "size"): lambda n: sample_array(BINARY, np.random.default_rng(0), n),
 }
 # a bool is not a number: these args' rows also refuse True and np.True_ (JSON
 # has only the one), in cases after all the others; the real-number args
 # refuse both in test_real_number_rule
-BOOL_ARGS = ("t", "u", "demand", "delivered", "seed", "generator f", "advertiser id", "reward", "group count", "copy id", "size")
+BOOL_ARGS = ("t", "u", "demand", "delivered", "seed", "generator f", "advertiser id", "reward", "rng", "size")
 BAD = {
     "f": (math.nan, math.inf, 0.5),
     "N": (math.nan, math.inf, 0.0),
@@ -176,9 +176,7 @@ BAD = {
     "p": (math.nan, -0.5, 1.5),
     "mu": (math.nan, 0.0, 1.5),
     "grid": ("0.1", None, math.nan, 0.0, 1.0),
-    # -1 would serve the last copy, a count of -1 nothing
-    "group count": (-1, 1.5, math.nan, "1", None),
-    "copy id": (-1, 2, 0.5, math.nan),
+    "rng": (None, 0, "x"),
     "size": (-1, 2.5, math.nan, "3", None),
 }
 MESSAGE = {
@@ -204,8 +202,7 @@ MESSAGE = {
     "p": "p must be in",
     "mu": "need 0 < mu <= c",
     "grid": "grid step must be in",
-    "group count": "group count must be an integer",
-    "copy id": "copy ids? must be",
+    "rng": "rng must be a numpy.random.Generator",
     "size": "size must be an integer",
 }
 VALID = {  # any other argument takes 2.0
@@ -219,8 +216,7 @@ VALID = {  # any other argument takes 2.0
     "p": 0.5,
     "mu": 0.3,
     "grid": 0.3,
-    "group count": 1,
-    "copy id": 1,
+    "rng": np.random.default_rng(0),
 }
 
 
@@ -264,10 +260,8 @@ SEQUENCES = {
     ("AdversaryProfile", "beta"): (lambda v: AdversaryProfile(2, v), (0.5, 0.25), DomainError),
     ("run_rewards", "rewards"): (lambda v: run_rewards(TINY, POLICY, 1.0, v), (0.0, 0.5), DomainError),
     ("RealizedInstance", "rewards"): (lambda v: RealizedInstance(TINY, v), (0.0, 0.5), DomainError),
-    ("triangular_matching_instance", "weights"): (
-        lambda v: triangular_matching_instance(2, 1, 1, np.random.default_rng(0), v), (1.0, 2.0), DomainError
-    ),
-    ("MatchingInstance", "weights"): (lambda v: MatchingInstance(v, (), 1), (1.0, 2.0), DomainError),
+    ("perturbed_greedy", "weights"): (lambda v: perturbed_greedy(MATCH, 1, 0, v), (1.0, 2.0), DomainError),
+    ("trial_weights", "weights"): (lambda v: trial_weights(2, 1, 1, 2, 0, v), (1.0, 2.0), DomainError),
 }
 # a first value outside the rule, or a whole sequence outside it
 NOT_REALS = {
@@ -307,9 +301,8 @@ def test_exact_values_build_their_float_spellings():
     assert run_rewards(TINY, POLICY, 1.0, (0, Fraction(1, 2))) == run_rewards(TINY, POLICY, 1.0, (0.0, 0.5))
     assert RealizedInstance(TINY, [np.int64(0), np.float32(0.5)]) == RealizedInstance(TINY, (0.0, 0.5))
     w = [1, Fraction(5, 2), np.float32(0.5)]
-    a = triangular_matching_instance(3, 2, 2, np.random.default_rng(4), w)
-    b = triangular_matching_instance(3, 2, 2, np.random.default_rng(4), [1.0, 2.5, 0.5])
-    assert a.weights.dtype == b.weights.dtype and np.array_equal(a.weights, b.weights)
+    match = triangular_matching_instance(3, 2, 2, np.random.default_rng(4))
+    assert perturbed_greedy(match, 2, 4, w).hex() == perturbed_greedy(match, 2, 4, [1.0, 2.5, 0.5]).hex()
 
 
 # every kind of value an id, demand or count can arrive as, valid or not
@@ -481,6 +474,18 @@ class TestInstanceValidation:
     def test_eligibility_ids_checked(self):
         with pytest.raises(DomainError):
             Instance((1,), ((1, (0, 3)),))
+
+    @pytest.mark.parametrize("count", (-1, 1.5, math.nan, "1", None, True, np.True_))
+    def test_group_count_checked(self, count):
+        # a count of -1 would serve nothing rather than be refused
+        with pytest.raises(DomainError, match="group count must be an integer"):
+            Instance((1, 1), ((count, (0,)),))
+
+    @pytest.mark.parametrize("a", (-1, 2, 0.5, math.nan, True, np.True_))
+    def test_group_ids_checked(self, a):
+        # -1 would read the last advertiser
+        with pytest.raises(DomainError, match="advertiser id|eligibility ids"):
+            Instance((1, 1), ((1, (a,)),))
 
     def test_demands_positive(self):
         with pytest.raises(DomainError):

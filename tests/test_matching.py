@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from yieldopt import matching
 from yieldopt.errors import DomainError
+from yieldopt.instances import Instance
 from yieldopt.matching import (
-    MatchingInstance,
     empirical_ratio,
     guarantee,
     perturbed_greedy,
@@ -17,13 +17,20 @@ from yieldopt.matching import (
 )
 
 
+def copies_of(instance):
+    # advertiser a's demand n_a as n_a unit copies, numbered in advertiser order
+    starts = np.cumsum((0, *instance.demands))
+    return [range(starts[a], starts[a + 1]) for a in range(instance.m)]
+
+
 def ranking_match(instance, ranks):
     # independent matcher: lowest rank wins among available eligible copies
     available = np.ones(len(ranks), dtype=bool)
+    copies = copies_of(instance)
     matched = 0
     for count, elig in instance.groups:
         for _ in range(count):
-            candidates = [c for c in elig if available[c]]
+            candidates = [c for a in elig for c in copies[a] if available[c]]
             if not candidates:
                 break
             winner = min(candidates, key=lambda c: ranks[c])
@@ -32,43 +39,92 @@ def ranking_match(instance, ranks):
     return matched
 
 
+def greedy_match(instance, f, seed, weights):
+    # independent weighted matcher: one copy at a time, the highest score
+    # w_a * psi(x) wins, ties toward the smallest copy id
+    copies = copies_of(instance)
+    owner = [a for a in range(instance.m) for _ in copies[a]]
+    x = np.random.default_rng(seed).random(len(owner))
+    score = list(np.array(weights)[owner] * (1.0 - np.exp(-(1.0 - x) / f)))
+    available = set(range(len(owner)))
+    matched = 0.0
+    for count, elig in instance.groups:
+        for _ in range(count):
+            candidates = [c for a in elig for c in copies[a] if c in available]
+            if not candidates:
+                break
+            winner = max(candidates, key=lambda c: (score[c], -c))
+            available.remove(winner)
+            matched += weights[owner[winner]]
+    return matched
+
+
+@st.composite
+def instances(draw):
+    # any Instance: unequal demands, empty and overlapping groups, repeated ids
+    m = draw(st.integers(1, 6))
+    demands = draw(st.lists(st.integers(1, 4), min_size=m, max_size=m))
+    group = st.tuples(st.integers(0, 6), st.lists(st.integers(0, m - 1), max_size=m + 1))
+    return Instance(demands, draw(st.lists(group, max_size=6)))
+
+
 class TestPerturbedGreedy:
     def test_equal_weights_is_ranking(self):
         for seed in range(8):
             rng = np.random.default_rng(seed)
             inst = triangular_matching_instance(10, 2, 2, rng)
-            weight = perturbed_greedy(inst, rng)
+            weight = perturbed_greedy(inst, 2, rng)
             # replay the identical stream to recover the ranks
             rng2 = np.random.default_rng(seed)
             inst2 = triangular_matching_instance(10, 2, 2, rng2)
-            ranks = rng2.random(len(inst2.weights))
+            ranks = rng2.random(inst2.total_demand)
             assert weight == pytest.approx(ranking_match(inst2, ranks))
 
     def test_single_advertiser_single_query(self):
-        inst = MatchingInstance(np.array([2.5]), ((1, np.array([0])),), 1)
-        assert perturbed_greedy(inst, 0) == pytest.approx(2.5)
+        assert perturbed_greedy(Instance((1,), ((1, (0,)),)), 1, 0, [2.5]) == pytest.approx(2.5)
 
     def test_group_with_no_eligible_copy_matches_nothing(self):
-        inst = MatchingInstance([2.5], ((2, []), (3, [0])), 1)
-        assert perturbed_greedy(inst, 0) == 2.5
+        assert perturbed_greedy(Instance((1,), ((2, ()), (3, (0,)))), 1, 0, [2.5]) == 2.5
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        inst=instances(),
+        f=st.sampled_from((1, 1.5, 2, 4)),
+        seed=st.integers(0, 2**32 - 1),
+        scale=st.sampled_from((None, 1.0, 5e-324)),
+    )
+    def test_any_instance_matches_independent_greedy(self, inst, f, seed, scale):
+        weights = None if scale is None else [scale * (1 + a % 3) for a in range(inst.m)]
+        expected = greedy_match(inst, f, seed, [1.0] * inst.m if weights is None else weights)
+        assert perturbed_greedy(inst, f, seed, weights) == expected
+
+    def test_repeated_id_is_one_advertiser(self):
+        # a group naming advertiser 0 twice still has its one unit copy
+        assert perturbed_greedy(Instance((1,), ((2, (0, 0)),)), 1, 0, [1.0]) == 1.0
+
+    @pytest.mark.parametrize("weights, message", [([-1.0, 2.0], "non-negative"), ([0.0, 0.0], "sum to 0")])
+    def test_bad_weights_rejected(self, weights, message):
+        # a negative weight would make matching its copy a loss
+        with pytest.raises(DomainError, match=message):
+            perturbed_greedy(Instance((1, 1), ((2, (0, 1)),)), 1, 0, weights)
 
     def test_scale_invariance_of_decisions(self):
         base = np.array([0.5, 1.0, 2.0, 4.0, 1.5])
         for seed in (3, 4, 5):
             rng_a = np.random.default_rng(seed)
-            inst_a = triangular_matching_instance(5, 1, 1, rng_a, base)
-            w_a = perturbed_greedy(inst_a, rng_a)
+            inst_a = triangular_matching_instance(5, 1, 1, rng_a)
+            w_a = perturbed_greedy(inst_a, 1, rng_a, base)
             rng_b = np.random.default_rng(seed)
-            inst_b = triangular_matching_instance(5, 1, 1, rng_b, base * 10)
-            w_b = perturbed_greedy(inst_b, rng_b)
+            inst_b = triangular_matching_instance(5, 1, 1, rng_b)
+            w_b = perturbed_greedy(inst_b, 1, rng_b, base * 10)
             assert w_b == pytest.approx(10 * w_a)
 
     def test_integer_supply_factor_required(self):
         rng = np.random.default_rng(0)
         with pytest.raises(DomainError):
             triangular_matching_instance(4, 1, 1.5, rng)
-        with pytest.raises(DomainError):
-            MatchingInstance(np.ones(2), (), 0)
+        with pytest.raises(DomainError, match="supply factor"):
+            perturbed_greedy(Instance((1,), ((1, (0,)),)), 0, 0)
 
 
 class TestEmpiricalRatio:
@@ -114,7 +170,7 @@ def reference_weights(m, n, f, trials, seed, weights=None):
     out = []
     for trial in range(trials):
         rng = np.random.default_rng([seed, trial])
-        out.append(perturbed_greedy(triangular_matching_instance(m, n, f, rng, weights), rng))
+        out.append(perturbed_greedy(triangular_matching_instance(m, n, f, rng), f, rng, weights))
     return out
 
 
@@ -167,7 +223,7 @@ class TestInputValidation:
     @pytest.mark.parametrize("weights", BAD_WEIGHTS.values(), ids=BAD_WEIGHTS)
     def test_bad_weights(self, weights):
         with pytest.raises(DomainError):
-            triangular_matching_instance(3, 1, 2, np.random.default_rng(0), weights)
+            perturbed_greedy(triangular_matching_instance(3, 1, 2, np.random.default_rng(0)), 2, 0, weights)
         with pytest.raises(DomainError):
             trial_weights(3, 1, 2, 5, 1, weights)
         with pytest.raises(DomainError):
