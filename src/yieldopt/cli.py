@@ -308,7 +308,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("matching", help="surplus-supply matching trials")
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--n", type=int, default=1)
-    p.add_argument("--supply", type=int, required=True)
+    p.add_argument("--supply", type=float, required=True)
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--weights", help="JSON list of per-advertiser weights")

@@ -17,7 +17,13 @@ n_a - 1`` from its delivered count ``k_a``, in sorted order.  A key's
 segment is monotone in its SR, so segment ``u`` takes exactly as many
 deliveries as it holds keys, ``D_u``, and the ``D_u``-th reward at or below
 its reserve ends it: O(d) numpy passes per group, then one water-level
-placement of the group's deliveries on its first keys.
+placement of the group's deliveries on its first keys.  A group's ids are a
+view of the instance's id index, one read-only ``np.intp`` array that the
+first whole-instance run builds and later runs reuse.  The placement costs
+a fixed number of numpy passes over the group's ids: with equal demands
+the level is an integer count (:func:`_fill_equal`); otherwise only the keys
+between two continuous levels are listed and sorted (:func:`_fill`), and a
+group that takes at most one delivery per id needs only the upper level.
 
 Exactness: no SR is ever a float.  Both paths order SRs by the integer
 ``floor(k * D / n)``, with ``D`` the squared largest demand
@@ -241,29 +247,65 @@ def _fill(k: np.ndarray, n: np.ndarray, t: int, scale: int) -> np.ndarray:
     """Delivered counts after ``t`` deliveries to the first ``t`` keys.
 
     The keys of advertiser ``i`` are ``(j / n[i], i)`` for ``j = k[i] ..
-    n[i] - 1``, taken in sorted order; ``t`` is at most their number.
+    n[i] - 1``, taken in sorted order; ``t`` is at most their number.  Two
+    continuous water levels bound the keys that can be taken, and only the
+    keys between them are listed and sorted by ``floor(j * scale / n)``.
+    When ``t <= len(k)``, the usual case on wide eligibility sets, the lower
+    level is the least ratio and skips nothing, so only the upper one is
+    found.  Levels and counts are Python integers; the arrays see three floor
+    divisions: the advertisers' order, the upper bound, the listed keys' order.
     """
     # F(x) = sum (x n - k)^+ is the continuous count of keys below level x.
     # With the advertisers sorted by k/n and the first i + 1 of them filling,
     # F(x) = v solves to x = (v + sum k) / (sum n), valid while that is at or
-    # above the (i + 1)-th ratio; the test is monotone in i.  The exact
-    # counts straddle F: below x at least F(x), at most F(x) + len(k).
+    # above the (i + 1)-th ratio, i.e. ks * sn <= ns * (sk + v); the test is
+    # monotone in i.  The exact counts straddle F: below x at least F(x), at
+    # most F(x) + len(k).  A level is kept as (numerator, denominator).
     order = (k * scale // n).argsort()
     ks, ns = k[order], n[order]
     sk, sn = ks.cumsum(), ns.cumsum()
-    gap = ks * sn - ns * sk
-    lo = max(t - len(k), 0)
-    i = np.count_nonzero(gap <= lo * ns) - 1
-    h = np.count_nonzero(gap <= t * ns) - 1
-    # every key strictly below F = lo is taken (fewer than t of them), every
-    # key taken lies at or below F = t, and at most 2 len(k) keys lie between
-    skip = np.maximum(-(-(lo + sk[i]) * n // sn[i]) - k, 0)
-    upto = np.maximum(np.minimum(n - 1, (t + sk[h]) * n // sn[h]) - k + 1, 0)
-    span = (upto - skip).astype(np.int64)
+    ksn = ks * sn
+
+    def level(v: int) -> Tuple[int, int]:
+        i = np.count_nonzero(ksn <= ns * (sk + v)) - 1
+        return v + int(sk[i]), int(sn[i])
+
+    # every key taken lies at or below F = t, a level of at most 1; at 1 (t is
+    # every key) the listed j = n keys sort last, by their key scale.  Every
+    # key strictly below F = t - len(k) is taken (fewer than t of them), and
+    # at most 2 len(k) keys lie between the two levels
+    num, den = level(t)
+    first = k
+    if t > len(k):
+        low, below = level(t - len(k))
+        first = np.maximum(-(-low * n // below), k)
+        t -= int((first - k).sum())
+    span = num * n // den - first + 1
+    span = np.maximum(span, 0, out=span).astype(np.int64, copy=False)
     owner = np.arange(len(k)).repeat(span)
-    j = (k + skip - (span.cumsum() - span))[owner] + np.arange(len(owner))
-    first = (j * scale // n[owner]).argsort(kind="stable")[: t - int(skip.sum())]
-    return k + skip + np.bincount(owner[first], minlength=len(k))
+    # listed keys by owner, then j; a stable sort breaks key ties toward the smaller id
+    j = (first - (span.cumsum() - span))[owner] + np.arange(len(owner))
+    taken = (j * scale // n[owner]).argsort(kind="stable")[:t]
+    return first + np.bincount(owner[taken], minlength=len(k))
+
+
+def _fill_equal(k: np.ndarray, t: int) -> np.ndarray:
+    """:func:`_fill` when every advertiser has the same demand, without listing keys.
+
+    The keys are then ``(j, i)``: every count below a level ``L`` rises to
+    ``L``, and the deliveries left over, fewer than the counts now at ``L``,
+    go one each to the smallest ids among them.  ``L`` is below the demand
+    because a key is left.
+    """
+    # with k sorted, lifting the first i + 1 counts to ks[i] takes (i + 1) ks[i] - sk[i]
+    # deliveries, non-decreasing in i; the last i where that is at most t leaves
+    # ks[i] <= L < ks[i + 1], so exactly the first i + 1 counts reach L
+    ks = np.sort(k)
+    sk = ks.cumsum()
+    i = np.count_nonzero(ks * np.arange(1, len(k) + 1) - sk <= t) - 1
+    level, extra = divmod(t + int(sk[i]), i + 1)
+    low = k <= level
+    return np.maximum(k, level) + (low & (low.cumsum() <= extra))
 
 
 def run_rewards(
@@ -287,6 +329,7 @@ def run_rewards(
     rewards = _check_rewards(rewards, instance.total_queries)
     demands = instance.demands
     top, scale = max(demands), _sr_scale(demands)
+    equal = len(set(demands)) == 1
     # products in _fill stay below top**3 and top * total demand; past int64
     # the same code runs on Python integers
     dtype = np.int64 if max(top * scale, top * instance.total_demand) < 2**63 else object
@@ -297,12 +340,13 @@ def run_rewards(
     cuts = [policy.cutoffs(v) for v in demands]
     reach = np.ascontiguousarray(np.array(cuts, dtype=dtype).T) + 1
     sold = np.ones(len(rewards), dtype=bool)
+    ids, bounds = instance._eligible_index
     end = 0
-    for count, elig in instance.groups:
+    for (count, _), lo, hi in zip(instance.groups, bounds, bounds[1:]):
         p, end = end, end + count
-        if not elig or not count:
+        if lo == hi or not count:
             continue
-        e = np.fromiter(elig, np.intp, len(elig))
+        e = ids[lo:hi]
         ke = k[e]
         # the group's keys in segments 1..u+1, for each u; the last entry counts all of them
         left = reach.take(e, axis=1)
@@ -325,7 +369,7 @@ def run_rewards(
             p = stop
         # past the last key every eligible advertiser is saturated: the rest stays sold
         if taken:
-            k[e] = _fill(ke, n[e], taken, scale)
+            k[e] = _fill_equal(ke, taken) if equal else _fill(ke, n[e], taken, scale)
     revenue = float(rewards[sold].sum())
     delivered = tuple(int(v) for v in k)
     return _report(demands, delivered, revenue, int(len(rewards)), penalty, offset, seed)

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate, chain
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -63,6 +65,24 @@ class Instance:
     @property
     def total_queries(self) -> int:
         return sum(count for count, _ in self.groups)
+
+    @cached_property
+    def _eligible_index(self) -> Tuple[np.ndarray, Tuple[int, ...]]:
+        """Every group's eligible ids in one read-only ``np.intp`` array, plus offsets.
+
+        Group ``g``'s ids are ``ids[bounds[g]:bounds[g + 1]]``.  Built on the
+        first whole-instance run, not in construction, and no part of the
+        value: equality, hashing, JSON and pickling ignore it.
+        """
+        ids = np.fromiter(chain.from_iterable(e for _, e in self.groups), np.intp)
+        ids.flags.writeable = False
+        return ids, (0, *accumulate(len(e) for _, e in self.groups))
+
+    def __getstate__(self):
+        # pickles the value alone: the index is rebuilt on demand, never shipped
+        state = dict(self.__dict__)
+        state.pop("_eligible_index", None)
+        return state
 
     def expand(self) -> List[Tuple[int, ...]]:
         """Eligibility set per query in arrival order (small instances only)."""

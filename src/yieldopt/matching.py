@@ -27,7 +27,7 @@ from typing import Optional, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import DomainError, _check_supply, _generator, _positive, _reals
-from .instances import Instance, _triangle
+from .instances import Instance, _query_count, _triangle
 
 # Copies per working array in one block of trials; bounds trial_weights'
 # memory independently of the trial count.
@@ -48,14 +48,23 @@ def _advertiser_weights(m: int, weights: Optional[Sequence[float]]) -> np.ndarra
     return w
 
 
-def triangular_matching_instance(m: int, n: int, f: int, rng: np.random.Generator) -> Instance:
-    """The upper-triangular :class:`Instance` on ``rng``'s permutation, with integer ``f``.
+def _family(m: int, n: int, f: float) -> Tuple[int, int, int]:
+    """Checked ``(m, n, f * n)`` of the triangular family: ``f >= 1`` and ``f * n`` an integer."""
+    _check_supply(f)
+    return _query_count(m, n, f, per_group=True)
+
+
+def triangular_matching_instance(m: int, n: int, f: float, rng: np.random.Generator) -> Instance:
+    """The upper-triangular :class:`Instance` on ``rng``'s permutation.
 
     Every advertiser has demand ``n``; group ``i`` holds ``f * n`` queries
     eligible to every advertiser whose permutation value is at least ``i``.
+    ``f`` is any finite ``f >= 1`` with ``f * n`` an integer, as in
+    :func:`~yieldopt.instances.gen_upper_triangular` (``NonIntegralGroupSize``
+    otherwise).
     """
-    m, n, f = _positive(m, "m"), _positive(n, "n"), _positive(f, "supply factor")
-    return _triangle(_generator(rng).permutation(m), n, f * n)
+    m, n, size = _family(m, n, f)
+    return _triangle(_generator(rng).permutation(m), n, size)
 
 
 def perturbed_greedy(
@@ -96,9 +105,9 @@ def perturbed_greedy(
 
 
 def _greedy_block(
-    copy_w: np.ndarray, m: int, n: int, f: int, seed: int, trials: range
+    copy_w: np.ndarray, m: int, n: int, f: float, size: int, seed: int, trials: range
 ) -> np.ndarray:
-    """Matched weight of each trial in ``trials``, served side by side."""
+    """Matched weight of each trial in ``trials``, served side by side; groups hold ``size`` queries."""
     rows = np.arange(len(trials))
     leaving = np.empty((len(trials), m), dtype=np.intp)  # [t, i]: original of rank i
     x = np.empty((len(trials), m * n))
@@ -106,14 +115,14 @@ def _greedy_block(
         rng = np.random.default_rng([seed, trial])
         leaving[r] = np.argsort(rng.permutation(m))
         rng.random(out=x[r])
-    score = copy_w * (1.0 - np.exp(-(1.0 - x) / f))
+    score = copy_w * (1.0 - np.exp(-(1.0 - x) / float(f)))
     offsets = np.arange(n)
     matched = np.zeros(len(trials))
     for i in range(m):
         if i:
             # group i is eligible to the ranks >= i: retire rank i - 1's copies
             score[rows[:, None], leaving[:, i - 1, None] * n + offsets] = -np.inf
-        for _ in range(f * n):
+        for _ in range(size):
             pick = score.argmax(axis=1)  # first maximum = smallest copy id
             live = score[rows, pick] > -np.inf
             if not live.any():
@@ -126,7 +135,7 @@ def _greedy_block(
 def trial_weights(
     m: int,
     n: int,
-    f: int,
+    f: float,
     trials: int,
     seed: int,
     weights: Optional[Sequence[float]] = None,
@@ -142,21 +151,21 @@ def trial_weights(
     weight.  A row stops when its maximum is ``-inf``.  Blocks hold about
     ``_BLOCK_ELEMENTS`` copies, so memory does not grow with ``trials``.
     """
-    m, n, f = _positive(m, "m"), _positive(n, "n"), _positive(f, "supply factor")
+    m, n, size = _family(m, n, f)
     trials, seed = _positive(trials, "trials"), _positive(seed, "seed", least=0)
     copy_w = np.repeat(_advertiser_weights(m, weights), n)
     block = max(1, _BLOCK_ELEMENTS // (m * n))
     out = np.empty(trials)
     for start in range(0, trials, block):
         stop = min(start + block, trials)
-        out[start:stop] = _greedy_block(copy_w, m, n, f, seed, range(start, stop))
+        out[start:stop] = _greedy_block(copy_w, m, n, f, size, seed, range(start, stop))
     return out
 
 
 def empirical_ratio(
     m: int,
     n: int,
-    f: int,
+    f: float,
     trials: int,
     seed: int,
     weights: Optional[Sequence[float]] = None,

@@ -8,7 +8,7 @@ import pytest
 
 from yieldopt.cli import main
 from yieldopt.instances import Instance, supply_factor
-from yieldopt.matching import empirical_ratio, perturbed_greedy, triangular_matching_instance
+from yieldopt.matching import empirical_ratio, perturbed_greedy, trial_weights, triangular_matching_instance
 from yieldopt.oracle import RealizedInstance, offline_opt_exact
 from yieldopt.ratio import binary_ratio
 
@@ -331,6 +331,16 @@ class TestOtherCommands:
             ratios = [float(line.split(",")[2]) for line in expected[1:]]
             mean, _ = empirical_ratio(5, 3, 2, 6, 11, w)
             assert mean == float(np.mean(ratios))
+
+    def test_matching_fractional_supply(self, capsys):
+        # f = 1.5 runs when the group size f * n = 3 is an integer; f * n = 4.5 is a usage error
+        argv = ("matching", "--m", "4", "--supply", "1.5", "--trials", "3", "--seed", "1")
+        code, out, _ = run_cli(capsys, *argv, "--n", "2")
+        assert code == 0
+        assert [float(row.split(",")[1]) for row in out.split()[1:]] == trial_weights(4, 2, 1.5, 3, 1).tolist()
+        code, out, err = run_cli(capsys, *argv, "--n", "3")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "NonIntegralGroupSize"
 
     @pytest.mark.parametrize("weights", ["[NaN, 1, 1]", "[-1, 1, 1]", "3", '["x", 1, 1]', "[[1], [1], [1]]"])
     def test_matching_rejects_bad_weights(self, capsys, weights):

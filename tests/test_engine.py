@@ -1,4 +1,5 @@
 import math
+import pickle
 from fractions import Fraction
 
 import numpy as np
@@ -10,6 +11,8 @@ from yieldopt.dist import RewardDistribution, sample_array
 from yieldopt.engine import (
     AllocationState,
     Decision,
+    _fill,
+    _fill_equal,
     finalize,
     run_instance,
     run_rewards,
@@ -374,6 +377,83 @@ class TestSegmentJumpEngine:
             inst = Instance(demands, groups)
             rewards = sample_array(TRI3, rng, inst.total_queries)
             assert_replays(inst, policy, rewards)
+
+
+def brute_fill(k, n, t, scale):
+    """Every key ``(j * scale // n_i, i)`` for ``j = k_i .. n_i - 1``, sorted; the first ``t`` counted."""
+    keys = sorted((j * scale // n_i, i) for i, (k_i, n_i) in enumerate(zip(k, n)) for j in range(k_i, n_i))
+    out = list(k)
+    for _, i in keys[:t]:
+        out[i] += 1
+    return out
+
+
+@st.composite
+def fill_cases(draw):
+    """A group's delivered counts, demands, delivery count and SR scale, as run_rewards passes them.
+
+    Groups reach 600 ids, the wide sets where ``t <= len(k)``.  Small demands
+    take any count; demands past ``2**21`` (products past int64, the
+    object-dtype path) keep at most 5 keys each so the keys can be listed.
+    """
+    size = draw(st.one_of(st.integers(1, 8), st.integers(9, 600)))
+    equal = draw(st.booleans())
+    big = draw(st.sampled_from((0, 3_000_000, 10**12)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = np.broadcast_to(rng.integers(1, 13, 1 if equal else size) + big, size)
+    left = rng.integers(0, np.minimum(n, 5 if big else n) + 1)
+    k, n = (n - left).tolist(), n.tolist()
+    # the scale is the instance's largest demand squared, which may exceed the group's
+    scale = (max(n) + draw(st.sampled_from((0, 0, 7)))) ** 2
+    keys = sum(n) - sum(k)
+    t = draw(st.sampled_from((0, 1, size, size + 1, keys, keys - 1)) | st.integers(0, keys))
+    return k, n, min(max(t, 0), keys), scale
+
+
+class TestFill:
+    """``_fill`` and ``_fill_equal`` against listing and sorting every key."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=fill_cases())
+    def test_matches_sorted_keys(self, case):
+        k, n, t, scale = case
+        expected = brute_fill(k, n, t, scale)
+        top = max(n)
+        dtypes = [object] + ([np.int64] if max(top * scale, top * sum(n)) < 2**63 else [])
+        for dtype in dtypes:
+            ka, na = np.array(k, dtype=dtype), np.array(n, dtype=dtype)
+            assert _fill(ka, na, t, scale).tolist() == expected
+            if len(set(n)) == 1:
+                assert _fill_equal(ka, t).tolist() == expected
+            assert ka.tolist() == k  # inputs untouched
+
+
+class TestEligibleIndex:
+    """The group id index a whole-instance run builds and keeps on its ``Instance``."""
+
+    def test_built_on_first_run_and_read_only(self):
+        inst = gen_upper_triangular(6, 3, 2.0, seed=4)
+        assert "_eligible_index" not in vars(inst)
+        policy, _, _ = make_policy(BINARY, 1.0, 2.0)
+        run_rewards(inst, policy, 1.0, [0.5] * inst.total_queries)
+        ids, bounds = vars(inst)["_eligible_index"]
+        assert ids.dtype == np.intp and not ids.flags.writeable
+        with pytest.raises(ValueError):
+            ids[0] = 1
+        assert [tuple(ids[a:b]) for a, b in zip(bounds, bounds[1:])] == [e for _, e in inst.groups]
+
+    def test_value_unchanged_by_a_run(self):
+        inst = Instance((2, 3, 1), ((3, (0, 2)), (0, (1,)), (2, ()), (4, (2, 1, 0))), seed=9)
+        twin = Instance(inst.demands, inst.groups, seed=9)
+        rewards = [0.0, 0.5] * 4 + [0.5]
+        before = (hash(inst), inst.to_json(), pickle.dumps(inst))
+        first = run_rewards(inst, BPOL, 1.0, rewards)
+        assert (hash(inst), inst.to_json(), pickle.dumps(inst)) == before
+        assert inst == twin and {inst, twin} == {twin}
+        clone = pickle.loads(pickle.dumps(inst))
+        assert clone == inst and "_eligible_index" not in vars(clone)
+        assert run_rewards(inst, BPOL, 1.0, rewards) == first == run_rewards(twin, BPOL, 1.0, rewards)
+        assert run_rewards(clone, BPOL, 1.0, rewards) == first
 
 
 class TestCutoffs:

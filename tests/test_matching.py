@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from yieldopt import matching
-from yieldopt.errors import DomainError
+from yieldopt.errors import DomainError, NonIntegralGroupSize
 from yieldopt.instances import Instance
 from yieldopt.matching import (
     empirical_ratio,
@@ -119,10 +119,12 @@ class TestPerturbedGreedy:
             w_b = perturbed_greedy(inst_b, 1, rng_b, base * 10)
             assert w_b == pytest.approx(10 * w_a)
 
-    def test_integer_supply_factor_required(self):
+    def test_integral_group_size_required(self):
+        # f need not be an integer, but the triangular family's group size f * n must be
         rng = np.random.default_rng(0)
-        with pytest.raises(DomainError):
-            triangular_matching_instance(4, 1, 1.5, rng)
+        assert triangular_matching_instance(4, 2, 1.5, rng).groups[0][0] == 3
+        with pytest.raises(NonIntegralGroupSize, match="4.5"):
+            triangular_matching_instance(4, 3, 1.5, rng)
         with pytest.raises(DomainError, match="supply factor"):
             perturbed_greedy(Instance((1,), ((1, (0,)),)), 0, 0)
 
@@ -188,7 +190,10 @@ def trial_configs(draw):
     scaled = st.builds(lambda u, s: [k * s for k in u], units, st.sampled_from((5e-324, 1.0)))
     floats = st.lists(st.floats(0.0, 10.0), min_size=m, max_size=m).filter(lambda w: sum(w) > 0)
     weights = draw(st.none() | scaled | floats)
-    return m, draw(st.integers(1, 4)), draw(st.integers(1, 4)), draw(st.integers(1, 12)), weights
+    # f * n must be an integer: a fractional f gets an even n
+    f = draw(st.sampled_from((1, 1.5, 2, 2.5, 4)))
+    n = draw(st.integers(1, 4)) * (2 if f % 1 else 1)
+    return m, n, f, draw(st.integers(1, 12)), weights
 
 
 class TestTrialWeights:
@@ -200,6 +205,18 @@ class TestTrialWeights:
             trial_weights(m, n, f, trials, seed, weights),
             reference_weights(m, n, f, trials, seed, weights),
         )
+
+    def test_fractional_supply_factor(self):
+        # f = 1.5 with f * n = 3: the batch is the reference bit for bit, and the ratio their mean
+        reference = reference_weights(4, 2, 1.5, 5, 1)
+        assert_same_bits(trial_weights(4, 2, 1.5, 5, 1), reference)
+        mean, _ = empirical_ratio(4, 2, 1.5, 5, 1)
+        assert mean == float((np.array(reference) / 8.0).mean())
+
+    @pytest.mark.parametrize("call", [trial_weights, empirical_ratio])
+    def test_non_integral_group_size_rejected(self, call):
+        with pytest.raises(NonIntegralGroupSize, match="f\\*n = 4.5"):
+            call(4, 3, 1.5, 5, 1)
 
     def test_blocks_do_not_change_weights(self, monkeypatch):
         # 7 x 3 = 21 copies per trial, 50 copies per block: 2 trials per block, 9 blocks
@@ -232,7 +249,7 @@ class TestInputValidation:
     @pytest.mark.parametrize(
         "m, n, f",
         [(0, 1, 2), (-2, 1, 2), (1.5, 1, 2), (4, 0, 2), (4, 1.5, 2), (4, float("nan"), 2),
-         (4, 1, 0), (4, 1, float("nan"))],
+         (4, 1, 0), (4, 1, 0.5), (4, 1, float("nan"))],
     )
     def test_bad_counts(self, m, n, f):
         with pytest.raises(DomainError):
