@@ -27,7 +27,7 @@ from .dist import RewardDistribution, validate
 from .engine import run_instance
 from .errors import DomainError, YieldOptError, _positive
 from .instances import Instance, complete_instance, gen_upper_triangular, supply_factor
-from .policy import ThresholdPolicy, make_policy
+from .policy import ThresholdPolicy, make_policy, ub_continuous
 from .ratio import binary_ratio, worst_case_distribution
 
 SCHEMA_VERSION = 1
@@ -69,11 +69,11 @@ def _csv_out(header: List[str], rows: List[List[object]], out: Optional[str]) ->
 
 def _cmd_thresholds(args) -> int:
     dist = _load(RewardDistribution, args.dist, "--dist")
-    policy, objective, offset = make_policy(dist, args.penalty, args.supply)
+    policy, _, _ = make_policy(dist, args.penalty, args.supply)
     _json_out(
         {
             "thresholds": list(policy.thresholds),
-            "objective_per_unit_demand": objective + offset,
+            "objective_per_unit_demand": ub_continuous(policy.thresholds, dist, args.supply, args.penalty),
             "reserves": list(policy.reserves),
             "config": {
                 "penalty": args.penalty,
@@ -97,7 +97,7 @@ def _cmd_simulate(args) -> int:
         print(json.dumps({"warning": "undersupplied", "message": message}), file=sys.stderr)
     f = max(1.0, measured)
     N = float(instance.total_demand)
-    policy, objective, offset = make_policy(dist, args.penalty, f, N=N)
+    policy, _, _ = make_policy(dist, args.penalty, f, N=N)
     header = ["seed", "reward", "exchange_revenue", "penalty_paid", "fill_rate"]
     rows = []
     for i in range(args.seeds):
@@ -110,7 +110,7 @@ def _cmd_simulate(args) -> int:
     if args.report is not None:
         rewards = np.array([row[1] for row in rows], dtype=float)
         opt = oracle.offline_opt_formula(dist, f, N)
-        expected = objective + offset
+        expected = ub_continuous(policy.thresholds, dist, f, args.penalty, N)
         _json_out(
             {
                 "config": {

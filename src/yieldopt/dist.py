@@ -147,6 +147,8 @@ def normalize(
     most ``N`` undelivered impressions costs ``r_1`` less, and the delivered
     counts cancel.  Returns ``(shifted distribution, shifted penalty,
     offset)`` with the offset to add back when reporting absolute reward.
+    The threshold solvers and objectives need no shift; ``make_policy``
+    uses it only to report its objective in shifted units.
     """
     _check_supply(f)
     _check_demand(total_demand)

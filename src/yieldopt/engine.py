@@ -132,7 +132,6 @@ class RunReport:
     demands: Tuple[int, ...]
     delivered: Tuple[int, ...]
     queries: int
-    seed: Optional[int] = None
 
     @property
     def fill_rate(self) -> float:
@@ -196,20 +195,13 @@ def serve_query(
     return _decision(("exchange", None, reserve, best))
 
 
-def finalize(
-    state: AllocationState,
-    penalty: float,
-    offset: float = 0.0,
-    seed: Optional[int] = None,
-) -> RunReport:
-    """Reward = exchange revenue - penalty * undelivered + offset.
+def finalize(state: AllocationState, penalty: float) -> RunReport:
+    """Reward = exchange revenue - penalty * undelivered, in the rewards' units.
 
-    ``offset`` is added to the reward as given; rewards served in original
-    units need none.  Raises ``DomainError`` on a non-finite penalty or offset.
+    Raises ``DomainError`` on a non-finite penalty.
     """
     return _report(
-        state.demands, tuple(state.delivered), state.exchange_revenue, state.queries,
-        penalty, offset, seed,
+        state.demands, tuple(state.delivered), state.exchange_revenue, state.queries, penalty, 0.0
     )
 
 
@@ -220,7 +212,6 @@ def _report(
     queries: int,
     penalty: float,
     offset: float,
-    seed: Optional[int],
 ) -> RunReport:
     _check_finite(penalty, "penalty")
     _check_finite(offset, "offset")
@@ -234,7 +225,6 @@ def _report(
         demands=demands,
         delivered=delivered,
         queries=queries,
-        seed=seed,
     )
 
 
@@ -314,7 +304,6 @@ def run_rewards(
     penalty: float,
     rewards: Sequence[float],
     offset: float = 0.0,
-    seed: Optional[int] = None,
 ) -> RunReport:
     """Serve every query of ``instance`` against a fixed reward sequence.
 
@@ -322,8 +311,8 @@ def run_rewards(
     query, computed a group at a time by segment jumps (module docstring).
     Exchange revenue is the numpy (pairwise) sum of the sold rewards, so it
     may differ from a replay's sequential sum in the last bits.  ``offset``
-    is added to the reward as given (sampled rewards are in original units
-    and need none).  Raises ``DomainError`` unless ``rewards`` holds one
+    is added to the reward as given; rewards in the distribution's own units
+    need none.  Raises ``DomainError`` unless ``rewards`` holds one
     finite real number per query, and on a non-finite penalty or offset.
     """
     rewards = _check_rewards(rewards, instance.total_queries)
@@ -372,7 +361,7 @@ def run_rewards(
             k[e] = _fill_equal(ke, taken) if equal else _fill(ke, n[e], taken, scale)
     revenue = float(rewards[sold].sum())
     delivered = tuple(int(v) for v in k)
-    return _report(demands, delivered, revenue, int(len(rewards)), penalty, offset, seed)
+    return _report(demands, delivered, revenue, int(len(rewards)), penalty, offset)
 
 
 def run_instance(
@@ -385,4 +374,4 @@ def run_instance(
     """Sample a reward per query from ``dist`` under ``seed`` and run, in ``dist``'s units."""
     seed = _positive(seed, "seed", least=0)
     rewards = sample_array(dist, np.random.default_rng(seed), instance.total_queries)
-    return run_rewards(instance, policy, penalty, rewards, seed=seed)
+    return run_rewards(instance, policy, penalty, rewards)

@@ -268,7 +268,7 @@ def adversary_lp_tight(
     t = _positive(t, "t", least=2)
     _check_supply(f)
     _check_demand(N)
-    w = index_weights(policy.dist, policy.thresholds, t)
+    w = index_weights(policy, t)
     beta = np.empty(t)
     beta[0] = N / t
     running = w[0] * beta[0]
@@ -290,7 +290,7 @@ def lp_residuals(
     _check_demand(N)
     t = profile.t
     beta = profile.beta
-    w = index_weights(policy.dist, policy.thresholds, t)
+    w = index_weights(policy, t)
     lhs = f * t * (beta[0] - beta[1:])
     rhs = np.cumsum(w * beta)[:-1]
     return {

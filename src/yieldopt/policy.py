@@ -102,10 +102,6 @@ class ThresholdPolicy:
         cut = self._cuts[n] = tuple((p * n - 1) // q for p, q in ratios)
         return cut
 
-    def with_distribution(self, dist: RewardDistribution) -> "ThresholdPolicy":
-        """Rebind the same thresholds to another distribution (e.g. unshifted units)."""
-        return ThresholdPolicy(self.thresholds, dist)
-
 
 @dataclass(frozen=True, eq=False)
 class AdversaryProfile:
@@ -154,22 +150,15 @@ def binary_threshold(f: float, q: float, r: float, c: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _require_normalized(
-    dist: RewardDistribution, f: float, c: float, N: float = 1.0
-) -> RewardDistribution:
-    """``dist`` validated against ``c`` and with lowest reward 0, once ``f`` and ``N`` pass."""
+def _checked(dist: RewardDistribution, f: float, c: float, N: float = 1.0) -> RewardDistribution:
+    """``dist`` validated against the penalty ``c``, once ``f`` and ``N`` pass."""
     _check_supply(f)
     _check_demand(N)
-    checked = validate(dist, c)
-    if checked.support[0] != 0.0:
-        raise DomainError(
-            f"distribution must be normalized (lowest reward 0), got {checked.support[0]}"
-        )
-    return checked
+    return validate(dist, c)
 
 
-def segment_bounds(thresholds: Sequence[float], t: int) -> List[int]:
-    """Integer slice boundaries ``b_0 = 0 <= b_1 <= ... <= b_d = t``.
+def segment_bounds(policy: ThresholdPolicy, t: int) -> List[int]:
+    """Integer slice boundaries ``b_0 = 0 <= b_1 <= ... <= b_d = t`` of the policy.
 
     Slice index ``j`` (1-based) belongs to segment ``u`` when
     ``b_{u-1} < j <= b_u``; empty segments are allowed after rounding.
@@ -177,24 +166,20 @@ def segment_bounds(thresholds: Sequence[float], t: int) -> List[int]:
     """
     t = _positive(t, "t")
     bounds = [0]
-    for s in thresholds:
+    for s in policy.thresholds:
         b = int(math.floor(s * t + 0.5))
         bounds.append(min(t, max(bounds[-1], b)))
     bounds[-1] = t
     return bounds
 
 
-def index_weights(dist: RewardDistribution, thresholds: Sequence[float], t: int) -> np.ndarray:
-    """Per-slice LP weights ``w_j = 1/q_{d+1-u(j)}`` as a length-t array.
+def index_weights(policy: ThresholdPolicy, t: int) -> np.ndarray:
+    """Per-slice LP weights ``w_j = 1/q_{d+1-u(j)}`` of the policy as a length-t array.
 
     Raises ``DomainError`` unless ``t`` is an integer >= 1.
     """
-    t = _positive(t, "t")
-    d = dist.d
-    bounds = segment_bounds(thresholds, t)
-    lengths = np.diff(bounds)
-    weights = np.array([1.0 / dist.cum_mass[d - u] for u in range(1, d + 1)])
-    return np.repeat(weights, lengths)
+    lengths = np.diff(segment_bounds(policy, t))  # checks t
+    return np.repeat(1.0 / np.asarray(policy.dist.cum_mass[::-1]), lengths)
 
 
 def beta_closed_form(policy: ThresholdPolicy, f: float, N: float, t: int) -> AdversaryProfile:
@@ -206,7 +191,7 @@ def beta_closed_form(policy: ThresholdPolicy, f: float, N: float, t: int) -> Adv
     t = _positive(t, "t")
     _check_supply(f)
     _check_demand(N)
-    w = index_weights(policy.dist, policy.thresholds, t)
+    w = index_weights(policy, t)
     factors = 1.0 - w / (t * f)
     if np.any(factors < 0.0):
         bad = float(np.max(w[factors < 0.0]))
@@ -222,12 +207,12 @@ def lb_discrete(policy: ThresholdPolicy, f: float, c: float, N: float, t: int) -
 
     ``-cN + sum_u fN (q_u - q_{u-1}) r_u
     + sum_u sum_{j in segment u} beta*_j (c - E[r | r <= r_{d+1-u}])``
+    in the units of the policy's distribution, whose top reward is at most ``c``.
     """
-    dist = _require_normalized(policy.dist, f, c, N)
+    dist = _checked(policy.dist, f, c, N)
     profile = beta_closed_form(policy, f, N, t)  # checks t
     d = dist.d
-    bounds = segment_bounds(policy.thresholds, profile.t)
-    lengths = np.diff(bounds)
+    lengths = np.diff(segment_bounds(policy, profile.t))
     coefs = np.array([c - cond_mean_below(dist, d + 1 - u) for u in range(1, d + 1)])
     per_index = np.repeat(coefs, lengths)
     masses = np.asarray(dist.point_masses())
@@ -279,8 +264,10 @@ def ub_continuous(
 
     ``-cN + sum_u fN (q_u - q_{u-1}) r_u + fN * sum_u
     (1 - exp(-sum_{j<=d+1-u} (s_j - s_{j-1})/(f q_{d+1-j}))) (q_u - q_{u-1}) (c - r_u)``
+    in ``dist``'s own units, its top reward at most ``c``.  Lowering every
+    reward and ``c`` by ``r_1`` lowers it by ``(f - 1) N r_1`` (``normalize``).
     """
-    checked = _require_normalized(dist, f, c, N)
+    checked = _checked(dist, f, c, N)
     ts = ThresholdPolicy(thresholds, checked).thresholds
     return float(_ub_value(checked.support, checked.cum_mass, ts, f, c, N))
 
@@ -304,13 +291,19 @@ def optimize_thresholds_exact(dist: RewardDistribution, f: float, c: float) -> T
     ``s_{d+1-k} = max(0, 1 + f sum_{i<k} m_i ln((c - r_k)/(c - r_i)))``
 
     which is non-decreasing in the threshold index, equals 1 for ``k = 1``
-    and is 0 for every atom with ``r_k = c``.
+    and is 0 for every atom with ``r_k = c``.  Only differences of
+    ``ln(c - r)`` enter, so ``dist`` (top reward at most ``c``) is solved in
+    its own units with every logarithm taken of ``(c - r)/(c - r_1)``: as
+    well conditioned for a large lowest reward ``r_1`` as for ``r_1 = 0``,
+    and a common shift of the rewards and ``c`` gives the same thresholds.
     """
-    checked = _require_normalized(dist, f, c)
+    checked = _checked(dist, f, c)
     masses = checked.point_masses()
-    logs = [-math.inf if r >= c else math.log(1.0 - r / c) for r in checked.support]
+    low = checked.support[0]
+    top = c - low
+    logs = [-math.inf if r - low >= top else math.log(1.0 - (r - low) / top) for r in checked.support]
     thresholds = [1.0]  # s_d, s_{d-1}, ..., s_1
-    partial = 0.0  # sum_{i<k} m_i ln(1 - r_i/c)
+    partial = 0.0  # sum_{i<k} m_i ln((c - r_i)/(c - r_1))
     for k in range(1, checked.d):
         partial += masses[k - 1] * logs[k - 1]
         s = max(0.0, 1.0 + f * checked.cum_mass[k - 1] * logs[k] - f * partial)
@@ -334,12 +327,12 @@ def optimize_thresholds_grid(
     dist: RewardDistribution,
     f: float,
     c: float,
-    N: float = 1.0,
     grid: float = DEFAULT_GRID,
 ) -> ThresholdPolicy:
     """Exact optimum of ``ub_continuous`` over monotone grid threshold vectors.
 
-    An independent oracle for :func:`optimize_thresholds_exact`, for any d.
+    An independent oracle for :func:`optimize_thresholds_exact`, for any d
+    and in ``dist``'s own units; a common shift of rewards and ``c`` moves nothing.
     Maximizing the objective minimizes ``sum_v a_v exp(-X_v)``, which nests
     as ``e_1 (a_1 + e_2 (a_2 + ...))`` with ``e_v = exp(-(s_v - s_{v-1}) w_v)``
     and ``w_v = 1/(f q_{d+1-v})``: one backward pass picks the best
@@ -348,7 +341,7 @@ def optimize_thresholds_grid(
     ``e_v`` is computed whole: the factored ``exp(s_{v-1} w_v) exp(-s_v w_v)``
     overflows or cancels at large ``w_v``.  O(d |grid|^2) time.
     """
-    checked = _require_normalized(dist, f, c, N)
+    checked = _checked(dist, f, c)
     ys = _grid_values(grid)
     _, a, inv_q = _ub_terms(checked.support, checked.cum_mass, c)
     w = inv_q / f
@@ -374,17 +367,16 @@ def make_policy(
     f: float,
     N: float = 1.0,
 ) -> Tuple[ThresholdPolicy, float, float]:
-    """Validate, shift, optimize; return a serving policy in original units.
+    """Validate and optimize once; return ``(policy, objective, offset)``.
 
-    Returns ``(policy bound to the original distribution, objective per the
-    shifted units, offset to add back for absolute reward)``.  Every support
-    size goes through the closed-form solver
-    :func:`optimize_thresholds_exact`, which reduces to
-    :func:`binary_threshold` for binary distributions.  Rejects a supply
-    factor below 1 and a total demand of 0 or below, and either non-finite.
+    The policy is :func:`optimize_thresholds_exact` on ``dist`` itself (for
+    binary distributions, :func:`binary_threshold`).  The objective is
+    :func:`ub_continuous` with every reward and the penalty lowered by the
+    lowest reward ``r_1`` (:func:`~yieldopt.dist.normalize`); adding
+    ``offset = (f - 1) N r_1`` gives ``ub_continuous`` in ``dist``'s units.
+    Rejects a supply factor below 1 and a total demand of 0 or below, and
+    either non-finite.
     """
-    checked = validate(dist, penalty)
-    shifted, c_shifted, offset = normalize(checked, penalty, f, N)
-    optimized = optimize_thresholds_exact(shifted, f, c_shifted)
-    objective = ub_continuous(optimized.thresholds, shifted, f, c_shifted, N)
-    return optimized.with_distribution(checked), objective, offset
+    policy = optimize_thresholds_exact(dist, f, penalty)
+    shifted, c_shifted, offset = normalize(policy.dist, penalty, f, N)
+    return policy, ub_continuous(policy.thresholds, shifted, f, c_shifted, N), offset

@@ -13,9 +13,9 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-from .dist import RewardDistribution, normalize
+from .dist import RewardDistribution
 from .errors import DomainError, _check_binary, _check_finite, _check_supply, _finite
-from .policy import make_policy, optimize_thresholds_grid, ub_continuous
+from .policy import optimize_thresholds_exact, optimize_thresholds_grid, ub_continuous
 
 
 @dataclass(frozen=True)
@@ -118,20 +118,15 @@ def best_achievable_reward(
 ) -> float:
     """Best objective any threshold vector attains against the adversary.
 
-    Shifts the distribution, optimizes thresholds, and reports the objective
-    in original units.  ``method="exact"`` uses the closed-form solver behind
-    :func:`make_policy`; ``method="grid"`` takes the optimum of
-    :func:`optimize_thresholds_grid` over the ``DEFAULT_GRID``-spaced
-    threshold vectors, an independent check of the exact solver.
+    ``ub_continuous`` at the optimized thresholds, in ``dist``'s own units.
+    ``method="exact"`` uses the closed-form solver behind ``make_policy``;
+    ``method="grid"`` the ``DEFAULT_GRID``-spaced optimum of
+    ``optimize_thresholds_grid``, an independent check of the exact solver.
     """
-    if method == "exact":
-        _, objective, offset = make_policy(dist, penalty, f, N=N)
-        return objective + offset
-    if method != "grid":
+    if method not in ("exact", "grid"):
         raise DomainError(f"unknown method {method!r}")
-    shifted, c_shifted, offset = normalize(dist, penalty, f, N)
-    policy = optimize_thresholds_grid(shifted, f, c_shifted, N)
-    return ub_continuous(policy.thresholds, shifted, f, c_shifted, N) + offset
+    solver = optimize_thresholds_exact if method == "exact" else optimize_thresholds_grid
+    return ub_continuous(solver(dist, f, penalty).thresholds, dist, f, penalty, N)
 
 
 def worst_case_distribution(mu: float, c: float, f: float) -> WorstCaseSpec:

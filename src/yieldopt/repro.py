@@ -132,43 +132,56 @@ def _random_thresholds(rng: np.random.Generator, d: int) -> Tuple[float, ...]:
 
 
 def run_lb_ub_identity() -> ReproResult:
-    """|lb_discrete(t=1e5) - ub_continuous| <= 1e-3 cN on 100 random pairs."""
+    """|lb_discrete(t=1e5) - ub_continuous| <= 1e-3 cN on 100 random pairs and their shifted twins."""
 
     def body(res: ReproResult) -> None:
         rng = np.random.default_rng(20240501)
-        worst = 0.0
+        shifts = np.random.default_rng(20240511)  # its own stream keeps the draws above as they were
+        worst = worst_shift = 0.0
         for _ in range(100):
             dist, c = _random_normalized_dist(rng)
             f = float(rng.uniform(1.0, 4.0))
-            policy = ThresholdPolicy(_random_thresholds(rng, dist.d), dist)
-            lb = lb_discrete(policy, f, c, 1.0, 10**5)
-            ub = ub_continuous(policy.thresholds, dist, f, c, 1.0)
-            worst = max(worst, abs(lb - ub) / c)
-        res.checks.append(_at_most("max |lb - ub| / cN over 100 pairs", worst, 1e-3))
+            thresholds = _random_thresholds(rng, dist.d)
+            r = float(shifts.uniform(0.0, 2.0))  # every reward and the penalty raised by r
+            twin = RewardDistribution(tuple(v + r for v in dist.support), dist.cum_mass)
+            ubs = []
+            for d, cost in ((dist, c), (twin, c + r)):
+                lb = lb_discrete(ThresholdPolicy(thresholds, d), f, cost, 1.0, 10**5)
+                ubs.append(ub_continuous(thresholds, d, f, cost, 1.0))
+                worst = max(worst, abs(lb - ubs[-1]) / cost)
+            worst_shift = max(worst_shift, abs(ubs[1] - ubs[0] - (f - 1.0) * r) / ((c + r) * f))
+        res.checks.append(_at_most("max |lb - ub| / cN over 200 pairs", worst, 1e-3))
+        res.checks.append(
+            _at_most("max |ub(twin) - ub - (f-1) N r| / cfN over 100 twins", worst_shift, 2e-15)
+        )
 
     return _timed(body, "lb-ub-identity")
 
 
 def run_beta_recurrence() -> ReproResult:
-    """Closed-form adversary profile vs the tight recurrence and LP residuals."""
+    """Closed-form adversary profile vs the tight recurrence and LP residuals, shifted twins too."""
 
     def body(res: ReproResult) -> None:
         rng = np.random.default_rng(20240502)
+        shifts = np.random.default_rng(20240512)  # its own stream keeps the draws above as they were
         worst_gap = 0.0
         worst_res = 0.0
         for _ in range(50):
             dist, c = _random_normalized_dist(rng)
             f = float(rng.uniform(1.0, 4.0))
             t = int(rng.integers(10, 1001))
-            policy = ThresholdPolicy(_random_thresholds(rng, dist.d), dist)
-            closed = beta_closed_form(policy, f, 1.0, t)
-            tight = oracle.adversary_lp_tight(policy, f, 1.0, t)
-            worst_gap = max(
-                worst_gap,
-                float(np.max(np.abs(closed.beta - tight.beta))) / (1.0 / t),
-            )
-            resid = oracle.lp_residuals(closed, policy, f, 1.0)
-            worst_res = max(worst_res, resid["equality"], resid["beta1"], resid["negativity"])
+            thresholds = _random_thresholds(rng, dist.d)
+            r = float(shifts.uniform(0.0, 2.0))  # every reward raised by r
+            for d in (dist, RewardDistribution(tuple(v + r for v in dist.support), dist.cum_mass)):
+                policy = ThresholdPolicy(thresholds, d)
+                closed = beta_closed_form(policy, f, 1.0, t)
+                tight = oracle.adversary_lp_tight(policy, f, 1.0, t)
+                worst_gap = max(
+                    worst_gap,
+                    float(np.max(np.abs(closed.beta - tight.beta))) / (1.0 / t),
+                )
+                resid = oracle.lp_residuals(closed, policy, f, 1.0)
+                worst_res = max(worst_res, resid["equality"], resid["beta1"], resid["negativity"])
         res.checks.append(_at_most("max |beta_tight - beta*| / (N/t)", worst_gap, 1e-9))
         res.checks.append(_at_most("max LP residual", worst_res, 1e-9))
 

@@ -194,10 +194,15 @@ class TestFinalize:
         assert report.reward == 3.25
 
     def test_offset_added(self):
+        # only run_rewards still takes an offset; finalize's reward is in the rewards' units
         state = state_with([2], [1])
-        report = finalize(state, 1.0, offset=7.0)
-        assert report.reward == pytest.approx(-1.0 + 7.0)
-        assert report.fill_rate == 0.5
+        report = finalize(state, 1.0)
+        assert (report.reward, report.offset, report.fill_rate) == (-1.0, 0.0, 0.5)
+        inst = Instance((2,), ((2, (0,)),))
+        report = run_rewards(inst, BPOL, 1.0, [0.0, 0.5], offset=7.0)
+        assert report.reward == report.exchange_revenue - report.penalty_paid + 7.0
+        with pytest.raises(TypeError):
+            finalize(state, 1.0, 7.0)
 
 
 class TestRunEquivalence:
@@ -277,8 +282,6 @@ class TestRunEquivalence:
                 run_rewards(inst, BPOL, 1.0, [0.0, 0.5], offset=bad)
             with pytest.raises(DomainError):
                 finalize(state, bad)
-            with pytest.raises(DomainError):
-                finalize(state, 1.0, offset=bad)
 
 
 def replay(inst, policy, rewards):
@@ -489,7 +492,7 @@ class TestCutoffs:
             policy.cutoffs(n)
         assert (hash(policy), repr(policy)) == before
         assert policy == twin and hash(policy) == hash(twin) and {policy, twin} == {twin}
-        rebound = policy.with_distribution(RewardDistribution((0.0, 1.0), (0.5, 1.0)))
+        rebound = ThresholdPolicy(policy.thresholds, RewardDistribution((0.0, 1.0), (0.5, 1.0)))
         assert rebound.cutoffs(10) == policy.cutoffs(10) == (3, 9)
 
 

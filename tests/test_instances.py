@@ -84,16 +84,16 @@ RULES = {
     ("beta_closed_form", "N"): lambda N: beta_closed_form(POLICY, 2.0, N, 100),
     ("adversary_lp_tight", "N"): lambda N: adversary_lp_tight(POLICY, 2.0, N, 100),
     ("lp_residuals", "N"): lambda N: lp_residuals(PROFILE, POLICY, 2.0, N),
-    ("optimize_thresholds_grid", "N"): lambda N: optimize_thresholds_grid(BINARY, 2.0, 1.0, N),
     ("offline_opt_formula", "N"): lambda N: offline_opt_formula(BINARY, 2.0, N),
     ("normalize", "f"): lambda f: normalize(BINARY, 1.0, f, 1.0),
     ("validate", "c"): lambda c: validate(BINARY, c),
     ("make_policy", "c"): lambda c: make_policy(BINARY, c, 2.0),
+    ("optimize_thresholds_exact", "c"): lambda c: optimize_thresholds_exact(BINARY, 2.0, c),
+    ("lb_discrete", "c"): lambda c: lb_discrete(POLICY, 2.0, c, 1.0, 100),
     ("offline_opt_exact", "c"): lambda c: offline_opt_exact(RealizedInstance(TINY, (0.0, 0.5)), c),
     ("online_opt_bruteforce", "c"): lambda c: online_opt_bruteforce(TINY, BINARY, c),
     ("finalize", "c"): lambda c: finalize(AllocationState.fresh((1,)), c),
     ("run_rewards", "c"): lambda c: run_rewards(TINY, POLICY, c, (0.0, 0.5)),
-    ("finalize", "offset"): lambda o: finalize(AllocationState.fresh((1,)), 1.0, o),
     ("run_rewards", "offset"): lambda o: run_rewards(TINY, POLICY, 1.0, (0.0, 0.5), o),
     ("binary_threshold", "q"): lambda q: binary_threshold(2.0, q, 0.5, 1.0),
     ("binary_alg_bound", "q"): lambda q: binary_alg_bound(2.0, q, 0.5, 1.0),
@@ -115,8 +115,8 @@ RULES = {
 # pytest names a tuple-valued case by its position in the case list, so these
 # rules follow RULES' sorted cases and every case before them keeps its name
 MORE_RULES = {
-    ("segment_bounds", "t"): lambda t: segment_bounds(POLICY.thresholds, t),
-    ("index_weights", "t"): lambda t: index_weights(BINARY, POLICY.thresholds, t),
+    ("segment_bounds", "t"): lambda t: segment_bounds(POLICY, t),
+    ("index_weights", "t"): lambda t: index_weights(POLICY, t),
     ("AllocationState", "demand"): lambda n: serve_query(AllocationState.fresh((n, 2)), POLICY, [0, 1], 0.0),
     ("AllocationState", "delivered"): lambda k: serve_query(AllocationState((2,), [k]), POLICY, [0], 0.0),
     ("Instance", "seed"): lambda s: Instance((1,), ((1, (0,)),), seed=s),

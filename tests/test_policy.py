@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from yieldopt.dist import RewardDistribution
+from yieldopt.dist import RewardDistribution, normalize
 from yieldopt.errors import DomainError, InfeasibleDecay
 from yieldopt.oracle import adversary_lp_tight, lp_residuals
 from yieldopt.policy import (
@@ -50,6 +50,15 @@ def normalized_problems(draw):
     c = support[-1] + (0.0 if at_penalty else draw(st.floats(0.01, 1.0)))
     f = draw(st.floats(1.0, 8.0))
     return RewardDistribution(support, cum), f, c
+
+
+@st.composite
+def shifted_problems(draw):
+    """A normalized problem with every reward and the penalty raised by r >= 0, and a demand N."""
+    dist, f, c = draw(normalized_problems())
+    r = draw(st.just(0.0) | st.floats(0.0, 1000.0))
+    N = draw(st.floats(1.0, 100.0))
+    return RewardDistribution(tuple(v + r for v in dist.support), dist.cum_mass), f, c + r, N
 
 
 def simplex_gradient(dist, thresholds, f, c):
@@ -177,10 +186,12 @@ class TestLbDiscrete:
             assert abs(lb - ub) <= 1e-3 * c
 
     def test_requires_normalized(self):
+        # a lowest reward above 0 is no longer refused: the value moves by (f - 1) N r_1
         shifted = RewardDistribution((0.2, 0.7), (0.5, 1.0))
         policy = ThresholdPolicy((0.3, 1.0), shifted)
-        with pytest.raises(DomainError):
-            lb_discrete(policy, 2.0, 1.0, 1.0, 100)
+        normalized = ThresholdPolicy((0.3, 1.0), RewardDistribution((0.0, 0.5), (0.5, 1.0)))
+        lb = lb_discrete(policy, 2.0, 1.2, 10.0, 100)
+        assert lb == pytest.approx(lb_discrete(normalized, 2.0, 1.0, 10.0, 100) + 2.0, rel=1e-14)
 
     def test_degenerate_threshold_vectors(self):
         # zero, duplicate, and all-saturating thresholds keep the identity
@@ -492,7 +503,7 @@ class TestThresholdPolicyType:
         policy = ThresholdPolicy(tuple((i + 1) / d for i in range(d)), dist)
         assert policy.reserves == tuple(policy.reserve(u) for u in range(1, d + 1))
         other = RewardDistribution(tuple(0.3 + 0.2 * i for i in range(d)), cum)
-        rebound = policy.with_distribution(other)
+        rebound = ThresholdPolicy(policy.thresholds, other)
         assert rebound.reserves == tuple(rebound.reserve(u) for u in range(1, d + 1))
         assert rebound.reserves == other.support[::-1]
         for u in (-1, 0, d + 1):
@@ -508,12 +519,23 @@ class TestThresholdPolicyType:
         assert repr(a) == repr(b) and "reserves" not in repr(a)
 
     def test_segment_bounds_pin_last(self):
-        assert segment_bounds((0.305, 1.0), 10) == [0, 3, 10]
-        assert segment_bounds((0.0, 1.0), 7) == [0, 0, 7]
+        assert segment_bounds(ThresholdPolicy((0.305, 1.0), BINARY), 10) == [0, 3, 10]
+        assert segment_bounds(ThresholdPolicy((0.0, 1.0), BINARY), 7) == [0, 0, 7]
 
     def test_index_weights_repeat_segments(self):
-        w = index_weights(BINARY, (0.3, 1.0), 10)
+        w = index_weights(ThresholdPolicy((0.3, 1.0), BINARY), 10)
         assert np.allclose(w, [1.0] * 3 + [2.0] * 7)
+
+    @pytest.mark.parametrize("thresholds", [(0.5,), (math.nan, 1.0)])
+    def test_slices_need_a_checked_policy(self, thresholds):
+        # a bare vector one entry short used to broadcast into 2t weights, and a
+        # NaN threshold to raise a bare ValueError; only a policy gets this far
+        with pytest.raises(DomainError):
+            index_weights(ThresholdPolicy(thresholds, BINARY), 10)
+        with pytest.raises(AttributeError):
+            index_weights(thresholds, 10)
+        with pytest.raises(AttributeError):
+            segment_bounds(thresholds, 10)
 
 
 class TestMakePolicy:
@@ -554,3 +576,52 @@ class TestMakePolicy:
         s1 = max(0.0, 1.0 + 2.0 * (0.3 * math.log(0.1) + 0.4 * math.log(0.1 / 0.6)))
         assert policy.thresholds == pytest.approx((s1, s2, 1.0), abs=1e-12)
         assert objective == pytest.approx(ub_continuous(policy.thresholds, d3, 2.0, 1.0), abs=1e-15)
+
+
+class TestShiftCovariance:
+    """Solvers and objectives in a distribution's own units, against its shift by ``r_1``.
+
+    Lowering every reward and the penalty by ``r_1`` lowers both objectives by
+    ``(f - 1) N r_1`` and moves no optimal threshold.  The tolerance comes from
+    6,000 random problems with ``r_1`` up to 1000: the objectives differed by
+    at most 3.9e-16 ``c f N``, the size of their terms, and the thresholds of
+    both solvers were equal.
+    """
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=shifted_problems())
+    def test_original_units_equal_shifted_plus_constant(self, data):
+        dist, f, c, N = data
+        shifted, c_s, offset = normalize(dist, c, f, N)
+        assert offset == (f - 1.0) * N * dist.support[0]
+        tol = 2e-15 * c * f * N
+        exact = optimize_thresholds_exact(dist, f, c)
+        assert exact.thresholds == optimize_thresholds_exact(shifted, f, c_s).thresholds
+        grid = optimize_thresholds_grid(dist, f, c, grid=1 / 50)
+        assert grid.thresholds == optimize_thresholds_grid(shifted, f, c_s, grid=1 / 50).thresholds
+        for ts in (exact.thresholds, grid.thresholds):
+            ub = ub_continuous(ts, dist, f, c, N)
+            assert abs(ub - (ub_continuous(ts, shifted, f, c_s, N) + offset)) <= tol
+            lb = lb_discrete(ThresholdPolicy(ts, dist), f, c, N, 1000)
+            lb_shifted = lb_discrete(ThresholdPolicy(ts, shifted), f, c_s, N, 1000)
+            assert abs(lb - (lb_shifted + offset)) <= tol
+        policy, objective, off = make_policy(dist, c, f, N)
+        assert (policy, off) == (exact, offset)
+        assert objective == ub_continuous(policy.thresholds, shifted, f, c_s, N)
+        assert abs(objective + off - ub_continuous(policy.thresholds, dist, f, c, N)) <= tol
+
+    def test_solvers_accept_a_positive_lowest_reward(self):
+        dist = RewardDistribution((0.2, 0.7), (0.5, 1.0))
+        base = RewardDistribution((0.0, 0.5), (0.5, 1.0))
+        ts = optimize_thresholds_exact(dist, 2.0, 1.2).thresholds
+        assert ts == pytest.approx(optimize_thresholds_exact(base, 2.0, 1.0).thresholds, abs=1e-15)
+        # far from 0, ln(1 - r/c) would be off by about 1e-10; c - r is exact in floats here
+        r1, r2, c = 1e6, 1e6 + 0.3, 1e6 + 0.6
+        far = RewardDistribution((r1, r2, 1e6 + 0.5), (0.3, 0.6, 1.0))
+        s2 = 1.0 + 2.0 * 0.3 * math.log((c - r2) / (c - r1))
+        assert optimize_thresholds_exact(far, 2.0, c).thresholds[1] == pytest.approx(s2, abs=1e-14)
+        assert optimize_thresholds_grid(dist, 2.0, 1.2).thresholds == (
+            optimize_thresholds_grid(base, 2.0, 1.0).thresholds
+        )
+        shifted = ub_continuous(ts, base, 2.0, 1.0, 10.0)
+        assert ub_continuous(ts, dist, 2.0, 1.2, 10.0) == pytest.approx(shifted + 2.0, rel=1e-12)
