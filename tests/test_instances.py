@@ -111,10 +111,6 @@ RULES = {
     ("ThresholdPolicy.reserve", "u"): POLICY.reserve,
     ("run_rewards", "rewards"): lambda x: run_rewards(TINY, POLICY, 1.0, x),
     ("RealizedInstance", "rewards"): lambda x: RealizedInstance(TINY, x),
-}
-# pytest names a tuple-valued case by its position in the case list, so these
-# rules follow RULES' sorted cases and every case before them keeps its name
-MORE_RULES = {
     ("segment_bounds", "t"): lambda t: segment_bounds(POLICY, t),
     ("index_weights", "t"): lambda t: index_weights(POLICY, t),
     ("AllocationState", "demand"): lambda n: serve_query(AllocationState.fresh((n, 2)), POLICY, [0, 1], 0.0),
@@ -220,29 +216,47 @@ VALID = {  # any other argument takes 2.0
 }
 
 
-@pytest.mark.parametrize(
+
+
+def _spelling(value) -> str:
+    # a number, a string or None as pytest spells it; anything else (a tuple, a
+    # numpy bool, whose str is "True") by its repr
+    return str(value) if value is None or isinstance(value, (str, int, float, complex)) else repr(value)
+
+
+def cases(names: str, values: list):
+    """Parametrize over ``values``, each case named by its own values joined by "-".
+
+    pytest would name a case it cannot spell by its position in the list, so
+    deleting one row would rename every later case.
+    """
+    ids = ["-".join(map(_spelling, case)) for case in values]
+    assert len(set(ids)) == len(ids), "two cases share a name"
+    return pytest.mark.parametrize(names, values, ids=ids)
+
+
+@cases(
     "name, arg, bad",
     [(name, arg, bad) for name, arg in sorted(RULES) for bad in BAD[arg]]
-    + [(name, arg, bad) for name, arg in MORE_RULES for bad in BAD[arg]]
-    + [(name, arg, bad) for name, arg in [*sorted(RULES), *MORE_RULES] if arg in BOOL_ARGS
+    + [(name, arg, bad) for name, arg in sorted(RULES) if arg in BOOL_ARGS
        for bad in ((True,) if name.endswith("from_json") else (True, np.True_))],
 )
 def test_domain_rule(name, arg, bad):
-    call = {**RULES, **MORE_RULES}[name, arg]
+    call = RULES[name, arg]
     call(VALID.get(arg, 2.0))  # the valid value goes through
     with pytest.raises(DomainError, match=MESSAGE[arg]):
         call(bad)
 
 
-@pytest.mark.parametrize(
+@cases(
     "name, arg",
-    [(name, arg) for name, arg in [*sorted(RULES), *MORE_RULES] if arg in ("f", "N", "c", "offset", "q", "r", "p", "mu", "grid")],
+    [(name, arg) for name, arg in sorted(RULES) if arg in ("f", "N", "c", "offset", "q", "r", "p", "mu", "grid")],
 )
 def test_real_number_rule(name, arg):
     # a value that is not a real number, or not one a float holds, is outside every real domain
     for bad in ("2", None, 1j, np.complex128(1 + 1j), 10**400, True, np.True_):
         with pytest.raises(DomainError, match=MESSAGE[arg]):
-            {**RULES, **MORE_RULES}[name, arg](bad)
+            RULES[name, arg](bad)
 
 
 # every function that takes a sequence of real numbers: the call, a valid
@@ -279,9 +293,8 @@ NOT_REALS = {
 }
 
 
-@pytest.mark.parametrize("name, arg", sorted(SEQUENCES))
-@pytest.mark.parametrize("bad", NOT_REALS)
-def test_sequence_rule(name, arg, bad):
+@cases("bad, name, arg", [(bad, name, arg) for bad in NOT_REALS for name, arg in sorted(SEQUENCES)])
+def test_sequence_rule(bad, name, arg):
     call, valid, error = SEQUENCES[name, arg]
     call(valid)
     call(iter(valid))  # any iterable
