@@ -57,7 +57,6 @@ from .oracle import (
     sample_realized,
 )
 from .policy import (
-    AdversaryProfile,
     ThresholdPolicy,
     beta_closed_form,
     binary_threshold,

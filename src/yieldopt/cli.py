@@ -174,13 +174,13 @@ def _cmd_oracle(args) -> int:
         except (TypeError, ValueError) as exc:
             raise DomainError(f"--thresholds must be a JSON list, got {args.thresholds!r}") from exc
         policy = ThresholdPolicy(thresholds, validate(dist, args.penalty))
-        profile = oracle.adversary_lp_tight(policy, args.supply, args.demand, args.t)
+        beta = oracle.adversary_lp_tight(policy, args.supply, args.demand, args.t)
         _json_out(
             {
                 "mode": args.mode,
                 "t": args.t,
-                "beta": profile.beta.tolist(),
-                "residuals": oracle.lp_residuals(profile, policy, args.supply, args.demand),
+                "beta": beta.tolist(),
+                "residuals": oracle.lp_residuals(beta, policy, args.supply, args.demand),
             },
             args.out,
         )

@@ -118,22 +118,22 @@ class RewardDistribution:
 
 
 def validate(dist: RewardDistribution, penalty: float) -> RewardDistribution:
-    """Gate for every downstream operation.
+    """Gate for every downstream operation; returns ``dist`` itself.
 
-    Re-checks the structural invariants and requires the top reward not to
+    Checks the type: a :class:`RewardDistribution` was fully checked when it
+    was built and cannot change, so anything else is a
+    :class:`MalformedDistribution`.  Then requires the top reward not to
     exceed the penalty.  A top reward above the penalty means those queries
     should always be sold on the exchange; we refuse rather than silently
     truncating, so the caller can pre-filter.  A non-finite penalty is a
     :class:`DomainError`.
     """
     _check_finite(penalty, "penalty")
-    # Reconstructing re-runs the structural checks.
-    checked = RewardDistribution(dist.support, dist.cum_mass)
-    if checked.support[-1] > penalty:
-        raise RewardExceedsPenalty(
-            f"top reward {checked.support[-1]} exceeds penalty {penalty}"
-        )
-    return checked
+    if not isinstance(dist, RewardDistribution):
+        raise MalformedDistribution(f"expected a RewardDistribution, got {type(dist).__name__}")
+    if dist.support[-1] > penalty:
+        raise RewardExceedsPenalty(f"top reward {dist.support[-1]} exceeds penalty {penalty}")
+    return dist
 
 
 def normalize(

@@ -2,7 +2,8 @@
 
 Every error is a :class:`YieldOptError`, and every subclass is also a
 ``ValueError``: :class:`DomainError` for an input outside its domain,
-:class:`MalformedDistribution` for a bad reward distribution, and one type
+:class:`MalformedDistribution` for a bad reward distribution, or a value
+given for one that is not a ``RewardDistribution``, and one type
 per refused computation: :class:`RewardExceedsPenalty`,
 :class:`InfeasibleDecay`, :class:`NonIntegralGroupSize` and
 :class:`SizeLimit`.  Each input rule below is written once and called by
@@ -18,7 +19,8 @@ for ``adversary_lp_tight``);
 ``_finite``: whether a value is a finite real number, False for a string,
 ``None``, a bool, a complex number or an int beyond float range;
 ``_reals``: ``_finite`` applied to every value of a sequence, as a float64
-array (support, masses, thresholds, beta, rewards, weights);
+array (support, masses, thresholds, ``lp_residuals``' beta, rewards,
+weights);
 ``_check_finite``: a finite scalar (penalty, offset); ``_check_supply``: a
 supply factor, finite and >= 1; ``_check_demand``: a total demand, finite
 and > 0; ``_check_rewards``: ``_reals`` with one reward per query;
@@ -37,7 +39,7 @@ class YieldOptError(Exception):
 
 
 class MalformedDistribution(YieldOptError, ValueError):
-    """Reward distribution violates ordering / mass invariants."""
+    """Reward distribution violates ordering / mass invariants, or is not a ``RewardDistribution``."""
 
 
 class RewardExceedsPenalty(YieldOptError, ValueError):

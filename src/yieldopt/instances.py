@@ -181,8 +181,9 @@ def supply_factor(instance: Instance) -> float:
     ``_SUPPLY_TOL``.  Returns 0 when some advertiser has no eligible queries.
     """
     covered = set()
-    for _, elig in instance.groups:
-        covered.update(elig)
+    for count, elig in instance.groups:
+        if count > 0:
+            covered.update(elig)
     if len(covered) < instance.m:
         return 0.0
     hi = instance.total_queries / instance.total_demand

@@ -12,16 +12,16 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 import numpy as np
 
 from .dist import RewardDistribution, sample_array, top_quantile_mean
 from .engine import run_rewards
-from .errors import SizeLimit, _positive
+from .errors import SizeLimit, _positive, _reals
 from .errors import _check_demand, _check_finite, _check_rewards, _check_supply
 from .instances import Instance
-from .policy import AdversaryProfile, ThresholdPolicy, index_weights
+from .policy import ThresholdPolicy, index_weights
 
 _MAX_EXACT_QUERIES = 100_000
 _MAX_ENUM_REALIZATIONS = 400_000
@@ -256,14 +256,12 @@ def exhaustive_values(
 # ---------------------------------------------------------------------------
 
 
-def adversary_lp_tight(
-    policy: ThresholdPolicy, f: float, N: float, t: int
-) -> AdversaryProfile:
+def adversary_lp_tight(policy: ThresholdPolicy, f: float, N: float, t: int) -> np.ndarray:
     """Solve the adversary LP's constraint system with all equalities tight.
 
     Forward recurrence ``beta_{j+1} = beta_1 - (sum_{l<=j} w_l beta_l)/(f t)``
     from ``beta_1 = N/t``, with ``w_l = 1/q_{d+1-u(l)}``; this is the LP
-    optimum without a general solver.
+    optimum without a general solver.  Returns ``beta`` as a length-t array.
     """
     t = _positive(t, "t", least=2)
     _check_supply(f)
@@ -275,22 +273,20 @@ def adversary_lp_tight(
     for j in range(1, t):
         beta[j] = beta[0] - running / (f * t)
         running += w[j] * beta[j]
-    return AdversaryProfile(t=t, beta=beta)
+    return beta
 
 
-def lp_residuals(
-    profile: AdversaryProfile, policy: ThresholdPolicy, f: float, N: float
-) -> Dict[str, float]:
-    """Residuals of the LP constraint system at the given profile.
+def lp_residuals(beta: Sequence[float], policy: ThresholdPolicy, f: float, N: float) -> Dict[str, float]:
+    """Residuals of the LP constraint system at the profile ``beta``, with t = len(beta).
 
     ``equality``: max |f t beta_1 - f t beta_{j+1} - sum_{l<=j} w_l beta_l|,
     ``beta1``: |beta_1 - N/t|, ``negativity``: max(0, -min beta).
     """
+    beta = _reals(beta, "beta")
     _check_supply(f)
     _check_demand(N)
-    t = profile.t
-    beta = profile.beta
-    w = index_weights(policy, t)
+    t = len(beta)
+    w = index_weights(policy, t)  # checks t >= 1
     lhs = f * t * (beta[0] - beta[1:])
     rhs = np.cumsum(w * beta)[:-1]
     return {

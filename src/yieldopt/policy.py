@@ -27,8 +27,8 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .dist import RewardDistribution, cond_mean_below, normalize, validate
-from .errors import _BOOLS, DomainError, InfeasibleDecay, _integer, _positive
+from .dist import RewardDistribution, cond_mean_below, validate
+from .errors import _BOOLS, DomainError, InfeasibleDecay, _positive
 from .errors import _check_binary, _check_demand, _check_finite, _check_supply, _finite, _reals
 
 DEFAULT_GRID = 1.0 / 200.0
@@ -42,10 +42,11 @@ DEFAULT_GRID = 1.0 / 200.0
 class ThresholdPolicy:
     """Sorted thresholds over the satisfaction ratio plus the reserve lookup.
 
-    ``reserve(u)`` returns the ``(d+1-u)``-th support value: the lower the
-    least-satisfied contract sits, the higher the exchange bid must be.
-    ``reserves[u-1]`` holds the same value, precomputed for serving, and
-    :meth:`cutoffs` gives the segments as integer delivered counts.
+    ``reserves[u-1]``, the reserve price while the minimum satisfaction
+    ratio lies in segment ``u`` (1-based), is the ``(d+1-u)``-th support
+    value: the lower the least-satisfied contract sits, the higher the
+    exchange bid must be.  :meth:`cutoffs` gives the segments as integer
+    delivered counts.
     """
 
     thresholds: Tuple[float, ...]
@@ -76,13 +77,6 @@ class ThresholdPolicy:
     def d(self) -> int:
         return self.dist.d
 
-    def reserve(self, u: int) -> float:
-        """Reserve price while the minimum SR lies in segment ``u`` (1-based)."""
-        u = _integer(u, "segment u")
-        if not 1 <= u <= self.d:
-            raise DomainError(f"segment u={u} out of range 1..{self.d}")
-        return self.reserves[u - 1]
-
     def cutoffs(self, n: int) -> Tuple[int, ...]:
         """Segment cutoffs for demand ``n``, exact and memoized per ``n``.
 
@@ -101,30 +95,6 @@ class ThresholdPolicy:
         ratios = map(float.as_integer_ratio, self.thresholds)
         cut = self._cuts[n] = tuple((p * n - 1) // q for p, q in ratios)
         return cut
-
-
-@dataclass(frozen=True, eq=False)
-class AdversaryProfile:
-    """Expected impression counts per 1/t satisfaction-ratio slice.
-
-    ``beta[j-1]`` is the expected number of impressions allocated while the
-    recipient's satisfaction ratio lay in slice ``j``; ``alpha`` is the
-    implied per-slice finishing demand ``t * (beta_j - beta_{j+1})``.
-    """
-
-    t: int
-    beta: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "t", _positive(self.t, "t"))
-        beta = _reals(self.beta, "beta")
-        if beta.shape != (self.t,):
-            raise DomainError(f"beta must have length t={self.t}")
-        object.__setattr__(self, "beta", beta)
-
-    @property
-    def alpha(self) -> np.ndarray:
-        return self.t * (self.beta - np.append(self.beta[1:], 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -182,11 +152,13 @@ def index_weights(policy: ThresholdPolicy, t: int) -> np.ndarray:
     return np.repeat(1.0 / np.asarray(policy.dist.cum_mass[::-1]), lengths)
 
 
-def beta_closed_form(policy: ThresholdPolicy, f: float, N: float, t: int) -> AdversaryProfile:
-    """Piecewise-geometric optimal LP solution.
+def beta_closed_form(policy: ThresholdPolicy, f: float, N: float, t: int) -> np.ndarray:
+    """Piecewise-geometric optimal LP solution, the adversary's profile ``beta``.
 
-    Within segment ``u`` the profile decays by ``1 - (1/q_{d+1-u})/(t*f)``
-    per slice, chained across segments, starting from ``beta_1 = N/t``.
+    ``beta[j-1]`` is the expected number of impressions allocated while the
+    recipient's satisfaction ratio lay in the 1/t slice ``j``.  Within
+    segment ``u`` the profile decays by ``1 - (1/q_{d+1-u})/(t*f)`` per
+    slice, chained across segments, starting from ``beta_1 = N/t``.
     """
     t = _positive(t, "t")
     _check_supply(f)
@@ -199,7 +171,7 @@ def beta_closed_form(policy: ThresholdPolicy, f: float, N: float, t: int) -> Adv
             f"decay weight {bad} exceeds t*f = {t * f}; increase t"
         )
     beta = (N / t) * np.cumprod(np.concatenate(([1.0], factors[:-1])))
-    return AdversaryProfile(t=t, beta=beta)
+    return beta.astype(float, copy=False)  # a Fraction f or N makes an object array
 
 
 def lb_discrete(policy: ThresholdPolicy, f: float, c: float, N: float, t: int) -> float:
@@ -210,14 +182,14 @@ def lb_discrete(policy: ThresholdPolicy, f: float, c: float, N: float, t: int) -
     in the units of the policy's distribution, whose top reward is at most ``c``.
     """
     dist = _checked(policy.dist, f, c, N)
-    profile = beta_closed_form(policy, f, N, t)  # checks t
+    beta = beta_closed_form(policy, f, N, t)  # checks t
     d = dist.d
-    lengths = np.diff(segment_bounds(policy, profile.t))
+    lengths = np.diff(segment_bounds(policy, len(beta)))
     coefs = np.array([c - cond_mean_below(dist, d + 1 - u) for u in range(1, d + 1)])
     per_index = np.repeat(coefs, lengths)
     masses = np.asarray(dist.point_masses())
     base = -c * N + f * N * float(masses @ np.asarray(dist.support))
-    return float(base + profile.beta @ per_index)
+    return float(base + beta @ per_index)
 
 
 # ---------------------------------------------------------------------------
@@ -369,14 +341,17 @@ def make_policy(
 ) -> Tuple[ThresholdPolicy, float, float]:
     """Validate and optimize once; return ``(policy, objective, offset)``.
 
-    The policy is :func:`optimize_thresholds_exact` on ``dist`` itself (for
-    binary distributions, :func:`binary_threshold`).  The objective is
-    :func:`ub_continuous` with every reward and the penalty lowered by the
-    lowest reward ``r_1`` (:func:`~yieldopt.dist.normalize`); adding
-    ``offset = (f - 1) N r_1`` gives ``ub_continuous`` in ``dist``'s units.
-    Rejects a supply factor below 1 and a total demand of 0 or below, and
-    either non-finite.
+    The policy is :func:`optimize_thresholds_exact` on ``dist`` itself, for
+    any support size.  The objective is :func:`ub_continuous` of that policy
+    with every reward and the penalty lowered by the lowest reward ``r_1``
+    (as :func:`~yieldopt.dist.normalize` lowers them); adding ``offset =
+    (f - 1) N r_1`` gives ``ub_continuous`` in ``dist``'s units.  Rejects a
+    supply factor below 1 and a total demand of 0 or below, and either
+    non-finite.
     """
     policy = optimize_thresholds_exact(dist, f, penalty)
-    shifted, c_shifted, offset = normalize(policy.dist, penalty, f, N)
-    return policy, ub_continuous(policy.thresholds, shifted, f, c_shifted, N), offset
+    _check_demand(N)
+    r1 = policy.dist.support[0]
+    lowered = np.subtract(policy.dist.support, r1)
+    objective = float(_ub_value(lowered, policy.dist.cum_mass, policy.thresholds, f, float(penalty) - r1, N))
+    return policy, objective, 0.0 if r1 == 0.0 else (f - 1.0) * N * r1

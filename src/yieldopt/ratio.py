@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .dist import RewardDistribution
-from .errors import DomainError, _check_binary, _check_finite, _check_supply, _finite
-from .policy import optimize_thresholds_exact, optimize_thresholds_grid, ub_continuous
+from .errors import DomainError, _check_binary, _check_demand, _check_finite, _check_supply, _finite
+from .policy import _ub_value, optimize_thresholds_exact, optimize_thresholds_grid
 
 
 @dataclass(frozen=True)
@@ -118,7 +118,7 @@ def best_achievable_reward(
 ) -> float:
     """Best objective any threshold vector attains against the adversary.
 
-    ``ub_continuous`` at the optimized thresholds, in ``dist``'s own units.
+    ``ub_continuous`` of the solver's policy, in ``dist``'s own units.
     ``method="exact"`` uses the closed-form solver behind ``make_policy``;
     ``method="grid"`` the ``DEFAULT_GRID``-spaced optimum of
     ``optimize_thresholds_grid``, an independent check of the exact solver.
@@ -126,7 +126,9 @@ def best_achievable_reward(
     if method not in ("exact", "grid"):
         raise DomainError(f"unknown method {method!r}")
     solver = optimize_thresholds_exact if method == "exact" else optimize_thresholds_grid
-    return ub_continuous(solver(dist, f, penalty).thresholds, dist, f, penalty, N)
+    policy = solver(dist, f, penalty)
+    _check_demand(N)
+    return float(_ub_value(policy.dist.support, policy.dist.cum_mass, policy.thresholds, f, penalty, N))
 
 
 def worst_case_distribution(mu: float, c: float, f: float) -> WorstCaseSpec:

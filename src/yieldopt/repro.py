@@ -178,7 +178,7 @@ def run_beta_recurrence() -> ReproResult:
                 tight = oracle.adversary_lp_tight(policy, f, 1.0, t)
                 worst_gap = max(
                     worst_gap,
-                    float(np.max(np.abs(closed.beta - tight.beta))) / (1.0 / t),
+                    float(np.max(np.abs(closed - tight))) / (1.0 / t),
                 )
                 resid = oracle.lp_residuals(closed, policy, f, 1.0)
                 worst_res = max(worst_res, resid["equality"], resid["beta1"], resid["negativity"])

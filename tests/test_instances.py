@@ -37,7 +37,6 @@ from yieldopt.oracle import (
     sample_realized,
 )
 from yieldopt.policy import (
-    AdversaryProfile,
     ThresholdPolicy,
     beta_closed_form,
     binary_threshold,
@@ -53,7 +52,7 @@ from yieldopt.ratio import binary_alg_bound, binary_opt, binary_ratio, worst_cas
 
 BINARY = RewardDistribution((0.0, 0.5), (0.5, 1.0))
 POLICY = ThresholdPolicy((0.3, 1.0), BINARY)
-PROFILE = beta_closed_form(POLICY, 2.0, 1.0, 100)
+BETA = beta_closed_form(POLICY, 2.0, 1.0, 100)
 TINY = Instance((1,), ((2, (0,)),))
 MATCH = triangular_matching_instance(2, 1, 1, np.random.default_rng(0))
 
@@ -70,7 +69,7 @@ RULES = {
     ("lb_discrete", "f"): lambda f: lb_discrete(POLICY, f, 1.0, 1.0, 100),
     ("beta_closed_form", "f"): lambda f: beta_closed_form(POLICY, f, 1.0, 100),
     ("adversary_lp_tight", "f"): lambda f: adversary_lp_tight(POLICY, f, 1.0, 100),
-    ("lp_residuals", "f"): lambda f: lp_residuals(PROFILE, POLICY, f, 1.0),
+    ("lp_residuals", "f"): lambda f: lp_residuals(BETA, POLICY, f, 1.0),
     ("offline_opt_formula", "f"): lambda f: offline_opt_formula(BINARY, f, 1.0),
     ("binary_alg_bound", "f"): lambda f: binary_alg_bound(f, 0.5, 0.5, 1.0),
     ("binary_opt", "f"): lambda f: binary_opt(f, 0.5, 0.5),
@@ -83,7 +82,7 @@ RULES = {
     ("lb_discrete", "N"): lambda N: lb_discrete(POLICY, 2.0, 1.0, N, 100),
     ("beta_closed_form", "N"): lambda N: beta_closed_form(POLICY, 2.0, N, 100),
     ("adversary_lp_tight", "N"): lambda N: adversary_lp_tight(POLICY, 2.0, N, 100),
-    ("lp_residuals", "N"): lambda N: lp_residuals(PROFILE, POLICY, 2.0, N),
+    ("lp_residuals", "N"): lambda N: lp_residuals(BETA, POLICY, 2.0, N),
     ("offline_opt_formula", "N"): lambda N: offline_opt_formula(BINARY, 2.0, N),
     ("normalize", "f"): lambda f: normalize(BINARY, 1.0, f, 1.0),
     ("validate", "c"): lambda c: validate(BINARY, c),
@@ -103,12 +102,10 @@ RULES = {
     ("binary_alg_bound", "r"): lambda r: binary_alg_bound(2.0, 0.5, r, 4.0),
     ("binary_ratio", "r"): lambda r: binary_ratio(2.0, 0.5, r, 4.0),
     ("binary_opt", "r"): lambda r: binary_opt(2.0, 0.5, r),
-    ("AdversaryProfile", "t"): lambda t: AdversaryProfile(t, (0.5, 0.25)),
     ("beta_closed_form", "t"): lambda t: beta_closed_form(POLICY, 2.0, 1.0, t),
     ("lb_discrete", "t"): lambda t: lb_discrete(POLICY, 2.0, 1.0, 1.0, t),
     ("adversary_lp_tight", "t"): lambda t: adversary_lp_tight(POLICY, 2.0, 1.0, t),
     ("cond_mean_below", "u"): lambda u: cond_mean_below(BINARY, u),
-    ("ThresholdPolicy.reserve", "u"): POLICY.reserve,
     ("run_rewards", "rewards"): lambda x: run_rewards(TINY, POLICY, 1.0, x),
     ("RealizedInstance", "rewards"): lambda x: RealizedInstance(TINY, x),
     ("segment_bounds", "t"): lambda t: segment_bounds(POLICY, t),
@@ -271,7 +268,7 @@ SEQUENCES = {
         lambda v: RewardDistribution.from_masses((0.0, 0.5), v), (0.5, 0.5), MalformedDistribution
     ),
     ("ThresholdPolicy", "thresholds"): (lambda v: ThresholdPolicy(v, BINARY), (0.3, 1.0), DomainError),
-    ("AdversaryProfile", "beta"): (lambda v: AdversaryProfile(2, v), (0.5, 0.25), DomainError),
+    ("lp_residuals", "beta"): (lambda v: lp_residuals(v, POLICY, 2.0, 1.0), (0.5, 0.25), DomainError),
     ("run_rewards", "rewards"): (lambda v: run_rewards(TINY, POLICY, 1.0, v), (0.0, 0.5), DomainError),
     ("RealizedInstance", "rewards"): (lambda v: RealizedInstance(TINY, v), (0.0, 0.5), DomainError),
     ("perturbed_greedy", "weights"): (lambda v: perturbed_greedy(MATCH, 1, 0, v), (1.0, 2.0), DomainError),
@@ -310,7 +307,9 @@ def test_exact_values_build_their_float_spellings():
     assert RewardDistribution.binary(Fraction(1, 2), np.float32(0.5)) == BINARY
     assert ThresholdPolicy((np.float32(0.5), 1), BINARY) == ThresholdPolicy((0.5, 1.0), BINARY)
     assert ThresholdPolicy(np.array([Fraction(3, 10), np.int64(1)], dtype=object), BINARY) == POLICY
-    assert AdversaryProfile(2, (1, Fraction(1, 4))).beta.tolist() == [1.0, 0.25]
+    assert lp_residuals((1, Fraction(1, 4)), POLICY, 2.0, 1.0) == lp_residuals((1.0, 0.25), POLICY, 2.0, 1.0)
+    beta = beta_closed_form(POLICY, Fraction(2), Fraction(1), 100)
+    assert beta.dtype == np.float64 and beta.tolist() == BETA.tolist()
     assert run_rewards(TINY, POLICY, 1.0, (0, Fraction(1, 2))) == run_rewards(TINY, POLICY, 1.0, (0.0, 0.5))
     assert RealizedInstance(TINY, [np.int64(0), np.float32(0.5)]) == RealizedInstance(TINY, (0.0, 0.5))
     w = [1, Fraction(5, 2), np.float32(0.5)]
@@ -558,6 +557,12 @@ class TestSupplyFactor:
 
     def test_empty_eligibility_gives_zero(self):
         inst = Instance((1, 1), ((3, (0,)),))
+        assert supply_factor(inst) == 0.0
+
+    def test_empty_group_covers_nobody(self):
+        # advertiser 0's only group has no queries: it used to count as
+        # covered, and the bisection returned about 9.3e-10
+        inst = Instance((1, 1), ((0, (0,)), (2, (1,))))
         assert supply_factor(inst) == 0.0
 
     def test_bottleneck_instance(self):

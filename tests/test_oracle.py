@@ -285,13 +285,14 @@ class TestOnlineOptBruteforce:
 class TestAdversaryLpTight:
     def test_first_entry(self):
         policy = ThresholdPolicy((0.3, 1.0), BINARY)
-        prof = adversary_lp_tight(policy, 2.0, 1.0, 10)
-        assert prof.beta[0] == pytest.approx(0.1)
+        beta = adversary_lp_tight(policy, 2.0, 1.0, 10)
+        assert beta.dtype == np.float64 and beta.shape == (10,)
+        assert beta[0] == pytest.approx(0.1)
 
     def test_binary_matches_piecewise_closed_form(self):
         N, t, f, q = 1.0, 10, 2.0, 0.5
         policy = ThresholdPolicy((0.3, 1.0), BINARY)
-        prof = adversary_lp_tight(policy, f, N, t)
+        beta = adversary_lp_tight(policy, f, N, t)
         st = 3
         for j in range(1, t + 1):
             if j <= st + 1:
@@ -302,20 +303,20 @@ class TestAdversaryLpTight:
                     * (1 - 1 / (t * f)) ** st
                     * (1 - (1 / q) / (t * f)) ** (j - st - 1)
                 )
-            assert prof.beta[j - 1] == pytest.approx(expected, abs=1e-12)
+            assert beta[j - 1] == pytest.approx(expected, abs=1e-12)
 
     def test_residuals_vanish(self):
         policy = ThresholdPolicy((0.25, 0.7, 1.0), TRI3)
-        prof = adversary_lp_tight(policy, 1.5, 1.0, 300)
-        resid = lp_residuals(prof, policy, 1.5, 1.0)
+        beta = adversary_lp_tight(policy, 1.5, 1.0, 300)
+        resid = lp_residuals(beta, policy, 1.5, 1.0)
         assert resid["equality"] <= 1e-9
         assert resid["beta1"] == 0.0
         assert resid["negativity"] <= 1e-15
 
     def test_non_increasing(self):
         policy = ThresholdPolicy((0.25, 0.7, 1.0), TRI3)
-        prof = adversary_lp_tight(policy, 1.5, 1.0, 300)
-        assert np.all(np.diff(prof.beta) <= 1e-15)
+        beta = adversary_lp_tight(policy, 1.5, 1.0, 300)
+        assert np.all(np.diff(beta) <= 1e-15)
 
     def test_requires_t_at_least_two(self):
         policy = ThresholdPolicy((0.3, 1.0), BINARY)

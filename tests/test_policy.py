@@ -1,13 +1,15 @@
 import math
+from collections import Counter
 from itertools import combinations_with_replacement
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from yieldopt.dist import RewardDistribution, normalize
-from yieldopt.errors import DomainError, InfeasibleDecay
+from yieldopt.dist import RewardDistribution, normalize, validate
+from yieldopt.errors import DomainError, InfeasibleDecay, MalformedDistribution
 from yieldopt.oracle import adversary_lp_tight, lp_residuals
 from yieldopt.policy import (
     ThresholdPolicy,
@@ -23,6 +25,7 @@ from yieldopt.policy import (
     segment_bounds,
     ub_continuous,
 )
+from yieldopt.ratio import best_achievable_reward
 
 BINARY = RewardDistribution((0.0, 0.5), (0.5, 1.0))
 S_STAR = 1.0 + math.log(0.5)  # canonical f=2, q=0.5, r=0.5, c=1
@@ -111,14 +114,15 @@ class TestBinaryThreshold:
 class TestBetaClosedForm:
     def test_first_entry_is_demand_over_t(self):
         policy = ThresholdPolicy((0.3, 1.0), BINARY)
-        prof = beta_closed_form(policy, 2.0, 1.0, 50)
-        assert prof.beta[0] == pytest.approx(1.0 / 50)
+        beta = beta_closed_form(policy, 2.0, 1.0, 50)
+        assert beta.dtype == np.float64 and beta.shape == (50,)
+        assert beta[0] == pytest.approx(1.0 / 50)
 
     def test_binary_piecewise_formula(self):
         # explicit two-branch geometric expression, written out independently
         N, t, f, q = 1.0, 10, 2.0, 0.5
         policy = ThresholdPolicy((0.3, 1.0), BINARY)
-        prof = beta_closed_form(policy, f, N, t)
+        beta = beta_closed_form(policy, f, N, t)
         st = 3  # s*t
         for j in range(1, t + 1):
             if j <= st + 1:
@@ -129,14 +133,14 @@ class TestBetaClosedForm:
                     * (1.0 - 1.0 / (t * f)) ** st
                     * (1.0 - (1.0 / q) / (t * f)) ** (j - st - 1)
                 )
-            assert prof.beta[j - 1] == pytest.approx(expected, abs=1e-12)
+            assert beta[j - 1] == pytest.approx(expected, abs=1e-12)
 
     def test_matches_tight_recurrence_d3(self):
         d3 = RewardDistribution((0.0, 0.4, 0.9), (1 / 3, 2 / 3, 1.0))
         policy = ThresholdPolicy((0.2, 0.6, 1.0), d3)
         closed = beta_closed_form(policy, 2.0, 1.0, 100)
         tight = adversary_lp_tight(policy, 2.0, 1.0, 100)
-        assert np.max(np.abs(closed.beta - tight.beta)) <= 1e-9
+        assert np.max(np.abs(closed - tight)) <= 1e-9
 
     def test_infeasible_decay(self):
         skewed = RewardDistribution((0.0, 0.5), (0.001, 1.0))
@@ -144,15 +148,9 @@ class TestBetaClosedForm:
         with pytest.raises(InfeasibleDecay):
             beta_closed_form(policy, 1.0, 1.0, 10)
 
-    def test_alpha_definition(self):
-        policy = ThresholdPolicy((0.3, 1.0), BINARY)
-        prof = beta_closed_form(policy, 2.0, 1.0, 20)
-        expected = 20 * (prof.beta - np.append(prof.beta[1:], 0.0))
-        assert np.allclose(prof.alpha, expected)
-
     def test_non_increasing(self):
         policy = ThresholdPolicy((0.3, 1.0), BINARY)
-        beta = beta_closed_form(policy, 2.0, 1.0, 500).beta
+        beta = beta_closed_form(policy, 2.0, 1.0, 500)
         assert np.all(np.diff(beta) <= 1e-15)
 
 
@@ -470,8 +468,8 @@ class TestLpTightness:
     def test_closed_form_satisfies_lp_with_equality(self):
         d3 = RewardDistribution((0.0, 0.4, 0.9), (0.3, 0.7, 1.0))
         policy = ThresholdPolicy((0.2, 0.6, 1.0), d3)
-        prof = beta_closed_form(policy, 2.0, 1.0, 200)
-        resid = lp_residuals(prof, policy, 2.0, 1.0)
+        beta = beta_closed_form(policy, 2.0, 1.0, 200)
+        resid = lp_residuals(beta, policy, 2.0, 1.0)
         assert resid["equality"] <= 1e-9
         assert resid["beta1"] == 0.0
         assert resid["negativity"] == 0.0
@@ -481,9 +479,7 @@ class TestThresholdPolicyType:
     def test_reserve_lookup_mirrors_index(self):
         d3 = RewardDistribution((0.0, 0.4, 0.9), (0.3, 0.7, 1.0))
         policy = ThresholdPolicy((0.2, 0.6, 1.0), d3)
-        assert policy.reserve(1) == 0.9
-        assert policy.reserve(2) == 0.4
-        assert policy.reserve(3) == 0.0
+        assert policy.reserves == (0.9, 0.4, 0.0)
 
     @pytest.mark.parametrize(
         "thresholds",
@@ -501,14 +497,11 @@ class TestThresholdPolicyType:
         cum = tuple((i + 1) / d for i in range(d))
         dist = RewardDistribution(tuple(0.1 * i for i in range(d)), cum)
         policy = ThresholdPolicy(tuple((i + 1) / d for i in range(d)), dist)
-        assert policy.reserves == tuple(policy.reserve(u) for u in range(1, d + 1))
+        # segment u's reserve is the (d+1-u)-th support value
+        assert policy.reserves == tuple(dist.support[d - u] for u in range(1, d + 1))
         other = RewardDistribution(tuple(0.3 + 0.2 * i for i in range(d)), cum)
         rebound = ThresholdPolicy(policy.thresholds, other)
-        assert rebound.reserves == tuple(rebound.reserve(u) for u in range(1, d + 1))
-        assert rebound.reserves == other.support[::-1]
-        for u in (-1, 0, d + 1):
-            with pytest.raises(DomainError):
-                policy.reserve(u)
+        assert rebound.reserves == tuple(other.support[d - u] for u in range(1, d + 1))
 
     def test_reserves_outside_eq_hash_repr(self):
         d3 = RewardDistribution((0.0, 0.4, 0.9), (0.3, 0.7, 1.0))
@@ -549,7 +542,7 @@ class TestMakePolicy:
         shifted = RewardDistribution((0.2, 0.7), (0.5, 1.0))
         policy, objective, offset = make_policy(shifted, 1.2, 2.0, N=10.0)
         # thresholds from the normalized problem, reserves in original units
-        assert policy.reserve(1) == 0.7
+        assert policy.reserves[0] == 0.7
         assert offset == pytest.approx(10.0 * 0.2)
 
     def test_top_reward_at_penalty_prefers_selling(self):
@@ -576,6 +569,54 @@ class TestMakePolicy:
         s1 = max(0.0, 1.0 + 2.0 * (0.3 * math.log(0.1) + 0.4 * math.log(0.1 / 0.6)))
         assert policy.thresholds == pytest.approx((s1, s2, 1.0), abs=1e-12)
         assert objective == pytest.approx(ub_continuous(policy.thresholds, d3, 2.0, 1.0), abs=1e-15)
+
+
+class TestChecksOnce:
+    """A distribution is checked when it is built; the threshold layer checks its type and no more."""
+
+    # reads like a RewardDistribution but was never checked as one
+    DUCK = SimpleNamespace(support=(0.0, 0.5), cum_mass=(0.5, 1.0), d=2)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda d: validate(d, 1.0),
+            lambda d: normalize(d, 1.0, 2.0, 1.0),
+            lambda d: make_policy(d, 1.0, 2.0),
+            lambda d: best_achievable_reward(d, 1.0, 2.0),
+            lambda d: ub_continuous((0.3, 1.0), d, 2.0, 1.0),
+            lambda d: lb_discrete(ThresholdPolicy((0.3, 1.0), d), 2.0, 1.0, 1.0, 100),
+        ],
+        ids=["validate", "normalize", "make_policy", "best_achievable_reward", "ub_continuous", "lb_discrete"],
+    )
+    def test_duck_typed_distribution_rejected(self, call):
+        with pytest.raises(MalformedDistribution, match="expected a RewardDistribution"):
+            call(self.DUCK)
+
+    def test_validate_returns_its_argument(self):
+        assert validate(BINARY, 1.0) is BINARY
+
+    @pytest.mark.parametrize(
+        "solve",
+        [
+            lambda d: make_policy(d, 1.2, 2.0, 10.0),
+            lambda d: best_achievable_reward(d, 1.2, 2.0, 10.0),
+            lambda d: best_achievable_reward(d, 1.2, 2.0, 10.0, method="grid"),
+        ],
+        ids=["make_policy", "best_achievable_reward-exact", "best_achievable_reward-grid"],
+    )
+    def test_one_policy_per_solve(self, monkeypatch, solve):
+        # r_1 > 0, so a shifted copy would be a second distribution
+        dist = RewardDistribution((0.2, 0.5, 0.7), (0.3, 0.6, 1.0))
+        built = Counter()
+        for cls in (RewardDistribution, ThresholdPolicy):
+            def counted(self, post=cls.__post_init__, name=cls.__name__):
+                built[name] += 1
+                post(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        solve(dist)
+        assert dict(built) == {"ThresholdPolicy": 1}
 
 
 class TestShiftCovariance:
