@@ -354,4 +354,4 @@ def make_policy(
     r1 = policy.dist.support[0]
     lowered = np.subtract(policy.dist.support, r1)
     objective = float(_ub_value(lowered, policy.dist.cum_mass, policy.thresholds, f, float(penalty) - r1, N))
-    return policy, objective, 0.0 if r1 == 0.0 else (f - 1.0) * N * r1
+    return policy, objective, (f - 1.0) * N * r1

@@ -560,8 +560,7 @@ class TestSupplyFactor:
         assert supply_factor(inst) == 0.0
 
     def test_empty_group_covers_nobody(self):
-        # advertiser 0's only group has no queries: it used to count as
-        # covered, and the bisection returned about 9.3e-10
+        # advertiser 0's only group has no queries, so nothing covers it
         inst = Instance((1, 1), ((0, (0,)), (2, (1,))))
         assert supply_factor(inst) == 0.0
 
