@@ -213,8 +213,6 @@ VALID = {  # any other argument takes 2.0
 }
 
 
-
-
 def _spelling(value) -> str:
     # a number, a string or None as pytest spells it; anything else (a tuple, a
     # numpy bool, whose str is "True") by its repr
