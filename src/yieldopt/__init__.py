@@ -71,8 +71,7 @@ from .ratio import (
     WorstCaseSpec,
     best_achievable_reward,
     binary_alg_bound,
-    binary_opt,
-    binary_ratio,
+    competitive_ratio,
     worst_case_distribution,
 )
 

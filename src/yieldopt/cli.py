@@ -28,7 +28,7 @@ from .engine import run_instance
 from .errors import DomainError, YieldOptError, _positive
 from .instances import Instance, complete_instance, gen_upper_triangular, supply_factor
 from .policy import ThresholdPolicy, make_policy, ub_continuous
-from .ratio import binary_ratio, worst_case_distribution
+from .ratio import competitive_ratio, worst_case_distribution
 
 SCHEMA_VERSION = 1
 
@@ -188,7 +188,8 @@ def _cmd_oracle(args) -> int:
 
 
 def _cmd_ratio(args) -> int:
-    report = binary_ratio(args.supply, args.q, args.r, args.penalty)
+    dist = _load(RewardDistribution, args.dist, "--dist")
+    report = competitive_ratio(dist, args.penalty, args.supply)
     _json_out(dataclasses.asdict(report), args.out)
     return 0
 
@@ -290,10 +291,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_oracle)
 
-    p = sub.add_parser("ratio", help="binary competitive ratio")
+    p = sub.add_parser("ratio", help="competitive ratio of a bid distribution")
+    p.add_argument("--dist", required=True)
     p.add_argument("--supply", type=float, required=True)
-    p.add_argument("--q", type=float, required=True)
-    p.add_argument("--r", type=float, required=True)
     p.add_argument("--penalty", type=float, required=True)
     p.add_argument("--out")
     p.set_defaults(fn=_cmd_ratio)

@@ -28,7 +28,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .dist import RewardDistribution, cond_mean_below, validate
-from .errors import _BOOLS, DomainError, InfeasibleDecay, _positive
+from .errors import _BOOLS, DomainError, InfeasibleDecay, MalformedDistribution, _positive
 from .errors import _check_binary, _check_demand, _check_finite, _check_supply, _finite, _reals
 
 DEFAULT_GRID = 1.0 / 200.0
@@ -57,6 +57,8 @@ class ThresholdPolicy:
     _cuts: Dict[int, Tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if not isinstance(self.dist, RewardDistribution):  # its reserves would come unchecked
+            raise MalformedDistribution(f"expected a RewardDistribution, got {type(self.dist).__name__}")
         thresholds = tuple(_reals(self.thresholds, "thresholds").tolist())
         d = self.dist.d
         if len(thresholds) != d:

@@ -1,10 +1,12 @@
-"""Competitive-ratio formulas and the worst-case fixed-mean distribution.
+"""Competitive ratios and the worst-case fixed-mean distribution.
 
-The binary case has closed forms for both the algorithm's guarantee and
-the offline optimum, so the ratio is explicit.  For a fixed mean, the
-distribution minimizing the best-achievable reward is a point mass or one
-of two extremal binary distributions; ``worst_case_distribution``
-constructs the valid candidates and evaluates each one.
+``competitive_ratio`` gives, for any bid distribution, the guarantee of
+the optimal threshold policy, the expected offline optimum and their
+ratio.  ``binary_alg_bound`` keeps the binary closed form of that
+guarantee as a reference.  For a fixed mean, the distribution minimizing
+the best-achievable reward is a point mass or one of two extremal binary
+distributions; ``worst_case_distribution`` constructs the valid
+candidates and evaluates each one.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ from typing import Optional, Tuple
 
 from .dist import RewardDistribution
 from .errors import DomainError, _check_binary, _check_demand, _check_finite, _check_supply, _finite
+from .oracle import offline_opt_formula
 from .policy import _ub_value, optimize_thresholds_exact, optimize_thresholds_grid
 
 
@@ -22,16 +25,36 @@ from .policy import _ub_value, optimize_thresholds_exact, optimize_thresholds_gr
 class RatioReport:
     """Per-unit-demand guarantee, offline optimum, and their ratio.
 
-    ``case`` records which branch applied: interior vs boundary threshold,
-    and which side of 1/f the low-reward mass q falls on.  The ratio is
-    never clamped; penalty-dominated regimes can make it negative.  It is
-    ``None`` when the offline optimum is zero.
+    ``clamped`` counts the thresholds ``s_1..s_{d-1}`` that the optimal
+    policy puts at 0, each leaving its segment empty; for a binary
+    distribution it is 1 exactly when the closed-form threshold is at its
+    boundary.  The ratio is never clamped; penalty-dominated regimes can
+    make it negative.  It is ``None`` when the offline optimum is zero.
     """
 
     alg_bound: float
     opt: float
     ratio: Optional[float]
-    case: str
+    clamped: int
+
+
+def competitive_ratio(dist: RewardDistribution, c: float, f: float) -> RatioReport:
+    """Competitive ratio of the optimal threshold policy for any bid distribution.
+
+    Per unit of demand: ``alg_bound`` is ``best_achievable_reward(dist, c,
+    f)``, ``opt`` is ``offline_opt_formula(dist, f, 1)`` and ``ratio`` is
+    ``alg_bound / opt``, ``None`` when ``opt`` is 0 (``f = 1``, or every
+    bid 0).  Both are in the bids' own units.  With a lowest bid ``r_1 > 0``
+    each includes the ``(f - 1) r_1`` that every allocation earns
+    (``normalize``), so this is the ratio of absolute rewards, not of the
+    rewards above that floor: raising every bid and ``c`` by the same ``r``
+    raises both by ``(f - 1) r`` and moves the ratio toward 1.
+    """
+    policy = optimize_thresholds_exact(dist, f, c)  # checks dist, c and f
+    alg = float(_ub_value(dist.support, dist.cum_mass, policy.thresholds, f, c, 1.0))
+    opt = offline_opt_formula(dist, f, 1.0)
+    clamped = policy.thresholds[:-1].count(0.0)
+    return RatioReport(alg_bound=alg, opt=opt, ratio=alg / opt if opt != 0.0 else None, clamped=clamped)
 
 
 def binary_alg_bound(f: float, q: float, r: float, c: float) -> Tuple[float, bool]:
@@ -56,34 +79,6 @@ def binary_alg_bound(f: float, q: float, r: float, c: float) -> Tuple[float, boo
         (1.0 - 1.0 / f) - (1.0 - q) * (1.0 - r / c) - q * math.exp(-1.0 / (q * f))
     )
     return value, False
-
-
-def binary_opt(f: float, q: float, r: float) -> float:
-    """Offline optimum per unit demand for the binary distribution."""
-    _check_supply(f)
-    _check_binary(q, r)
-    return f * (1.0 - q) * r if q > 1.0 / f else f * (1.0 - 1.0 / f) * r
-
-
-def binary_ratio(f: float, q: float, r: float, c: float) -> RatioReport:
-    """Competitive ratio of the optimal binary threshold policy.
-
-    The branch is selected from the sign of the unclamped threshold, which
-    keeps the reported bound identical to the threshold objective itself.
-    When the offline optimum is zero (``f = 1`` or ``r = 0``) the ratio is
-    undefined: the report then has ``ratio=None`` and still carries the
-    absolute bound and the case.
-    """
-    alg, interior = binary_alg_bound(f, q, r, c)  # checks f, q, r and c
-    if r == c:
-        raise DomainError(f"need r < c, got r={r}, c={c}")
-    opt = binary_opt(f, q, r)
-    case = (
-        f"{'interior' if interior else 'boundary'}-threshold|"
-        f"{'q>1/f' if q > 1.0 / f else 'q<=1/f'}"
-    )
-    ratio = alg / opt if opt != 0.0 else None
-    return RatioReport(alg_bound=alg, opt=opt, ratio=ratio, case=case)
 
 
 # ---------------------------------------------------------------------------

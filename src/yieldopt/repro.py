@@ -28,7 +28,7 @@ from .policy import (
     make_policy,
     ub_continuous,
 )
-from .ratio import best_achievable_reward, binary_alg_bound, binary_ratio, worst_case_distribution
+from .ratio import best_achievable_reward, competitive_ratio, worst_case_distribution
 
 
 @dataclass(frozen=True)
@@ -193,7 +193,7 @@ KVV_CONFIG = dict(m=50, n=2000, f=2.0, q=0.5, r=0.5, c=1.0, seeds=20, seed_base=
 
 
 def run_kvv_binary() -> ReproResult:
-    """Simulation on the adversarial instance vs the closed-form value and ratio."""
+    """Simulation on the adversarial instance vs ``competitive_ratio``'s guarantee and ratio."""
 
     def body(res: ReproResult) -> None:
         cfg = KVV_CONFIG
@@ -206,7 +206,8 @@ def run_kvv_binary() -> ReproResult:
             rep = run_instance(inst, policy, cfg["c"], dist, seed=cfg["seed_base"] + 1000 + i)
             normalized.append(rep.reward / inst.total_demand)
         mean = float(np.mean(normalized))
-        expected, _ = binary_alg_bound(cfg["f"], cfg["q"], cfg["r"], cfg["c"])
+        report = competitive_ratio(dist, cfg["c"], cfg["f"])
+        expected = report.alg_bound
         res.checks.append(
             Check(
                 "mean normalized reward vs formula",
@@ -216,10 +217,8 @@ def run_kvv_binary() -> ReproResult:
                 abs(mean - expected) <= 0.10 * expected,
             )
         )
-        opt = oracle.offline_opt_formula(dist, cfg["f"], 1.0)
-        expected_ratio = binary_ratio(cfg["f"], cfg["q"], cfg["r"], cfg["c"]).ratio
         res.checks.append(
-            _within("simulated ALG / OPT vs ratio formula", mean / opt, expected_ratio, 0.03)
+            _within("simulated ALG / OPT vs ratio formula", mean / report.opt, report.ratio, 0.03)
         )
 
     return _timed(body, "kvv-binary")

@@ -7,10 +7,11 @@ import numpy as np
 import pytest
 
 from yieldopt.cli import main
+from yieldopt.dist import RewardDistribution
 from yieldopt.instances import Instance, supply_factor
 from yieldopt.matching import empirical_ratio, perturbed_greedy, trial_weights, triangular_matching_instance
 from yieldopt.oracle import RealizedInstance, offline_opt_exact
-from yieldopt.ratio import binary_ratio
+from yieldopt.ratio import competitive_ratio
 
 BINARY_JSON = '{"support": [0.0, 0.5], "cum_mass": [0.5, 1.0]}'
 # lowest bid 0.2 > 0: the policy is solved on rewards shifted down by 0.2
@@ -231,21 +232,24 @@ class TestOtherCommands:
         assert run_cli(capsys, "frobnicate")[0] == 2
 
     def test_ratio_canonical(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "ratio", "--supply", "2.0", "--q", "0.5", "--r", "0.5", "--penalty", "1.0"
-        )
+        code, out, _ = run_cli(capsys, "ratio", "--dist", BINARY_JSON, "--supply", "2.0", "--penalty", "1.0")
         assert code == 0
         obj = json.loads(out)
         assert obj["ratio"] == pytest.approx(0.284472, abs=1e-5)
+        assert obj["clamped"] == 0
 
     def test_ratio_zero_reward_reports_absolute(self, capsys):
-        code, out, _ = run_cli(
-            capsys, "ratio", "--supply", "2.0", "--q", "0.5", "--r", "0.0", "--penalty", "1.0"
-        )
+        point = '{"support": [0.0], "cum_mass": [1.0]}'
+        code, out, _ = run_cli(capsys, "ratio", "--dist", point, "--supply", "2.0", "--penalty", "1.0")
         assert code == 0
         obj = json.loads(out)
         assert obj["ratio"] is None and obj["opt"] == 0.0
-        assert obj["case"] == binary_ratio(2.0, 0.5, 0.0, 1.0).case
+        assert obj["alg_bound"] == competitive_ratio(RewardDistribution.point_mass(0.0), 1.0, 2.0).alg_bound
+
+    def test_ratio_top_bid_above_zero_penalty_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "ratio", "--dist", BINARY_JSON, "--supply", "2", "--penalty", "0")
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "RewardExceedsPenalty"
 
     def test_worstcase(self, capsys):
         code, out, _ = run_cli(
@@ -354,8 +358,7 @@ class TestOtherCommands:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("ratio", "--supply", "nan", "--q", "0.5", "--r", "0.5", "--penalty", "1"),
-            ("ratio", "--supply", "2", "--q", "0.5", "--r", "0", "--penalty", "0"),
+            ("ratio", "--dist", BINARY_JSON, "--supply", "nan", "--penalty", "1"),
             ("oracle", "--mode", "opt-formula", "--dist", BINARY_JSON, "--supply", "inf"),
             ("oracle", "--mode", "opt-formula", "--dist", BINARY_JSON, "--supply", "2", "--demand", "nan"),
             ("gen", "--m", "3", "--n", "2", "--supply", "nan", "--seed", "1"),
@@ -400,7 +403,7 @@ class TestOtherCommands:
                 "--dist", BINARY_JSON, "--penalty", "1", "--seed", "1",
             ),
         ],
-        ids=["ratio-nan", "ratio-zero-penalty", "opt-formula-inf", "opt-formula-demand-nan", "gen-nan", "gen-complete-inf",
+        ids=["ratio-nan", "opt-formula-inf", "opt-formula-demand-nan", "gen-nan", "gen-complete-inf",
              "simulate-declared-supply", "opt-formula-no-dist", "opt-exact-no-instance",
              "online-exact-no-instance", "beta-no-thresholds", "beta-thresholds-not-numbers",
              "beta-thresholds-not-list", "online-exact-penalty-nan", "online-exact-penalty-inf",
@@ -423,7 +426,7 @@ class TestOtherCommands:
 
     def test_infinite_penalty_exits_2(self, capsys):
         code, out, err = run_cli(
-            capsys, "ratio", "--supply", "2", "--q", "0.5", "--r", "0.5", "--penalty", "inf"
+            capsys, "ratio", "--dist", BINARY_JSON, "--supply", "2", "--penalty", "inf"
         )
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == "DomainError"

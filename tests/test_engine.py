@@ -1,6 +1,7 @@
 import math
 import pickle
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from yieldopt.engine import (
     run_rewards,
     serve_query,
 )
-from yieldopt.errors import DomainError
+from yieldopt.errors import DomainError, MalformedDistribution
 from yieldopt.instances import Instance, gen_upper_triangular
 from yieldopt.policy import ThresholdPolicy, make_policy
 
@@ -564,6 +565,12 @@ class TestServingRule:
                 assert decision == Decision("exchange", None, reserve, a)
             assert state.delivered == expected
             assert state.rank == recomputed_ranks(state)
+
+    def test_duck_typed_distribution_does_not_serve(self):
+        # its support is unsorted, so the reserves would be read in the wrong order
+        duck = SimpleNamespace(support=(0.5, 0.0), cum_mass=(0.5, 1.0), d=2)
+        with pytest.raises(MalformedDistribution, match="expected a RewardDistribution, got SimpleNamespace"):
+            run_rewards(Instance((1,), ((2, (0,)),)), ThresholdPolicy((0.3, 1.0), duck), 1.0, (0.2, 0.4))
 
 
 # a reward as it may arrive: floats at and between the reserves, ints,

@@ -48,7 +48,7 @@ from yieldopt.policy import (
     segment_bounds,
     ub_continuous,
 )
-from yieldopt.ratio import binary_alg_bound, binary_opt, binary_ratio, worst_case_distribution
+from yieldopt.ratio import binary_alg_bound, competitive_ratio, worst_case_distribution
 
 BINARY = RewardDistribution((0.0, 0.5), (0.5, 1.0))
 POLICY = ThresholdPolicy((0.3, 1.0), BINARY)
@@ -72,8 +72,7 @@ RULES = {
     ("lp_residuals", "f"): lambda f: lp_residuals(BETA, POLICY, f, 1.0),
     ("offline_opt_formula", "f"): lambda f: offline_opt_formula(BINARY, f, 1.0),
     ("binary_alg_bound", "f"): lambda f: binary_alg_bound(f, 0.5, 0.5, 1.0),
-    ("binary_opt", "f"): lambda f: binary_opt(f, 0.5, 0.5),
-    ("binary_ratio", "f"): lambda f: binary_ratio(f, 0.5, 0.5, 1.0),
+    ("competitive_ratio", "f"): lambda f: competitive_ratio(BINARY, 1.0, f),
     ("guarantee", "f"): guarantee,
     ("worst_case_distribution", "f"): lambda f: worst_case_distribution(0.3, 1.0, f),
     ("normalize", "N"): lambda N: normalize(BINARY, 1.0, 2.0, N),
@@ -88,6 +87,7 @@ RULES = {
     ("validate", "c"): lambda c: validate(BINARY, c),
     ("make_policy", "c"): lambda c: make_policy(BINARY, c, 2.0),
     ("optimize_thresholds_exact", "c"): lambda c: optimize_thresholds_exact(BINARY, 2.0, c),
+    ("competitive_ratio", "c"): lambda c: competitive_ratio(BINARY, c, 2.0),
     ("lb_discrete", "c"): lambda c: lb_discrete(POLICY, 2.0, c, 1.0, 100),
     ("offline_opt_exact", "c"): lambda c: offline_opt_exact(RealizedInstance(TINY, (0.0, 0.5)), c),
     ("online_opt_bruteforce", "c"): lambda c: online_opt_bruteforce(TINY, BINARY, c),
@@ -96,12 +96,8 @@ RULES = {
     ("run_rewards", "offset"): lambda o: run_rewards(TINY, POLICY, 1.0, (0.0, 0.5), o),
     ("binary_threshold", "q"): lambda q: binary_threshold(2.0, q, 0.5, 1.0),
     ("binary_alg_bound", "q"): lambda q: binary_alg_bound(2.0, q, 0.5, 1.0),
-    ("binary_ratio", "q"): lambda q: binary_ratio(2.0, q, 0.5, 1.0),
-    ("binary_opt", "q"): lambda q: binary_opt(2.0, q, 0.5),
     ("binary_threshold", "r"): lambda r: binary_threshold(2.0, 0.5, r, 4.0),
     ("binary_alg_bound", "r"): lambda r: binary_alg_bound(2.0, 0.5, r, 4.0),
-    ("binary_ratio", "r"): lambda r: binary_ratio(2.0, 0.5, r, 4.0),
-    ("binary_opt", "r"): lambda r: binary_opt(2.0, 0.5, r),
     ("beta_closed_form", "t"): lambda t: beta_closed_form(POLICY, 2.0, 1.0, t),
     ("lb_discrete", "t"): lambda t: lb_discrete(POLICY, 2.0, 1.0, 1.0, t),
     ("adversary_lp_tight", "t"): lambda t: adversary_lp_tight(POLICY, 2.0, 1.0, t),

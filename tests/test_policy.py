@@ -586,8 +586,10 @@ class TestChecksOnce:
             lambda d: best_achievable_reward(d, 1.0, 2.0),
             lambda d: ub_continuous((0.3, 1.0), d, 2.0, 1.0),
             lambda d: lb_discrete(ThresholdPolicy((0.3, 1.0), d), 2.0, 1.0, 1.0, 100),
+            lambda d: ThresholdPolicy((0.3, 1.0), d),
         ],
-        ids=["validate", "normalize", "make_policy", "best_achievable_reward", "ub_continuous", "lb_discrete"],
+        ids=["validate", "normalize", "make_policy", "best_achievable_reward", "ub_continuous", "lb_discrete",
+             "ThresholdPolicy"],
     )
     def test_duck_typed_distribution_rejected(self, call):
         with pytest.raises(MalformedDistribution, match="expected a RewardDistribution"):
