@@ -16,14 +16,18 @@ deliveries go to the keys ``(k/n_a, a)``, ``a`` in ``E`` and ``k = k_a ..
 n_a - 1`` from its delivered count ``k_a``, in sorted order.  A key's
 segment is monotone in its SR, so segment ``u`` takes exactly as many
 deliveries as it holds keys, ``D_u``, and the ``D_u``-th reward at or below
-its reserve ends it: O(d) numpy passes per group, then one water-level
-placement of the group's deliveries on its first keys.  A group's ids are a
-view of the instance's id index, one read-only ``np.intp`` array that the
-first whole-instance run builds and later runs reuse.  The placement costs
-a fixed number of numpy passes over the group's ids: with equal demands
-the level is an integer count (:func:`_fill_equal`); otherwise only the keys
-between two continuous levels are listed and sorted (:func:`_fill`), and a
-group that takes at most one delivery per id needs only the upper level.
+its reserve ends it; then one water-level placement puts the group's
+deliveries on its first keys.  A group's ids are a view of the instance's
+id index, one read-only ``np.intp`` array that the first whole-instance run
+builds and later runs reuse.  With equal demands every id shares one
+cutoff row, so one sort of the group's delivered counts and their prefix
+sums gives both the ``D_u`` (:func:`_ends_equal`) and the integer water
+level (:func:`_fill_equal`); a group whose least count is the demand is
+saturated and sells every query.  Otherwise the ``D_u`` are sums over the
+group's columns of a per-advertiser cutoff table, and only the keys between
+two continuous levels are listed and sorted (:func:`_fill`); a group that
+takes at most one delivery per id needs only the upper level.  Either way a
+group costs a fixed number of numpy passes over its ids.
 
 Exactness: no SR is ever a float.  Both paths order SRs by the integer
 ``floor(k * D / n)``, with ``D`` the squared largest demand
@@ -279,23 +283,33 @@ def _fill(k: np.ndarray, n: np.ndarray, t: int, scale: int) -> np.ndarray:
     return first + np.bincount(owner[taken], minlength=len(k))
 
 
-def _fill_equal(k: np.ndarray, t: int) -> np.ndarray:
+def _fill_equal(k: np.ndarray, ks: np.ndarray, sk: np.ndarray, t: int, steps: np.ndarray) -> np.ndarray:
     """:func:`_fill` when every advertiser has the same demand, without listing keys.
 
-    The keys are then ``(j, i)``: every count below a level ``L`` rises to
-    ``L``, and the deliveries left over, fewer than the counts now at ``L``,
-    go one each to the smallest ids among them.  ``L`` is below the demand
-    because a key is left.
+    ``ks`` is ``k`` sorted, ``sk`` its prefix sums and ``steps`` the run's
+    ``1, 2, ...``, at least ``len(k)`` long.  The keys are then ``(j, i)``:
+    every count below a level ``L`` rises to ``L``, and the deliveries left
+    over, fewer than the counts now at ``L``, go one each to the smallest ids
+    among them.  ``L`` is below the demand because a key is left.
     """
-    # with k sorted, lifting the first i + 1 counts to ks[i] takes (i + 1) ks[i] - sk[i]
+    # lifting the first i + 1 sorted counts to ks[i] takes (i + 1) ks[i] - sk[i]
     # deliveries, non-decreasing in i; the last i where that is at most t leaves
     # ks[i] <= L < ks[i + 1], so exactly the first i + 1 counts reach L
-    ks = np.sort(k)
-    sk = ks.cumsum()
-    i = np.count_nonzero(ks * np.arange(1, len(k) + 1) - sk <= t) - 1
+    i = int((steps[: len(ks)] * ks - sk).searchsorted(t, side="right")) - 1
     level, extra = divmod(t + int(sk[i]), i + 1)
     low = k <= level
     return np.maximum(k, level) + (low & (low.cumsum() <= extra))
+
+
+def _ends_equal(ks: np.ndarray, sk: np.ndarray, reach: np.ndarray) -> List[int]:
+    """An equal-demand group's keys in segments ``1..u+1``, for each ``u``.
+
+    From its sorted counts ``ks``, their prefix sums ``sk`` and ``reach[u] =
+    cut_u(n) + 1``: the ``b`` counts below ``reach[u]`` hold ``reach[u] * b -
+    sk[b - 1]`` keys.
+    """
+    below = ks.searchsorted(reach).tolist()
+    return [r * b - int(sk[b - 1]) if b else 0 for r, b in zip(reach.tolist(), below)]
 
 
 def run_rewards(
@@ -309,18 +323,21 @@ def run_rewards(
 
     Same delivered vector and query count as calling :func:`serve_query` per
     query, computed a group at a time by segment jumps (module docstring).
-    Exchange revenue is the numpy (pairwise) sum of the sold rewards, so it
-    may differ from a replay's sequential sum in the last bits.  ``offset``
-    is added to the reward as given; rewards in the distribution's own units
-    need none.  Raises ``DomainError`` unless ``rewards`` holds one
-    finite real number per query, and on a non-finite penalty or offset.
+    With equal demands each group sorts its delivered counts once, and that
+    sort gives both its segment ends and its water level.  Exchange revenue
+    is the numpy (pairwise) sum of the sold rewards, so it may differ from a
+    replay's sequential sum in the last bits.  ``offset`` is added to the
+    reward as given; rewards in the distribution's own units need none.
+    Raises ``DomainError`` unless ``rewards`` holds one finite real number
+    per query, and on a non-finite penalty or offset.
     """
     rewards = _check_rewards(rewards, instance.total_queries)
     demands = instance.demands
     top, scale = max(demands), _sr_scale(demands)
     equal = len(set(demands)) == 1
-    # products in _fill stay below top**3 and top * total demand; past int64
-    # the same code runs on Python integers
+    # products in _fill stay below top**3 and top * total demand, and the
+    # equal-demand path's reach_u * below_u and (i + 1) * ks[i] at most
+    # top * total demand; past int64 the same code runs on Python integers
     dtype = np.int64 if max(top * scale, top * instance.total_demand) < 2**63 else object
     n = np.array(demands, dtype=dtype)
     k = np.zeros(len(demands), dtype=dtype)
@@ -328,6 +345,7 @@ def run_rewards(
     # one contiguous row per segment, so a group's columns come out in one take
     cuts = [policy.cutoffs(v) for v in demands]
     reach = np.ascontiguousarray(np.array(cuts, dtype=dtype).T) + 1
+    row, steps = reach[:, 0].copy(), np.arange(1, len(demands) + 1)  # for equal demands
     sold = np.ones(len(rewards), dtype=bool)
     ids, bounds = instance._eligible_index
     end = 0
@@ -338,9 +356,16 @@ def run_rewards(
         e = ids[lo:hi]
         ke = k[e]
         # the group's keys in segments 1..u+1, for each u; the last entry counts all of them
-        left = reach.take(e, axis=1)
-        left -= ke
-        ends = np.maximum(left, 0, out=left).sum(axis=1).tolist()
+        if equal:  # one sort feeds both the ends and the placement
+            ks = np.sort(ke)
+            if ks[0] == top:  # every eligible advertiser is saturated: the group sells every query
+                continue
+            sk = ks.cumsum()
+            ends = _ends_equal(ks, sk, row)
+        else:
+            left = reach.take(e, axis=1)
+            left -= ke
+            ends = np.maximum(left, 0, out=left).sum(axis=1).tolist()
         taken = 0
         for reserve, total in zip(policy.reserves, ends):
             if total == taken:
@@ -358,7 +383,7 @@ def run_rewards(
             p = stop
         # past the last key every eligible advertiser is saturated: the rest stays sold
         if taken:
-            k[e] = _fill_equal(ke, taken) if equal else _fill(ke, n[e], taken, scale)
+            k[e] = _fill_equal(ke, ks, sk, taken, steps) if equal else _fill(ke, n[e], taken, scale)
     revenue = float(rewards[sold].sum())
     delivered = tuple(int(v) for v in k)
     return _report(demands, delivered, revenue, int(len(rewards)), penalty, offset)

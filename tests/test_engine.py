@@ -12,6 +12,7 @@ from yieldopt.dist import RewardDistribution, sample_array
 from yieldopt.engine import (
     AllocationState,
     Decision,
+    _ends_equal,
     _fill,
     _fill_equal,
     finalize,
@@ -310,20 +311,14 @@ def assert_replays(inst, policy, rewards):
 LEVEL = st.one_of(st.sampled_from((0.0, 0.25, 1 / 3, 0.5, 2 / 3, 0.75, 11 / 12)), st.floats(0.0, 1.0))
 
 
-@st.composite
-def engine_cases(draw):
+def policy_and_rewards(draw, inst):
+    """A threshold policy on 2 to 4 atoms, and one reward per query of ``inst``."""
     d = draw(st.sampled_from((2, 3, 4)))
     ticks = draw(st.lists(st.integers(0, 20), min_size=d, max_size=d, unique=True))
     support = tuple(v / 20 for v in sorted(ticks))
     dist = RewardDistribution.from_masses(support, (1.0 / d,) * d)
     inner = sorted(draw(st.lists(LEVEL, min_size=d - 1, max_size=d - 1)))
     policy = ThresholdPolicy((*inner, 1.0), dist)
-    m = draw(st.integers(1, 6))
-    demand = st.one_of(st.just(1), st.just(12), st.integers(1, 12))
-    demands = draw(st.lists(demand, min_size=m, max_size=m))
-    elig = st.lists(st.integers(0, m - 1), max_size=m)
-    groups = draw(st.lists(st.tuples(st.integers(0, 40), elig), min_size=1, max_size=6))
-    inst = Instance(tuple(demands), tuple(groups))
     # rewards on the atoms (each one a reserve), between them, and outside
     between = [(a + b) / 2 for a, b in zip(support, support[1:])] + [support[-1] + 0.05]
     values = st.sampled_from(support + tuple(between))
@@ -331,10 +326,40 @@ def engine_cases(draw):
     return inst, policy, rewards
 
 
+@st.composite
+def engine_cases(draw):
+    m = draw(st.integers(1, 6))
+    demand = st.one_of(st.just(1), st.just(12), st.integers(1, 12))
+    demands = draw(st.lists(demand, min_size=m, max_size=m))
+    elig = st.lists(st.integers(0, m - 1), max_size=m)
+    groups = draw(st.lists(st.tuples(st.integers(0, 40), elig), min_size=1, max_size=6))
+    return policy_and_rewards(draw, Instance(tuple(demands), tuple(groups)))
+
+
+@st.composite
+def wide_equal_cases(draw):
+    """Equal-demand instances with wide eligibility sets: triangular, or random sets of up to 100 ids."""
+    if draw(st.booleans()):
+        f = draw(st.sampled_from((1.0, 1.5, 2.0, 3.0)))
+        n = 2 * draw(st.integers(1, 3))  # f * n is an integer
+        inst = gen_upper_triangular(draw(st.integers(1, 80)), n, f, draw(st.integers(0, 2**32 - 1)))
+    else:
+        m = draw(st.integers(1, 100))
+        elig = st.lists(st.integers(0, m - 1), max_size=100)
+        groups = draw(st.lists(st.tuples(st.integers(0, 60), elig), min_size=1, max_size=8))
+        inst = Instance((draw(st.integers(1, 12)),) * m, tuple(groups))
+    return policy_and_rewards(draw, inst)
+
+
 class TestSegmentJumpEngine:
     @settings(max_examples=300, deadline=None)
     @given(case=engine_cases())
     def test_replays_serve_query(self, case):
+        assert_replays(*case)
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=wide_equal_cases())
+    def test_replays_serve_query_on_wide_equal_demands(self, case):
         assert_replays(*case)
 
     @pytest.mark.parametrize("dist", [BINARY, TRI3], ids=["binary", "three-point"])
@@ -428,8 +453,42 @@ class TestFill:
             ka, na = np.array(k, dtype=dtype), np.array(n, dtype=dtype)
             assert _fill(ka, na, t, scale).tolist() == expected
             if len(set(n)) == 1:
-                assert _fill_equal(ka, t).tolist() == expected
+                ks = np.sort(ka)
+                assert _fill_equal(ka, ks, ks.cumsum(), t, np.arange(1, len(k) + 1)).tolist() == expected
             assert ka.tolist() == k  # inputs untouched
+
+
+@st.composite
+def equal_group_cases(draw):
+    """An equal-demand group's delivered counts, its demand and its segments' cutoffs.
+
+    Groups reach 600 ids.  Counts sit on a cutoff, just past one, at 0, at
+    the demand or anywhere; demands past ``2**21`` take the object-dtype path.
+    """
+    size = draw(st.one_of(st.integers(1, 8), st.integers(9, 600)))
+    n = draw(st.integers(1, 12)) + draw(st.sampled_from((0, 3_000_000, 10**12)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # the last cutoff, n - 1 at s_d = 1, holds every key
+    d = draw(st.sampled_from((2, 3, 4)))
+    cuts = sorted(rng.integers(-1, n, d - 1).tolist()) + [n - 1]
+    pool = [0, n, *(c for c in cuts if c >= 0), *(c + 1 for c in cuts), *rng.integers(0, n + 1, 4).tolist()]
+    k = [pool[i] for i in rng.integers(0, len(pool), size)]
+    return k, n, cuts
+
+
+class TestEndsEqual:
+    """``_ends_equal`` against counting each segment's keys ``j``, ``k_a <= j <= cut_u(n)``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=equal_group_cases())
+    def test_matches_counted_keys(self, case):
+        k, n, cuts = case
+        expected = [sum(len(range(k_a, cut + 1)) for k_a in k) for cut in cuts]
+        # run_rewards' rule: int64 while its products stay below 2**63
+        dtypes = [object] + ([np.int64] if max(n**3, n * n * len(k)) < 2**63 else [])
+        for dtype in dtypes:
+            ks = np.sort(np.array(k, dtype=dtype))
+            assert _ends_equal(ks, ks.cumsum(), np.array(cuts, dtype=dtype) + 1) == expected
 
 
 class TestEligibleIndex:
