@@ -20,14 +20,15 @@ its reserve ends it; then one water-level placement puts the group's
 deliveries on its first keys.  A group's ids are a view of the instance's
 id index, one read-only ``np.intp`` array that the first whole-instance run
 builds and later runs reuse.  With equal demands every id shares one
-cutoff row, so one sort of the group's delivered counts and their prefix
-sums gives both the ``D_u`` (:func:`_ends_equal`) and the integer water
-level (:func:`_fill_equal`); a group whose least count is the demand is
-saturated and sells every query.  Otherwise the ``D_u`` are sums over the
-group's columns of a per-advertiser cutoff table, and only the keys between
-two continuous levels are listed and sorted (:func:`_fill`); a group that
-takes at most one delivery per id needs only the upper level.  Either way a
-group costs a fixed number of numpy passes over its ids.
+cutoff row, the only one the run builds, so one sort of the group's
+delivered counts and their prefix sums gives both the ``D_u``
+(:func:`_ends_equal`) and the integer water level (:func:`_fill_equal`); a
+group whose least count is the demand is saturated and sells every query.
+Otherwise the ``D_u`` are sums over the group's columns of a per-advertiser
+cutoff table, and only the keys between two continuous levels are listed
+and sorted (:func:`_fill`); a group that takes at most one delivery per id
+needs only the upper level.  Either way a group costs a fixed number of
+numpy passes over its ids.
 
 Exactness: no SR is ever a float.  Both paths order SRs by the integer
 ``floor(k * D / n)``, with ``D`` the squared largest demand
@@ -290,15 +291,18 @@ def _fill_equal(k: np.ndarray, ks: np.ndarray, sk: np.ndarray, t: int, steps: np
     ``1, 2, ...``, at least ``len(k)`` long.  The keys are then ``(j, i)``:
     every count below a level ``L`` rises to ``L``, and the deliveries left
     over, fewer than the counts now at ``L``, go one each to the smallest ids
-    among them.  ``L`` is below the demand because a key is left.
+    among them; those ids are looked up only when some are left over.  ``L``
+    is below the demand because a key is left.  ``k`` is not written.
     """
     # lifting the first i + 1 sorted counts to ks[i] takes (i + 1) ks[i] - sk[i]
     # deliveries, non-decreasing in i; the last i where that is at most t leaves
     # ks[i] <= L < ks[i + 1], so exactly the first i + 1 counts reach L
     i = int((steps[: len(ks)] * ks - sk).searchsorted(t, side="right")) - 1
     level, extra = divmod(t + int(sk[i]), i + 1)
-    low = k <= level
-    return np.maximum(k, level) + (low & (low.cumsum() <= extra))
+    out = np.maximum(k, level)
+    if extra:
+        out[(k <= level).nonzero()[0][:extra]] += 1
+    return out
 
 
 def _ends_equal(ks: np.ndarray, sk: np.ndarray, reach: np.ndarray) -> List[int]:
@@ -323,13 +327,17 @@ def run_rewards(
 
     Same delivered vector and query count as calling :func:`serve_query` per
     query, computed a group at a time by segment jumps (module docstring).
-    With equal demands each group sorts its delivered counts once, and that
-    sort gives both its segment ends and its water level.  Exchange revenue
-    is the numpy (pairwise) sum of the sold rewards, so it may differ from a
-    replay's sequential sum in the last bits.  ``offset`` is added to the
-    reward as given; rewards in the distribution's own units need none.
-    Raises ``DomainError`` unless ``rewards`` holds one finite real number
-    per query, and on a non-finite penalty or offset.
+    With equal demands the run builds only the one cutoff row every id
+    shares, and each group sorts its delivered counts once: that sort gives
+    both its segment ends and its water level.  Exchange revenue is the numpy
+    (pairwise) sum of every reward times its 0/1 sold flag, a multiply-sum
+    that costs less than compacting the sold rewards out of their mask; not
+    a dot product, whose BLAS rounding depends on its thread split.  It may
+    differ from a replay's sequential sum, and from the exact sum, in the
+    last bits.  ``offset`` is added to the reward as given; rewards in the
+    distribution's own units need none.  Raises ``DomainError`` unless
+    ``rewards`` holds one finite real number per query, and on a non-finite
+    penalty or offset.
     """
     rewards = _check_rewards(rewards, instance.total_queries)
     demands = instance.demands
@@ -341,11 +349,11 @@ def run_rewards(
     dtype = np.int64 if max(top * scale, top * instance.total_demand) < 2**63 else object
     n = np.array(demands, dtype=dtype)
     k = np.zeros(len(demands), dtype=dtype)
-    # reach[u, a]: keys j <= cut_u(n_a), i.e. how far segments 1..u+1 take a from 0;
-    # one contiguous row per segment, so a group's columns come out in one take
-    cuts = [policy.cutoffs(v) for v in demands]
+    # reach[u, a]: keys j <= cut_u(n_a), how far segments 1..u+1 take a from 0, one contiguous row
+    # per segment so a group's columns come out in one take; equal demands share one column, reach[u]
+    cuts = policy.cutoffs(top) if equal else [policy.cutoffs(v) for v in demands]
     reach = np.ascontiguousarray(np.array(cuts, dtype=dtype).T) + 1
-    row, steps = reach[:, 0].copy(), np.arange(1, len(demands) + 1)  # for equal demands
+    steps = np.arange(1, len(demands) + 1)  # for equal demands
     sold = np.ones(len(rewards), dtype=bool)
     ids, bounds = instance._eligible_index
     end = 0
@@ -357,11 +365,12 @@ def run_rewards(
         ke = k[e]
         # the group's keys in segments 1..u+1, for each u; the last entry counts all of them
         if equal:  # one sort feeds both the ends and the placement
-            ks = np.sort(ke)
+            ks = ke.copy()
+            ks.sort()
             if ks[0] == top:  # every eligible advertiser is saturated: the group sells every query
                 continue
             sk = ks.cumsum()
-            ends = _ends_equal(ks, sk, row)
+            ends = _ends_equal(ks, sk, reach)
         else:
             left = reach.take(e, axis=1)
             left -= ke
@@ -372,21 +381,18 @@ def run_rewards(
                 continue
             low = rewards[p:end] <= reserve
             hits = low.nonzero()[0]
-            want = total - taken
-            if len(hits) < want:  # the group ends inside this segment
+            if len(hits) < total - taken:  # the group ends inside this segment
                 np.logical_not(low, out=sold[p:end])
                 taken += len(hits)
                 break
-            stop = p + int(hits[want - 1]) + 1
+            stop = p + int(hits[total - taken - 1]) + 1
             np.logical_not(low[: stop - p], out=sold[p:stop])
-            taken = total
-            p = stop
+            taken, p = total, stop
         # past the last key every eligible advertiser is saturated: the rest stays sold
         if taken:
             k[e] = _fill_equal(ke, ks, sk, taken, steps) if equal else _fill(ke, n[e], taken, scale)
-    revenue = float(rewards[sold].sum())
-    delivered = tuple(int(v) for v in k)
-    return _report(demands, delivered, revenue, int(len(rewards)), penalty, offset)
+    revenue = float((rewards * sold).sum())
+    return _report(demands, tuple(k.tolist()), revenue, len(rewards), penalty, offset)
 
 
 def run_instance(

@@ -209,7 +209,7 @@ class TestFinalize:
 
 class TestRunEquivalence:
     def run_via_serve(self, inst, policy, penalty, rewards):
-        return finalize(replay(inst, policy, rewards), penalty)
+        return finalize(replay(inst, policy, rewards)[0], penalty)
 
     def test_grouped_runner_replays_serve_query(self):
         rng = np.random.default_rng(17)
@@ -287,20 +287,26 @@ class TestRunEquivalence:
 
 
 def replay(inst, policy, rewards):
-    """The serve_query reference: route every query in arrival order."""
+    """The serve_query reference: route every query in arrival order.
+
+    Returns the final state and the rewards sent to the exchange, in order.
+    """
     state = AllocationState.fresh(inst.demands)
-    pos = 0
+    sold, pos = [], 0
     for count, elig in inst.groups:
         for _ in range(count):
-            serve_query(state, policy, elig, float(rewards[pos]))
+            reward = float(rewards[pos])
+            if serve_query(state, policy, elig, reward).kind == "exchange":
+                sold.append(reward)
             pos += 1
-    return state
+    return state, sold
 
 
 def assert_replays(inst, policy, rewards):
-    ref = replay(inst, policy, rewards)
+    ref, _ = replay(inst, policy, rewards)
     report = run_rewards(inst, policy, 1.0, rewards)
     assert report.delivered == tuple(ref.delivered)
+    assert all(type(v) is int for v in report.delivered)
     assert report.queries == ref.queries
     scale = max(1.0, abs(ref.exchange_revenue))
     assert abs(report.exchange_revenue - ref.exchange_revenue) <= 1e-12 * scale
@@ -351,6 +357,36 @@ def wide_equal_cases(draw):
     return policy_and_rewards(draw, inst)
 
 
+@st.composite
+def revenue_cases(draw):
+    """Equal-demand, unequal-demand, saturated-group and object-dtype instances, with a policy and rewards.
+
+    A saturated case opens with a group over a set ``S`` of ids holding as
+    many queries as ``S`` has demand, every reward 0, at or below every
+    reserve; ``S`` is saturated after it, and the closing group over ``S``
+    sells every query.  Object-dtype cases have demands past ``2**21``.
+    """
+    kind = draw(st.sampled_from(("equal", "unequal", "saturated", "object")))
+    if kind == "equal":
+        return draw(wide_equal_cases())
+    m = draw(st.integers(2, 12))
+    big = draw(st.sampled_from((3_000_000, 10**12))) if kind == "object" else 0
+    demands = [big + v for v in draw(st.lists(st.integers(1, 12), min_size=m, max_size=m))]
+    if kind != "unequal" and draw(st.booleans()):
+        demands = demands[:1] * m
+    elif len(set(demands)) == 1:
+        demands[0] += 1
+    elig = st.lists(st.integers(0, m - 1), max_size=m)
+    groups = draw(st.lists(st.tuples(st.integers(0, 40), elig), min_size=1, max_size=6))
+    lead = 0
+    if kind == "saturated":
+        ids = tuple(draw(st.lists(st.integers(0, m - 1), min_size=1, max_size=m, unique=True)))
+        lead = sum(demands[a] for a in ids)
+        groups = [(lead, ids), *groups, (draw(st.integers(1, 40)), ids)]
+    inst, policy, rewards = policy_and_rewards(draw, Instance(tuple(demands), tuple(groups)))
+    return inst, policy, [0.0] * lead + rewards[lead:]
+
+
 class TestSegmentJumpEngine:
     @settings(max_examples=300, deadline=None)
     @given(case=engine_cases())
@@ -361,6 +397,14 @@ class TestSegmentJumpEngine:
     @given(case=wide_equal_cases())
     def test_replays_serve_query_on_wide_equal_demands(self, case):
         assert_replays(*case)
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=revenue_cases())
+    def test_revenue_is_the_exact_sum_of_the_replay_sales(self, case):
+        inst, policy, rewards = case
+        exact = math.fsum(replay(inst, policy, rewards)[1])
+        revenue = run_rewards(inst, policy, 1.0, rewards).exchange_revenue
+        assert abs(revenue - exact) <= 1e-12 * max(1.0, abs(exact))
 
     @pytest.mark.parametrize("dist", [BINARY, TRI3], ids=["binary", "three-point"])
     def test_triangular_mid_size(self, dist):
@@ -456,6 +500,24 @@ class TestFill:
                 ks = np.sort(ka)
                 assert _fill_equal(ka, ks, ks.cumsum(), t, np.arange(1, len(k) + 1)).tolist() == expected
             assert ka.tolist() == k  # inputs untouched
+
+    @pytest.mark.parametrize(
+        "k, n, t, expected",
+        [
+            ([3, 1, 1, 2], 5, 2, [3, 2, 2, 2]),  # ids 1 and 2 rise to id 3's count, nothing left over
+            ([0, 0, 0], 2, 3, [1, 1, 1]),  # every id rises one step, nothing left over
+            ([3, 1, 1, 2], 5, 12, [5, 5, 5, 4]),  # every key but one: the largest id keeps it
+            ([2, 0, 2], 2, 1, [2, 1, 2]),  # every key but one, on the one id not saturated
+            ([10**12 - 1, 10**12 - 3, 10**12 - 2], 10**12, 5, [10**12, 10**12, 10**12 - 1]),
+        ],
+        ids=["no-leftover", "no-leftover-every-id", "all-but-one", "all-but-one-of-one-id", "all-but-one-object"],
+    )
+    def test_equal_demand_edges(self, k, n, t, expected):
+        assert brute_fill(k, [n] * len(k), t, n * n) == expected
+        for dtype in [object] + ([np.int64] if n**3 < 2**63 else []):
+            ka = np.array(k, dtype=dtype)
+            ks = np.sort(ka)
+            assert _fill_equal(ka, ks, ks.cumsum(), t, np.arange(1, len(k) + 1)).tolist() == expected
 
 
 @st.composite
