@@ -2,6 +2,10 @@
 
 An instance is a set of contractual advertisers with impression demands and
 an ordered list of query groups, each group carrying its eligibility set.
+Groups that are already canonical (a ``(count, ids)`` tuple of exact ints,
+the ids strictly increasing in ``0..m-1``) are kept as given, after a few
+whole-instance passes; every other input goes through the per-group rule,
+which converts it or raises.
 
 The supply factor of an instance is the largest ``f`` such that a
 fractional offline allocation can deliver ``f * n_a`` to every advertiser.
@@ -28,7 +32,16 @@ _SUPPLY_TOL = 1e-9  # supply_factor: width of the final bisection interval
 
 @dataclass(frozen=True)
 class Instance:
-    """Advertiser demands plus ordered query groups with eligibility sets."""
+    """Advertiser demands plus ordered query groups with eligibility sets.
+
+    A group is a ``(count, eligible ids)`` pair.  When every group is
+    canonical, a tuple of an exact ``int`` count >= 0 and a tuple of exact
+    ``int`` ids strictly increasing in ``0..m-1``, the groups are kept as
+    given.  Any other input goes through the per-group rule: the count and
+    the ids must be integers (``3.0`` and ``numpy`` integers pass, bools do
+    not), the count >= 0 and the ids in ``0..m-1``; the ids are sorted and
+    repeats dropped.  Both give the same value for the same groups.
+    """
 
     demands: Tuple[int, ...]
     groups: Tuple[Tuple[int, Tuple[int, ...]], ...]
@@ -37,18 +50,9 @@ class Instance:
     def __post_init__(self):
         demands = _demands(self.demands)
         m = len(demands)
-        groups = []
-        for i, group in enumerate(_sequence(self.groups, "groups")):
-            try:
-                count, elig = group
-                iter(elig)
-            except (TypeError, ValueError) as exc:
-                raise DomainError(f"group {i} must be a (count, eligible ids) pair, got {group!r}") from exc
-            count = _positive(count, "group count", least=0)
-            ids = tuple(sorted(set(_integers(elig, "advertiser id"))))
-            if ids and (ids[0] < 0 or ids[-1] >= m):
-                raise DomainError(f"eligibility ids out of range 0..{m - 1}: {ids}")
-            groups.append((count, ids))
+        groups = _sequence(self.groups, "groups")
+        if not _canonical(groups, m):
+            groups = [_group(i, group, m) for i, group in enumerate(groups)]
         object.__setattr__(self, "demands", demands)
         object.__setattr__(self, "groups", tuple(groups))
         if self.seed is not None:
@@ -117,6 +121,49 @@ class Instance:
             raise DomainError(f"bad instance JSON: {exc}") from exc
 
 
+def _canonical(groups: list, m: int) -> bool:
+    """Whether every group is a ``(count, ids)`` tuple of exact ints, ids strictly increasing in ``0..m-1``.
+
+    Whole-instance passes in C, typed before anything is read, so it never
+    raises: a ``False`` sends the groups through :func:`_group`.
+    """
+    if not set(map(type, groups)) <= {tuple} or not set(map(len, groups)) <= {2}:
+        return False
+    if not groups:
+        return True
+    counts, elig = zip(*groups)
+    if not (set(map(type, counts)) <= {int} and set(map(type, elig)) <= {tuple}):
+        return False
+    if not (set(map(type, chain.from_iterable(elig))) <= {int} and min(counts) >= 0):
+        return False
+    sizes = np.fromiter(map(len, elig), np.intp, len(elig))
+    try:
+        ids = np.fromiter(chain.from_iterable(elig), np.intp, int(sizes.sum()))
+    except OverflowError:  # an id beyond intp is out of range; the group rule says so
+        return False
+    if ids.size and (ids.min() < 0 or ids.max() >= m):
+        return False
+    rises = ids[1:] > ids[:-1]
+    # a group's first id need not exceed the previous group's last; an empty group's start is the next one's
+    starts = np.cumsum(sizes)[:-1]
+    rises[starts[(starts > 0) & (starts < ids.size)] - 1] = True
+    return bool(rises.all())
+
+
+def _group(i: int, group, m: int) -> Tuple[int, Tuple[int, ...]]:
+    """Group ``i`` as ``(count, ids)``: integers, count >= 0, ids sorted, unique and in ``0..m-1``."""
+    try:
+        count, elig = group
+        iter(elig)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"group {i} must be a (count, eligible ids) pair, got {group!r}") from exc
+    count = _positive(count, "group count", least=0)
+    ids = tuple(sorted(set(_integers(elig, "advertiser id"))))
+    if ids and (ids[0] < 0 or ids[-1] >= m):
+        raise DomainError(f"eligibility ids out of range 0..{m - 1}: {ids}")
+    return count, ids
+
+
 def _query_count(m, n, f: float, per_group: bool) -> Tuple[int, int, int]:
     """Checked ``(m, n, count)`` of a generator; ``count`` is ``f*n``, or ``f*m*n`` in all."""
     m, n = _positive(m, "m"), _positive(n, "n")
@@ -129,9 +176,18 @@ def _query_count(m, n, f: float, per_group: bool) -> Tuple[int, int, int]:
 
 
 def _triangle(perm: np.ndarray, n: int, group_size: int, seed: Optional[int] = None) -> Instance:
-    """Demand ``n`` each; group ``i`` of ``group_size`` queries is eligible to ``j`` with ``perm[j] >= i``."""
-    groups = tuple((group_size, tuple(np.flatnonzero(perm >= i).tolist())) for i in range(len(perm)))
-    return Instance((n,) * len(perm), groups, seed=seed)
+    """Demand ``n`` each; group ``i`` of ``group_size`` queries is eligible to ``j`` with ``perm[j] >= i``.
+
+    Advertiser ``j`` leaves after group ``perm[j]``: walking the advertisers
+    in leaving order, each group is the ids not yet gone, all groups built
+    from one shared id list.
+    """
+    left = list(range(len(perm)))
+    groups = []
+    for a in np.argsort(perm).tolist():
+        groups.append((group_size, tuple(left)))
+        left.remove(a)
+    return Instance((n,) * len(perm), tuple(groups), seed=seed)
 
 
 def gen_upper_triangular(m: int, n: int, f: float, seed: int) -> Instance:

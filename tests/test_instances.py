@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from collections import namedtuple
 from fractions import Fraction
 
 import numpy as np
@@ -16,6 +17,7 @@ from yieldopt.errors import DomainError, MalformedDistribution, NonIntegralGroup
 from yieldopt.errors import _finite, _integer, _integers, _reals
 from yieldopt.instances import (
     Instance,
+    _triangle,
     complete_instance,
     gen_upper_triangular,
     supply_factor,
@@ -400,6 +402,15 @@ class TestGenUpperTriangular:
         assert inst == _triangular_reference(m, 2, f, seed)
         assert all(type(a) is int for _, elig in inst.groups for a in elig)
 
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(1, 60).flatmap(lambda m: st.permutations(range(m))), st.integers(0, 5))
+    def test_triangle_matches_the_mask_formula(self, perm, size):
+        perm = np.array(perm)
+        mask = tuple((size, tuple(np.flatnonzero(perm >= i).tolist())) for i in range(len(perm)))
+        inst = _triangle(perm, 3, size)
+        assert inst.groups == mask and inst.demands == (3,) * len(perm)
+        assert all(type(a) is int for _, elig in inst.groups for a in elig)
+
     def test_group_structure(self):
         inst = gen_upper_triangular(m=3, n=2, f=2.0, seed=1)
         assert len(inst.groups) == 3
@@ -458,6 +469,68 @@ class TestInstanceValidation:
         got = Instance([data.draw(spell)(n) for n in demands], spelled)
         assert got == expected
         assert all(type(a) is int for _, elig in got.groups for a in elig)
+
+    # one change to one group of a canonical instance, each of which the group rule converts or refuses
+    MUTATIONS = {
+        "duplicate id": lambda c, e, m, k: (c, e + e[-1:] if e else (0, 0)),
+        "swapped pair": lambda c, e, m, k: (c, (e[1], e[0]) + e[2:] if len(e) > 1 else (m - 1, 0)),
+        "bool id": lambda c, e, m, k: (c, e[:k] + (True,) + e[k:]),
+        "numpy id": lambda c, e, m, k: (c, e[:k] + (np.int64(m - 1),) + e[k:]),
+        "float id": lambda c, e, m, k: (c, e[:k] + (3.0,) + e[k:]),
+        "id m": lambda c, e, m, k: (c, e + (m,)),
+        "id -1": lambda c, e, m, k: (c, (-1,) + e),
+        "id 2**63": lambda c, e, m, k: (c, e + (2**63,)),
+        "count -1": lambda c, e, m, k: (-1, e),
+        "count True": lambda c, e, m, k: (True, e),
+        "count 2.0": lambda c, e, m, k: (2.0, e),
+        "namedtuple group": lambda c, e, m, k: namedtuple("Group", "count ids")(c, e),
+    }
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_canonical_groups_match_the_group_rule(self, data):
+        # a list-spelled group always takes the group rule, so it is the reference for the canonical one
+        m = data.draw(st.integers(2, 8))
+        demands = tuple(data.draw(st.lists(st.integers(1, 5), min_size=m, max_size=m)))
+        ids = st.lists(st.integers(0, m - 1), unique=True).map(lambda e: tuple(sorted(e)))
+        groups = data.draw(st.lists(st.tuples(st.integers(0, 9), ids), max_size=6))
+        for at in data.draw(st.sets(st.sampled_from((0, len(groups) // 2, len(groups))))):
+            groups.insert(at, (data.draw(st.integers(0, 9)), ()))  # empty groups at the start, middle and end
+        groups = tuple(groups)
+
+        def listed(gs):
+            return [(c, list(e)) for c, e in gs]
+
+        inst = Instance(demands, groups)
+        assert inst == Instance(demands, listed(groups))
+        assert all(a is b for a, b in zip(inst.groups, groups)), "canonical groups are kept as given"
+        if not groups:
+            return
+        g = data.draw(st.integers(0, len(groups) - 1))
+        count, elig = groups[g]
+        mutate = self.MUTATIONS[data.draw(st.sampled_from(sorted(self.MUTATIONS)))]
+        bad = groups[:g] + (mutate(count, elig, m, data.draw(st.integers(0, len(elig)))),) + groups[g + 1 :]
+        got = _outcome(Instance, demands, bad)
+        assert got == _outcome(Instance, demands, listed(bad))
+        if got[0] == "ok":
+            assert all(type(group) is tuple and type(group[1]) is tuple for group in got[1].groups)
+            assert all(type(a) is int for c, e in got[1].groups for a in (c, *e))
+
+    @pytest.mark.parametrize(
+        "groups, expected",
+        [
+            (((1, (1, 2)), (0, ()), (1, (0, 2))), ((1, (1, 2)), (0, ()), (1, (0, 2)))),
+            (((1, (1, 2)), (0, ()), (1, (2, 0))), ((1, (1, 2)), (0, ()), (1, (0, 2)))),
+            (((0, ()), (1, (0, 2, 1))), ((0, ()), (1, (0, 1, 2)))),
+            (((1, (2, 1)), (0, ())), ((1, (1, 2)), (0, ()))),
+            (((1, (0,)), (0, ()), (0, ()), (1, (1, 1))), ((1, (0,)), (0, ()), (0, ()), (1, (1,)))),
+            ((), ()),
+        ],
+        ids=["descent-across-empty", "descent-after-empty", "empty-first", "empty-last", "two-empty", "no-groups"],
+    )
+    def test_empty_groups_move_no_group_start(self, groups, expected):
+        # an empty group's start is the next group's: only a descent across groups is allowed
+        assert Instance((1, 1, 1), groups).groups == expected
 
     def test_declared_supply_rejected(self):
         # the supply factor is computed, never declared: no field, and the JSON key is refused
