@@ -69,7 +69,6 @@ from .policy import (
 from .ratio import (
     RatioReport,
     WorstCaseSpec,
-    best_achievable_reward,
     binary_alg_bound,
     competitive_ratio,
     worst_case_distribution,

@@ -27,7 +27,7 @@ from .dist import RewardDistribution, validate
 from .engine import run_instance
 from .errors import DomainError, YieldOptError, _positive
 from .instances import Instance, complete_instance, gen_upper_triangular, supply_factor
-from .policy import ThresholdPolicy, make_policy, ub_continuous
+from .policy import ThresholdPolicy, make_policy
 from .ratio import competitive_ratio, worst_case_distribution
 
 SCHEMA_VERSION = 1
@@ -73,7 +73,7 @@ def _cmd_thresholds(args) -> int:
     _json_out(
         {
             "thresholds": list(policy.thresholds),
-            "objective_per_unit_demand": ub_continuous(policy.thresholds, dist, args.supply, args.penalty),
+            "objective_per_unit_demand": competitive_ratio(dist, args.penalty, args.supply).alg_bound,
             "reserves": list(policy.reserves),
             "config": {
                 "penalty": args.penalty,
@@ -109,8 +109,7 @@ def _cmd_simulate(args) -> int:
     _csv_out(header, rows, args.out)
     if args.report is not None:
         rewards = np.array([row[1] for row in rows], dtype=float)
-        opt = oracle.offline_opt_formula(dist, f, N)
-        expected = ub_continuous(policy.thresholds, dist, f, args.penalty, N)
+        guarantee = competitive_ratio(dist, args.penalty, f)
         _json_out(
             {
                 "config": {
@@ -131,9 +130,9 @@ def _cmd_simulate(args) -> int:
                 },
                 "references": {
                     "thresholds": list(policy.thresholds),
-                    "expected_reward": expected,
-                    "offline_opt_formula": opt,
-                    "expected_ratio": expected / opt if opt > 0 else None,
+                    "expected_reward": guarantee.alg_bound * N,
+                    "offline_opt_formula": guarantee.opt * N,
+                    "expected_ratio": guarantee.ratio,
                 },
             },
             args.report,
@@ -206,9 +205,11 @@ def _cmd_worstcase(args) -> int:
                     "label": label,
                     "support": list(d.support),
                     "cum_mass": list(d.cum_mass),
-                    "best_achievable": value,
+                    "best_achievable": report.alg_bound,
+                    "opt": report.opt,
+                    "ratio": report.ratio,
                 }
-                for label, d, value in spec.candidates
+                for label, d, report in spec.candidates
             ],
             "worst": spec.worst[0],
             "worst_value": spec.worst_value,

@@ -4,8 +4,9 @@ An instance is a set of contractual advertisers with impression demands and
 an ordered list of query groups, each group carrying its eligibility set.
 Groups that are already canonical (a ``(count, ids)`` tuple of exact ints,
 the ids strictly increasing in ``0..m-1``) are kept as given, after a few
-whole-instance passes; every other input goes through the per-group rule,
-which converts it or raises.
+whole-instance passes that also build the id index whole-instance runs
+read; every other input goes through the per-group rule, which converts
+it or raises.
 
 The supply factor of an instance is the largest ``f`` such that a
 fractional offline allocation can deliver ``f * n_a`` to every advertiser.
@@ -51,8 +52,11 @@ class Instance:
         demands = _demands(self.demands)
         m = len(demands)
         groups = _sequence(self.groups, "groups")
-        if not _canonical(groups, m):
+        index = _canonical(groups, m)
+        if index is None:
             groups = [_group(i, group, m) for i, group in enumerate(groups)]
+        else:
+            self.__dict__["_eligible_index"] = index  # the cached_property's slot
         object.__setattr__(self, "demands", demands)
         object.__setattr__(self, "groups", tuple(groups))
         if self.seed is not None:
@@ -74,9 +78,11 @@ class Instance:
     def _eligible_index(self) -> Tuple[np.ndarray, Tuple[int, ...]]:
         """Every group's eligible ids in one read-only ``np.intp`` array, plus offsets.
 
-        Group ``g``'s ids are ``ids[bounds[g]:bounds[g + 1]]``.  Built on the
-        first whole-instance run, not in construction, and no part of the
-        value: equality, hashing, JSON and pickling ignore it.
+        Group ``g``'s ids are ``ids[bounds[g]:bounds[g + 1]]``.  Canonical
+        groups get it from :func:`_canonical` in construction; any other
+        instance, and an unpickled one, builds it on the first whole-instance
+        run.  No part of the value: equality, hashing, JSON and pickling
+        ignore it.
         """
         ids = np.fromiter(chain.from_iterable(e for _, e in self.groups), np.intp)
         ids.flags.writeable = False
@@ -121,33 +127,36 @@ class Instance:
             raise DomainError(f"bad instance JSON: {exc}") from exc
 
 
-def _canonical(groups: list, m: int) -> bool:
-    """Whether every group is a ``(count, ids)`` tuple of exact ints, ids strictly increasing in ``0..m-1``.
+def _canonical(groups: list, m: int) -> Optional[Tuple[np.ndarray, Tuple[int, ...]]]:
+    """``Instance._eligible_index`` of canonical groups, else ``None``.
 
-    Whole-instance passes in C, typed before anything is read, so it never
-    raises: a ``False`` sends the groups through :func:`_group`.
+    Canonical: every group a ``(count, ids)`` tuple of exact ints, the ids
+    strictly increasing in ``0..m-1``.  Whole-instance passes in C, typed
+    before anything is read, so it never raises: a ``None`` sends the
+    groups through :func:`_group`.
     """
     if not set(map(type, groups)) <= {tuple} or not set(map(len, groups)) <= {2}:
-        return False
-    if not groups:
-        return True
-    counts, elig = zip(*groups)
+        return None
+    counts, elig = zip(*groups) if groups else ((), ())
     if not (set(map(type, counts)) <= {int} and set(map(type, elig)) <= {tuple}):
-        return False
-    if not (set(map(type, chain.from_iterable(elig))) <= {int} and min(counts) >= 0):
-        return False
-    sizes = np.fromiter(map(len, elig), np.intp, len(elig))
+        return None
+    if not (set(map(type, chain.from_iterable(elig))) <= {int} and min(counts, default=0) >= 0):
+        return None
+    bounds = np.cumsum([0, *map(len, elig)])
     try:
-        ids = np.fromiter(chain.from_iterable(elig), np.intp, int(sizes.sum()))
+        ids = np.fromiter(chain.from_iterable(elig), np.intp, int(bounds[-1]))
     except OverflowError:  # an id beyond intp is out of range; the group rule says so
-        return False
+        return None
     if ids.size and (ids.min() < 0 or ids.max() >= m):
-        return False
+        return None
     rises = ids[1:] > ids[:-1]
     # a group's first id need not exceed the previous group's last; an empty group's start is the next one's
-    starts = np.cumsum(sizes)[:-1]
+    starts = bounds[1:-1]
     rises[starts[(starts > 0) & (starts < ids.size)] - 1] = True
-    return bool(rises.all())
+    if not rises.all():
+        return None
+    ids.flags.writeable = False
+    return ids, tuple(bounds.tolist())
 
 
 def _group(i: int, group, m: int) -> Tuple[int, Tuple[int, ...]]:

@@ -9,6 +9,7 @@ the adversary's LP without a general solver.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -23,7 +24,7 @@ from .errors import _check_demand, _check_finite, _check_rewards, _check_supply
 from .instances import Instance
 from .policy import ThresholdPolicy, index_weights
 
-_MAX_EXACT_QUERIES = 100_000
+_MAX_EXACT_WORK = 200_000_000  # offline_opt_exact: searches times graph size
 _MAX_ENUM_REALIZATIONS = 400_000
 
 
@@ -79,14 +80,16 @@ def offline_opt_exact(realized: RealizedInstance, penalty: float) -> float:
     breadth-first search, each carrying as many units as its bottleneck
     (the class's remaining queries, the free demand at its end, the flow on
     every rerouted edge).  Queries with reward above the penalty are sold.
+
+    A search visits each group and eligibility edge at most once.  Most
+    searches end their class or fill an advertiser; the rest empty a
+    rerouted edge.  So the work is estimated, not bounded, as ``(searched
+    + m) * (sum |E_g| + groups)``, with ``searched`` the number of classes
+    with reward <= penalty.  Beyond ``_MAX_EXACT_WORK`` it raises
+    :class:`SizeLimit` before searching.
     """
     _check_finite(penalty, "penalty")
     instance = realized.instance
-    if instance.total_queries > _MAX_EXACT_QUERIES:
-        raise SizeLimit(
-            f"{instance.total_queries} queries exceeds exact-solver limit "
-            f"{_MAX_EXACT_QUERIES}"
-        )
     demands = instance.demands
     used = [0] * instance.m
     # flows aggregated by (group, advertiser); queries in a group are identical
@@ -148,7 +151,12 @@ def offline_opt_exact(realized: RealizedInstance, penalty: float) -> float:
     head[1:] = (r[1:] != r[:-1]) | (gq[1:] != gq[:-1])
     starts = head.nonzero()[0]
     bounds = [*starts.tolist(), len(r)]
-    classes = zip(r[starts].tolist(), gq[starts].tolist(), bounds, bounds[1:])
+    class_rewards = r[starts].tolist()
+    searched = bisect.bisect_right(class_rewards, penalty)  # classes up to the penalty, the rest sold
+    work = (searched + instance.m) * (sum(map(len, elig)) + len(elig))
+    if work > _MAX_EXACT_WORK:
+        raise SizeLimit(f"search work {work} exceeds exact-solver limit {_MAX_EXACT_WORK}")
+    classes = zip(class_rewards, gq[starts].tolist(), bounds, bounds[1:])
     # the value's terms, summed with correct rounding at the end: a
     # sequential sum drifts with the query count
     terms = [math.fsum(realized.rewards), -penalty * instance.total_demand]

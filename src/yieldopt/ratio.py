@@ -4,9 +4,9 @@
 the optimal threshold policy, the expected offline optimum and their
 ratio.  ``binary_alg_bound`` keeps the binary closed form of that
 guarantee as a reference.  For a fixed mean, the distribution minimizing
-the best-achievable reward is a point mass or one of two extremal binary
+the guarantee is a point mass or one of two extremal binary
 distributions; ``worst_case_distribution`` constructs the valid
-candidates and evaluates each one.
+candidates and scores each one with ``competitive_ratio``.
 """
 
 from __future__ import annotations
@@ -16,9 +16,9 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .dist import RewardDistribution
-from .errors import DomainError, _check_binary, _check_demand, _check_finite, _check_supply, _finite
+from .errors import DomainError, _check_binary, _check_finite, _check_supply, _finite
 from .oracle import offline_opt_formula
-from .policy import _ub_value, optimize_thresholds_exact, optimize_thresholds_grid
+from .policy import _ub_value, optimize_thresholds_exact
 
 
 @dataclass(frozen=True)
@@ -41,11 +41,13 @@ class RatioReport:
 def competitive_ratio(dist: RewardDistribution, c: float, f: float) -> RatioReport:
     """Competitive ratio of the optimal threshold policy for any bid distribution.
 
-    Per unit of demand: ``alg_bound`` is ``best_achievable_reward(dist, c,
-    f)``, ``opt`` is ``offline_opt_formula(dist, f, 1)`` and ``ratio`` is
-    ``alg_bound / opt``, ``None`` when ``opt`` is 0 (``f = 1``, or every
-    bid 0).  Both are in the bids' own units.  With a lowest bid ``r_1 > 0``
-    each includes the ``(f - 1) r_1`` that every allocation earns
+    Per unit of demand: ``alg_bound`` is ``ub_continuous`` of the
+    ``optimize_thresholds_exact`` policy, the best objective any threshold
+    vector attains against the adversary; ``opt`` is
+    ``offline_opt_formula(dist, f, 1)`` and ``ratio`` is ``alg_bound /
+    opt``, ``None`` when ``opt`` is 0 (``f = 1``, or every bid 0).  Both
+    are in the bids' own units.  With a lowest bid ``r_1 > 0`` each
+    includes the ``(f - 1) r_1`` that every allocation earns
     (``normalize``), so this is the ratio of absolute rewards, not of the
     rewards above that floor: raising every bid and ``c`` by the same ``r``
     raises both by ``(f - 1) r`` and moves the ratio toward 1.
@@ -88,42 +90,20 @@ def binary_alg_bound(f: float, q: float, r: float, c: float) -> Tuple[float, boo
 
 @dataclass(frozen=True)
 class WorstCaseSpec:
-    """Candidate worst-case distributions for mean mu, with their values."""
+    """Candidate worst-case distributions for mean mu, each with its ``competitive_ratio``."""
 
     mean: float
     penalty: float
     supply: float
-    candidates: Tuple[Tuple[str, RewardDistribution, float], ...]
+    candidates: Tuple[Tuple[str, RewardDistribution, RatioReport], ...]
 
     @property
-    def worst(self) -> Tuple[str, RewardDistribution, float]:
-        return min(self.candidates, key=lambda item: item[2])
+    def worst(self) -> Tuple[str, RewardDistribution, RatioReport]:
+        return min(self.candidates, key=lambda item: item[2].alg_bound)
 
     @property
     def worst_value(self) -> float:
-        return self.worst[2]
-
-
-def best_achievable_reward(
-    dist: RewardDistribution,
-    penalty: float,
-    f: float,
-    N: float = 1.0,
-    method: str = "exact",
-) -> float:
-    """Best objective any threshold vector attains against the adversary.
-
-    ``ub_continuous`` of the solver's policy, in ``dist``'s own units.
-    ``method="exact"`` uses the closed-form solver behind ``make_policy``;
-    ``method="grid"`` the ``DEFAULT_GRID``-spaced optimum of
-    ``optimize_thresholds_grid``, an independent check of the exact solver.
-    """
-    if method not in ("exact", "grid"):
-        raise DomainError(f"unknown method {method!r}")
-    solver = optimize_thresholds_exact if method == "exact" else optimize_thresholds_grid
-    policy = solver(dist, f, penalty)
-    _check_demand(N)
-    return float(_ub_value(policy.dist.support, policy.dist.cum_mass, policy.thresholds, f, penalty, N))
+        return self.worst[2].alg_bound
 
 
 def worst_case_distribution(mu: float, c: float, f: float) -> WorstCaseSpec:
@@ -146,7 +126,7 @@ def worst_case_distribution(mu: float, c: float, f: float) -> WorstCaseSpec:
     candidates = []
 
     def evaluate(label: str, dist: RewardDistribution) -> None:
-        candidates.append((label, dist, best_achievable_reward(dist, c, f)))
+        candidates.append((label, dist, competitive_ratio(dist, c, f)))
 
     evaluate("point", RewardDistribution.point_mass(mu))
     top = f / (f - 1.0) * mu

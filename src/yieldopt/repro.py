@@ -26,9 +26,10 @@ from .policy import (
     binary_threshold,
     lb_discrete,
     make_policy,
+    optimize_thresholds_grid,
     ub_continuous,
 )
-from .ratio import best_achievable_reward, competitive_ratio, worst_case_distribution
+from .ratio import competitive_ratio, worst_case_distribution
 
 
 @dataclass(frozen=True)
@@ -384,7 +385,7 @@ def run_worstcase_fixed_mean() -> ReproResult:
                 worst_violation = -math.inf
                 for _ in range(100):
                     dist = random_mean_distribution(rng, mu, 1.0)
-                    value = best_achievable_reward(dist, 1.0, f, method="grid")
+                    value = ub_continuous(optimize_thresholds_grid(dist, f, 1.0).thresholds, dist, f, 1.0)
                     worst_violation = max(worst_violation, floor - value)
                 res.checks.append(
                     _at_most(f"max(candidate_min - random best) at mu={mu}, f={f}", worst_violation, 1e-6)

@@ -40,6 +40,8 @@ class TestThresholds:
         assert obj["thresholds"][0] == pytest.approx(1 + math.log(0.5), abs=1e-9)
         assert obj["thresholds"][1] == 1.0
         assert obj["objective_per_unit_demand"] == pytest.approx(0.142236, abs=1e-5)
+        binary = RewardDistribution.binary(0.5, 0.5)
+        assert obj["objective_per_unit_demand"] == competitive_ratio(binary, 1.0, 2.0).alg_bound
 
     def test_writes_file(self, capsys, tmp_path):
         out_path = tmp_path / "thresholds.json"
@@ -146,8 +148,12 @@ class TestSimulate:
         assert report["aggregate"]["mean_reward"] == pytest.approx(
             sum(rewards) / len(rewards)
         )
+        guarantee = competitive_ratio(RewardDistribution.binary(0.5, 0.5), 1.0, 2.0)
+        refs = report["references"]
+        assert (refs["expected_reward"], refs["offline_opt_formula"], refs["expected_ratio"]) == (
+            guarantee.alg_bound * 40, guarantee.opt * 40, guarantee.ratio
+        )
         assert report["references"]["offline_opt_formula"] == pytest.approx(0.5 * 40)
-        assert report["references"]["expected_ratio"] is not None
         # config echo round-trips
         assert report["config"]["instance"]["demands"] == [10, 10, 10, 10]
         assert report["config"]["seed"] == 11
@@ -259,6 +265,15 @@ class TestOtherCommands:
         obj = json.loads(out)
         assert obj["worst"] in {label["label"] for label in obj["candidates"]}
         assert obj["worst_value"] == pytest.approx(0.150857, abs=1e-5)
+        # each candidate reads what `ratio --dist` reports for it
+        for cand in obj["candidates"]:
+            dist = json.dumps({"support": cand["support"], "cum_mass": cand["cum_mass"]})
+            code, out, _ = run_cli(capsys, "ratio", "--dist", dist, "--supply", "2.0", "--penalty", "1.0")
+            report = json.loads(out)
+            assert code == 0
+            assert cand["best_achievable"] == report["alg_bound"]
+            assert (cand["opt"], cand["ratio"]) == (report["opt"], report["ratio"])
+        assert obj["worst_value"] == min(cand["best_achievable"] for cand in obj["candidates"])
 
     def test_oracle_opt_formula(self, capsys):
         code, out, _ = run_cli(

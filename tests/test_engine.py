@@ -553,19 +553,39 @@ class TestEndsEqual:
             assert _ends_equal(ks, ks.cumsum(), np.array(cuts, dtype=dtype) + 1) == expected
 
 
-class TestEligibleIndex:
-    """The group id index a whole-instance run builds and keeps on its ``Instance``."""
+def check_index(inst):
+    ids, bounds = vars(inst)["_eligible_index"]
+    assert ids.dtype == np.intp and not ids.flags.writeable
+    with pytest.raises(ValueError):
+        ids[0] = 1
+    assert type(bounds) is tuple and set(map(type, bounds)) == {int}
+    assert [tuple(ids[a:b]) for a, b in zip(bounds, bounds[1:])] == [e for _, e in inst.groups]
 
-    def test_built_on_first_run_and_read_only(self):
+
+class TestEligibleIndex:
+    """The group id index whole-instance runs read: seeded in construction from canonical groups, else built
+    by the first run, and kept on its ``Instance``."""
+
+    def test_seeded_at_construction_and_read_only(self):
         inst = gen_upper_triangular(6, 3, 2.0, seed=4)
-        assert "_eligible_index" not in vars(inst)
+        check_index(inst)
+        ids, bounds = vars(inst)["_eligible_index"]
         policy, _, _ = make_policy(BINARY, 1.0, 2.0)
         run_rewards(inst, policy, 1.0, [0.5] * inst.total_queries)
-        ids, bounds = vars(inst)["_eligible_index"]
-        assert ids.dtype == np.intp and not ids.flags.writeable
-        with pytest.raises(ValueError):
-            ids[0] = 1
-        assert [tuple(ids[a:b]) for a, b in zip(bounds, bounds[1:])] == [e for _, e in inst.groups]
+        assert inst._eligible_index[0] is ids and inst._eligible_index[1] is bounds
+
+    def test_built_on_first_run_and_read_only(self):
+        # list-spelled groups take the per-group rule, which seeds nothing
+        inst = gen_upper_triangular(6, 3, 2.0, seed=4)
+        listed = Instance(inst.demands, [(c, list(e)) for c, e in inst.groups])
+        assert "_eligible_index" not in vars(listed)
+        policy, _, _ = make_policy(BINARY, 1.0, 2.0)
+        run_rewards(listed, policy, 1.0, [0.5] * listed.total_queries)
+        check_index(listed)
+        clone = pickle.loads(pickle.dumps(inst))
+        assert "_eligible_index" not in vars(clone)
+        run_rewards(clone, policy, 1.0, [0.5] * clone.total_queries)
+        check_index(clone)
 
     def test_value_unchanged_by_a_run(self):
         inst = Instance((2, 3, 1), ((3, (0, 2)), (0, (1,)), (2, ()), (4, (2, 1, 0))), seed=9)

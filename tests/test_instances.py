@@ -504,6 +504,10 @@ class TestInstanceValidation:
         inst = Instance(demands, groups)
         assert inst == Instance(demands, listed(groups))
         assert all(a is b for a, b in zip(inst.groups, groups)), "canonical groups are kept as given"
+        # the check's id array is the index, seeded in construction; the group rule's instance builds it lazily
+        ids, bounds = vars(inst)["_eligible_index"]
+        lazy_ids, lazy_bounds = Instance(demands, listed(groups))._eligible_index
+        assert ids.tolist() == lazy_ids.tolist() and bounds == lazy_bounds and not ids.flags.writeable
         if not groups:
             return
         g = data.draw(st.integers(0, len(groups) - 1))

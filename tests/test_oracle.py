@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from yieldopt.dist import RewardDistribution
+from yieldopt.engine import run_rewards
 from yieldopt.errors import DomainError, SizeLimit
 from yieldopt.instances import Instance, gen_upper_triangular, supply_factor
 from yieldopt.oracle import (
@@ -135,9 +136,19 @@ class TestOfflineOptExact:
         assert value == 9000.0
 
     def test_size_limit(self):
-        inst = Instance((200_000,), ((200_000, (0,)),))
-        with pytest.raises(SizeLimit):
-            offline_opt_exact(RealizedInstance(inst, (0.0,) * 200_000), 1.0)
+        # the cap is on search work, (2,000 classes + 1,000 advertisers) * (500,500 edges + 1,000 groups)
+        # here, not on the 200,000 queries; it raises before any search
+        realized = sample_realized(gen_upper_triangular(1000, 100, 2.0, seed=1), BINARY, seed=1)
+        with pytest.raises(SizeLimit, match="search work 1504500000"):
+            offline_opt_exact(realized, 1.0)
+
+    def test_many_queries_few_advertisers_solve(self):
+        # 200,000 queries but little search work, (100 + 50) * (1,275 + 50); the algorithm's reward bounds OPT
+        inst = gen_upper_triangular(50, 2000, 2.0, seed=1)
+        realized = sample_realized(inst, BINARY, seed=1)
+        policy, _, _ = make_policy(BINARY, 1.0, 2.0, float(inst.total_demand))
+        alg = run_rewards(inst, policy, 1.0, realized.rewards).reward
+        assert offline_opt_exact(realized, 1.0) >= alg
 
     def test_concentrates_to_formula(self):
         inst = gen_upper_triangular(4, 1000, 2.0, seed=3)

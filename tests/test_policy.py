@@ -25,7 +25,7 @@ from yieldopt.policy import (
     segment_bounds,
     ub_continuous,
 )
-from yieldopt.ratio import best_achievable_reward
+from yieldopt.ratio import competitive_ratio
 
 BINARY = RewardDistribution((0.0, 0.5), (0.5, 1.0))
 S_STAR = 1.0 + math.log(0.5)  # canonical f=2, q=0.5, r=0.5, c=1
@@ -583,12 +583,12 @@ class TestChecksOnce:
             lambda d: validate(d, 1.0),
             lambda d: normalize(d, 1.0, 2.0, 1.0),
             lambda d: make_policy(d, 1.0, 2.0),
-            lambda d: best_achievable_reward(d, 1.0, 2.0),
+            lambda d: competitive_ratio(d, 1.0, 2.0),
             lambda d: ub_continuous((0.3, 1.0), d, 2.0, 1.0),
             lambda d: lb_discrete(ThresholdPolicy((0.3, 1.0), d), 2.0, 1.0, 1.0, 100),
             lambda d: ThresholdPolicy((0.3, 1.0), d),
         ],
-        ids=["validate", "normalize", "make_policy", "best_achievable_reward", "ub_continuous", "lb_discrete",
+        ids=["validate", "normalize", "make_policy", "competitive_ratio", "ub_continuous", "lb_discrete",
              "ThresholdPolicy"],
     )
     def test_duck_typed_distribution_rejected(self, call):
@@ -602,10 +602,10 @@ class TestChecksOnce:
         "solve",
         [
             lambda d: make_policy(d, 1.2, 2.0, 10.0),
-            lambda d: best_achievable_reward(d, 1.2, 2.0, 10.0),
-            lambda d: best_achievable_reward(d, 1.2, 2.0, 10.0, method="grid"),
+            lambda d: competitive_ratio(d, 1.2, 2.0),
+            lambda d: optimize_thresholds_grid(d, 2.0, 1.2),
         ],
-        ids=["make_policy", "best_achievable_reward-exact", "best_achievable_reward-grid"],
+        ids=["make_policy", "competitive_ratio", "optimize_thresholds_grid"],
     )
     def test_one_policy_per_solve(self, monkeypatch, solve):
         # r_1 > 0, so a shifted copy would be a second distribution
