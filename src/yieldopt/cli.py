@@ -40,6 +40,17 @@ def _load(cls, source: Optional[str], option: str):
     return cls.from_json(source if source.lstrip().startswith("{") else Path(source).read_text())
 
 
+def _json_list(text: Optional[str], option: str) -> list:
+    """The JSON list given to ``option``; anything else, a missing option included, is a usage error."""
+    try:  # a missing option is None, a TypeError here
+        value = json.loads(text)
+    except (TypeError, ValueError):
+        value = None
+    if not isinstance(value, list):
+        raise DomainError(f"{option} must be a JSON list, got {text!r}")
+    return value
+
+
 def _emit(text: str, out: Optional[str]) -> None:
     if out is None or out == "-":
         sys.stdout.write(text)
@@ -168,11 +179,7 @@ def _cmd_oracle(args) -> int:
         value = oracle.online_opt_bruteforce(instance, dist, args.penalty)
         _json_out({"mode": args.mode, "value": value}, args.out)
     else:  # beta
-        try:  # a missing --thresholds is None, a TypeError here
-            thresholds = json.loads(args.thresholds)
-        except (TypeError, ValueError) as exc:
-            raise DomainError(f"--thresholds must be a JSON list, got {args.thresholds!r}") from exc
-        policy = ThresholdPolicy(thresholds, validate(dist, args.penalty))
+        policy = ThresholdPolicy(_json_list(args.thresholds, "--thresholds"), validate(dist, args.penalty))
         beta = oracle.adversary_lp_tight(policy, args.supply, args.demand, args.t)
         _json_out(
             {
@@ -220,7 +227,7 @@ def _cmd_worstcase(args) -> int:
 
 
 def _cmd_matching(args) -> int:
-    weights = json.loads(args.weights) if args.weights else None
+    weights = None if args.weights is None else _json_list(args.weights, "--weights")
     trials = matching.trial_weights(args.m, args.n, args.supply, args.trials, args.seed, weights)
     opt = float(np.sum(weights) if weights is not None else args.m) * args.n
     rows = [[trial, weight, weight / opt] for trial, weight in enumerate(trials.tolist())]

@@ -16,6 +16,7 @@ from yieldopt.ratio import competitive_ratio
 BINARY_JSON = '{"support": [0.0, 0.5], "cum_mass": [0.5, 1.0]}'
 # lowest bid 0.2 > 0: the policy is solved on rewards shifted down by 0.2
 SHIFTED_JSON = '{"support": [0.2, 0.5], "cum_mass": [0.5, 1.0]}'
+THREE_POINT_JSON = '{"support": [0.0, 0.4, 0.9], "cum_mass": [0.3, 0.7, 1.0]}'
 # 4 queries for demand 2, but advertiser 1 sees only one of them: supply factor 1, not 2
 BOTTLENECK = {
     "demands": [1, 1],
@@ -42,6 +43,17 @@ class TestThresholds:
         assert obj["objective_per_unit_demand"] == pytest.approx(0.142236, abs=1e-5)
         binary = RewardDistribution.binary(0.5, 0.5)
         assert obj["objective_per_unit_demand"] == competitive_ratio(binary, 1.0, 2.0).alg_bound
+        # a lowest bid of 0.2 is its own units: the bids and the penalty lowered by 0.2 give the
+        # same thresholds and an objective (f - 1) * 0.2 lower
+        code, out, _ = run_cli(
+            capsys, "thresholds", "--dist", '{"support": [0.2, 0.7], "cum_mass": [0.5, 1.0]}',
+            "--penalty", "1.2", "--supply", "2.0",
+        )
+        assert code == 0
+        shifted = json.loads(out)
+        assert abs(shifted["objective_per_unit_demand"] - obj["objective_per_unit_demand"] - (2 - 1) * 0.2) <= 1e-12
+        assert len(shifted["thresholds"]) == len(obj["thresholds"])
+        assert all(abs(x - y) <= 1e-12 for x, y in zip(shifted["thresholds"], obj["thresholds"]))
 
     def test_writes_file(self, capsys, tmp_path):
         out_path = tmp_path / "thresholds.json"
@@ -163,20 +175,28 @@ class TestSimulate:
 
     def test_undersupply_reported(self, capsys, tmp_path):
         report_path = tmp_path / "report.json"
-        inst = '{"demands": [10, 10], "groups": [{"count": 5, "eligible": [0, 1]}]}'
-        code, out, err = run_cli(
-            capsys,
-            "simulate", "--instance", inst, "--dist", BINARY_JSON,
-            "--penalty", "1.0", "--seed", "1", "--report", str(report_path),
+        cases = (
+            ('{"demands": [10, 10], "groups": [{"count": 5, "eligible": [0, 1]}]}', pytest.approx(0.25)),
+            # advertiser 0's only group has no queries, so nothing covers it: the supply factor is exactly 0
+            (
+                '{"demands": [1, 1], "groups": [{"count": 0, "eligible": [0]}, {"count": 2, "eligible": [1]}]}',
+                0.0,
+            ),
         )
-        assert code == 0
-        assert len(out.strip().split("\n")) == 2  # still served, at f = 1
-        warning = err.strip().split("\n")
-        assert len(warning) == 1 and json.loads(warning[0])["warning"] == "undersupplied"
-        config = json.loads(report_path.read_text())["config"]
-        assert config["supply_factor_measured"] == pytest.approx(0.25)
-        assert config["undersupplied"] is True
-        assert "grid" not in config
+        for inst, measured in cases:
+            code, out, err = run_cli(
+                capsys,
+                "simulate", "--instance", inst, "--dist", BINARY_JSON,
+                "--penalty", "1.0", "--seed", "1", "--report", str(report_path),
+            )
+            assert code == 0
+            assert len(out.strip().split("\n")) == 2  # still served, at f = 1
+            warning = err.strip().split("\n")
+            assert len(warning) == 1 and json.loads(warning[0])["warning"] == "undersupplied"
+            config = json.loads(report_path.read_text())["config"]
+            assert config["supply_factor_measured"] == measured
+            assert config["undersupplied"] is True
+            assert "grid" not in config
 
     def test_report_measures_supply_factor(self, capsys, tmp_path):
         report_path = tmp_path / "report.json"
@@ -243,6 +263,11 @@ class TestOtherCommands:
         obj = json.loads(out)
         assert obj["ratio"] == pytest.approx(0.284472, abs=1e-5)
         assert obj["clamped"] == 0
+        # the ratio of any distribution is its guarantee over OPT, with a count of thresholds clamped at 0
+        code, out, _ = run_cli(capsys, "ratio", "--dist", THREE_POINT_JSON, "--supply", "2.0", "--penalty", "1.0")
+        assert code == 0
+        obj = json.loads(out)
+        assert obj["ratio"] == obj["alg_bound"] / obj["opt"] and type(obj["clamped"]) is int
 
     def test_ratio_zero_reward_reports_absolute(self, capsys):
         point = '{"support": [0.0], "cum_mass": [1.0]}'
@@ -285,17 +310,19 @@ class TestOtherCommands:
 
     def test_oracle_opt_exact(self, capsys, tmp_path):
         inst_path = tmp_path / "inst.json"
-        run_cli(
-            capsys, "gen", "--kind", "triangular", "--m", "3", "--n", "4",
-            "--supply", "2.0", "--seed", "1", "--out", str(inst_path),
-        )
-        code, out, _ = run_cli(
-            capsys, "oracle", "--mode", "opt-exact", "--instance", str(inst_path),
-            "--dist", BINARY_JSON, "--penalty", "1.0", "--seed", "4",
-        )
-        assert code == 0
-        obj = json.loads(out)
-        assert obj["seed"] == 4 and isinstance(obj["value"], float)
+        # 50 x 2000 is 200,000 queries but little search work: the cap is on search work, not queries
+        for m, n, seed in (("3", "4", 4), ("50", "2000", 1)):
+            run_cli(
+                capsys, "gen", "--kind", "triangular", "--m", m, "--n", n,
+                "--supply", "2.0", "--seed", "1", "--out", str(inst_path),
+            )
+            code, out, _ = run_cli(
+                capsys, "oracle", "--mode", "opt-exact", "--instance", str(inst_path),
+                "--dist", BINARY_JSON, "--penalty", "1.0", "--seed", str(seed),
+            )
+            assert code == 0
+            obj = json.loads(out)
+            assert obj["seed"] == seed and isinstance(obj["value"], float)
 
     def test_oracle_online_exact(self, capsys):
         inst = '{"demands": [1], "groups": [{"count": 2, "eligible": [0]}]}'
@@ -361,7 +388,9 @@ class TestOtherCommands:
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == "NonIntegralGroupSize"
 
-    @pytest.mark.parametrize("weights", ["[NaN, 1, 1]", "[-1, 1, 1]", "3", '["x", 1, 1]', "[[1], [1], [1]]"])
+    @pytest.mark.parametrize(
+        "weights", ["[NaN, 1, 1]", "[-1, 1, 1]", "3", '["x", 1, 1]', "[[1], [1], [1]]", "null", ""]
+    )
     def test_matching_rejects_bad_weights(self, capsys, weights):
         code, out, err = run_cli(
             capsys, "matching", "--m", "3", "--supply", "2", "--trials", "2",

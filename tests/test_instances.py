@@ -450,6 +450,13 @@ class TestGenUpperTriangular:
         assert a.groups != b.groups
         assert a == gen_upper_triangular(m=6, n=1, f=1.0, seed=1)
 
+    def test_full_size_spellings_and_json_agree(self):
+        # the generator's groups are canonical and kept as given; the same groups spelled as lists
+        # take the per-group rule at full size and must build the same instance, as must its JSON round trip
+        inst = gen_upper_triangular(500, 200, 2.0, 7919)
+        assert Instance(inst.demands, [(c, list(e)) for c, e in inst.groups], seed=inst.seed) == inst
+        assert Instance.from_json(inst.to_json()) == inst
+
 
 class TestInstanceValidation:
     @settings(max_examples=150, deadline=None)
