@@ -10,8 +10,9 @@ it or raises.
 
 The supply factor of an instance is the largest ``f`` such that a
 fractional offline allocation can deliver ``f * n_a`` to every advertiser.
-It is never declared: :func:`supply_factor` computes it by binary search
-over max-flow feasibility.
+It is never declared: :func:`supply_factor` computes it, as ``Q / N`` when a
+greedy allocation in exact integers places every query, else by binary
+search over max-flow feasibility.
 """
 
 from __future__ import annotations
@@ -239,11 +240,32 @@ def _flow_feasible(instance: Instance, f: float, tol: float = 1e-9) -> bool:
     return value >= target - tol * max(1.0, target)
 
 
+def _places_all_supply(instance: Instance) -> bool:
+    """True when a greedy pour places every query, which proves ``f* = Q / N``; False proves nothing.
+
+    In integers, group ``g`` supplies ``count_g * N`` and advertiser ``a`` needs
+    ``Q * n_a``; the groups, smallest eligible set first, pour into their ids' remaining need.
+    """
+    total_demand, need = instance.total_demand, [instance.total_queries * n for n in instance.demands]
+    for count, elig in sorted(instance.groups, key=lambda group: len(group[1])):
+        left = count * total_demand
+        for a in elig:
+            if not left:
+                break
+            take = min(left, need[a])
+            need[a] -= take
+            left -= take
+        if left:
+            return False
+    return True
+
+
 def supply_factor(instance: Instance) -> float:
     """Largest f such that a fractional allocation delivers f*n_a to everyone.
 
-    Binary search on max-flow feasibility; the interval is narrowed below
-    ``_SUPPLY_TOL``.  Returns 0 when some advertiser has no eligible queries.
+    ``Q / N`` when :func:`_places_all_supply` certifies it, with no max flow;
+    else binary search on max-flow feasibility, narrowed below ``_SUPPLY_TOL``.
+    Returns 0 when some advertiser has no eligible queries.
     """
     covered = set()
     for count, elig in instance.groups:
@@ -252,7 +274,7 @@ def supply_factor(instance: Instance) -> float:
     if len(covered) < instance.m:
         return 0.0
     hi = instance.total_queries / instance.total_demand
-    if _flow_feasible(instance, hi):
+    if _places_all_supply(instance) or _flow_feasible(instance, hi):
         return hi
     lo = 0.0
     while hi - lo > _SUPPLY_TOL:

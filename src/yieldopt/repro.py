@@ -341,14 +341,16 @@ def run_opt_concentration() -> ReproResult:
 
 
 def run_supply_recovery() -> ReproResult:
-    """supply_factor returns the construction parameter on both families."""
+    """supply_factor returns exactly the construction parameter on both families."""
 
     def body(res: ReproResult) -> None:
         for f in (1.0, 1.5, 2.0, 3.0):
             tri = gen_upper_triangular(4, 4, f, seed=20240510)
-            res.checks.append(_within(f"triangular f={f}", supply_factor(tri), f, 1e-6))
+            res.checks.append(_within(f"triangular f={f}", supply_factor(tri), f, 0.0))
             comp = complete_instance(3, 4, f)
-            res.checks.append(_within(f"complete f={f}", supply_factor(comp), f, 1e-6))
+            res.checks.append(_within(f"complete f={f}", supply_factor(comp), f, 0.0))
+        big = gen_upper_triangular(500, 200, 2.0, seed=20240510)
+        res.checks.append(_within("triangular 500x200 f=2.0", supply_factor(big), 2.0, 0.0))
 
     return _timed(body, "supply-recovery")
 

@@ -17,6 +17,7 @@ from yieldopt.errors import DomainError, MalformedDistribution, NonIntegralGroup
 from yieldopt.errors import _finite, _integer, _integers, _reals
 from yieldopt.instances import (
     Instance,
+    _places_all_supply,
     _triangle,
     complete_instance,
     gen_upper_triangular,
@@ -435,7 +436,7 @@ class TestGenUpperTriangular:
     def test_supply_factor_recovered(self):
         for f in (1.0, 1.5, 2.0, 3.0):
             inst = gen_upper_triangular(m=4, n=4, f=f, seed=2)
-            assert supply_factor(inst) == pytest.approx(f, abs=1e-6)
+            assert supply_factor(inst) == inst.total_queries / inst.total_demand == f
 
     def test_sizes_checked(self):
         for m, n, f in ((2.5, 2, 1.0), (0, 2, 1.0), (2, -1, 1.0), (2, 2, 0.0), (2, 2, -1.0)):
@@ -613,15 +614,27 @@ class TestInstanceValidation:
         assert inst.expand() == [(0, 1), (0, 1), (1,)]
 
 
+def _hall_supply_factor(inst: Instance) -> Fraction:
+    """Exact supply factor by Hall: min over advertiser sets B of supply(N(B)) / n(B) (small m only)."""
+
+    def ratio(mask: int) -> Fraction:
+        supply = sum(count for count, elig in inst.groups if any(mask >> a & 1 for a in elig))
+        return Fraction(supply, sum(n for a, n in enumerate(inst.demands) if mask >> a & 1))
+
+    return min(map(ratio, range(1, 1 << inst.m)))
+
+
 class TestSupplyFactor:
     def test_networkx_loaded_only_by_supply_factor(self):
-        # networkx is most of the package's import time; only the max-flow check needs it
+        # networkx is most of the package's import time; only a supply factor that needs a max flow loads it
         import yieldopt
 
         code = (
             "import sys, yieldopt\n"
             "assert 'networkx' not in sys.modules, 'import yieldopt loaded networkx'\n"
-            "assert yieldopt.supply_factor(yieldopt.Instance((1,), ((2, (0,)),))) == 2.0\n"
+            "assert yieldopt.supply_factor(yieldopt.gen_upper_triangular(50, 20, 2.0, 1)) == 2.0\n"
+            "assert 'networkx' not in sys.modules, 'a certified supply factor loaded networkx'\n"
+            "assert abs(yieldopt.supply_factor(yieldopt.Instance((2, 2), ((4, (0,)), (2, (0, 1))))) - 1.0) <= 1e-6\n"
             "assert 'networkx' in sys.modules\n"
         )
         env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(yieldopt.__file__))}
@@ -631,7 +644,7 @@ class TestSupplyFactor:
     def test_complete_bipartite(self):
         for f in (1.0, 1.5, 2.0, 3.0):
             inst = complete_instance(m=3, n=4, f=f)
-            assert supply_factor(inst) == pytest.approx(f, abs=1e-6)
+            assert supply_factor(inst) == inst.total_queries / inst.total_demand == f
 
     def test_empty_eligibility_gives_zero(self):
         inst = Instance((1, 1), ((3, (0,)),))
@@ -661,6 +674,29 @@ class TestSupplyFactor:
         inst = Instance((4,), ((6, (0,)),))
         split = Instance((2, 2), ((6, (0, 1)),))
         assert supply_factor(inst) == pytest.approx(supply_factor(split), abs=1e-9)
+
+    def test_greedy_miss_falls_back_to_the_flow(self):
+        # f* = 1 (group 0's query to advertiser 1, group 1's two to 0 and 2), but the greedy pours
+        # group 0 into advertiser 0 and leaves group 1 a query over: the max flow still finds Q / N
+        inst = Instance((1, 1, 1), ((1, (0, 1)), (2, (0, 2))))
+        assert _hall_supply_factor(inst) == 1
+        assert not _places_all_supply(inst)
+        assert supply_factor(inst) == pytest.approx(1.0, abs=1e-6)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_certificate_against_brute_force_hall(self, data):
+        m = data.draw(st.integers(1, 6))
+        demands = data.draw(st.lists(st.integers(1, 4), min_size=m, max_size=m))
+        ids = st.lists(st.integers(0, m - 1), max_size=m).map(lambda e: tuple(sorted(set(e))))
+        groups = data.draw(st.lists(st.tuples(st.integers(0, 6), ids), max_size=6))
+        inst = Instance(tuple(demands), tuple(groups))
+        exact = _hall_supply_factor(inst)
+        if _places_all_supply(inst):
+            assert exact == Fraction(inst.total_queries, inst.total_demand)
+            assert supply_factor(inst) == inst.total_queries / inst.total_demand
+        else:
+            assert supply_factor(inst) == pytest.approx(float(exact), abs=1e-6)
 
 
 class TestJsonRoundtrip:
