@@ -27,7 +27,7 @@ from .dist import RewardDistribution, validate
 from .engine import run_instance
 from .errors import DomainError, YieldOptError, _positive
 from .instances import Instance, complete_instance, gen_upper_triangular, supply_factor
-from .policy import ThresholdPolicy, make_policy
+from .policy import ThresholdPolicy, make_policy, ub_continuous
 from .ratio import competitive_ratio, worst_case_distribution
 
 SCHEMA_VERSION = 1
@@ -84,7 +84,7 @@ def _cmd_thresholds(args) -> int:
     _json_out(
         {
             "thresholds": list(policy.thresholds),
-            "objective_per_unit_demand": competitive_ratio(dist, args.penalty, args.supply).alg_bound,
+            "objective_per_unit_demand": ub_continuous(policy.thresholds, dist, args.supply, args.penalty),
             "reserves": list(policy.reserves),
             "config": {
                 "penalty": args.penalty,

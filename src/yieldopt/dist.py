@@ -136,6 +136,21 @@ def validate(dist: RewardDistribution, penalty: float) -> RewardDistribution:
     return dist
 
 
+def _lowered(
+    dist: RewardDistribution, penalty: float, f: float, total_demand: float
+) -> Tuple[Tuple[float, ...], float, float]:
+    """:func:`normalize`'s shift without its distribution: ``(support, penalty, offset)``.
+
+    The support is ``dist.support`` itself when ``r_1 = 0``.
+    """
+    _check_supply(f)
+    _check_demand(total_demand)
+    r1 = validate(dist, penalty).support[0]
+    if r1 == 0.0:
+        return dist.support, float(penalty), 0.0
+    return tuple(v - r1 for v in dist.support), float(penalty) - r1, (f - 1.0) * total_demand * r1
+
+
 def normalize(
     dist: RewardDistribution, penalty: float, f: float, total_demand: float
 ) -> Tuple[RewardDistribution, float, float]:
@@ -148,19 +163,13 @@ def normalize(
     counts cancel.  Returns ``(shifted distribution, shifted penalty,
     offset)`` with the offset to add back when reporting absolute reward.
     The threshold solvers and objectives need no shift; ``make_policy``
-    uses it only to report its objective in shifted units.
+    takes the same shift from ``_lowered``, building no shifted
+    distribution, only to report its objective in shifted units.
     """
-    _check_supply(f)
-    _check_demand(total_demand)
-    checked = validate(dist, penalty)
-    r1 = checked.support[0]
-    if r1 == 0.0:
-        return checked, float(penalty), 0.0
-    shifted = RewardDistribution(
-        tuple(v - r1 for v in checked.support), checked.cum_mass
-    )
-    offset = (f - 1.0) * total_demand * r1
-    return shifted, float(penalty) - r1, offset
+    support, lowered, offset = _lowered(dist, penalty, f, total_demand)
+    if support is not dist.support:
+        dist = RewardDistribution(support, dist.cum_mass)
+    return dist, lowered, offset
 
 
 def cond_mean_below(dist: RewardDistribution, u: int) -> float:

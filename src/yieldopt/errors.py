@@ -25,7 +25,11 @@ weights);
 supply factor, finite and >= 1; ``_check_demand``: a total demand, finite
 and > 0; ``_check_rewards``: ``_reals`` with one reward per query;
 ``_check_binary``: ``0 < q < 1`` and ``r`` finite and >= 0 (each caller
-bounds ``r`` by ``c`` itself); ``_generator``: a ``numpy.random.Generator``.
+bounds ``r`` by ``c`` itself); ``_check_thresholds``: ``d`` thresholds,
+``_reals``, non-decreasing in [0, 1] with the last exactly 1 (``ThresholdPolicy``,
+``ub_continuous``); ``_check_weights``: ``m`` matching weights,
+``_reals``, each >= 0 and not all 0, or ones for ``None``; ``_generator``: a
+``numpy.random.Generator``.
 """
 
 import math
@@ -182,6 +186,36 @@ def _check_binary(q: float, r: float) -> None:
         raise DomainError(f"q must be in (0, 1), got {q!r}")
     if not (_finite(r) and r >= 0.0):
         raise DomainError(f"r must be finite and >= 0, got {r!r}")
+
+
+def _check_thresholds(values, d: int) -> tuple:
+    """``d`` thresholds as a tuple of floats, non-decreasing in [0, 1], the last exactly 1."""
+    thresholds = tuple(_reals(values, "thresholds").tolist())
+    if len(thresholds) != d:
+        raise DomainError(
+            f"expected {d} thresholds for support size {d}, got {len(thresholds)}"
+        )
+    if any(b < a for a, b in zip(thresholds, thresholds[1:])):
+        raise DomainError("thresholds must be non-decreasing")
+    if not all(0.0 <= v <= 1.0 for v in thresholds):
+        raise DomainError("thresholds must lie in [0, 1]")
+    if thresholds[-1] != 1.0:
+        raise DomainError(f"final threshold must be exactly 1, got {thresholds[-1]}")
+    return thresholds
+
+
+def _check_weights(m: int, weights) -> np.ndarray:
+    """Per-advertiser weights: ones by default, else finite, non-negative, not all zero."""
+    if weights is None:
+        return np.ones(m)
+    w = _reals(weights, "weights")
+    if len(w) != m:
+        raise DomainError(f"expected {m} weights, got {len(w)}")
+    if (w < 0).any():
+        raise DomainError(f"weights must be non-negative, got {w.tolist()}")
+    if w.sum() == 0:
+        raise DomainError("weights sum to 0, so the offline optimum is 0")
+    return w
 
 
 def _generator(rng) -> np.random.Generator:

@@ -26,26 +26,12 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import DomainError, _check_supply, _generator, _positive, _reals
+from .errors import _check_supply, _check_weights, _generator, _positive
 from .instances import Instance, _query_count, _triangle
 
 # Copies per working array in one block of trials; bounds trial_weights'
 # memory independently of the trial count.
 _BLOCK_ELEMENTS = 1 << 18
-
-
-def _advertiser_weights(m: int, weights: Optional[Sequence[float]]) -> np.ndarray:
-    """Per-advertiser weights: ones by default, else finite, non-negative, not all zero."""
-    if weights is None:
-        return np.ones(m)
-    w = _reals(weights, "weights")
-    if len(w) != m:
-        raise DomainError(f"expected {m} weights, got {len(w)}")
-    if (w < 0).any():
-        raise DomainError(f"weights must be non-negative, got {w.tolist()}")
-    if w.sum() == 0:
-        raise DomainError("weights sum to 0, so the offline optimum is 0")
-    return w
 
 
 def _family(m: int, n: int, f: float) -> Tuple[int, int, int]:
@@ -83,7 +69,7 @@ def perturbed_greedy(
     that :func:`trial_weights` reproduces bit for bit.
     """
     _check_supply(f)
-    w = _advertiser_weights(instance.m, weights)
+    w = _check_weights(instance.m, weights)
     rng = seed
     if not isinstance(rng, np.random.Generator):
         rng = np.random.default_rng(_positive(seed, "seed", least=0))
@@ -153,7 +139,7 @@ def trial_weights(
     """
     m, n, size = _family(m, n, f)
     trials, seed = _positive(trials, "trials"), _positive(seed, "seed", least=0)
-    copy_w = np.repeat(_advertiser_weights(m, weights), n)
+    copy_w = np.repeat(_check_weights(m, weights), n)
     block = max(1, _BLOCK_ELEMENTS // (m * n))
     out = np.empty(trials)
     for start in range(0, trials, block):
@@ -176,7 +162,7 @@ def empirical_ratio(
     ``OPT = sum_a c_a n_a``.  Trials come from :func:`trial_weights`.
     """
     matched = trial_weights(m, n, f, trials, seed, weights)  # validates every argument
-    ratios = matched / (float(_advertiser_weights(int(m), weights).sum()) * n)
+    ratios = matched / (float(_check_weights(int(m), weights).sum()) * n)
     mean = float(ratios.mean())
     stderr = float(ratios.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return mean, stderr

@@ -156,7 +156,7 @@ def offline_opt_exact(realized: RealizedInstance, penalty: float) -> float:
     work = (searched + instance.m) * (sum(map(len, elig)) + len(elig))
     if work > _MAX_EXACT_WORK:
         raise SizeLimit(f"search work {work} exceeds exact-solver limit {_MAX_EXACT_WORK}")
-    classes = zip(class_rewards, gq[starts].tolist(), bounds, bounds[1:])
+    classes = zip(class_rewards[:searched], gq[starts].tolist(), bounds, bounds[1:])
     # the value's terms, summed with correct rounding at the end: a
     # sequential sum drifts with the query count
     terms = [math.fsum(realized.rewards), -penalty * instance.total_demand]
@@ -165,8 +165,6 @@ def offline_opt_exact(realized: RealizedInstance, penalty: float) -> float:
     # grows, so its search would fail too, changing nothing.
     failed: Set[int] = set()
     for reward, g, start, end in classes:
-        if reward > penalty:
-            break
         if g in failed:
             continue
         size = need = end - start

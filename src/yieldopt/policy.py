@@ -27,9 +27,9 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .dist import RewardDistribution, cond_mean_below, validate
+from .dist import RewardDistribution, _lowered, cond_mean_below, validate
 from .errors import _BOOLS, DomainError, InfeasibleDecay, MalformedDistribution, _positive
-from .errors import _check_binary, _check_demand, _check_finite, _check_supply, _finite, _reals
+from .errors import _check_binary, _check_demand, _check_finite, _check_supply, _check_thresholds, _finite
 
 DEFAULT_GRID = 1.0 / 200.0
 
@@ -59,19 +59,7 @@ class ThresholdPolicy:
     def __post_init__(self):
         if not isinstance(self.dist, RewardDistribution):  # its reserves would come unchecked
             raise MalformedDistribution(f"expected a RewardDistribution, got {type(self.dist).__name__}")
-        thresholds = tuple(_reals(self.thresholds, "thresholds").tolist())
-        d = self.dist.d
-        if len(thresholds) != d:
-            raise DomainError(
-                f"expected {d} thresholds for support size {d}, got {len(thresholds)}"
-            )
-        if any(b < a for a, b in zip(thresholds, thresholds[1:])):
-            raise DomainError("thresholds must be non-decreasing")
-        if not all(0.0 <= v <= 1.0 for v in thresholds):
-            raise DomainError("thresholds must lie in [0, 1]")
-        if thresholds[-1] != 1.0:
-            raise DomainError(f"final threshold must be exactly 1, got {thresholds[-1]}")
-        object.__setattr__(self, "thresholds", thresholds)
+        object.__setattr__(self, "thresholds", _check_thresholds(self.thresholds, self.dist.d))
         object.__setattr__(self, "reserves", self.dist.support[::-1])
         object.__setattr__(self, "_cuts", {})
 
@@ -242,7 +230,7 @@ def ub_continuous(
     reward and ``c`` by ``r_1`` lowers it by ``(f - 1) N r_1`` (``normalize``).
     """
     checked = _checked(dist, f, c, N)
-    ts = ThresholdPolicy(thresholds, checked).thresholds
+    ts = _check_thresholds(thresholds, checked.d)
     return float(_ub_value(checked.support, checked.cum_mass, ts, f, c, N))
 
 
@@ -346,14 +334,13 @@ def make_policy(
     The policy is :func:`optimize_thresholds_exact` on ``dist`` itself, for
     any support size.  The objective is :func:`ub_continuous` of that policy
     with every reward and the penalty lowered by the lowest reward ``r_1``
-    (as :func:`~yieldopt.dist.normalize` lowers them); adding ``offset =
-    (f - 1) N r_1`` gives ``ub_continuous`` in ``dist``'s units.  Rejects a
-    supply factor below 1 and a total demand of 0 or below, and either
-    non-finite.
+    as :func:`~yieldopt.dist.normalize` lowers them, and ``offset`` is its
+    ``(f - 1) N r_1``: adding it gives ``ub_continuous`` in ``dist``'s units.
+    The policy and its distribution are scored as checked, without a copy.
+    Rejects a supply factor below 1 and a total demand of 0 or below, and
+    either non-finite.
     """
     policy = optimize_thresholds_exact(dist, f, penalty)
-    _check_demand(N)
-    r1 = policy.dist.support[0]
-    lowered = np.subtract(policy.dist.support, r1)
-    objective = float(_ub_value(lowered, policy.dist.cum_mass, policy.thresholds, f, float(penalty) - r1, N))
-    return policy, objective, (f - 1.0) * N * r1
+    support, lowered, offset = _lowered(policy.dist, penalty, f, N)
+    objective = _ub_value(support, policy.dist.cum_mass, policy.thresholds, f, lowered, N)
+    return policy, float(objective), offset

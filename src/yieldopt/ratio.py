@@ -18,7 +18,7 @@ from typing import Optional, Tuple
 from .dist import RewardDistribution
 from .errors import DomainError, _check_binary, _check_finite, _check_supply, _finite
 from .oracle import offline_opt_formula
-from .policy import _ub_value, optimize_thresholds_exact
+from .policy import optimize_thresholds_exact, ub_continuous
 
 
 @dataclass(frozen=True)
@@ -53,7 +53,7 @@ def competitive_ratio(dist: RewardDistribution, c: float, f: float) -> RatioRepo
     raises both by ``(f - 1) r`` and moves the ratio toward 1.
     """
     policy = optimize_thresholds_exact(dist, f, c)  # checks dist, c and f
-    alg = float(_ub_value(dist.support, dist.cum_mass, policy.thresholds, f, c, 1.0))
+    alg = ub_continuous(policy.thresholds, dist, f, c)
     opt = offline_opt_formula(dist, f, 1.0)
     clamped = policy.thresholds[:-1].count(0.0)
     return RatioReport(alg_bound=alg, opt=opt, ratio=alg / opt if opt != 0.0 else None, clamped=clamped)

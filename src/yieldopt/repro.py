@@ -9,6 +9,7 @@ the artifact alone.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -66,12 +67,25 @@ class ReproResult:
         return out
 
 
-def _timed(fn: Callable[[ReproResult], None], name: str) -> ReproResult:
-    result = ReproResult(name=name)
-    start = time.perf_counter()
-    fn(result)
-    result.runtime_s = time.perf_counter() - start
-    return result
+EXPERIMENTS: Dict[str, Callable[[], ReproResult]] = {}
+
+
+def _experiment(name: str) -> Callable[[Callable[[ReproResult], None]], Callable[[], ReproResult]]:
+    """Register the decorated checks as experiment ``name``, run and timed into a fresh result."""
+
+    def register(body: Callable[[ReproResult], None]) -> Callable[[], ReproResult]:
+        @functools.wraps(body)
+        def run() -> ReproResult:
+            result = ReproResult(name=name)
+            start = time.perf_counter()
+            body(result)
+            result.runtime_s = time.perf_counter() - start
+            return result
+
+        EXPERIMENTS[name] = run
+        return run
+
+    return register
 
 
 def _within(label: str, measured: float, expected: float, tol: float) -> Check:
@@ -91,23 +105,20 @@ def _in_band(label: str, measured: float, lo: float, hi: float) -> Check:
 # ---------------------------------------------------------------------------
 
 
-def run_binary_threshold_grid() -> ReproResult:
+@_experiment("binary-threshold-grid")
+def run_binary_threshold_grid(res: ReproResult) -> None:
     """make_policy's threshold vs the binary closed form on an (f, q, r/c) grid."""
-
-    def body(res: ReproResult) -> None:
-        worst = 0.0
-        for f in (1.0, 1.5, 2.0, 4.0):
-            for q in np.arange(0.1, 0.95, 0.1):
-                for rc in np.arange(0.1, 0.95, 0.1):
-                    d = RewardDistribution.binary(float(q), float(rc))
-                    policy, _, _ = make_policy(d, 1.0, f)
-                    target = binary_threshold(f, float(q), float(rc), 1.0)
-                    worst = max(worst, abs(policy.thresholds[0] - target))
-        res.checks.append(
-            _at_most("max |make_policy - closed form| over 324 configs", worst, 1e-9)
-        )
-
-    return _timed(body, "binary-threshold-grid")
+    worst = 0.0
+    for f in (1.0, 1.5, 2.0, 4.0):
+        for q in np.arange(0.1, 0.95, 0.1):
+            for rc in np.arange(0.1, 0.95, 0.1):
+                d = RewardDistribution.binary(float(q), float(rc))
+                policy, _, _ = make_policy(d, 1.0, f)
+                target = binary_threshold(f, float(q), float(rc), 1.0)
+                worst = max(worst, abs(policy.thresholds[0] - target))
+    res.checks.append(
+        _at_most("max |make_policy - closed form| over 324 configs", worst, 1e-9)
+    )
 
 
 def _random_normalized_dist(rng: np.random.Generator, dmax: int = 5) -> Tuple[RewardDistribution, float]:
@@ -132,97 +143,88 @@ def _random_thresholds(rng: np.random.Generator, d: int) -> Tuple[float, ...]:
     return tuple(np.sort(rng.uniform(0.0, 1.0, d - 1))) + (1.0,)
 
 
-def run_lb_ub_identity() -> ReproResult:
+@_experiment("lb-ub-identity")
+def run_lb_ub_identity(res: ReproResult) -> None:
     """|lb_discrete(t=1e5) - ub_continuous| <= 1e-3 cN on 100 random pairs and their shifted twins."""
-
-    def body(res: ReproResult) -> None:
-        rng = np.random.default_rng(20240501)
-        shifts = np.random.default_rng(20240511)  # its own stream keeps the draws above as they were
-        worst = worst_shift = 0.0
-        for _ in range(100):
-            dist, c = _random_normalized_dist(rng)
-            f = float(rng.uniform(1.0, 4.0))
-            thresholds = _random_thresholds(rng, dist.d)
-            r = float(shifts.uniform(0.0, 2.0))  # every reward and the penalty raised by r
-            twin = RewardDistribution(tuple(v + r for v in dist.support), dist.cum_mass)
-            ubs = []
-            for d, cost in ((dist, c), (twin, c + r)):
-                lb = lb_discrete(ThresholdPolicy(thresholds, d), f, cost, 1.0, 10**5)
-                ubs.append(ub_continuous(thresholds, d, f, cost, 1.0))
-                worst = max(worst, abs(lb - ubs[-1]) / cost)
-            worst_shift = max(worst_shift, abs(ubs[1] - ubs[0] - (f - 1.0) * r) / ((c + r) * f))
-        res.checks.append(_at_most("max |lb - ub| / cN over 200 pairs", worst, 1e-3))
-        res.checks.append(
-            _at_most("max |ub(twin) - ub - (f-1) N r| / cfN over 100 twins", worst_shift, 2e-15)
-        )
-
-    return _timed(body, "lb-ub-identity")
+    rng = np.random.default_rng(20240501)
+    shifts = np.random.default_rng(20240511)  # its own stream keeps the draws above as they were
+    worst = worst_shift = 0.0
+    for _ in range(100):
+        dist, c = _random_normalized_dist(rng)
+        f = float(rng.uniform(1.0, 4.0))
+        thresholds = _random_thresholds(rng, dist.d)
+        r = float(shifts.uniform(0.0, 2.0))  # every reward and the penalty raised by r
+        twin = RewardDistribution(tuple(v + r for v in dist.support), dist.cum_mass)
+        ubs = []
+        for d, cost in ((dist, c), (twin, c + r)):
+            lb = lb_discrete(ThresholdPolicy(thresholds, d), f, cost, 1.0, 10**5)
+            ubs.append(ub_continuous(thresholds, d, f, cost, 1.0))
+            worst = max(worst, abs(lb - ubs[-1]) / cost)
+        worst_shift = max(worst_shift, abs(ubs[1] - ubs[0] - (f - 1.0) * r) / ((c + r) * f))
+    res.checks.append(_at_most("max |lb - ub| / cN over 200 pairs", worst, 1e-3))
+    res.checks.append(
+        _at_most("max |ub(twin) - ub - (f-1) N r| / cfN over 100 twins", worst_shift, 2e-15)
+    )
 
 
-def run_beta_recurrence() -> ReproResult:
+@_experiment("beta-recurrence")
+def run_beta_recurrence(res: ReproResult) -> None:
     """Closed-form adversary profile vs the tight recurrence and LP residuals, shifted twins too."""
-
-    def body(res: ReproResult) -> None:
-        rng = np.random.default_rng(20240502)
-        shifts = np.random.default_rng(20240512)  # its own stream keeps the draws above as they were
-        worst_gap = 0.0
-        worst_res = 0.0
-        for _ in range(50):
-            dist, c = _random_normalized_dist(rng)
-            f = float(rng.uniform(1.0, 4.0))
-            t = int(rng.integers(10, 1001))
-            thresholds = _random_thresholds(rng, dist.d)
-            r = float(shifts.uniform(0.0, 2.0))  # every reward raised by r
-            for d in (dist, RewardDistribution(tuple(v + r for v in dist.support), dist.cum_mass)):
-                policy = ThresholdPolicy(thresholds, d)
-                closed = beta_closed_form(policy, f, 1.0, t)
-                tight = oracle.adversary_lp_tight(policy, f, 1.0, t)
-                worst_gap = max(
-                    worst_gap,
-                    float(np.max(np.abs(closed - tight))) / (1.0 / t),
-                )
-                resid = oracle.lp_residuals(closed, policy, f, 1.0)
-                worst_res = max(worst_res, resid["equality"], resid["beta1"], resid["negativity"])
-        res.checks.append(_at_most("max |beta_tight - beta*| / (N/t)", worst_gap, 1e-9))
-        res.checks.append(_at_most("max LP residual", worst_res, 1e-9))
-
-    return _timed(body, "beta-recurrence")
+    rng = np.random.default_rng(20240502)
+    shifts = np.random.default_rng(20240512)  # its own stream keeps the draws above as they were
+    worst_gap = 0.0
+    worst_res = 0.0
+    for _ in range(50):
+        dist, c = _random_normalized_dist(rng)
+        f = float(rng.uniform(1.0, 4.0))
+        t = int(rng.integers(10, 1001))
+        thresholds = _random_thresholds(rng, dist.d)
+        r = float(shifts.uniform(0.0, 2.0))  # every reward raised by r
+        for d in (dist, RewardDistribution(tuple(v + r for v in dist.support), dist.cum_mass)):
+            policy = ThresholdPolicy(thresholds, d)
+            closed = beta_closed_form(policy, f, 1.0, t)
+            tight = oracle.adversary_lp_tight(policy, f, 1.0, t)
+            worst_gap = max(
+                worst_gap,
+                float(np.max(np.abs(closed - tight))) / (1.0 / t),
+            )
+            resid = oracle.lp_residuals(closed, policy, f, 1.0)
+            worst_res = max(worst_res, resid["equality"], resid["beta1"], resid["negativity"])
+    res.checks.append(_at_most("max |beta_tight - beta*| / (N/t)", worst_gap, 1e-9))
+    res.checks.append(_at_most("max LP residual", worst_res, 1e-9))
 
 
 # shared configuration for the adversarial binary simulation (criteria 4 and 5)
 KVV_CONFIG = dict(m=50, n=2000, f=2.0, q=0.5, r=0.5, c=1.0, seeds=20, seed_base=20240504)
 
 
-def run_kvv_binary() -> ReproResult:
+@_experiment("kvv-binary")
+def run_kvv_binary(res: ReproResult) -> None:
     """Simulation on the adversarial instance vs ``competitive_ratio``'s guarantee and ratio."""
-
-    def body(res: ReproResult) -> None:
-        cfg = KVV_CONFIG
-        dist = RewardDistribution.binary(cfg["q"], cfg["r"])
-        s1 = binary_threshold(cfg["f"], cfg["q"], cfg["r"], cfg["c"])
-        policy = ThresholdPolicy((s1, 1.0), dist)
-        normalized = []
-        for i in range(cfg["seeds"]):
-            inst = gen_upper_triangular(cfg["m"], cfg["n"], cfg["f"], seed=cfg["seed_base"] + i)
-            rep = run_instance(inst, policy, cfg["c"], dist, seed=cfg["seed_base"] + 1000 + i)
-            normalized.append(rep.reward / inst.total_demand)
-        mean = float(np.mean(normalized))
-        report = competitive_ratio(dist, cfg["c"], cfg["f"])
-        expected = report.alg_bound
-        res.checks.append(
-            Check(
-                "mean normalized reward vs formula",
-                mean,
-                expected,
-                "rel tol 10%",
-                abs(mean - expected) <= 0.10 * expected,
-            )
+    cfg = KVV_CONFIG
+    dist = RewardDistribution.binary(cfg["q"], cfg["r"])
+    s1 = binary_threshold(cfg["f"], cfg["q"], cfg["r"], cfg["c"])
+    policy = ThresholdPolicy((s1, 1.0), dist)
+    normalized = []
+    for i in range(cfg["seeds"]):
+        inst = gen_upper_triangular(cfg["m"], cfg["n"], cfg["f"], seed=cfg["seed_base"] + i)
+        rep = run_instance(inst, policy, cfg["c"], dist, seed=cfg["seed_base"] + 1000 + i)
+        normalized.append(rep.reward / inst.total_demand)
+    mean = float(np.mean(normalized))
+    report = competitive_ratio(dist, cfg["c"], cfg["f"])
+    expected = report.alg_bound
+    res.checks.append(
+        Check(
+            "mean normalized reward vs formula",
+            mean,
+            expected,
+            "rel tol 10%",
+            abs(mean - expected) <= 0.10 * expected,
         )
-        res.checks.append(
-            _within("simulated ALG / OPT vs ratio formula", mean / report.opt, report.ratio, 0.03)
-        )
-
-    return _timed(body, "kvv-binary")
+    )
+    res.checks.append(
+        _within("simulated ALG / OPT vs ratio formula", mean / report.opt, report.ratio, 0.03)
+    )
 
 
 def _sandwich_corpus() -> List[Tuple[Instance, RewardDistribution, float]]:
@@ -263,96 +265,84 @@ def _sandwich_corpus() -> List[Tuple[Instance, RewardDistribution, float]]:
     return corpus
 
 
-def run_sandwich() -> ReproResult:
+@_experiment("sandwich")
+def run_sandwich(res: ReproResult) -> None:
     """E[threshold ALG] <= optimal-online <= E[offline OPT] on tiny instances."""
-
-    def body(res: ReproResult) -> None:
-        corpus = _sandwich_corpus()
-        res.checks.append(
-            Check("corpus size", len(corpus), 20, "at least", len(corpus) >= 20)
-        )
-        sized = all(
-            inst.total_demand <= 6 and inst.total_queries <= 10 and dist.d <= 3
-            for inst, dist, _ in corpus
-        )
-        res.checks.append(
-            Check("corpus within tiny-scale caps", float(sized), 1.0, "exact", sized)
-        )
-        slack = 1e-9
-        worst_alg_gap = -math.inf
-        worst_onl_gap = -math.inf
-        for inst, dist, c in corpus:
-            f = max(1.0, supply_factor(inst))
-            policy, _, _ = make_policy(dist, c, f, N=float(inst.total_demand))
-            e_alg, e_off = oracle.exhaustive_values(inst, dist, c, policy)
-            v_onl = oracle.online_opt_bruteforce(inst, dist, c)
-            worst_alg_gap = max(worst_alg_gap, e_alg - v_onl)
-            worst_onl_gap = max(worst_onl_gap, v_onl - e_off)
-        res.checks.append(
-            _at_most(f"max E[ALG] - online_opt over {len(corpus)} instances", worst_alg_gap, slack)
-        )
-        res.checks.append(
-            _at_most(f"max online_opt - E[offline] over {len(corpus)} instances", worst_onl_gap, slack)
-        )
-
-    return _timed(body, "sandwich")
+    corpus = _sandwich_corpus()
+    res.checks.append(
+        Check("corpus size", len(corpus), 20, "at least", len(corpus) >= 20)
+    )
+    sized = all(
+        inst.total_demand <= 6 and inst.total_queries <= 10 and dist.d <= 3
+        for inst, dist, _ in corpus
+    )
+    res.checks.append(
+        Check("corpus within tiny-scale caps", float(sized), 1.0, "exact", sized)
+    )
+    slack = 1e-9
+    worst_alg_gap = -math.inf
+    worst_onl_gap = -math.inf
+    for inst, dist, c in corpus:
+        f = max(1.0, supply_factor(inst))
+        policy, _, _ = make_policy(dist, c, f, N=float(inst.total_demand))
+        e_alg, e_off = oracle.exhaustive_values(inst, dist, c, policy)
+        v_onl = oracle.online_opt_bruteforce(inst, dist, c)
+        worst_alg_gap = max(worst_alg_gap, e_alg - v_onl)
+        worst_onl_gap = max(worst_onl_gap, v_onl - e_off)
+    res.checks.append(
+        _at_most(f"max E[ALG] - online_opt over {len(corpus)} instances", worst_alg_gap, slack)
+    )
+    res.checks.append(
+        _at_most(f"max online_opt - E[offline] over {len(corpus)} instances", worst_onl_gap, slack)
+    )
 
 
-def run_matching_ratio() -> ReproResult:
+@_experiment("matching-ratio")
+def run_matching_ratio(res: ReproResult) -> None:
     """Perturbed-greedy empirical ratios vs f - f e^{-1/f} bands."""
-
-    def body(res: ReproResult) -> None:
-        bands = {1: (0.62, 0.65), 2: (0.77, 0.80), 4: (0.87, 0.90)}
-        for f, (lo, hi) in bands.items():
-            mean, _ = matching.empirical_ratio(m=100, n=1, f=f, trials=500, seed=20240507 + f)
-            res.checks.append(_in_band(f"mean ratio at f={f}", mean, lo, hi))
-
-    return _timed(body, "matching-ratio")
+    bands = {1: (0.62, 0.65), 2: (0.77, 0.80), 4: (0.87, 0.90)}
+    for f, (lo, hi) in bands.items():
+        mean, _ = matching.empirical_ratio(m=100, n=1, f=f, trials=500, seed=20240507 + f)
+        res.checks.append(_in_band(f"mean ratio at f={f}", mean, lo, hi))
 
 
-def run_opt_concentration() -> ReproResult:
+@_experiment("opt-concentration")
+def run_opt_concentration(res: ReproResult) -> None:
     """Exact offline optimum on sampled instances vs the closed-form OPT."""
-
-    def body(res: ReproResult) -> None:
-        b55 = RewardDistribution.binary(0.5, 0.5)
-        tri3 = RewardDistribution((0.0, 0.4, 0.9), (0.3, 0.7, 1.0))
-        cases = [
-            ("binary f=2", b55, 4, 2.0),
-            ("3-point f=2", tri3, 4, 2.0),
-            ("binary f=1.5", b55, 3, 1.5),
-            ("3-point f=1.5", tri3, 3, 1.5),
-        ]
-        for label, dist, m, f in cases:
-            inst = gen_upper_triangular(m, 1000, f, seed=20240508)
-            realized = oracle.sample_realized(inst, dist, seed=20240509)
-            exact = oracle.offline_opt_exact(realized, 1.0)
-            formula = oracle.offline_opt_formula(dist, f, float(inst.total_demand))
-            res.checks.append(
-                Check(
-                    f"{label}: exact vs formula",
-                    exact,
-                    formula,
-                    "rel tol 3%",
-                    abs(exact - formula) <= 0.03 * formula,
-                )
+    b55 = RewardDistribution.binary(0.5, 0.5)
+    tri3 = RewardDistribution((0.0, 0.4, 0.9), (0.3, 0.7, 1.0))
+    cases = [
+        ("binary f=2", b55, 4, 2.0),
+        ("3-point f=2", tri3, 4, 2.0),
+        ("binary f=1.5", b55, 3, 1.5),
+        ("3-point f=1.5", tri3, 3, 1.5),
+    ]
+    for label, dist, m, f in cases:
+        inst = gen_upper_triangular(m, 1000, f, seed=20240508)
+        realized = oracle.sample_realized(inst, dist, seed=20240509)
+        exact = oracle.offline_opt_exact(realized, 1.0)
+        formula = oracle.offline_opt_formula(dist, f, float(inst.total_demand))
+        res.checks.append(
+            Check(
+                f"{label}: exact vs formula",
+                exact,
+                formula,
+                "rel tol 3%",
+                abs(exact - formula) <= 0.03 * formula,
             )
+        )
 
-    return _timed(body, "opt-concentration")
 
-
-def run_supply_recovery() -> ReproResult:
+@_experiment("supply-recovery")
+def run_supply_recovery(res: ReproResult) -> None:
     """supply_factor returns exactly the construction parameter on both families."""
-
-    def body(res: ReproResult) -> None:
-        for f in (1.0, 1.5, 2.0, 3.0):
-            tri = gen_upper_triangular(4, 4, f, seed=20240510)
-            res.checks.append(_within(f"triangular f={f}", supply_factor(tri), f, 0.0))
-            comp = complete_instance(3, 4, f)
-            res.checks.append(_within(f"complete f={f}", supply_factor(comp), f, 0.0))
-        big = gen_upper_triangular(500, 200, 2.0, seed=20240510)
-        res.checks.append(_within("triangular 500x200 f=2.0", supply_factor(big), 2.0, 0.0))
-
-    return _timed(body, "supply-recovery")
+    for f in (1.0, 1.5, 2.0, 3.0):
+        tri = gen_upper_triangular(4, 4, f, seed=20240510)
+        res.checks.append(_within(f"triangular f={f}", supply_factor(tri), f, 0.0))
+        comp = complete_instance(3, 4, f)
+        res.checks.append(_within(f"complete f={f}", supply_factor(comp), f, 0.0))
+    big = gen_upper_triangular(500, 200, 2.0, seed=20240510)
+    res.checks.append(_within("triangular 500x200 f=2.0", supply_factor(big), 2.0, 0.0))
 
 
 def random_mean_distribution(
@@ -375,35 +365,19 @@ def random_mean_distribution(
         return RewardDistribution(tuple(support), tuple(np.cumsum(masses)[:-1]) + (1.0,))
 
 
-def run_worstcase_fixed_mean() -> ReproResult:
+@_experiment("worstcase-fixed-mean")
+def run_worstcase_fixed_mean(res: ReproResult) -> None:
     """No random fixed-mean distribution beats the returned worst-case candidates."""
-
-    def body(res: ReproResult) -> None:
-        rng = np.random.default_rng(20240511)
-        for mu in (0.3, 0.6):
-            for f in (2.0, 4.0):
-                spec = worst_case_distribution(mu, 1.0, f)
-                floor = spec.worst_value
-                worst_violation = -math.inf
-                for _ in range(100):
-                    dist = random_mean_distribution(rng, mu, 1.0)
-                    value = ub_continuous(optimize_thresholds_grid(dist, f, 1.0).thresholds, dist, f, 1.0)
-                    worst_violation = max(worst_violation, floor - value)
-                res.checks.append(
-                    _at_most(f"max(candidate_min - random best) at mu={mu}, f={f}", worst_violation, 1e-6)
-                )
-
-    return _timed(body, "worstcase-fixed-mean")
-
-
-EXPERIMENTS: Dict[str, Callable[[], ReproResult]] = {
-    "binary-threshold-grid": run_binary_threshold_grid,
-    "lb-ub-identity": run_lb_ub_identity,
-    "beta-recurrence": run_beta_recurrence,
-    "kvv-binary": run_kvv_binary,
-    "sandwich": run_sandwich,
-    "matching-ratio": run_matching_ratio,
-    "opt-concentration": run_opt_concentration,
-    "supply-recovery": run_supply_recovery,
-    "worstcase-fixed-mean": run_worstcase_fixed_mean,
-}
+    rng = np.random.default_rng(20240511)
+    for mu in (0.3, 0.6):
+        for f in (2.0, 4.0):
+            spec = worst_case_distribution(mu, 1.0, f)
+            floor = spec.worst_value
+            worst_violation = -math.inf
+            for _ in range(100):
+                dist = random_mean_distribution(rng, mu, 1.0)
+                value = ub_continuous(optimize_thresholds_grid(dist, f, 1.0).thresholds, dist, f, 1.0)
+                worst_violation = max(worst_violation, floor - value)
+            res.checks.append(
+                _at_most(f"max(candidate_min - random best) at mu={mu}, f={f}", worst_violation, 1e-6)
+            )

@@ -36,6 +36,10 @@ def check(criterion: str, result: repro.ReproResult) -> None:
     )
 
 
+def test_every_experiment_has_a_budget():
+    assert set(LIMITS) == set(repro.EXPERIMENTS)
+
+
 @pytest.fixture(scope="module")
 def kvv_result():
     return repro.run_kvv_binary()

@@ -51,6 +51,8 @@ class TestThresholds:
         )
         assert code == 0
         shifted = json.loads(out)
+        raised = RewardDistribution((0.2, 0.7), (0.5, 1.0))
+        assert shifted["objective_per_unit_demand"] == competitive_ratio(raised, 1.2, 2.0).alg_bound
         assert abs(shifted["objective_per_unit_demand"] - obj["objective_per_unit_demand"] - (2 - 1) * 0.2) <= 1e-12
         assert len(shifted["thresholds"]) == len(obj["thresholds"])
         assert all(abs(x - y) <= 1e-12 for x, y in zip(shifted["thresholds"], obj["thresholds"]))

@@ -187,12 +187,15 @@ class TestCompetitiveRatio:
 
     def test_three_point_distribution(self):
         three = RewardDistribution((0.0, 0.4, 0.9), (0.3, 0.7, 1.0))
-        report = competitive_ratio(three, 1.0, 2.0)
-        assert report.clamped == 1  # thresholds (0.0, 0.6935..., 1.0)
-        exact = optimize_thresholds_exact(three, 2.0, 1.0)
-        assert report.alg_bound == ub_continuous(exact.thresholds, three, 2.0, 1.0)
-        assert report.opt == offline_opt_formula(three, 2.0, 1.0)
-        assert report.ratio == report.alg_bound / report.opt
+        assert competitive_ratio(three, 1.0, 2.0).clamped == 1  # thresholds (0.0, 0.6935..., 1.0)
+        # its twin with every bid and the penalty raised by 0.25 is scored in its own units
+        raised = RewardDistribution((0.25, 0.65, 1.15), (0.3, 0.7, 1.0))
+        for dist, c in ((three, 1.0), (raised, 1.25)):
+            report = competitive_ratio(dist, c, 2.0)
+            exact = optimize_thresholds_exact(dist, 2.0, c)
+            assert report.alg_bound == ub_continuous(exact.thresholds, dist, 2.0, c)
+            assert report.opt == offline_opt_formula(dist, 2.0, 1.0)
+            assert report.ratio == report.alg_bound / report.opt
 
 
 class TestWorstCase:
