@@ -312,13 +312,15 @@ def run_opt_concentration(res: ReproResult) -> None:
     b55 = RewardDistribution.binary(0.5, 0.5)
     tri3 = RewardDistribution((0.0, 0.4, 0.9), (0.3, 0.7, 1.0))
     cases = [
-        ("binary f=2", b55, 4, 2.0),
-        ("3-point f=2", tri3, 4, 2.0),
-        ("binary f=1.5", b55, 3, 1.5),
-        ("3-point f=1.5", tri3, 3, 1.5),
+        ("binary f=2", b55, 4, 1000, 2.0),
+        ("3-point f=2", tri3, 4, 1000, 2.0),
+        ("binary f=1.5", b55, 3, 1000, 1.5),
+        ("3-point f=1.5", tri3, 3, 1000, 1.5),
+        ("binary f=2, 500x100", b55, 500, 100, 2.0),
+        ("3-point f=2, 500x100", tri3, 500, 100, 2.0),
     ]
-    for label, dist, m, f in cases:
-        inst = gen_upper_triangular(m, 1000, f, seed=20240508)
+    for label, dist, m, n, f in cases:
+        inst = gen_upper_triangular(m, n, f, seed=20240508)
         realized = oracle.sample_realized(inst, dist, seed=20240509)
         exact = oracle.offline_opt_exact(realized, 1.0)
         formula = oracle.offline_opt_formula(dist, f, float(inst.total_demand))

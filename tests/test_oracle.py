@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import networkx as nx
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from yieldopt import oracle
 from yieldopt.dist import RewardDistribution
 from yieldopt.engine import run_rewards
 from yieldopt.errors import DomainError, SizeLimit
@@ -135,12 +137,27 @@ class TestOfflineOptExact:
         value = offline_opt_exact(RealizedInstance(inst, (0.1,) * 100_000), 1.0)
         assert value == 9000.0
 
-    def test_size_limit(self):
-        # the cap is on search work, (2,000 classes + 1,000 advertisers) * (500,500 edges + 1,000 groups)
-        # here, not on the 200,000 queries; it raises before any search
-        realized = sample_realized(gen_upper_triangular(1000, 100, 2.0, seed=1), BINARY, seed=1)
-        with pytest.raises(SizeLimit, match="search work 1504500000"):
+    def test_size_limit(self, monkeypatch):
+        # the cap is on counted work: the pours visit advertiser 0 once each (query 0 takes it,
+        # query 1 finds it full); the search from group 1 visits its id 0, follows group 0's
+        # unit there, and visits group 0's ids 0 and 1, where it finds room: 6 in all
+        realized = RealizedInstance(Instance((1, 1), ((1, (0, 1)), (1, (0,)))), (0.1, 0.2))
+        monkeypatch.setattr(oracle, "_MAX_EXACT_WORK", 5)
+        with pytest.raises(SizeLimit, match="counted work 6 exceeds exact-solver limit 5"):
             offline_opt_exact(realized, 1.0)
+        monkeypatch.setattr(oracle, "_MAX_EXACT_WORK", 6)
+        assert offline_opt_exact(realized, 1.0) == pytest.approx(0.0)
+
+    def test_binary_1000_by_100_solves(self):
+        # 200,000 queries on 500,500 eligibility edges; the algorithm's reward bounds OPT from
+        # below, the sum of the Q - N largest rewards from above
+        inst = gen_upper_triangular(1000, 100, 2.0, seed=1)
+        realized = sample_realized(inst, BINARY, seed=1)
+        policy, _, _ = make_policy(BINARY, 1.0, 2.0, float(inst.total_demand))
+        alg = run_rewards(inst, policy, 1.0, realized.rewards).reward
+        surplus = inst.total_queries - inst.total_demand
+        top_sum = float(np.sort(realized.rewards)[-surplus:].sum())
+        assert alg <= offline_opt_exact(realized, 1.0) <= top_sum + 1e-9
 
     def test_many_queries_few_advertisers_solve(self):
         # 200,000 queries but little search work, (100 + 50) * (1,275 + 50); the algorithm's reward bounds OPT
@@ -358,3 +375,30 @@ class TestRealizedInstance:
         a = sample_realized(inst, TRI3, seed=5)
         b = sample_realized(inst, TRI3, seed=5)
         assert a == b
+
+    def test_kept_array_is_read_only(self):
+        realized = sample_realized(gen_upper_triangular(4, 5, 2.0, seed=1), TRI3, seed=2)
+        kept = realized._reward_array
+        assert kept.dtype == np.float64 and kept.tolist() == list(realized.rewards)
+        with pytest.raises(ValueError):
+            kept[0] = 1.0
+
+    def test_callers_array_is_copied(self):
+        rewards = np.array([0.1, 0.2])
+        realized = RealizedInstance(Instance((1,), ((2, (0,)),)), rewards)
+        rewards[0] = 0.9
+        assert realized.rewards == (0.1, 0.2) and realized._reward_array.tolist() == [0.1, 0.2]
+        assert rewards.flags.writeable
+
+    def test_array_is_no_part_of_the_value(self):
+        inst = Instance((1,), ((2, (0,)),))
+        a, b = RealizedInstance(inst, (0.1, 0.2)), RealizedInstance(inst, np.array([0.1, 0.2]))
+        assert a == b and hash(a) == hash(b) and repr(a) == repr(b)
+
+    def test_pickle_carries_no_array(self):
+        realized = sample_realized(gen_upper_triangular(6, 5, 2.0, seed=3), TRI3, seed=4)
+        back = pickle.loads(pickle.dumps(realized))
+        assert "_reward_array" not in back.__dict__
+        assert back == realized
+        assert offline_opt_exact(back, 1.0) == offline_opt_exact(realized, 1.0)
+        assert not back._reward_array.flags.writeable  # rebuilt on first use
