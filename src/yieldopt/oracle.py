@@ -27,6 +27,7 @@ from .policy import ThresholdPolicy, index_weights
 
 _MAX_EXACT_WORK = 200_000_000  # offline_opt_exact: ids and flow edges its pours and searches visit
 _CLOSED = 1 << 62  # offline_opt_exact: a search mark above every search's number
+_FEW_LEVELS = 8  # offline_opt_exact: most distinct rewards counted by comparison passes
 _MAX_ENUM_REALIZATIONS = 400_000
 
 
@@ -114,6 +115,20 @@ def offline_opt_exact(realized: RealizedInstance, penalty: float) -> float:
     penalty on what is not delivered, is summed level by level with
     correct rounding: a sequential sum drifts with the query count.
 
+    The groups are numbered once in pour order, a stable sort by
+    eligible-set size, and a query's class key is ``level * groups + pour
+    position``, so the classes sorted by key come level by level in pour
+    order.  With at most ``_FEW_LEVELS`` distinct rewards a query's level
+    is the count of distinct rewards below it, one comparison pass per
+    reward, and one ``bincount`` of the keys gives the class sizes and the
+    queries per level.  With more, a binary search finds the levels and a
+    sort of the served keys the classes.  Measured on a 2-vCPU Xeon, up to
+    8 rewards the passes cost the same as the search and the sort at 80
+    and 400 queries, and a third to a half as much at 4k and 20k queries;
+    above 8 the small instances lose (32 rewards on 400 queries: 0.081
+    against 0.045 ms), and a chain's thousands of distinct rewards would
+    cost thousands of passes.
+
     The work is counted, not estimated: every eligibility id a pour or a
     search visits and every flow edge a search follows.  It raises
     :class:`SizeLimit` once the count passes ``_MAX_EXACT_WORK``, checked
@@ -125,20 +140,33 @@ def offline_opt_exact(realized: RealizedInstance, penalty: float) -> float:
     _check_finite(penalty, "penalty")
     instance = realized.instance
     groups = instance.groups
+    n_groups = len(groups)
     rewards = realized._reward_array
     values = np.unique(rewards)  # the levels, increasing
-    level = np.searchsorted(values, rewards)
     served = int(np.searchsorted(values, penalty))  # levels below the penalty; the rest are sold
-    # classes: (level, group) pairs, in pour order within a level: eligible-set size, then group
-    key = level * len(groups) + np.repeat(np.arange(len(groups)), [count for count, _ in groups])
-    classes, sizes = np.unique(key[level < served], return_counts=True)
-    cl, cg = np.divmod(classes, len(groups))
-    width = np.array([len(e) for _, e in groups], dtype=np.intp)
-    by = np.lexsort((width[cg], cl))
+    order = np.argsort([len(e) for _, e in groups], kind="stable")  # pour position -> group
+    position = np.empty(n_groups, np.intp)
+    position[order] = np.arange(n_groups)
+    key = np.repeat(position, [count for count, _ in groups])
+    if len(values) <= _FEW_LEVELS:
+        level = np.zeros(len(rewards), np.intp)
+        for v in values[:-1].tolist():
+            level += rewards > v
+        key += level * n_groups
+        counts = np.bincount(key, minlength=len(values) * n_groups)
+        classes = np.flatnonzero(counts[: served * n_groups])
+        sizes = counts[classes]
+        per_level = counts.reshape(len(values), n_groups).sum(axis=1)
+    else:
+        level = np.searchsorted(values, rewards)
+        key += level * n_groups
+        classes, sizes = np.unique(key[level < served], return_counts=True)
+        per_level = np.bincount(level, minlength=len(values))
+    cl, cp = np.divmod(classes, n_groups)
     placed = [0] * len(values)
-    for lv, units in _Flow(instance).levels(zip(cl[by].tolist(), cg[by].tolist(), sizes[by].tolist())):
+    for lv, units in _Flow(instance).levels(zip(cl.tolist(), order[cp].tolist(), sizes.tolist())):
         placed[lv] = units
-    sold = np.bincount(level, minlength=len(values)) - np.array(placed, dtype=np.int64)
+    sold = per_level - np.array(placed, dtype=np.int64)
     undelivered = instance.total_demand - sum(placed)
     return math.fsum([*(values * sold).tolist(), -penalty * undelivered])
 

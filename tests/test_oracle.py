@@ -4,7 +4,7 @@ import pickle
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from yieldopt import oracle
@@ -235,10 +235,20 @@ def mid_realized(draw):
     elig = st.lists(st.integers(0, m - 1), max_size=m)
     groups = draw(st.lists(st.tuples(st.integers(0, 60), elig), max_size=12))
     inst = Instance(tuple(demands), tuple(groups))
-    ticks = draw(st.lists(st.integers(0, 30), min_size=1, max_size=4))
+    # up to 12 distinct rewards: both sides of offline_opt_exact's few-levels bound
+    ticks = draw(st.lists(st.integers(0, 30), min_size=1, max_size=12, unique=True))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     rewards = rng.choice(np.array(ticks) / 20, size=inst.total_queries)
     return RealizedInstance(inst, tuple(rewards))
+
+
+def level_bound_case(d):
+    # d distinct rewards: at the few-levels bound the levels are counted by comparison
+    # passes, one above it by binary search; advertiser 1 is tight and advertiser 2 keeps
+    # room, so a query counted in the wrong group or a sold reward delivered moves the value
+    inst = Instance((4, 2, 9), ((5, (0, 1)), (4, (2,)), (6, (0, 1, 2)), (3, (1,))))
+    rewards = np.random.default_rng(d).permutation(np.resize(np.arange(d) / 10, inst.total_queries))
+    return RealizedInstance(inst, rewards)
 
 
 class TestOfflineOptDifferential:
@@ -250,6 +260,10 @@ class TestOfflineOptDifferential:
 
     @settings(max_examples=150, deadline=None)
     @given(realized=mid_realized(), penalty=st.sampled_from((0.5, 1.0)))
+    @example(realized=level_bound_case(oracle._FEW_LEVELS), penalty=0.45)
+    @example(realized=level_bound_case(oracle._FEW_LEVELS), penalty=1.0)
+    @example(realized=level_bound_case(oracle._FEW_LEVELS + 1), penalty=0.45)
+    @example(realized=level_bound_case(oracle._FEW_LEVELS + 1), penalty=1.0)
     def test_matches_min_cost_flow(self, realized, penalty):
         expected = offline_min_cost_flow(realized, penalty)
         assert abs(offline_opt_exact(realized, penalty) - expected) <= 1e-9 * max(1.0, abs(expected))
