@@ -10,9 +10,9 @@ it or raises.
 
 The supply factor of an instance is the largest ``f`` such that a
 fractional offline allocation can deliver ``f * n_a`` to every advertiser.
-It is never declared: :func:`supply_factor` computes it, as ``Q / N`` when a
-greedy allocation in exact integers places every query, else by binary
-search over max-flow feasibility.
+It is never declared: :func:`supply_factor` computes it, as ``Q / N`` when
+one exact integer flow places every query, else by binary search over
+max-flow feasibility.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from ._flow import _Flow
 from .errors import DomainError, NonIntegralGroupSize, _demands, _finite, _integers, _positive
 from .errors import _sequence
 
@@ -234,47 +235,29 @@ def _flow_feasible(instance: Instance, f: float, tol: float = 1e-9) -> bool:
         need = f * n
         g.add_edge(("a", a), snk, capacity=need)
         target += need
-    if target == 0.0:
-        return True
     value = nx.maximum_flow_value(g, src, snk)
     return value >= target - tol * max(1.0, target)
-
-
-def _places_all_supply(instance: Instance) -> bool:
-    """True when a greedy pour places every query, which proves ``f* = Q / N``; False proves nothing.
-
-    In integers, group ``g`` supplies ``count_g * N`` and advertiser ``a`` needs
-    ``Q * n_a``; the groups, smallest eligible set first, pour into their ids' remaining need.
-    """
-    total_demand, need = instance.total_demand, [instance.total_queries * n for n in instance.demands]
-    for count, elig in sorted(instance.groups, key=lambda group: len(group[1])):
-        left = count * total_demand
-        for a in elig:
-            if not left:
-                break
-            take = min(left, need[a])
-            need[a] -= take
-            left -= take
-        if left:
-            return False
-    return True
 
 
 def supply_factor(instance: Instance) -> float:
     """Largest f such that a fractional allocation delivers f*n_a to everyone.
 
-    ``Q / N`` when :func:`_places_all_supply` certifies it, with no max flow;
-    else binary search on max-flow feasibility, narrowed below ``_SUPPLY_TOL``.
-    Returns 0 when some advertiser has no eligible queries.
+    0 when some advertiser has no eligible queries.  ``Q / N`` when one
+    level of the exact integer flow ``_flow._Flow`` places all ``Q * N``
+    units: advertiser ``a`` needs ``Q * n_a`` and each group with queries
+    supplies ``count * N``, smallest eligible set first.  Else binary search
+    on max-flow feasibility, narrowed below ``_SUPPLY_TOL``.  The flow shares
+    ``offline_opt_exact``'s counted-work cap and raises :class:`SizeLimit` past it.
     """
-    covered = set()
-    for count, elig in instance.groups:
-        if count > 0:
-            covered.update(elig)
-    if len(covered) < instance.m:
+    groups = instance.groups
+    if len(set().union(*(elig for count, elig in groups if count))) < instance.m:
         return 0.0
-    hi = instance.total_queries / instance.total_demand
-    if _places_all_supply(instance) or _flow_feasible(instance, hi):
+    Q, N = instance.total_queries, instance.total_demand
+    flow = _Flow(tuple(Q * n for n in instance.demands), [e for _, e in groups])
+    order = sorted(range(len(groups)), key=lambda g: len(groups[g][1]))
+    [(_, placed)] = flow.levels((0, g, groups[g][0] * N) for g in order if groups[g][0])
+    hi = Q / N
+    if placed == Q * N:
         return hi
     lo = 0.0
     while hi - lo > _SUPPLY_TOL:

@@ -13,11 +13,11 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from operator import itemgetter
-from typing import Dict, Iterable, Iterator, List, Sequence, Set, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
+from ._flow import _Flow
 from .dist import RewardDistribution, sample_array, top_quantile_mean
 from .engine import run_rewards
 from .errors import SizeLimit, _positive, _reals
@@ -25,8 +25,6 @@ from .errors import _check_demand, _check_finite, _check_rewards, _check_supply
 from .instances import Instance
 from .policy import ThresholdPolicy, index_weights
 
-_MAX_EXACT_WORK = 200_000_000  # offline_opt_exact: ids and flow edges its pours and searches visit
-_CLOSED = 1 << 62  # offline_opt_exact: a search mark above every search's number
 _FEW_LEVELS = 8  # offline_opt_exact: most distinct rewards counted by comparison passes
 _MAX_ENUM_REALIZATIONS = 400_000
 
@@ -131,7 +129,7 @@ def offline_opt_exact(realized: RealizedInstance, penalty: float) -> float:
 
     The work is counted, not estimated: every eligibility id a pour or a
     search visits and every flow edge a search follows.  It raises
-    :class:`SizeLimit` once the count passes ``_MAX_EXACT_WORK``, checked
+    :class:`SizeLimit` once the count passes ``_flow._MAX_EXACT_WORK``, checked
     after each level's pours and after each group a search expands.
     Binary and 3-point ``gen_upper_triangular(1000, 100, 2.0)``, 200k
     queries on 500,500 edges, count 1.3e6 and 2.7e6 and solve in 0.05 and
@@ -164,152 +162,12 @@ def offline_opt_exact(realized: RealizedInstance, penalty: float) -> float:
         per_level = np.bincount(level, minlength=len(values))
     cl, cp = np.divmod(classes, n_groups)
     placed = [0] * len(values)
-    for lv, units in _Flow(instance).levels(zip(cl.tolist(), order[cp].tolist(), sizes.tolist())):
+    flow = _Flow(instance.demands, [e for _, e in groups])
+    for lv, units in flow.levels(zip(cl.tolist(), order[cp].tolist(), sizes.tolist())):
         placed[lv] = units
     sold = per_level - np.array(placed, dtype=np.int64)
     undelivered = instance.total_demand - sum(placed)
     return math.fsum([*(values * sold).tolist(), -penalty * undelivered])
-
-
-class _Flow:
-    """Integer flow from query groups to advertisers, grown one reward level at a time.
-
-    ``flow[g]`` maps advertiser ``a`` to the units group ``g`` delivers to
-    it and ``into[a]`` holds the groups with such units.  ``group_mark`` and
-    ``ad_mark`` hold the number of the last search that reached a node, or
-    ``_CLOSED`` once a failed search has shown the node can never reach
-    free demand.  ``work`` counts the ids and flow edges visited so far.
-    """
-
-    def __init__(self, instance: Instance):
-        self.demands = instance.demands
-        self.elig = [e for _, e in instance.groups]
-        self.used = [0] * instance.m
-        self.flow: List[Dict[int, int]] = [{} for _ in self.elig]
-        self.into: List[Set[int]] = [set() for _ in self.demands]
-        self.group_mark = [0] * len(self.elig)
-        self.ad_mark = [0] * instance.m
-        self.via = [0] * instance.m  # per search: the group an advertiser was reached from
-        self.back = [0] * len(self.elig)  # per search: the advertiser whose units a group moves
-        self.searches = 0
-        self.work = 0
-
-    def count(self, visits: int) -> None:
-        self.work += visits
-        if self.work > _MAX_EXACT_WORK:
-            raise SizeLimit(f"counted work {self.work} exceeds exact-solver limit {_MAX_EXACT_WORK}")
-
-    def levels(self, classes: Iterable[Tuple[int, int, int]]) -> Iterator[Tuple[int, int]]:
-        """``(level, units the flow grows by)`` per level of ``(level, group, count)`` classes.
-
-        The classes come level by level, in pour order within a level.
-        Each group pours its queries into its ids' remaining demand; what
-        is left then goes by :meth:`search`, and what no search moves is
-        dropped.
-        """
-        demands, used, elig, flow, into = self.demands, self.used, self.elig, self.flow, self.into
-        group_mark = self.group_mark
-        for lv, level in itertools.groupby(classes, key=itemgetter(0)):
-            placed, visits, left = 0, 0, []
-            for _, g, k in level:
-                if group_mark[g] == _CLOSED:
-                    continue
-                ids, units = elig[g], flow[g]
-                placed += k
-                for a in ids:
-                    room = demands[a] - used[a]
-                    if room:
-                        take = room if room < k else k
-                        used[a] += take
-                        units[a] = units.get(a, 0) + take
-                        into[a].add(g)
-                        k -= take
-                        if not k:
-                            visits += ids.index(a) + 1
-                            break
-                else:
-                    visits += len(ids)
-                    placed -= k
-                    left.append((g, k))
-            self.count(visits)
-            for g, k in left:
-                while k:
-                    moved = self.search(g, k)
-                    if not moved:
-                        break
-                    k -= moved
-                    placed += moved
-            yield lv, placed
-
-    def search(self, g: int, need: int) -> int:
-        """Units, at most ``need``, moved from group ``g`` along one shortest augmenting path.
-
-        Breadth-first from ``g``: through a full advertiser, a group with
-        units on it can move them to its other eligible advertisers.  Each
-        node is reached once.  Returns 0, and closes every node reached, when
-        no advertiser with room is reachable.
-        """
-        group_mark, ad_mark = self.group_mark, self.ad_mark
-        if group_mark[g] == _CLOSED:
-            return 0
-        demands, used, elig, into, via, back = (
-            self.demands, self.used, self.elig, self.into, self.via, self.back
-        )
-        self.searches += 1
-        stamp = self.searches
-        group_mark[g] = stamp
-        todo, full = [g], []
-        for g2 in todo:
-            ids = elig[g2]
-            followed = 0
-            for a in ids:
-                if ad_mark[a] >= stamp:  # reached in this search, or closed
-                    continue
-                ad_mark[a] = stamp
-                via[a] = g2
-                if used[a] < demands[a]:
-                    self.count(ids.index(a) + 1 + followed)
-                    return self._push(g, a, need)
-                full.append(a)
-                followed += len(into[a])
-                for g3 in into[a]:
-                    if group_mark[g3] < stamp:
-                        group_mark[g3] = stamp
-                        back[g3] = a
-                        todo.append(g3)
-            self.count(len(ids) + followed)
-        for g2 in todo:
-            group_mark[g2] = _CLOSED
-        for a in full:
-            ad_mark[a] = _CLOSED
-        return 0
-
-    def _push(self, g: int, end: int, need: int) -> int:
-        # as many units as the path's bottleneck allows, moved from end back to g
-        demands, used, via, back = self.demands, self.used, self.via, self.back
-        flow, into = self.flow, self.into
-        k = min(need, demands[end] - used[end])
-        g2 = via[end]
-        while g2 != g:
-            a = back[g2]
-            k = min(k, flow[g2][a])
-            g2 = via[a]
-        used[end] += k
-        a = end
-        while True:
-            g2 = via[a]
-            flow[g2][a] = flow[g2].get(a, 0) + k
-            into[a].add(g2)
-            if g2 == g:
-                return k
-            prev = back[g2]
-            left = flow[g2][prev] - k
-            if left:
-                flow[g2][prev] = left
-            else:
-                del flow[g2][prev]
-                into[prev].discard(g2)
-            a = prev
 
 
 # ---------------------------------------------------------------------------

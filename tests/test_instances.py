@@ -11,13 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from yieldopt import _flow
 from yieldopt.dist import RewardDistribution, cond_mean_below, normalize, sample_array, top_quantile_mean, validate
 from yieldopt.engine import AllocationState, finalize, run_instance, run_rewards, serve_query
-from yieldopt.errors import DomainError, MalformedDistribution, NonIntegralGroupSize
+from yieldopt.errors import DomainError, MalformedDistribution, NonIntegralGroupSize, SizeLimit
 from yieldopt.errors import _finite, _integer, _integers, _reals
 from yieldopt.instances import (
     Instance,
-    _places_all_supply,
     _triangle,
     complete_instance,
     gen_upper_triangular,
@@ -634,6 +634,8 @@ class TestSupplyFactor:
             "assert 'networkx' not in sys.modules, 'import yieldopt loaded networkx'\n"
             "assert yieldopt.supply_factor(yieldopt.gen_upper_triangular(50, 20, 2.0, 1)) == 2.0\n"
             "assert 'networkx' not in sys.modules, 'a certified supply factor loaded networkx'\n"
+            "assert yieldopt.supply_factor(yieldopt.Instance((1, 1, 1), ((1, (0, 1)), (2, (0, 2))))) == 1.0\n"
+            "assert 'networkx' not in sys.modules, 'a search-certified supply factor loaded networkx'\n"
             "assert abs(yieldopt.supply_factor(yieldopt.Instance((2, 2), ((4, (0,)), (2, (0, 1))))) - 1.0) <= 1e-6\n"
             "assert 'networkx' in sys.modules\n"
         )
@@ -676,12 +678,32 @@ class TestSupplyFactor:
         assert supply_factor(inst) == pytest.approx(supply_factor(split), abs=1e-9)
 
     def test_greedy_miss_falls_back_to_the_flow(self):
-        # f* = 1 (group 0's query to advertiser 1, group 1's two to 0 and 2), but the greedy pours
-        # group 0 into advertiser 0 and leaves group 1 a query over: the max flow still finds Q / N
+        # f* = 1 (group 0's query to advertiser 1, group 1's two to 0 and 2), but the pour puts
+        # group 0 on advertiser 0 and leaves group 1 a query over: an augmenting path places it
         inst = Instance((1, 1, 1), ((1, (0, 1)), (2, (0, 2))))
         assert _hall_supply_factor(inst) == 1
-        assert not _places_all_supply(inst)
-        assert supply_factor(inst) == pytest.approx(1.0, abs=1e-6)
+        assert supply_factor(inst) == 1.0
+
+    def test_zero_count_group_among_covered_ones(self):
+        # group 0 has no queries; given to the flow as a class it would pour first and leave a
+        # zero-unit edge on advertiser 0, and group 2's search would reach advertiser 1 along it
+        # and move nothing
+        inst = Instance((1, 1, 1), ((0, (0, 1)), (1, (0, 1)), (2, (0, 2))))
+        assert _hall_supply_factor(inst) == 1
+        assert supply_factor(inst) == 1.0
+
+    def test_tolerance_edge_is_not_certified(self):
+        # f* = 1 but Q / N = 1.000000001: a float max flow short of the target by 1e-9 of it passed
+        inst = Instance((1, 10**9), ((1, (0,)), (10**9 + 1, (1,))))
+        assert _hall_supply_factor(inst) == 1
+        assert 1.0 <= supply_factor(inst) < inst.total_queries / inst.total_demand
+
+    def test_certificate_shares_the_work_cap(self, monkeypatch):
+        # the pour counts 3 ids, the search from group 1 then 4 (two ids, two flow edges)
+        inst = Instance((1, 1, 1), ((1, (0, 1)), (2, (0, 2))))
+        monkeypatch.setattr(_flow, "_MAX_EXACT_WORK", 3)
+        with pytest.raises(SizeLimit, match="counted work 7 exceeds exact-solver limit 3"):
+            supply_factor(inst)
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -692,11 +714,11 @@ class TestSupplyFactor:
         groups = data.draw(st.lists(st.tuples(st.integers(0, 6), ids), max_size=6))
         inst = Instance(tuple(demands), tuple(groups))
         exact = _hall_supply_factor(inst)
-        if _places_all_supply(inst):
-            assert exact == Fraction(inst.total_queries, inst.total_demand)
+        if exact == Fraction(inst.total_queries, inst.total_demand):
             assert supply_factor(inst) == inst.total_queries / inst.total_demand
         else:
             assert supply_factor(inst) == pytest.approx(float(exact), abs=1e-6)
+            assert supply_factor(inst) != inst.total_queries / inst.total_demand
 
 
 class TestJsonRoundtrip:

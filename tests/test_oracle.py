@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from yieldopt import oracle
+from yieldopt import _flow, oracle
 from yieldopt.dist import RewardDistribution
 from yieldopt.engine import run_rewards
 from yieldopt.errors import DomainError, SizeLimit
@@ -142,10 +142,10 @@ class TestOfflineOptExact:
         # query 1 finds it full); the search from group 1 visits its id 0, follows group 0's
         # unit there, and visits group 0's ids 0 and 1, where it finds room: 6 in all
         realized = RealizedInstance(Instance((1, 1), ((1, (0, 1)), (1, (0,)))), (0.1, 0.2))
-        monkeypatch.setattr(oracle, "_MAX_EXACT_WORK", 5)
+        monkeypatch.setattr(_flow, "_MAX_EXACT_WORK", 5)
         with pytest.raises(SizeLimit, match="counted work 6 exceeds exact-solver limit 5"):
             offline_opt_exact(realized, 1.0)
-        monkeypatch.setattr(oracle, "_MAX_EXACT_WORK", 6)
+        monkeypatch.setattr(_flow, "_MAX_EXACT_WORK", 6)
         assert offline_opt_exact(realized, 1.0) == pytest.approx(0.0)
 
     def test_binary_1000_by_100_solves(self):
