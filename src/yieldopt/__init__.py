@@ -40,12 +40,7 @@ from .errors import (
     YieldOptError,
 )
 from .instances import Instance, complete_instance, gen_upper_triangular, supply_factor
-from .matching import (
-    empirical_ratio,
-    guarantee,
-    perturbed_greedy,
-    triangular_matching_instance,
-)
+from .matching import empirical_ratio, guarantee, perturbed_greedy
 from .oracle import (
     RealizedInstance,
     adversary_lp_tight,

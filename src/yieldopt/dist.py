@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import DomainError, MalformedDistribution, RewardExceedsPenalty
 from .errors import _check_binary, _check_demand, _check_finite, _check_supply, _finite, _integer
-from .errors import _generator, _positive, _reals
+from .errors import _positive, _reals, _rng
 
 # Construction-time renormalization window for the final cumulative mass.
 _MASS_TOL = 1e-12
@@ -206,9 +206,13 @@ def top_quantile_mean(dist: RewardDistribution, p: float) -> float:
 
 
 def sample_array(
-    dist: RewardDistribution, rng: np.random.Generator, size: int
+    dist: RewardDistribution, rng: Union[int, np.random.Generator], size: int
 ) -> np.ndarray:
-    """``size`` rewards drawn from ``rng``; identical generator state gives identical draws."""
-    u = _generator(rng).random(_positive(size, "size", least=0))
+    """``size`` rewards drawn from ``rng``, a ``Generator`` or a seed for ``default_rng``.
+
+    Identical generator state gives identical draws, so a seed draws what
+    a fresh generator of that seed does.
+    """
+    u = _rng(rng).random(_positive(size, "size", least=0))
     idx = np.searchsorted(np.asarray(dist.cum_mass), u, side="right")
     return np.asarray(dist.support, dtype=float)[idx]

@@ -54,13 +54,13 @@ import math
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from .dist import RewardDistribution, sample_array
 from .errors import DomainError
-from .errors import _check_finite, _check_rewards, _demands, _finite, _integers, _positive
+from .errors import _check_finite, _check_rewards, _demands, _finite, _integers
 from .instances import Instance
 from .policy import ThresholdPolicy
 
@@ -400,9 +400,8 @@ def run_instance(
     policy: ThresholdPolicy,
     penalty: float,
     dist: RewardDistribution,
-    seed: int,
+    seed: Union[int, np.random.Generator],
 ) -> RunReport:
     """Sample a reward per query from ``dist`` under ``seed`` and run, in ``dist``'s units."""
-    seed = _positive(seed, "seed", least=0)
-    rewards = sample_array(dist, np.random.default_rng(seed), instance.total_queries)
+    rewards = sample_array(dist, seed, instance.total_queries)
     return run_rewards(instance, policy, penalty, rewards)

@@ -28,8 +28,9 @@ and > 0; ``_check_rewards``: ``_reals`` with one reward per query;
 bounds ``r`` by ``c`` itself); ``_check_thresholds``: ``d`` thresholds,
 ``_reals``, non-decreasing in [0, 1] with the last exactly 1 (``ThresholdPolicy``,
 ``ub_continuous``); ``_check_weights``: ``m`` matching weights,
-``_reals``, each >= 0 and not all 0, or ones for ``None``; ``_generator``: a
-``numpy.random.Generator``.
+``_reals``, each >= 0 and not all 0, or ones for ``None``; ``_rng``: a
+random stream, a ``numpy.random.Generator`` as given or a seed, ``_positive``
+with ``least=0``, for ``numpy.random.default_rng``.
 """
 
 import math
@@ -218,7 +219,8 @@ def _check_weights(m: int, weights) -> np.ndarray:
     return w
 
 
-def _generator(rng) -> np.random.Generator:
-    if not isinstance(rng, np.random.Generator):
-        raise DomainError(f"rng must be a numpy.random.Generator, got {rng!r}")
-    return rng
+def _rng(seed) -> np.random.Generator:
+    """``seed`` itself if it is a ``numpy.random.Generator``, else ``default_rng`` of an integer >= 0."""
+    if isinstance(seed, np.random.Generator):
+        return seed
+    return np.random.default_rng(_positive(seed, "seed", least=0))

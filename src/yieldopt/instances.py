@@ -21,13 +21,13 @@ import json
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain
-from typing import List, Optional, Tuple
+from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
 from ._flow import _Flow
 from .errors import DomainError, NonIntegralGroupSize, _demands, _finite, _integers, _positive
-from .errors import _sequence
+from .errors import _rng, _sequence
 
 _INTEGRALITY_TOL = 1e-9  # generators: relative distance of f*n from an integer
 _SUPPLY_TOL = 1e-9  # supply_factor: width of the final bisection interval
@@ -201,16 +201,20 @@ def _triangle(perm: np.ndarray, n: int, group_size: int, seed: Optional[int] = N
     return Instance((n,) * len(perm), tuple(groups), seed=seed)
 
 
-def gen_upper_triangular(m: int, n: int, f: float, seed: int) -> Instance:
+def gen_upper_triangular(
+    m: int, n: int, f: float, seed: Union[int, np.random.Generator]
+) -> Instance:
     """Adversarial construction: m groups of f*n queries under a random permutation.
 
     Group ``i`` (0-based, arrival order) is eligible exactly to advertisers
     ``j`` with ``pi(j) >= i``, so one randomly chosen advertiser drops out
     per group.  Its supply factor is ``f`` by construction (Hall-tight).
+    ``pi`` is the stream's first draw, ``permutation(m)``.  The instance
+    records an integer seed; a ``Generator``'s instance records none.
     """
     m, n, group_size = _query_count(m, n, f, per_group=True)
-    seed = _positive(seed, "seed", least=0)
-    return _triangle(np.random.default_rng(seed).permutation(m), n, group_size, seed)
+    rng = _rng(seed)
+    return _triangle(rng.permutation(m), n, group_size, None if rng is seed else seed)
 
 
 def complete_instance(m: int, n: int, f: float) -> Instance:

@@ -11,12 +11,13 @@ The matching instance is the yield-optimization :class:`Instance`: an
 advertiser's demand ``n_a`` is ``n_a`` unit copies.  Two paths compute the
 same trials.  :func:`perturbed_greedy` serves any ``Instance`` one trial at
 a time: the plain reference, fed the triangular family by
-:func:`triangular_matching_instance`.  :func:`trial_weights` serves every
-trial of a call on that family at once on a ``(trials x copies)`` score
-matrix.  It draws each trial's permutation and uniforms from the same
-stream in the same order, applies the same elementwise float operations,
-picks by the same first-maximum rule and adds the picked weights in the
-same order, so its weights equal the reference's bit for bit.
+:func:`~yieldopt.instances.gen_upper_triangular` from the same generator.
+:func:`trial_weights` serves every trial of a call on that family at once
+on a ``(trials x copies)`` score matrix.  It draws each trial's permutation
+and uniforms from the same stream in the same order, applies the same
+elementwise float operations, picks by the same first-maximum rule and
+adds the picked weights in the same order, so its weights equal the
+reference's bit for bit.
 """
 
 from __future__ import annotations
@@ -26,31 +27,12 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import _check_supply, _check_weights, _generator, _positive
-from .instances import Instance, _query_count, _triangle
+from .errors import _check_supply, _check_weights, _positive, _rng
+from .instances import Instance, _query_count
 
 # Copies per working array in one block of trials; bounds trial_weights'
 # memory independently of the trial count.
 _BLOCK_ELEMENTS = 1 << 18
-
-
-def _family(m: int, n: int, f: float) -> Tuple[int, int, int]:
-    """Checked ``(m, n, f * n)`` of the triangular family: ``f >= 1`` and ``f * n`` an integer."""
-    _check_supply(f)
-    return _query_count(m, n, f, per_group=True)
-
-
-def triangular_matching_instance(m: int, n: int, f: float, rng: np.random.Generator) -> Instance:
-    """The upper-triangular :class:`Instance` on ``rng``'s permutation.
-
-    Every advertiser has demand ``n``; group ``i`` holds ``f * n`` queries
-    eligible to every advertiser whose permutation value is at least ``i``.
-    ``f`` is any finite ``f >= 1`` with ``f * n`` an integer, as in
-    :func:`~yieldopt.instances.gen_upper_triangular` (``NonIntegralGroupSize``
-    otherwise).
-    """
-    m, n, size = _family(m, n, f)
-    return _triangle(_generator(rng).permutation(m), n, size)
 
 
 def perturbed_greedy(
@@ -64,15 +46,15 @@ def perturbed_greedy(
     Advertiser ``a``'s demand ``n_a`` becomes ``n_a`` unit copies of weight
     ``w_a``, numbered in advertiser order, each with one 64-bit uniform rank
     ``x``.  Each query takes the available eligible copy maximizing
-    ``w_a * psi(x)``; ties break toward the smallest copy id.  On the
-    instances of :func:`triangular_matching_instance` this is the reference
-    that :func:`trial_weights` reproduces bit for bit.
+    ``w_a * psi(x)``; ties break toward the smallest copy id.  The ranks
+    come from ``seed``, a ``Generator`` or a seed for ``default_rng``.  Given
+    the generator that drew a :func:`~yieldopt.instances.gen_upper_triangular`
+    instance, this is the reference that :func:`trial_weights` reproduces
+    bit for bit.
     """
     _check_supply(f)
     w = _check_weights(instance.m, weights)
-    rng = seed
-    if not isinstance(rng, np.random.Generator):
-        rng = np.random.default_rng(_positive(seed, "seed", least=0))
+    rng = _rng(seed)
     owner = np.repeat(np.arange(instance.m), instance.demands)  # [copy]: its advertiser
     copy_w = w[owner]
     score = copy_w * (1.0 - np.exp(-(1.0 - rng.random(len(owner))) / float(f)))
@@ -128,16 +110,19 @@ def trial_weights(
 ) -> np.ndarray:
     """Matched weight of each trial on a fresh triangular instance, in order.
 
-    Trial ``t`` draws from ``default_rng([seed, t])`` and its weight equals
-    :func:`triangular_matching_instance` plus :func:`perturbed_greedy` on
-    that generator, bit for bit.  All trials of a block are served
+    Trial ``t`` draws from the generator ``default_rng`` seeds with
+    ``[seed, t]``, so ``seed`` is an integer.  Its weight equals
+    :func:`perturbed_greedy` on the :func:`~yieldopt.instances.gen_upper_triangular`
+    instance drawn from that generator, bit for bit.  ``f`` is finite and
+    >= 1, with ``f * n`` an integer.  All trials of a block are served
     together: group by group in arrival order, the copies whose rank has
     left the group's eligible suffix are masked to ``-inf``, then ``f * n``
     row-wise ``argmax`` steps each match one copy per row and add its
     weight.  A row stops when its maximum is ``-inf``.  Blocks hold about
     ``_BLOCK_ELEMENTS`` copies, so memory does not grow with ``trials``.
     """
-    m, n, size = _family(m, n, f)
+    _check_supply(f)
+    m, n, size = _query_count(m, n, f, per_group=True)
     trials, seed = _positive(trials, "trials"), _positive(seed, "seed", least=0)
     copy_w = np.repeat(_check_weights(m, weights), n)
     block = max(1, _BLOCK_ELEMENTS // (m * n))

@@ -13,7 +13,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, Sequence, Tuple
+from typing import Dict, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -65,10 +65,9 @@ class RealizedInstance:
 
 
 def sample_realized(
-    instance: Instance, dist: RewardDistribution, seed: int
+    instance: Instance, dist: RewardDistribution, seed: Union[int, np.random.Generator]
 ) -> RealizedInstance:
-    rng = np.random.default_rng(_positive(seed, "seed", least=0))
-    return RealizedInstance(instance, sample_array(dist, rng, instance.total_queries))
+    return RealizedInstance(instance, sample_array(dist, seed, instance.total_queries))
 
 
 # ---------------------------------------------------------------------------

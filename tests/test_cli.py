@@ -8,8 +8,8 @@ import pytest
 
 from yieldopt.cli import main
 from yieldopt.dist import RewardDistribution
-from yieldopt.instances import Instance, supply_factor
-from yieldopt.matching import empirical_ratio, perturbed_greedy, trial_weights, triangular_matching_instance
+from yieldopt.instances import Instance, gen_upper_triangular, supply_factor
+from yieldopt.matching import empirical_ratio, perturbed_greedy, trial_weights
 from yieldopt.oracle import RealizedInstance, offline_opt_exact
 from yieldopt.ratio import competitive_ratio
 
@@ -372,7 +372,7 @@ class TestOtherCommands:
             expected = ["trial,weight,ratio"]
             for trial in range(6):
                 rng = np.random.default_rng([11, trial])
-                inst = triangular_matching_instance(5, 3, 2, rng)
+                inst = gen_upper_triangular(5, 3, 2, rng)
                 weight = perturbed_greedy(inst, 2, rng, w)
                 expected.append(f"{trial},{weight!r},{weight / opt!r}")
             assert out == "\n".join(expected) + "\n"

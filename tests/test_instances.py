@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from collections import namedtuple
@@ -23,13 +24,7 @@ from yieldopt.instances import (
     gen_upper_triangular,
     supply_factor,
 )
-from yieldopt.matching import (
-    empirical_ratio,
-    guarantee,
-    perturbed_greedy,
-    trial_weights,
-    triangular_matching_instance,
-)
+from yieldopt.matching import empirical_ratio, guarantee, perturbed_greedy, trial_weights
 from yieldopt.oracle import (
     RealizedInstance,
     adversary_lp_tight,
@@ -57,7 +52,7 @@ BINARY = RewardDistribution((0.0, 0.5), (0.5, 1.0))
 POLICY = ThresholdPolicy((0.3, 1.0), BINARY)
 BETA = beta_closed_form(POLICY, 2.0, 1.0, 100)
 TINY = Instance((1,), ((2, (0,)),))
-MATCH = triangular_matching_instance(2, 1, 1, np.random.default_rng(0))
+MATCH = gen_upper_triangular(2, 1, 1, np.random.default_rng(0))
 
 # every function that takes a supply factor f, a total demand N, a penalty c,
 # an offset, a binary q or r, a resolution t, a 1-based index u, a reward
@@ -136,7 +131,6 @@ RULES = {
     ("perturbed_greedy", "seed"): lambda s: perturbed_greedy(MATCH, 1, s),
     ("optimize_thresholds_grid", "grid"): lambda g: optimize_thresholds_grid(BINARY, 2.0, 1.0, grid=g),
     ("perturbed_greedy", "f"): lambda f: perturbed_greedy(MATCH, f, 0),
-    ("triangular_matching_instance", "rng"): lambda g: triangular_matching_instance(2, 1, 1, g),
     ("sample_array", "rng"): lambda g: sample_array(BINARY, g, 2),
     ("sample_array", "size"): lambda n: sample_array(BINARY, np.random.default_rng(0), n),
 }
@@ -168,7 +162,8 @@ BAD = {
     "p": (math.nan, -0.5, 1.5),
     "mu": (math.nan, 0.0, 1.5),
     "grid": ("0.1", None, math.nan, 0.0, 1.0),
-    "rng": (None, 0, "x"),
+    # a random stream: the seed rule, and None (default_rng would read it as fresh entropy)
+    "rng": (1.5, -1, "abc", math.nan, math.inf, None),
     "size": (-1, 2.5, math.nan, "3", None),
 }
 MESSAGE = {
@@ -194,7 +189,7 @@ MESSAGE = {
     "p": "p must be in",
     "mu": "need 0 < mu <= c",
     "grid": "grid step must be in",
-    "rng": "rng must be a numpy.random.Generator",
+    "rng": "seed must be an integer",
     "size": "size must be an integer",
 }
 VALID = {  # any other argument takes 2.0
@@ -310,7 +305,7 @@ def test_exact_values_build_their_float_spellings():
     assert run_rewards(TINY, POLICY, 1.0, (0, Fraction(1, 2))) == run_rewards(TINY, POLICY, 1.0, (0.0, 0.5))
     assert RealizedInstance(TINY, [np.int64(0), np.float32(0.5)]) == RealizedInstance(TINY, (0.0, 0.5))
     w = [1, Fraction(5, 2), np.float32(0.5)]
-    match = triangular_matching_instance(3, 2, 2, np.random.default_rng(4))
+    match = gen_upper_triangular(3, 2, 2, np.random.default_rng(4))
     assert perturbed_greedy(match, 2, 4, w).hex() == perturbed_greedy(match, 2, 4, [1.0, 2.5, 0.5]).hex()
 
 
@@ -450,6 +445,14 @@ class TestGenUpperTriangular:
         b = gen_upper_triangular(m=6, n=1, f=1.0, seed=2)
         assert a.groups != b.groups
         assert a == gen_upper_triangular(m=6, n=1, f=1.0, seed=1)
+
+    @pytest.mark.parametrize("seed", [0, 7, 7919])
+    def test_generator_draws_the_permutation_first(self, seed):
+        # a Generator builds the triangle of its first draw, permutation(m), and records no seed
+        inst = gen_upper_triangular(9, 2, 1.5, np.random.default_rng(seed))
+        assert inst == _triangle(np.random.default_rng(seed).permutation(9), 2, 3)
+        assert inst.seed is None and "seed" not in json.loads(inst.to_json())
+        assert inst.groups == gen_upper_triangular(9, 2, 1.5, seed).groups
 
     def test_full_size_spellings_and_json_agree(self):
         # the generator's groups are canonical and kept as given; the same groups spelled as lists
@@ -719,6 +722,49 @@ class TestSupplyFactor:
         else:
             assert supply_factor(inst) == pytest.approx(float(exact), abs=1e-6)
             assert supply_factor(inst) != inst.total_queries / inst.total_demand
+
+
+# every function that takes a random stream: an int seed >= 0 or a numpy Generator
+STREAMS = {
+    "sample_array": lambda s: sample_array(BINARY, s, 5),
+    "gen_upper_triangular": lambda s: gen_upper_triangular(3, 2, 2.0, s),
+    "run_instance": lambda s: run_instance(TINY, POLICY, 1.0, BINARY, s),
+    "sample_realized": lambda s: sample_realized(TINY, BINARY, s),
+    "perturbed_greedy": lambda s: perturbed_greedy(MATCH, 1, s),
+}
+
+
+class TestStreamRule:
+    @pytest.mark.parametrize("seed", [0, 3, 2**40])
+    def test_a_seed_draws_what_its_generator_draws(self, seed):
+        gen = np.random.default_rng
+        assert sample_array(BINARY, seed, 50).tolist() == sample_array(BINARY, gen(seed), 50).tolist()
+        inst = gen_upper_triangular(4, 3, 2.0, 1)
+        assert run_instance(inst, POLICY, 1.0, BINARY, gen(seed)) == run_instance(inst, POLICY, 1.0, BINARY, seed)
+        assert sample_realized(inst, BINARY, gen(seed)) == sample_realized(inst, BINARY, seed)
+        assert perturbed_greedy(inst, 2, gen(seed)) == perturbed_greedy(inst, 2, seed)
+
+    def test_a_generator_is_used_as_given(self):
+        # its state moves on: two draws of 5 are the first 10 of a fresh stream
+        rng = np.random.default_rng(11)
+        halves = sample_array(BINARY, rng, 5).tolist() + sample_array(BINARY, rng, 5).tolist()
+        assert halves == sample_array(BINARY, 11, 10).tolist()
+
+    @pytest.mark.parametrize("name", sorted(STREAMS))
+    def test_only_a_generator_or_a_seed(self, name):
+        STREAMS[name](4)
+        STREAMS[name](np.random.default_rng(4))
+        state = np.random.RandomState(0)
+        with pytest.raises(DomainError, match=re.escape(f"seed must be an integer, got {state!r}")):
+            STREAMS[name](state)
+        with pytest.raises(DomainError, match="seed must be an integer, got None"):
+            STREAMS[name](None)
+
+    @pytest.mark.parametrize("call", [trial_weights, empirical_ratio])
+    def test_trials_take_an_integer_seed(self, call):
+        # trial t draws from default_rng([seed, t]), so one Generator cannot stand for the seed
+        with pytest.raises(DomainError, match="seed must be an integer"):
+            call(2, 1, 1, 2, np.random.default_rng(0))
 
 
 class TestJsonRoundtrip:

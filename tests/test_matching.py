@@ -7,14 +7,8 @@ from hypothesis import strategies as st
 
 from yieldopt import matching
 from yieldopt.errors import DomainError, NonIntegralGroupSize
-from yieldopt.instances import Instance
-from yieldopt.matching import (
-    empirical_ratio,
-    guarantee,
-    perturbed_greedy,
-    trial_weights,
-    triangular_matching_instance,
-)
+from yieldopt.instances import Instance, gen_upper_triangular
+from yieldopt.matching import empirical_ratio, guarantee, perturbed_greedy, trial_weights
 
 
 def copies_of(instance):
@@ -72,11 +66,11 @@ class TestPerturbedGreedy:
     def test_equal_weights_is_ranking(self):
         for seed in range(8):
             rng = np.random.default_rng(seed)
-            inst = triangular_matching_instance(10, 2, 2, rng)
+            inst = gen_upper_triangular(10, 2, 2, rng)
             weight = perturbed_greedy(inst, 2, rng)
             # replay the identical stream to recover the ranks
             rng2 = np.random.default_rng(seed)
-            inst2 = triangular_matching_instance(10, 2, 2, rng2)
+            inst2 = gen_upper_triangular(10, 2, 2, rng2)
             ranks = rng2.random(inst2.total_demand)
             assert weight == pytest.approx(ranking_match(inst2, ranks))
 
@@ -112,19 +106,19 @@ class TestPerturbedGreedy:
         base = np.array([0.5, 1.0, 2.0, 4.0, 1.5])
         for seed in (3, 4, 5):
             rng_a = np.random.default_rng(seed)
-            inst_a = triangular_matching_instance(5, 1, 1, rng_a)
+            inst_a = gen_upper_triangular(5, 1, 1, rng_a)
             w_a = perturbed_greedy(inst_a, 1, rng_a, base)
             rng_b = np.random.default_rng(seed)
-            inst_b = triangular_matching_instance(5, 1, 1, rng_b)
+            inst_b = gen_upper_triangular(5, 1, 1, rng_b)
             w_b = perturbed_greedy(inst_b, 1, rng_b, base * 10)
             assert w_b == pytest.approx(10 * w_a)
 
     def test_integral_group_size_required(self):
         # f need not be an integer, but the triangular family's group size f * n must be
         rng = np.random.default_rng(0)
-        assert triangular_matching_instance(4, 2, 1.5, rng).groups[0][0] == 3
+        assert gen_upper_triangular(4, 2, 1.5, rng).groups[0][0] == 3
         with pytest.raises(NonIntegralGroupSize, match="4.5"):
-            triangular_matching_instance(4, 3, 1.5, rng)
+            gen_upper_triangular(4, 3, 1.5, rng)
         with pytest.raises(DomainError, match="supply factor"):
             perturbed_greedy(Instance((1,), ((1, (0,)),)), 0, 0)
 
@@ -172,7 +166,7 @@ def reference_weights(m, n, f, trials, seed, weights=None):
     out = []
     for trial in range(trials):
         rng = np.random.default_rng([seed, trial])
-        out.append(perturbed_greedy(triangular_matching_instance(m, n, f, rng), f, rng, weights))
+        out.append(perturbed_greedy(gen_upper_triangular(m, n, f, rng), f, rng, weights))
     return out
 
 
@@ -240,7 +234,7 @@ class TestInputValidation:
     @pytest.mark.parametrize("weights", BAD_WEIGHTS.values(), ids=BAD_WEIGHTS)
     def test_bad_weights(self, weights):
         with pytest.raises(DomainError):
-            perturbed_greedy(triangular_matching_instance(3, 1, 2, np.random.default_rng(0)), 2, 0, weights)
+            perturbed_greedy(gen_upper_triangular(3, 1, 2, np.random.default_rng(0)), 2, 0, weights)
         with pytest.raises(DomainError):
             trial_weights(3, 1, 2, 5, 1, weights)
         with pytest.raises(DomainError):
@@ -253,11 +247,15 @@ class TestInputValidation:
     )
     def test_bad_counts(self, m, n, f):
         with pytest.raises(DomainError):
-            triangular_matching_instance(m, n, f, np.random.default_rng(0))
-        with pytest.raises(DomainError):
             trial_weights(m, n, f, 5, 1)
         with pytest.raises(DomainError):
             empirical_ratio(m, n, f, 5, 1)
+        # the generator takes any finite f > 0: f = 0.5 builds once f * n is an integer
+        if f == 0.5:
+            assert gen_upper_triangular(m, 2 * n, f, np.random.default_rng(0)).groups[0][0] == 1
+        else:
+            with pytest.raises(DomainError):
+                gen_upper_triangular(m, n, f, np.random.default_rng(0))
 
     @pytest.mark.parametrize("trials", [0, -1, 2.5, float("inf")])
     def test_bad_trial_count(self, trials):
