@@ -30,7 +30,9 @@ bounds ``r`` by ``c`` itself); ``_check_thresholds``: ``d`` thresholds,
 ``ub_continuous``); ``_check_weights``: ``m`` matching weights,
 ``_reals``, each >= 0 and not all 0, or ones for ``None``; ``_rng``: a
 random stream, a ``numpy.random.Generator`` as given or a seed, ``_positive``
-with ``least=0``, for ``numpy.random.default_rng``.
+with ``least=0``, for ``numpy.random.default_rng``.  The one rule kept
+elsewhere is the distribution type rule, ``dist._distribution``, which
+needs the class it checks.
 """
 
 import math

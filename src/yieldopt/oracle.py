@@ -18,14 +18,13 @@ from typing import Dict, Sequence, Tuple, Union
 import numpy as np
 
 from ._flow import _Flow
-from .dist import RewardDistribution, sample_array, top_quantile_mean
+from .dist import _FEW_LEVELS, RewardDistribution, _distribution, sample_array, top_quantile_mean
 from .engine import run_rewards
 from .errors import SizeLimit, _positive, _reals
 from .errors import _check_demand, _check_finite, _check_rewards, _check_supply
 from .instances import Instance
 from .policy import ThresholdPolicy, index_weights
 
-_FEW_LEVELS = 8  # offline_opt_exact: most distinct rewards counted by comparison passes
 _MAX_ENUM_REALIZATIONS = 400_000
 
 
@@ -80,6 +79,7 @@ def offline_opt_formula(dist: RewardDistribution, f: float, N: float) -> float:
 
     ``(f - 1) * N * (mean of the top 1 - 1/f probability mass)``; zero at f = 1.
     """
+    _distribution(dist)
     _check_supply(f)
     _check_demand(N)
     if f == 1.0:
@@ -184,6 +184,7 @@ def online_opt_bruteforce(
     ``V(i, d) = E_r[max(r + V(i+1, d), max_a V(i+1, d - e_a))]`` with
     terminal value ``-penalty * sum(d)``.
     """
+    _distribution(dist)
     _check_finite(penalty, "penalty")
     if instance.total_demand > 8:
         raise SizeLimit(f"total demand {instance.total_demand} > 8")
@@ -230,6 +231,7 @@ def exhaustive_values(
 ) -> Tuple[float, float]:
     """Exact (E[threshold algorithm], E[offline optimum]) by enumerating
     every reward realization with its probability.  Tiny instances only."""
+    _distribution(dist)
     q = instance.total_queries
     if dist.d**q > _MAX_ENUM_REALIZATIONS:
         raise SizeLimit(f"{dist.d}^{q} realizations exceeds enumeration limit")

@@ -27,8 +27,8 @@ from typing import Dict, List, Sequence, Tuple
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .dist import RewardDistribution, _lowered, cond_mean_below, validate
-from .errors import _BOOLS, DomainError, InfeasibleDecay, MalformedDistribution, _positive
+from .dist import RewardDistribution, _distribution, _lowered, cond_mean_below, validate
+from .errors import _BOOLS, DomainError, InfeasibleDecay, _positive
 from .errors import _check_binary, _check_demand, _check_finite, _check_supply, _check_thresholds, _finite
 
 DEFAULT_GRID = 1.0 / 200.0
@@ -57,8 +57,7 @@ class ThresholdPolicy:
     _cuts: Dict[int, Tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not isinstance(self.dist, RewardDistribution):  # its reserves would come unchecked
-            raise MalformedDistribution(f"expected a RewardDistribution, got {type(self.dist).__name__}")
+        _distribution(self.dist)  # its reserves would come unchecked
         object.__setattr__(self, "thresholds", _check_thresholds(self.thresholds, self.dist.d))
         object.__setattr__(self, "reserves", self.dist.support[::-1])
         object.__setattr__(self, "_cuts", {})

@@ -2,10 +2,11 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from yieldopt.dist import (
+    _FEW_LEVELS,
     RewardDistribution,
     cond_mean_below,
     normalize,
@@ -202,6 +203,67 @@ class TestSampling:
         d = RewardDistribution((0.0, 0.2, 0.9), (0.3, 0.6, 1.0))
         draws = sample_array(d, np.random.default_rng(3), 500)
         assert set(np.unique(draws)) <= set(d.support)
+
+
+def searched_draws(dist, seed, size):
+    """The binary-search sampler: ``sample_array``'s reference."""
+    u = np.random.default_rng(seed).random(size)
+    return np.asarray(dist.support, dtype=float)[np.searchsorted(dist.cum_mass, u, side="right")]
+
+
+@st.composite
+def from_masses(draw):
+    d = draw(st.integers(1, 12))
+    support = sorted(draw(st.lists(st.floats(0.0, 100.0), min_size=d, max_size=d, unique=True)))
+    weights = np.array(draw(st.lists(st.integers(1, 1000), min_size=d, max_size=d)), dtype=float)
+    return RewardDistribution.from_masses(support, weights / weights.sum())
+
+
+def uniform(d):
+    return RewardDistribution.from_masses([0.1 * k for k in range(d)], np.full(d, 1.0 / d))
+
+
+class TestSamplerMatchesSearch:
+    """Comparison passes up to ``_FEW_LEVELS`` atoms, a binary search above: the same draws either way."""
+
+    def check(self, dist, seed, size, generator):
+        rng = np.random.default_rng(seed) if generator else seed
+        draws = sample_array(dist, rng, size)
+        expected = searched_draws(dist, seed, size)
+        assert draws.dtype == expected.dtype and draws.shape == expected.shape
+        assert draws.tobytes() == expected.tobytes()
+        if generator:  # one random(size) call, no more and no less
+            after = np.random.default_rng(seed)
+            after.random(size)
+            assert rng.bit_generator.state == after.bit_generator.state
+
+    @given(dist=from_masses(), seed=st.integers(0, 2**32 - 1), size=st.integers(0, 5000), generator=st.booleans())
+    @example(dist=uniform(10), seed=1, size=3000, generator=True)  # ten masses of 0.1 sum to 1 - 2**-53: renormalized
+    @example(dist=uniform(_FEW_LEVELS), seed=2, size=5000, generator=False)
+    @example(dist=uniform(_FEW_LEVELS + 1), seed=3, size=5000, generator=True)
+    @settings(max_examples=150, deadline=None)
+    def test_from_masses(self, dist, seed, size, generator):
+        self.check(dist, seed, size, generator)
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        size=st.integers(1, 400),
+        generator=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_draws_on_a_cumulative_mass(self, seed, size, generator, data):
+        # every mass but the last is one of the stream's own draws, so those draws fall exactly on it
+        u = np.random.default_rng(seed).random(size)
+        picks = data.draw(st.lists(st.sampled_from(u.tolist()), min_size=1, max_size=11, unique=True))
+        cum = (*sorted(q for q in picks if q > 0.0), 1.0)
+        dist = RewardDistribution(tuple(range(len(cum))), cum)
+        self.check(dist, seed, size, generator)
+
+    def test_a_draw_on_a_mass_takes_the_atom_above(self):
+        u = np.random.default_rng(5).random(4)
+        dist = RewardDistribution((0.0, 0.5), (u[1], 1.0))
+        assert sample_array(dist, 5, 4)[1] == 0.5
 
 
 class TestJson:

@@ -8,9 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from yieldopt.dist import RewardDistribution, normalize, validate
+from yieldopt.dist import RewardDistribution, cond_mean_below, normalize, sample_array, top_quantile_mean, validate
+from yieldopt.engine import run_instance
 from yieldopt.errors import DomainError, InfeasibleDecay, MalformedDistribution
-from yieldopt.oracle import adversary_lp_tight, lp_residuals
+from yieldopt.instances import Instance
+from yieldopt.oracle import (
+    adversary_lp_tight,
+    exhaustive_values,
+    lp_residuals,
+    offline_opt_formula,
+    online_opt_bruteforce,
+    sample_realized,
+)
 from yieldopt.policy import (
     ThresholdPolicy,
     _grid_values,
@@ -28,6 +37,7 @@ from yieldopt.policy import (
 from yieldopt.ratio import competitive_ratio
 
 BINARY = RewardDistribution((0.0, 0.5), (0.5, 1.0))
+TINY = Instance((1,), ((2, (0,)),))
 S_STAR = 1.0 + math.log(0.5)  # canonical f=2, q=0.5, r=0.5, c=1
 CANONICAL_VALUE = 0.14223611503929323  # = 2*(0.5 - sqrt(0.5)*exp(-0.5))
 
@@ -572,10 +582,12 @@ class TestMakePolicy:
 
 
 class TestChecksOnce:
-    """A distribution is checked when it is built; the threshold layer checks its type and no more."""
+    """A distribution is checked when it is built; every public function taking one checks its type and no more."""
 
     # reads like a RewardDistribution but was never checked as one
     DUCK = SimpleNamespace(support=(0.0, 0.5), cum_mass=(0.5, 1.0), d=2)
+    # (support, cum_mass) as a tuple, not built into a RewardDistribution
+    PAIR = ((0.0, 0.5), (0.5, 1.0))
 
     @pytest.mark.parametrize(
         "call",
@@ -587,13 +599,27 @@ class TestChecksOnce:
             lambda d: ub_continuous((0.3, 1.0), d, 2.0, 1.0),
             lambda d: lb_discrete(ThresholdPolicy((0.3, 1.0), d), 2.0, 1.0, 1.0, 100),
             lambda d: ThresholdPolicy((0.3, 1.0), d),
+            lambda d: cond_mean_below(d, 1),
+            lambda d: top_quantile_mean(d, 0.5),
+            lambda d: sample_array(d, 1, 5),
+            lambda d: optimize_thresholds_exact(d, 2.0, 1.0),
+            lambda d: optimize_thresholds_grid(d, 2.0, 1.0, 0.1),
+            lambda d: run_instance(TINY, ThresholdPolicy((0.3, 1.0), BINARY), 1.0, d, 1),
+            lambda d: sample_realized(TINY, d, 1),
+            lambda d: offline_opt_formula(d, 2.0, 1.0),
+            lambda d: online_opt_bruteforce(TINY, d, 1.0),
+            lambda d: exhaustive_values(TINY, d, 1.0, ThresholdPolicy((0.3, 1.0), BINARY)),
         ],
         ids=["validate", "normalize", "make_policy", "competitive_ratio", "ub_continuous", "lb_discrete",
-             "ThresholdPolicy"],
+             "ThresholdPolicy", "cond_mean_below", "top_quantile_mean", "sample_array",
+             "optimize_thresholds_exact", "optimize_thresholds_grid", "run_instance", "sample_realized",
+             "offline_opt_formula", "online_opt_bruteforce", "exhaustive_values"],
     )
     def test_duck_typed_distribution_rejected(self, call):
-        with pytest.raises(MalformedDistribution, match="expected a RewardDistribution"):
-            call(self.DUCK)
+        call(BINARY)
+        for fake in (self.DUCK, self.PAIR):
+            with pytest.raises(MalformedDistribution, match=f"expected a RewardDistribution, got {type(fake).__name__}"):
+                call(fake)
 
     def test_validate_returns_its_argument(self):
         assert validate(BINARY, 1.0) is BINARY
