@@ -89,7 +89,7 @@ def _cmd_thresholds(args) -> int:
             "config": {
                 "penalty": args.penalty,
                 "supply": args.supply,
-                "dist": {"support": list(dist.support), "cum_mass": list(dist.cum_mass)},
+                "dist": json.loads(dist.to_json()),
             },
         },
         args.out,
@@ -125,7 +125,7 @@ def _cmd_simulate(args) -> int:
             {
                 "config": {
                     "instance": json.loads(instance.to_json()),
-                    "dist": {"support": list(dist.support), "cum_mass": list(dist.cum_mass)},
+                    "dist": json.loads(dist.to_json()),
                     "penalty": args.penalty,
                     "seeds": args.seeds,
                     "seed": args.seed,
@@ -210,8 +210,7 @@ def _cmd_worstcase(args) -> int:
             "candidates": [
                 {
                     "label": label,
-                    "support": list(d.support),
-                    "cum_mass": list(d.cum_mass),
+                    **json.loads(d.to_json()),
                     "best_achievable": report.alg_bound,
                     "opt": report.opt,
                     "ratio": report.ratio,

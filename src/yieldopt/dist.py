@@ -14,13 +14,14 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import partial
 from typing import Sequence, Tuple, Union
 
 import numpy as np
 
 from .errors import DomainError, MalformedDistribution, RewardExceedsPenalty
 from .errors import _check_binary, _check_demand, _check_finite, _check_supply, _finite, _integer
-from .errors import _positive, _reals, _rng
+from .errors import _positive, _reals, _rng, _typed
 
 # Construction-time renormalization window for the final cumulative mass.
 _MASS_TOL = 1e-12
@@ -120,14 +121,8 @@ class RewardDistribution:
             raise MalformedDistribution(f"bad distribution JSON: {exc}") from exc
 
 
-def _distribution(dist) -> None:
-    """Raise :class:`MalformedDistribution` unless ``dist`` is a :class:`RewardDistribution`.
-
-    The type rule of every public function taking a distribution: one was
-    fully checked when it was built and cannot change.
-    """
-    if not isinstance(dist, RewardDistribution):
-        raise MalformedDistribution(f"expected a RewardDistribution, got {type(dist).__name__}")
+# the type rule of every public function taking a distribution
+_distribution = partial(_typed, cls=RewardDistribution, error=MalformedDistribution)
 
 
 def validate(dist: RewardDistribution, penalty: float) -> RewardDistribution:

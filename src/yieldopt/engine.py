@@ -18,12 +18,12 @@ segment is monotone in its SR, so segment ``u`` takes exactly as many
 deliveries as it holds keys, ``D_u``, and the ``D_u``-th reward at or below
 its reserve ends it; then one water-level placement puts the group's
 deliveries on its first keys.  A group's ids are a view of the instance's
-id index, one read-only ``np.intp`` array that the first whole-instance run
-builds and later runs reuse.  With equal demands every id shares one
-cutoff row, the only one the run builds, so one sort of the group's
-delivered counts and their prefix sums gives both the ``D_u``
-(:func:`_ends_equal`) and the integer water level (:func:`_fill_equal`); a
-group whose least count is the demand is saturated and sells every query.
+id index, one read-only ``np.intp`` array built with the instance.  With
+equal demands every id shares one cutoff row, the only one the run builds,
+so one sort of the group's delivered counts and their prefix sums gives
+both the ``D_u`` (:func:`_ends_equal`) and the integer water level
+(:func:`_fill_equal`); a group whose least count is the demand is
+saturated and sells every query.
 Otherwise the ``D_u`` are sums over the group's columns of a per-advertiser
 cutoff table, and only the keys between two continuous levels are listed
 and sorted (:func:`_fill`); a group that takes at most one delivery per id
@@ -60,7 +60,7 @@ import numpy as np
 
 from .dist import RewardDistribution, sample_array
 from .errors import DomainError
-from .errors import _check_finite, _check_rewards, _demands, _finite, _integers
+from .errors import _check_finite, _check_rewards, _demands, _finite, _integers, _typed
 from .instances import Instance
 from .policy import ThresholdPolicy
 
@@ -205,6 +205,7 @@ def finalize(state: AllocationState, penalty: float) -> RunReport:
 
     Raises ``DomainError`` on a non-finite penalty.
     """
+    _typed(state, AllocationState)
     return _report(
         state.demands, tuple(state.delivered), state.exchange_revenue, state.queries, penalty, 0.0
     )
@@ -339,6 +340,8 @@ def run_rewards(
     ``rewards`` holds one finite real number per query, and on a non-finite
     penalty or offset.
     """
+    _typed(instance, Instance)
+    _typed(policy, ThresholdPolicy)
     rewards = _check_rewards(rewards, instance.total_queries)
     demands = instance.demands
     top, scale = max(demands), _sr_scale(demands)
@@ -403,5 +406,6 @@ def run_instance(
     seed: Union[int, np.random.Generator],
 ) -> RunReport:
     """Sample a reward per query from ``dist`` under ``seed`` and run, in ``dist``'s units."""
+    _typed(instance, Instance)
     rewards = sample_array(dist, seed, instance.total_queries)
     return run_rewards(instance, policy, penalty, rewards)

@@ -30,9 +30,13 @@ bounds ``r`` by ``c`` itself); ``_check_thresholds``: ``d`` thresholds,
 ``ub_continuous``); ``_check_weights``: ``m`` matching weights,
 ``_reals``, each >= 0 and not all 0, or ones for ``None``; ``_rng``: a
 random stream, a ``numpy.random.Generator`` as given or a seed, ``_positive``
-with ``least=0``, for ``numpy.random.default_rng``.  The one rule kept
-elsewhere is the distribution type rule, ``dist._distribution``, which
-needs the class it checks.
+with ``least=0``, for ``numpy.random.default_rng``; ``_typed``: the type
+rule, an instance of a given class.  A domain object (``Instance``,
+``RealizedInstance``, ``ThresholdPolicy``, ``AllocationState``) is checked
+when it is built, so a public function taking one checks its type alone,
+raising ``DomainError``; a distribution's type rule is
+``dist._distribution``, the same rule raising ``MalformedDistribution``.
+``serve_query`` checks only its reward and ids: it runs once per query.
 """
 
 import math
@@ -219,6 +223,13 @@ def _check_weights(m: int, weights) -> np.ndarray:
     if w.sum() == 0:
         raise DomainError("weights sum to 0, so the offline optimum is 0")
     return w
+
+
+def _typed(value, cls: type, error: type = DomainError) -> None:
+    """Raise ``error`` unless ``value`` is a ``cls``: a domain object was fully checked when it was built."""
+    if not isinstance(value, cls):
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise error(f"expected {article} {cls.__name__}, got {type(value).__name__}")
 
 
 def _rng(seed) -> np.random.Generator:

@@ -4,9 +4,9 @@ An instance is a set of contractual advertisers with impression demands and
 an ordered list of query groups, each group carrying its eligibility set.
 Groups that are already canonical (a ``(count, ids)`` tuple of exact ints,
 the ids strictly increasing in ``0..m-1``) are kept as given, after a few
-whole-instance passes that also build the id index whole-instance runs
-read; every other input goes through the per-group rule, which converts
-it or raises.
+whole-instance passes; every other input goes through the per-group rule,
+which converts it or raises.  Either way the same passes then build the id
+index whole-instance runs read, once, at construction.
 
 The supply factor of an instance is the largest ``f`` such that a
 fractional offline allocation can deliver ``f * n_a`` to every advertiser.
@@ -19,15 +19,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import accumulate, chain
+from fractions import Fraction
+from itertools import chain
 from typing import List, Optional, Tuple, Union
 
 import numpy as np
 
 from ._flow import _Flow
 from .errors import DomainError, NonIntegralGroupSize, _demands, _finite, _integers, _positive
-from .errors import _rng, _sequence
+from .errors import _rng, _sequence, _typed
 
 _INTEGRALITY_TOL = 1e-9  # generators: relative distance of f*n from an integer
 _SUPPLY_TOL = 1e-9  # supply_factor: width of the final bisection interval
@@ -44,6 +44,11 @@ class Instance:
     the ids must be integers (``3.0`` and ``numpy`` integers pass, bools do
     not), the count >= 0 and the ids in ``0..m-1``; the ids are sorted and
     repeats dropped.  Both give the same value for the same groups.
+
+    Construction also builds ``_eligible_index``, every group's ids in one
+    read-only ``np.intp`` array plus offsets (group ``g``'s are
+    ``ids[bounds[g]:bounds[g + 1]]``).  No part of the value, it is built
+    again by construction from a pickle or copy, which holds the value alone.
     """
 
     demands: Tuple[int, ...]
@@ -55,14 +60,18 @@ class Instance:
         m = len(demands)
         groups = _sequence(self.groups, "groups")
         index = _canonical(groups, m)
-        if index is None:
+        if index is None:  # the rule's groups are canonical, so the second call builds the index
             groups = [_group(i, group, m) for i, group in enumerate(groups)]
-        else:
-            self.__dict__["_eligible_index"] = index  # the cached_property's slot
+            index = _canonical(groups, m)
         object.__setattr__(self, "demands", demands)
         object.__setattr__(self, "groups", tuple(groups))
+        object.__setattr__(self, "_eligible_index", index)
         if self.seed is not None:
             object.__setattr__(self, "seed", _positive(self.seed, "seed", least=0))
+
+    def __reduce__(self):
+        # pickles and copies the value alone; __post_init__ rebuilds the index
+        return type(self), (self.demands, self.groups, self.seed)
 
     @property
     def m(self) -> int:
@@ -75,26 +84,6 @@ class Instance:
     @property
     def total_queries(self) -> int:
         return sum(count for count, _ in self.groups)
-
-    @cached_property
-    def _eligible_index(self) -> Tuple[np.ndarray, Tuple[int, ...]]:
-        """Every group's eligible ids in one read-only ``np.intp`` array, plus offsets.
-
-        Group ``g``'s ids are ``ids[bounds[g]:bounds[g + 1]]``.  Canonical
-        groups get it from :func:`_canonical` in construction; any other
-        instance, and an unpickled one, builds it on the first whole-instance
-        run.  No part of the value: equality, hashing, JSON and pickling
-        ignore it.
-        """
-        ids = np.fromiter(chain.from_iterable(e for _, e in self.groups), np.intp)
-        ids.flags.writeable = False
-        return ids, (0, *accumulate(len(e) for _, e in self.groups))
-
-    def __getstate__(self):
-        # pickles the value alone: the index is rebuilt on demand, never shipped
-        state = dict(self.__dict__)
-        state.pop("_eligible_index", None)
-        return state
 
     def expand(self) -> List[Tuple[int, ...]]:
         """Eligibility set per query in arrival order (small instances only)."""
@@ -176,14 +165,19 @@ def _group(i: int, group, m: int) -> Tuple[int, Tuple[int, ...]]:
 
 
 def _query_count(m, n, f: float, per_group: bool) -> Tuple[int, int, int]:
-    """Checked ``(m, n, count)`` of a generator; ``count`` is ``f*n``, or ``f*m*n`` in all."""
+    """Checked ``(m, n, count)`` of a generator; ``count`` is ``f*n``, or ``f*m*n`` in all.
+
+    Exact: the float value of ``f`` times the integer, rounded to the nearest
+    integer when within ``_INTEGRALITY_TOL`` of it, relatively.
+    """
     m, n = _positive(m, "m"), _positive(n, "n")
     if not (_finite(f) and f > 0.0):
         raise DomainError(f"supply factor must be finite and > 0, got {f!r}")
-    count = f * n if per_group else f * m * n
-    if abs(count - round(count)) > _INTEGRALITY_TOL * max(1.0, count):
-        raise NonIntegralGroupSize(f"{'f*n' if per_group else 'f*m*n'} = {count} is not an integer")
-    return m, n, int(round(count))
+    count = Fraction(float(f)) * (n if per_group else m * n)
+    nearest = round(count)
+    if abs(count - nearest) > Fraction(_INTEGRALITY_TOL) * max(1, count):
+        raise NonIntegralGroupSize(f"{'f*n' if per_group else 'f*m*n'} = {float(count)} is not an integer")
+    return m, n, nearest
 
 
 def _triangle(perm: np.ndarray, n: int, group_size: int, seed: Optional[int] = None) -> Instance:
@@ -253,6 +247,7 @@ def supply_factor(instance: Instance) -> float:
     on max-flow feasibility, narrowed below ``_SUPPLY_TOL``.  The flow shares
     ``offline_opt_exact``'s counted-work cap and raises :class:`SizeLimit` past it.
     """
+    _typed(instance, Instance)
     groups = instance.groups
     if len(set().union(*(elig for count, elig in groups if count))) < instance.m:
         return 0.0

@@ -27,7 +27,7 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import _check_supply, _check_weights, _positive, _rng
+from .errors import _check_supply, _check_weights, _positive, _rng, _typed
 from .instances import Instance, _query_count
 
 # Copies per working array in one block of trials; bounds trial_weights'
@@ -52,6 +52,7 @@ def perturbed_greedy(
     instance, this is the reference that :func:`trial_weights` reproduces
     bit for bit.
     """
+    _typed(instance, Instance)
     _check_supply(f)
     w = _check_weights(instance.m, weights)
     rng = _rng(seed)

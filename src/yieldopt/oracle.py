@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Dict, Sequence, Tuple, Union
 
 import numpy as np
@@ -20,7 +19,7 @@ import numpy as np
 from ._flow import _Flow
 from .dist import _FEW_LEVELS, RewardDistribution, _distribution, sample_array, top_quantile_mean
 from .engine import run_rewards
-from .errors import SizeLimit, _positive, _reals
+from .errors import SizeLimit, _positive, _reals, _typed
 from .errors import _check_demand, _check_finite, _check_rewards, _check_supply
 from .instances import Instance
 from .policy import ThresholdPolicy, index_weights
@@ -32,40 +31,34 @@ _MAX_ENUM_REALIZATIONS = 400_000
 class RealizedInstance:
     """An instance together with a concrete reward value per query.
 
-    ``rewards`` becomes a tuple of floats, the value.  The checked rewards
-    are also kept as one read-only float64 array, ``_reward_array``, which
-    :func:`offline_opt_exact` reads.  It is no part of the value: equality,
-    hashing and pickling ignore it, and an unpickled instance rebuilds it
-    on first use.
+    ``rewards`` becomes a tuple of floats, the value.  Construction also
+    keeps the checked rewards as one read-only float64 array,
+    ``_reward_array``, which :func:`offline_opt_exact` reads.  It is no part
+    of the value: equality and hashing ignore it, and a pickle or copy holds
+    the value alone and builds the array again through construction.
     """
 
     instance: Instance
     rewards: Tuple[float, ...]
 
     def __post_init__(self):
+        _typed(self.instance, Instance)
         rewards = _check_rewards(self.rewards, self.instance.total_queries)
         if rewards is self.rewards or rewards.base is not None:  # the caller's memory: keep a copy
             rewards = rewards.copy()
         rewards.flags.writeable = False
         object.__setattr__(self, "rewards", tuple(rewards.tolist()))
-        self.__dict__["_reward_array"] = rewards  # the cached_property's slot
+        object.__setattr__(self, "_reward_array", rewards)
 
-    @cached_property
-    def _reward_array(self) -> np.ndarray:
-        rewards = np.array(self.rewards, dtype=float)
-        rewards.flags.writeable = False
-        return rewards
-
-    def __getstate__(self):
-        # pickles the value alone: the array is rebuilt on demand, never shipped
-        state = dict(self.__dict__)
-        state.pop("_reward_array", None)
-        return state
+    def __reduce__(self):
+        # pickles and copies the value alone; __post_init__ rebuilds the array
+        return type(self), (self.instance, self.rewards)
 
 
 def sample_realized(
     instance: Instance, dist: RewardDistribution, seed: Union[int, np.random.Generator]
 ) -> RealizedInstance:
+    _typed(instance, Instance)
     return RealizedInstance(instance, sample_array(dist, seed, instance.total_queries))
 
 
@@ -134,6 +127,7 @@ def offline_opt_exact(realized: RealizedInstance, penalty: float) -> float:
     queries on 500,500 edges, count 1.3e6 and 2.7e6 and solve in 0.05 and
     0.08 s on a 2-vCPU Xeon.
     """
+    _typed(realized, RealizedInstance)
     _check_finite(penalty, "penalty")
     instance = realized.instance
     groups = instance.groups
@@ -184,6 +178,7 @@ def online_opt_bruteforce(
     ``V(i, d) = E_r[max(r + V(i+1, d), max_a V(i+1, d - e_a))]`` with
     terminal value ``-penalty * sum(d)``.
     """
+    _typed(instance, Instance)
     _distribution(dist)
     _check_finite(penalty, "penalty")
     if instance.total_demand > 8:
@@ -231,6 +226,8 @@ def exhaustive_values(
 ) -> Tuple[float, float]:
     """Exact (E[threshold algorithm], E[offline optimum]) by enumerating
     every reward realization with its probability.  Tiny instances only."""
+    _typed(instance, Instance)
+    _typed(policy, ThresholdPolicy)
     _distribution(dist)
     q = instance.total_queries
     if dist.d**q > _MAX_ENUM_REALIZATIONS:

@@ -28,7 +28,7 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .dist import RewardDistribution, _distribution, _lowered, cond_mean_below, validate
-from .errors import _BOOLS, DomainError, InfeasibleDecay, _positive
+from .errors import _BOOLS, DomainError, InfeasibleDecay, _positive, _typed
 from .errors import _check_binary, _check_demand, _check_finite, _check_supply, _check_thresholds, _finite
 
 DEFAULT_GRID = 1.0 / 200.0
@@ -123,6 +123,7 @@ def segment_bounds(policy: ThresholdPolicy, t: int) -> List[int]:
     ``b_{u-1} < j <= b_u``; empty segments are allowed after rounding.
     Raises ``DomainError`` unless ``t`` is an integer >= 1.
     """
+    _typed(policy, ThresholdPolicy)
     t = _positive(t, "t")
     bounds = [0]
     for s in policy.thresholds:
@@ -170,6 +171,7 @@ def lb_discrete(policy: ThresholdPolicy, f: float, c: float, N: float, t: int) -
     + sum_u sum_{j in segment u} beta*_j (c - E[r | r <= r_{d+1-u}])``
     in the units of the policy's distribution, whose top reward is at most ``c``.
     """
+    _typed(policy, ThresholdPolicy)
     dist = _checked(policy.dist, f, c, N)
     beta = beta_closed_form(policy, f, N, t)  # checks t
     d = dist.d

@@ -110,6 +110,12 @@ class TestSimulate:
         assert len(lines) == 4
         assert lines[1].split(",")[0] == "11"
 
+    def test_gen_group_size_past_the_float_range(self, capsys):
+        # f * m * n = 4e308 overflowed a float; the count is the exact value of 1e308 times 4
+        code, out, _ = run_cli(capsys, "gen", "--kind", "complete", "--m", "2", "--n", "2", "--supply", "1e308")
+        assert code == 0
+        assert json.loads(out)["groups"] == [{"count": 4 * int(1e308), "eligible": [0, 1]}]
+
     def test_byte_identical_reruns(self, capsys, tmp_path):
         inst_path = tmp_path / "inst.json"
         run_cli(

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import math
 import pickle
 from fractions import Fraction
@@ -563,8 +565,8 @@ def check_index(inst):
 
 
 class TestEligibleIndex:
-    """The group id index whole-instance runs read: seeded in construction from canonical groups, else built
-    by the first run, and kept on its ``Instance``."""
+    """The group id index whole-instance runs read: built with every ``Instance``, whatever spells its groups,
+    built again by every pickle and copy, and no part of the value."""
 
     def test_seeded_at_construction_and_read_only(self):
         inst = gen_upper_triangular(6, 3, 2.0, seed=4)
@@ -574,29 +576,30 @@ class TestEligibleIndex:
         run_rewards(inst, policy, 1.0, [0.5] * inst.total_queries)
         assert inst._eligible_index[0] is ids and inst._eligible_index[1] is bounds
 
-    def test_built_on_first_run_and_read_only(self):
-        # list-spelled groups take the per-group rule, which seeds nothing
+    def test_built_at_construction_and_by_every_copy(self):
         inst = gen_upper_triangular(6, 3, 2.0, seed=4)
-        listed = Instance(inst.demands, [(c, list(e)) for c, e in inst.groups])
-        assert "_eligible_index" not in vars(listed)
-        policy, _, _ = make_policy(BINARY, 1.0, 2.0)
-        run_rewards(listed, policy, 1.0, [0.5] * listed.total_queries)
-        check_index(listed)
-        clone = pickle.loads(pickle.dumps(inst))
-        assert "_eligible_index" not in vars(clone)
-        run_rewards(clone, policy, 1.0, [0.5] * clone.total_queries)
-        check_index(clone)
+        # list-spelled groups take the per-group rule, then the same passes as canonical ones
+        for built in (inst, Instance(inst.demands, [(c, list(e)) for c, e in inst.groups])):
+            check_index(built)
+            pickled = pickle.loads(pickle.dumps(built))
+            for copied in (pickled, copy.copy(built), copy.deepcopy(built), dataclasses.replace(built, seed=5)):
+                check_index(copied)
+                assert copied._eligible_index[0] is not built._eligible_index[0]
+            assert pickled == built == copy.copy(built) == copy.deepcopy(built)
 
     def test_value_unchanged_by_a_run(self):
         inst = Instance((2, 3, 1), ((3, (0, 2)), (0, (1,)), (2, ()), (4, (2, 1, 0))), seed=9)
         twin = Instance(inst.demands, inst.groups, seed=9)
         rewards = [0.0, 0.5] * 4 + [0.5]
         before = (hash(inst), inst.to_json(), pickle.dumps(inst))
+        # the pickle holds the value alone: a fresh construction's, with no array
+        assert before[2] == pickle.dumps(twin) and b"numpy" not in before[2]
         first = run_rewards(inst, BPOL, 1.0, rewards)
         assert (hash(inst), inst.to_json(), pickle.dumps(inst)) == before
         assert inst == twin and {inst, twin} == {twin}
         clone = pickle.loads(pickle.dumps(inst))
-        assert clone == inst and "_eligible_index" not in vars(clone)
+        assert clone == inst
+        check_index(clone)
         assert run_rewards(inst, BPOL, 1.0, rewards) == first == run_rewards(twin, BPOL, 1.0, rewards)
         assert run_rewards(clone, BPOL, 1.0, rewards) == first
 

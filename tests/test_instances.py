@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -6,6 +7,7 @@ import subprocess
 import sys
 from collections import namedtuple
 from fractions import Fraction
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from yieldopt.matching import empirical_ratio, guarantee, perturbed_greedy, tria
 from yieldopt.oracle import (
     RealizedInstance,
     adversary_lp_tight,
+    exhaustive_values,
     lp_residuals,
     offline_opt_exact,
     offline_opt_formula,
@@ -388,6 +391,74 @@ def _triangular_reference(m, n, f, seed):
         for i in range(m)
     )
     return Instance((n,) * m, groups, seed=seed)
+
+
+REALIZED = RealizedInstance(TINY, (0.1, 0.2))
+STATE = AllocationState.fresh((1,))
+
+# every public function taking an Instance, ThresholdPolicy, RealizedInstance
+# or AllocationState, by the argument under test, with valid other arguments
+TYPED = {
+    ("run_rewards", "instance"): (TINY, lambda x: run_rewards(x, POLICY, 1.0, (0.5, 0.0))),
+    ("run_rewards", "policy"): (POLICY, lambda p: run_rewards(TINY, p, 1.0, (0.5, 0.0))),
+    ("run_instance", "instance"): (TINY, lambda x: run_instance(x, POLICY, 1.0, BINARY, 1)),
+    ("run_instance", "policy"): (POLICY, lambda p: run_instance(TINY, p, 1.0, BINARY, 1)),
+    ("finalize", "state"): (STATE, lambda s: finalize(s, 1.0)),
+    ("supply_factor", "instance"): (TINY, supply_factor),
+    ("RealizedInstance", "instance"): (TINY, lambda x: RealizedInstance(x, (0.1, 0.2))),
+    ("sample_realized", "instance"): (TINY, lambda x: sample_realized(x, BINARY, 1)),
+    ("offline_opt_exact", "realized"): (REALIZED, lambda r: offline_opt_exact(r, 1.0)),
+    ("online_opt_bruteforce", "instance"): (TINY, lambda x: online_opt_bruteforce(x, BINARY, 1.0)),
+    ("exhaustive_values", "instance"): (TINY, lambda x: exhaustive_values(x, BINARY, 1.0, POLICY)),
+    ("exhaustive_values", "policy"): (POLICY, lambda p: exhaustive_values(TINY, BINARY, 1.0, p)),
+    ("perturbed_greedy", "instance"): (TINY, lambda x: perturbed_greedy(x, 2.0, 1)),
+    ("segment_bounds", "policy"): (POLICY, lambda p: segment_bounds(p, 10)),
+    ("index_weights", "policy"): (POLICY, lambda p: index_weights(p, 10)),
+    ("beta_closed_form", "policy"): (POLICY, lambda p: beta_closed_form(p, 2.0, 1.0, 100)),
+    ("lb_discrete", "policy"): (POLICY, lambda p: lb_discrete(p, 2.0, 1.0, 1.0, 100)),
+    ("adversary_lp_tight", "policy"): (POLICY, lambda p: adversary_lp_tight(p, 2.0, 1.0, 100)),
+    ("lp_residuals", "policy"): (POLICY, lambda p: lp_residuals(BETA, p, 2.0, 1.0)),
+}
+
+
+class TestTypeRule:
+    """A domain object is checked when it is built; every public function taking one checks its type and no more."""
+
+    @pytest.mark.parametrize("valid, call", TYPED.values(), ids=[f"{f}:{a}" for f, a in TYPED])
+    def test_tuple_and_duck_typed_rejected(self, valid, call):
+        call(valid)
+        fields = tuple(getattr(valid, f.name) for f in dataclasses.fields(valid) if f.init)
+        # reads like the real one, every attribute and method included, but was never checked as one
+        duck = SimpleNamespace(**{k: getattr(valid, k) for k in dir(valid) if not k.startswith("__")})
+        for fake in (fields, duck, None):
+            with pytest.raises(DomainError, match=f"expected an? {type(valid).__name__}, got {type(fake).__name__}$"):
+                call(fake)
+
+
+class TestExactGroupSize:
+    """A generator's group size is the exact value of float ``f`` times ``n``, rounded only within 1e-9 of an integer."""
+
+    def test_past_two_to_the_53(self):
+        # f * n in floats rounds 2**54 + 2 to 2**54, and the supply factor below 2
+        n = 2**53 + 1
+        inst = complete_instance(1, n, 2.0)
+        assert inst.total_queries == 2 * n and supply_factor(inst) == 2.0
+        assert gen_upper_triangular(2, n, 2.0, 1).groups[0][0] == 2 * n
+
+    def test_past_the_float_range(self):
+        # f * n in floats overflows; f is finite and > 0, so the instance builds
+        big = int(1e308)  # the exact value of the float
+        assert [c for c, _ in gen_upper_triangular(2, 2, 1e308, 1).groups] == [2 * big] * 2
+        assert complete_instance(2, 2, 1e308).total_queries == 4 * big
+        assert empirical_ratio(2, 2, 1e308, 3, 1) == (1.0, 0.0)
+
+    def test_near_integers_kept(self):
+        assert [c for c, _ in gen_upper_triangular(3, 10, 1.1, 1).groups] == [11] * 3
+        assert [c for c, _ in gen_upper_triangular(3, 2, np.float32(1.5), 1).groups] == [3] * 3
+        with pytest.raises(NonIntegralGroupSize, match=r"f\*n = 4.5 is not"):
+            gen_upper_triangular(3, 3, 1.5, 1)
+        with pytest.raises(NonIntegralGroupSize, match=r"f\*m\*n = 4.5 is not"):
+            complete_instance(3, 1, 1.5)
 
 
 class TestGenUpperTriangular:

@@ -1,3 +1,5 @@
+import copy
+import dataclasses
 import math
 import pickle
 
@@ -411,8 +413,14 @@ class TestRealizedInstance:
 
     def test_pickle_carries_no_array(self):
         realized = sample_realized(gen_upper_triangular(6, 5, 2.0, seed=3), TRI3, seed=4)
-        back = pickle.loads(pickle.dumps(realized))
-        assert "_reward_array" not in back.__dict__
-        assert back == realized
-        assert offline_opt_exact(back, 1.0) == offline_opt_exact(realized, 1.0)
-        assert not back._reward_array.flags.writeable  # rebuilt on first use
+        data = pickle.dumps(realized)
+        # the value alone, a fresh construction's, which a run does not change
+        assert b"numpy" not in data
+        assert data == pickle.dumps(RealizedInstance(realized.instance, realized.rewards))
+        value = offline_opt_exact(realized, 1.0)
+        assert pickle.dumps(realized) == data
+        for back in (pickle.loads(data), copy.copy(realized), copy.deepcopy(realized), dataclasses.replace(realized)):
+            kept = back._reward_array  # built again by construction
+            assert kept is not realized._reward_array and kept.dtype == np.float64
+            assert not kept.flags.writeable and kept.tolist() == list(realized.rewards)
+            assert back == realized and offline_opt_exact(back, 1.0) == value

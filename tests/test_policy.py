@@ -532,12 +532,13 @@ class TestThresholdPolicyType:
     @pytest.mark.parametrize("thresholds", [(0.5,), (math.nan, 1.0)])
     def test_slices_need_a_checked_policy(self, thresholds):
         # a bare vector one entry short used to broadcast into 2t weights, and a
-        # NaN threshold to raise a bare ValueError; only a policy gets this far
+        # NaN threshold to raise a bare ValueError; only a policy gets this far,
+        # and a bare vector is refused by the type rule
         with pytest.raises(DomainError):
             index_weights(ThresholdPolicy(thresholds, BINARY), 10)
-        with pytest.raises(AttributeError):
+        with pytest.raises(DomainError, match="expected a ThresholdPolicy, got tuple"):
             index_weights(thresholds, 10)
-        with pytest.raises(AttributeError):
+        with pytest.raises(DomainError, match="expected a ThresholdPolicy, got tuple"):
             segment_bounds(thresholds, 10)
 
 
