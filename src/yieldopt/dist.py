@@ -20,8 +20,7 @@ from typing import Sequence, Tuple, Union
 import numpy as np
 
 from .errors import DomainError, MalformedDistribution, RewardExceedsPenalty
-from .errors import _check_binary, _check_demand, _check_finite, _check_supply, _finite, _integer
-from .errors import _positive, _reals, _rng, _typed
+from .errors import _binary, _demand, _integer, _penalty, _positive, _real, _reals, _rng, _supply, _typed
 
 # Construction-time renormalization window for the final cumulative mass.
 _MASS_TOL = 1e-12
@@ -82,7 +81,7 @@ class RewardDistribution:
     @classmethod
     def binary(cls, q: float, r: float) -> "RewardDistribution":
         """Reward 0 with probability q, reward r > 0 with probability 1 - q."""
-        _check_binary(q, r)
+        q, r = _binary(q, r)
         return cls((0.0, r), (q, 1.0))
 
     @classmethod
@@ -134,7 +133,7 @@ def validate(dist: RewardDistribution, penalty: float) -> RewardDistribution:
     truncating, so the caller can pre-filter.  A non-finite penalty is a
     :class:`DomainError`.
     """
-    _check_finite(penalty, "penalty")
+    penalty = _penalty(penalty)
     _distribution(dist)
     if dist.support[-1] > penalty:
         raise RewardExceedsPenalty(f"top reward {dist.support[-1]} exceeds penalty {penalty}")
@@ -148,12 +147,11 @@ def _lowered(
 
     The support is ``dist.support`` itself when ``r_1 = 0``.
     """
-    _check_supply(f)
-    _check_demand(total_demand)
+    f, total_demand, penalty = _supply(f), _demand(total_demand), _penalty(penalty)
     r1 = validate(dist, penalty).support[0]
     if r1 == 0.0:
-        return dist.support, float(penalty), 0.0
-    return tuple(v - r1 for v in dist.support), float(penalty) - r1, (f - 1.0) * total_demand * r1
+        return dist.support, penalty, 0.0
+    return tuple(v - r1 for v in dist.support), penalty - r1, (f - 1.0) * total_demand * r1
 
 
 def normalize(
@@ -196,8 +194,7 @@ def top_quantile_mean(dist: RewardDistribution, p: float) -> float:
     mass that lies inside the top ``p``.
     """
     _distribution(dist)
-    if not (_finite(p) and 0.0 <= p <= 1.0):
-        raise DomainError(f"p must be in [0, 1], got {p}")
+    p = _real(p, "p", 0.0, 1.0, "in [0, 1]")
     if p == 0.0:
         return 0.0
     remaining = p

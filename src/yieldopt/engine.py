@@ -60,7 +60,7 @@ import numpy as np
 
 from .dist import RewardDistribution, sample_array
 from .errors import DomainError
-from .errors import _check_finite, _check_rewards, _demands, _finite, _integers, _typed
+from .errors import _check_rewards, _demands, _finite, _integers, _penalty, _real, _typed
 from .instances import Instance
 from .policy import ThresholdPolicy
 
@@ -219,8 +219,7 @@ def _report(
     penalty: float,
     offset: float,
 ) -> RunReport:
-    _check_finite(penalty, "penalty")
-    _check_finite(offset, "offset")
+    penalty, offset = _penalty(penalty), _real(offset, "offset")
     undelivered = sum(n - k for n, k in zip(demands, delivered))
     penalty_paid = penalty * undelivered
     return RunReport(

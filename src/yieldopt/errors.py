@@ -17,15 +17,18 @@ tuple (``Instance``, ``AllocationState``); ``_positive``: one >= 1, or >=
 ``least`` (a count; a seed or a sample size, >= 0; a resolution ``t``, >= 2
 for ``adversary_lp_tight``);
 ``_finite``: whether a value is a finite real number, False for a string,
-``None``, a bool, a complex number or an int beyond float range;
-``_reals``: ``_finite`` applied to every value of a sequence, as a float64
-array (support, masses, thresholds, ``lp_residuals``' beta, rewards,
-weights);
-``_check_finite``: a finite scalar (penalty, offset); ``_check_supply``: a
-supply factor, finite and >= 1; ``_check_demand``: a total demand, finite
-and > 0; ``_check_rewards``: ``_reals`` with one reward per query;
-``_check_binary``: ``0 < q < 1`` and ``r`` finite and >= 0 (each caller
-bounds ``r`` by ``c`` itself); ``_check_thresholds``: ``d`` thresholds,
+``None``, a bool, a complex number, a signaling NaN or an int beyond float
+range; ``_reals``: ``_finite`` applied to every value of a sequence, as a
+float64 array (support, masses, thresholds, ``lp_residuals``' beta, rewards,
+weights); ``_real``: ``_finite`` of one value in ``[low, high]``, as the
+float it checked, the same convention as ``_reals`` (an open bound is the
+adjacent float), with its bound forms ``_penalty``, finite (an offset is
+``_real`` itself), ``_supply``, a supply factor >= 1, ``_demand``, a total
+demand > 0, and ``_binary``, ``(q, r)`` with ``0 < q < 1`` and ``r >= 0``
+(each caller bounds ``r`` by ``c`` itself): every public function computes
+with the float returned, so an int, a ``Fraction``, a ``Decimal`` or a numpy
+number computes as the float it converts to; ``_check_rewards``: ``_reals``
+with one reward per query; ``_check_thresholds``: ``d`` thresholds,
 ``_reals``, non-decreasing in [0, 1] with the last exactly 1 (``ThresholdPolicy``,
 ``ub_continuous``); ``_check_weights``: ``m`` matching weights,
 ``_reals``, each >= 0 and not all 0, or ones for ``None``; ``_rng``: a
@@ -41,6 +44,7 @@ raising ``DomainError``; a distribution's type rule is
 
 import math
 import reprlib
+from functools import partial
 
 import numpy as np
 
@@ -138,7 +142,7 @@ def _finite(value) -> bool:
         return False
     try:
         return math.isfinite(value)
-    except (TypeError, OverflowError):
+    except (TypeError, ValueError, OverflowError):  # ValueError: a Decimal's signaling NaN
         return False
 
 
@@ -166,19 +170,18 @@ def _reals(values, what: str, error: type = DomainError) -> np.ndarray:
     return out
 
 
-def _check_finite(value: float, what: str) -> None:
-    if not _finite(value):
-        raise DomainError(f"{what} must be finite, got {value!r}")
+def _real(value, what: str, low: float = -math.inf, high: float = math.inf, domain: str = "finite") -> float:
+    """``float(value)``, checked finite and in ``[low, high]``; an open bound is the adjacent float."""
+    if _finite(value):
+        as_float = float(value)
+        if low <= as_float <= high:
+            return as_float
+    raise DomainError(f"{what} must be {domain}, got {value!r}")
 
 
-def _check_supply(f: float) -> None:
-    if not (_finite(f) and f >= 1.0):
-        raise DomainError(f"supply factor must be finite and >= 1, got {f!r}")
-
-
-def _check_demand(N: float) -> None:
-    if not (_finite(N) and N > 0.0):
-        raise DomainError(f"total demand must be finite and > 0, got {N!r}")
+_penalty = partial(_real, what="penalty")
+_supply = partial(_real, what="supply factor", low=1.0, domain="finite and >= 1")
+_demand = partial(_real, what="total demand", low=math.ulp(0.0), domain="finite and > 0")
 
 
 def _check_rewards(rewards, count: int) -> np.ndarray:
@@ -188,11 +191,12 @@ def _check_rewards(rewards, count: int) -> np.ndarray:
     return out
 
 
-def _check_binary(q: float, r: float) -> None:
-    if not (_finite(q) and 0.0 < q < 1.0):
-        raise DomainError(f"q must be in (0, 1), got {q!r}")
-    if not (_finite(r) and r >= 0.0):
-        raise DomainError(f"r must be finite and >= 0, got {r!r}")
+def _binary(q, r) -> tuple:
+    """A binary distribution's ``(q, r)`` as floats: ``0 < q < 1`` and ``r`` finite and >= 0."""
+    return (
+        _real(q, "q", math.ulp(0.0), math.nextafter(1.0, 0.0), "in (0, 1)"),
+        _real(r, "r", 0.0, domain="finite and >= 0"),
+    )
 
 
 def _check_thresholds(values, d: int) -> tuple:

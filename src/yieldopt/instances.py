@@ -18,6 +18,7 @@ max-flow feasibility.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -26,7 +27,7 @@ from typing import List, Optional, Tuple, Union
 import numpy as np
 
 from ._flow import _Flow
-from .errors import DomainError, NonIntegralGroupSize, _demands, _finite, _integers, _positive
+from .errors import DomainError, NonIntegralGroupSize, _demands, _integers, _positive, _real
 from .errors import _rng, _sequence, _typed
 
 _INTEGRALITY_TOL = 1e-9  # generators: relative distance of f*n from an integer
@@ -171,9 +172,8 @@ def _query_count(m, n, f: float, per_group: bool) -> Tuple[int, int, int]:
     integer when within ``_INTEGRALITY_TOL`` of it, relatively.
     """
     m, n = _positive(m, "m"), _positive(n, "n")
-    if not (_finite(f) and f > 0.0):
-        raise DomainError(f"supply factor must be finite and > 0, got {f!r}")
-    count = Fraction(float(f)) * (n if per_group else m * n)
+    f = _real(f, "supply factor", math.ulp(0.0), domain="finite and > 0")
+    count = Fraction(f) * (n if per_group else m * n)
     nearest = round(count)
     if abs(count - nearest) > Fraction(_INTEGRALITY_TOL) * max(1, count):
         raise NonIntegralGroupSize(f"{'f*n' if per_group else 'f*m*n'} = {float(count)} is not an integer")

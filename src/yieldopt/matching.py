@@ -27,7 +27,7 @@ from typing import Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import _check_supply, _check_weights, _positive, _rng, _typed
+from .errors import _check_weights, _positive, _rng, _supply, _typed
 from .instances import Instance, _query_count
 
 # Copies per working array in one block of trials; bounds trial_weights'
@@ -53,12 +53,12 @@ def perturbed_greedy(
     bit for bit.
     """
     _typed(instance, Instance)
-    _check_supply(f)
+    f = _supply(f)
     w = _check_weights(instance.m, weights)
     rng = _rng(seed)
     owner = np.repeat(np.arange(instance.m), instance.demands)  # [copy]: its advertiser
     copy_w = w[owner]
-    score = copy_w * (1.0 - np.exp(-(1.0 - rng.random(len(owner))) / float(f)))
+    score = copy_w * (1.0 - np.exp(-(1.0 - rng.random(len(owner))) / f))
     matched = 0.0
     for count, elig in instance.groups:
         copies = np.flatnonzero(np.isin(owner, elig))
@@ -84,7 +84,7 @@ def _greedy_block(
         rng = np.random.default_rng([seed, trial])
         leaving[r] = np.argsort(rng.permutation(m))
         rng.random(out=x[r])
-    score = copy_w * (1.0 - np.exp(-(1.0 - x) / float(f)))
+    score = copy_w * (1.0 - np.exp(-(1.0 - x) / f))
     offsets = np.arange(n)
     matched = np.zeros(len(trials))
     for i in range(m):
@@ -122,7 +122,7 @@ def trial_weights(
     weight.  A row stops when its maximum is ``-inf``.  Blocks hold about
     ``_BLOCK_ELEMENTS`` copies, so memory does not grow with ``trials``.
     """
-    _check_supply(f)
+    f = _supply(f)
     m, n, size = _query_count(m, n, f, per_group=True)
     trials, seed = _positive(trials, "trials"), _positive(seed, "seed", least=0)
     copy_w = np.repeat(_check_weights(m, weights), n)
@@ -156,5 +156,5 @@ def empirical_ratio(
 
 def guarantee(f: float) -> float:
     """The tight competitive ratio ``f - f e^{-1/f}``, for a finite ``f >= 1``."""
-    _check_supply(f)
-    return f - f * math.exp(-1.0 / f)
+    x = 1.0 / _supply(f)  # as (1 - e^{-x}) / x: f - f e^{-1/f} cancels to nothing at large f
+    return -math.expm1(-x) / x

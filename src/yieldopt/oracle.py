@@ -19,8 +19,7 @@ import numpy as np
 from ._flow import _Flow
 from .dist import _FEW_LEVELS, RewardDistribution, _distribution, sample_array, top_quantile_mean
 from .engine import run_rewards
-from .errors import SizeLimit, _positive, _reals, _typed
-from .errors import _check_demand, _check_finite, _check_rewards, _check_supply
+from .errors import SizeLimit, _check_rewards, _demand, _penalty, _positive, _reals, _supply, _typed
 from .instances import Instance
 from .policy import ThresholdPolicy, index_weights
 
@@ -73,8 +72,7 @@ def offline_opt_formula(dist: RewardDistribution, f: float, N: float) -> float:
     ``(f - 1) * N * (mean of the top 1 - 1/f probability mass)``; zero at f = 1.
     """
     _distribution(dist)
-    _check_supply(f)
-    _check_demand(N)
+    f, N = _supply(f), _demand(N)
     if f == 1.0:
         return 0.0
     return (f - 1.0) * N * top_quantile_mean(dist, 1.0 - 1.0 / f)
@@ -128,7 +126,7 @@ def offline_opt_exact(realized: RealizedInstance, penalty: float) -> float:
     0.08 s on a 2-vCPU Xeon.
     """
     _typed(realized, RealizedInstance)
-    _check_finite(penalty, "penalty")
+    penalty = _penalty(penalty)
     instance = realized.instance
     groups = instance.groups
     n_groups = len(groups)
@@ -180,7 +178,7 @@ def online_opt_bruteforce(
     """
     _typed(instance, Instance)
     _distribution(dist)
-    _check_finite(penalty, "penalty")
+    penalty = _penalty(penalty)
     if instance.total_demand > 8:
         raise SizeLimit(f"total demand {instance.total_demand} > 8")
     if instance.total_queries > 12:
@@ -260,8 +258,7 @@ def adversary_lp_tight(policy: ThresholdPolicy, f: float, N: float, t: int) -> n
     optimum without a general solver.  Returns ``beta`` as a length-t array.
     """
     t = _positive(t, "t", least=2)
-    _check_supply(f)
-    _check_demand(N)
+    f, N = _supply(f), _demand(N)
     w = index_weights(policy, t)
     beta = np.empty(t)
     beta[0] = N / t
@@ -279,8 +276,7 @@ def lp_residuals(beta: Sequence[float], policy: ThresholdPolicy, f: float, N: fl
     ``beta1``: |beta_1 - N/t|, ``negativity``: max(0, -min beta).
     """
     beta = _reals(beta, "beta")
-    _check_supply(f)
-    _check_demand(N)
+    f, N = _supply(f), _demand(N)
     t = len(beta)
     w = index_weights(policy, t)  # checks t >= 1
     lhs = f * t * (beta[0] - beta[1:])

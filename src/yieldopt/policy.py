@@ -28,8 +28,8 @@ import numpy as np
 from numpy.typing import ArrayLike
 
 from .dist import RewardDistribution, _distribution, _lowered, cond_mean_below, validate
-from .errors import _BOOLS, DomainError, InfeasibleDecay, _positive, _typed
-from .errors import _check_binary, _check_demand, _check_finite, _check_supply, _check_thresholds, _finite
+from .errors import _BOOLS, DomainError, InfeasibleDecay, _binary, _check_thresholds, _demand, _penalty
+from .errors import _positive, _real, _supply, _typed
 
 DEFAULT_GRID = 1.0 / 200.0
 
@@ -96,9 +96,8 @@ def binary_threshold(f: float, q: float, r: float, c: float) -> float:
 
     Returns ``max(0, 1 + f*q*ln(1 - r/c))``; never exceeds 1 since r < c.
     """
-    _check_binary(q, r)
-    _check_supply(f)
-    _check_finite(c, "penalty")
+    q, r = _binary(q, r)
+    f, c = _supply(f), _penalty(c)
     if r >= c:
         raise DomainError(f"need r < c, got r={r}, c={c}")
     return max(0.0, 1.0 + f * q * math.log(1.0 - r / c))
@@ -109,11 +108,10 @@ def binary_threshold(f: float, q: float, r: float, c: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _checked(dist: RewardDistribution, f: float, c: float, N: float = 1.0) -> RewardDistribution:
-    """``dist`` validated against the penalty ``c``, once ``f`` and ``N`` pass."""
-    _check_supply(f)
-    _check_demand(N)
-    return validate(dist, c)
+def _checked(dist: RewardDistribution, f: float, c: float, N: float = 1.0) -> tuple:
+    """``(dist, f, c, N)`` checked, each number as the float computed with; ``dist`` validated against ``c``."""
+    f, N, c = _supply(f), _demand(N), _penalty(c)
+    return validate(dist, c), f, c, N
 
 
 def segment_bounds(policy: ThresholdPolicy, t: int) -> List[int]:
@@ -151,8 +149,7 @@ def beta_closed_form(policy: ThresholdPolicy, f: float, N: float, t: int) -> np.
     slice, chained across segments, starting from ``beta_1 = N/t``.
     """
     t = _positive(t, "t")
-    _check_supply(f)
-    _check_demand(N)
+    f, N = _supply(f), _demand(N)
     w = index_weights(policy, t)
     factors = 1.0 - w / (t * f)
     if np.any(factors < 0.0):
@@ -160,8 +157,7 @@ def beta_closed_form(policy: ThresholdPolicy, f: float, N: float, t: int) -> np.
         raise InfeasibleDecay(
             f"decay weight {bad} exceeds t*f = {t * f}; increase t"
         )
-    beta = (N / t) * np.cumprod(np.concatenate(([1.0], factors[:-1])))
-    return beta.astype(float, copy=False)  # a Fraction f or N makes an object array
+    return (N / t) * np.cumprod(np.concatenate(([1.0], factors[:-1])))
 
 
 def lb_discrete(policy: ThresholdPolicy, f: float, c: float, N: float, t: int) -> float:
@@ -172,7 +168,7 @@ def lb_discrete(policy: ThresholdPolicy, f: float, c: float, N: float, t: int) -
     in the units of the policy's distribution, whose top reward is at most ``c``.
     """
     _typed(policy, ThresholdPolicy)
-    dist = _checked(policy.dist, f, c, N)
+    dist, f, c, N = _checked(policy.dist, f, c, N)
     beta = beta_closed_form(policy, f, N, t)  # checks t
     d = dist.d
     lengths = np.diff(segment_bounds(policy, len(beta)))
@@ -230,7 +226,7 @@ def ub_continuous(
     in ``dist``'s own units, its top reward at most ``c``.  Lowering every
     reward and ``c`` by ``r_1`` lowers it by ``(f - 1) N r_1`` (``normalize``).
     """
-    checked = _checked(dist, f, c, N)
+    checked, f, c, N = _checked(dist, f, c, N)
     ts = _check_thresholds(thresholds, checked.d)
     return float(_ub_value(checked.support, checked.cum_mass, ts, f, c, N))
 
@@ -260,7 +256,7 @@ def optimize_thresholds_exact(dist: RewardDistribution, f: float, c: float) -> T
     well conditioned for a large lowest reward ``r_1`` as for ``r_1 = 0``,
     and a common shift of the rewards and ``c`` gives the same thresholds.
     """
-    checked = _checked(dist, f, c)
+    checked, f, c, _ = _checked(dist, f, c)
     masses = checked.point_masses()
     low = checked.support[0]
     top = c - low
@@ -275,9 +271,7 @@ def optimize_thresholds_exact(dist: RewardDistribution, f: float, c: float) -> T
 
 
 def _grid_values(grid: float) -> np.ndarray:
-    if not (_finite(grid) and 0.0 < grid < 1.0):
-        raise DomainError(f"grid step must be in (0, 1), got {grid!r}")
-    grid = float(grid)
+    grid = _real(grid, "grid step", math.ulp(0.0), math.nextafter(1.0, 0.0), "in (0, 1)")
     n = int(math.floor(1.0 / grid + 1e-9))
     values = np.arange(n + 1) * grid
     if values[-1] < 1.0 - 1e-12:
@@ -304,7 +298,7 @@ def optimize_thresholds_grid(
     ``e_v`` is computed whole: the factored ``exp(s_{v-1} w_v) exp(-s_v w_v)``
     overflows or cancels at large ``w_v``.  O(d |grid|^2) time.
     """
-    checked = _checked(dist, f, c)
+    checked, f, c, _ = _checked(dist, f, c)
     ys = _grid_values(grid)
     _, a, inv_q = _ub_terms(checked.support, checked.cum_mass, c)
     w = inv_q / f
@@ -341,6 +335,7 @@ def make_policy(
     Rejects a supply factor below 1 and a total demand of 0 or below, and
     either non-finite.
     """
+    f, N = _supply(f), _demand(N)
     policy = optimize_thresholds_exact(dist, f, penalty)
     support, lowered, offset = _lowered(policy.dist, penalty, f, N)
     objective = _ub_value(support, policy.dist.cum_mass, policy.thresholds, f, lowered, N)

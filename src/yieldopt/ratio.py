@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from .dist import RewardDistribution
-from .errors import DomainError, _check_binary, _check_finite, _check_supply, _finite
+from .errors import DomainError, _binary, _penalty, _real, _supply
 from .oracle import offline_opt_formula
 from .policy import optimize_thresholds_exact, ub_continuous
 
@@ -68,9 +68,8 @@ def binary_alg_bound(f: float, q: float, r: float, c: float) -> Tuple[float, boo
     threshold clamps to 0 and the value is
     ``cf((1-1/f) - (1-q)(1-r/c) - q e^(-1/(qf)))``.
     """
-    _check_binary(q, r)
-    _check_supply(f)
-    _check_finite(c, "penalty")
+    q, r = _binary(q, r)
+    f, c = _supply(f), _penalty(c)
     if r > c or c <= 0.0:
         raise DomainError(f"need r <= c and c > 0, got r={r}, c={c}")
     unclamped = 1.0 + f * q * math.log(1.0 - r / c) if r < c else -math.inf
@@ -116,12 +115,9 @@ def worst_case_distribution(mu: float, c: float, f: float) -> WorstCaseSpec:
     two binary candidates are mutually exclusive except at the boundary
     where they coincide.
     """
-    _check_finite(c, "penalty")
-    if not (_finite(mu) and 0.0 < mu <= c):
-        raise DomainError(f"need 0 < mu <= c, got mu={mu!r}, c={c!r}")
-    _check_supply(f)
-    if f <= 1.0:
-        raise DomainError(f"supply factor must exceed 1, got {f}")
+    c = _penalty(c)
+    mu = _real(mu, "mu", math.ulp(0.0), c, "in (0, c]")
+    f = _real(f, "supply factor", math.nextafter(1.0, math.inf), domain="finite and > 1")
     tol = 1e-12
     candidates = []
 

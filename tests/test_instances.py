@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 from collections import namedtuple
+from decimal import Decimal
 from fractions import Fraction
 from types import SimpleNamespace
 
@@ -161,7 +162,7 @@ BAD = {
     "generator f": ("2", None, math.nan, 0.0),
     # -1 would be served as advertiser 1 if it were not rejected
     "advertiser id": (-1, 2, 1.0, "0", None),
-    "reward": ("0.3", None, math.nan, math.inf, np.complex128(1 + 1j)),
+    "reward": ("0.3", None, math.nan, math.inf, np.complex128(1 + 1j), Decimal("sNaN")),
     "p": (math.nan, -0.5, 1.5),
     "mu": (math.nan, 0.0, 1.5),
     "grid": ("0.1", None, math.nan, 0.0, 1.0),
@@ -190,7 +191,7 @@ MESSAGE = {
     "advertiser id": "advertiser ids must be integers in 0..1",
     "reward": "reward must be finite",
     "p": "p must be in",
-    "mu": "need 0 < mu <= c",
+    "mu": "mu must be in",
     "grid": "grid step must be in",
     "rng": "seed must be an integer",
     "size": "size must be an integer",
@@ -240,13 +241,14 @@ def test_domain_rule(name, arg, bad):
         call(bad)
 
 
-@cases(
-    "name, arg",
-    [(name, arg) for name, arg in sorted(RULES) if arg in ("f", "N", "c", "offset", "q", "r", "p", "mu", "grid")],
-)
+# the real-valued arguments: each is read as the float it converts to
+REAL_ARGS = ("f", "N", "c", "offset", "q", "r", "p", "mu", "grid")
+
+
+@cases("name, arg", [(name, arg) for name, arg in sorted(RULES) if arg in REAL_ARGS])
 def test_real_number_rule(name, arg):
     # a value that is not a real number, or not one a float holds, is outside every real domain
-    for bad in ("2", None, 1j, np.complex128(1 + 1j), 10**400, True, np.True_):
+    for bad in ("2", None, 1j, np.complex128(1 + 1j), 10**400, True, np.True_, Decimal("sNaN")):
         with pytest.raises(DomainError, match=MESSAGE[arg]):
             RULES[name, arg](bad)
 
@@ -310,6 +312,36 @@ def test_exact_values_build_their_float_spellings():
     w = [1, Fraction(5, 2), np.float32(0.5)]
     match = gen_upper_triangular(3, 2, 2, np.random.default_rng(4))
     assert perturbed_greedy(match, 2, 4, w).hex() == perturbed_greedy(match, 2, 4, [1.0, 2.5, 0.5]).hex()
+
+
+def _bits(result) -> str:
+    # a result's type, value and bits: its repr, a numpy array's by its dtype and values
+    if isinstance(result, np.ndarray):
+        return repr((result.dtype, result.tolist()))
+    if isinstance(result, tuple):  # make_policy's (policy, objective, offset)
+        return repr(tuple(map(_bits, result)))
+    return repr(result)
+
+
+@cases("name, arg", [(name, arg) for name, arg in sorted(RULES) if arg in (*REAL_ARGS, "generator f")])
+def test_scalar_spellings_compute_as_their_float(name, arg):
+    # every spelling of a real value computes what its float does, in float64;
+    # float32 holds each value exactly, so a float32 result would show
+    value = {"q": 0.5, "p": 0.5, "mu": 0.25, "grid": 0.25}.get(arg, 2.0)
+    expected = _bits(RULES[name, arg](value))
+    spellings = [np.float32(value), np.float64(value), Fraction(value), Decimal(value)]
+    if value.is_integer():
+        spellings += [int(value), np.int64(value)]
+    for spelling in spellings:
+        assert _bits(RULES[name, arg](spelling)) == expected, repr(spelling)
+
+
+def test_range_is_checked_on_the_float():
+    # a value the float rounds across a bound takes the float's verdict
+    with pytest.raises(DomainError, match="total demand must be finite and > 0"):
+        beta_closed_form(POLICY, 2.0, Fraction(1, 10**400), 100)  # rounds to 0.0
+    f = 1 - Fraction(1, 10**30)  # below 1, rounds to 1.0
+    assert _bits(make_policy(BINARY, 1.0, f)) == _bits(make_policy(BINARY, 1.0, 1.0))
 
 
 # every kind of value an id, demand or count can arrive as, valid or not

@@ -161,6 +161,17 @@ def test_guarantee_values():
     assert guarantee(4.0) == pytest.approx(4 - 4 * math.exp(-0.25))
 
 
+def test_guarantee_keeps_its_precision_for_large_f():
+    # f - f e^{-1/f} cancelled: it read 1.0 at f = 1e8, 2.0 at 1e16 and 0.0 at 1e17
+    fs = np.logspace(0, 300, 601).tolist()
+    values = [guarantee(f) for f in fs]
+    assert max(values) <= 1.0
+    assert values == sorted(values)
+    for f, g in zip(fs, values):
+        if f >= 1e6:
+            assert abs(g - (1 - 1 / (2 * f) + 1 / (6 * f * f))) <= 1e-15, f
+
+
 def reference_weights(m, n, f, trials, seed, weights=None):
     # one instance and one perturbed-greedy run per trial, on that trial's stream
     out = []
