@@ -286,7 +286,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_gen)
 
     p = sub.add_parser("oracle", help="ground-truth computations")
-    p.add_argument("--mode", choices=["opt-formula", "opt-exact", "online-exact", "beta"], required=True)
+    p.add_argument("--mode", choices=["opt-formula", "opt-exact", "online-exact", "beta"], required=True,
+                   help=f"online-exact exits 2 past {oracle._MAX_ONLINE_WORK:,} counted units of work")
     p.add_argument("--dist")
     p.add_argument("--instance")
     p.add_argument("--penalty", type=float, default=1.0)

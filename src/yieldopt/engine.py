@@ -206,6 +206,7 @@ def finalize(state: AllocationState, penalty: float) -> RunReport:
     Raises ``DomainError`` on a non-finite penalty.
     """
     _typed(state, AllocationState)
+    penalty = _penalty(penalty)
     return _report(
         state.demands, tuple(state.delivered), state.exchange_revenue, state.queries, penalty, 0.0
     )
@@ -219,7 +220,6 @@ def _report(
     penalty: float,
     offset: float,
 ) -> RunReport:
-    penalty, offset = _penalty(penalty), _real(offset, "offset")
     undelivered = sum(n - k for n, k in zip(demands, delivered))
     penalty_paid = penalty * undelivered
     return RunReport(
@@ -341,6 +341,7 @@ def run_rewards(
     """
     _typed(instance, Instance)
     _typed(policy, ThresholdPolicy)
+    penalty, offset = _penalty(penalty), _real(offset, "offset")
     rewards = _check_rewards(rewards, instance.total_queries)
     demands = instance.demands
     top, scale = max(demands), _sr_scale(demands)

@@ -205,6 +205,7 @@ def _ub_value(
 ) -> np.ndarray:
     # Raw-array core of ub_continuous: one objective per threshold vector,
     # a row of ``thresholds``.  Tests call it directly on batches.
+    _real(f * N * c, "f * N * c")  # bounds every term, as 0 <= r <= c
     mean, coefs, inv_q = _ub_terms(support, cum_mass, c)
     diffs = np.diff(np.asarray(thresholds, dtype=float), prepend=0.0, axis=-1)
     # X_v = sum_{j<=v} (s_j - s_{j-1}) / (f q_{d+1-j})
@@ -333,7 +334,8 @@ def make_policy(
     ``(f - 1) N r_1``: adding it gives ``ub_continuous`` in ``dist``'s units.
     The policy and its distribution are scored as checked, without a copy.
     Rejects a supply factor below 1 and a total demand of 0 or below, and
-    either non-finite.
+    either non-finite, and a non-finite ``f * N * (penalty - r_1)``, the
+    scale of the objective.
     """
     f, N = _supply(f), _demand(N)
     policy = optimize_thresholds_exact(dist, f, penalty)

@@ -341,6 +341,16 @@ class TestOtherCommands:
         assert code == 0
         assert json.loads(out)["value"] == pytest.approx(0.375)
 
+    def test_oracle_online_exact_under_one_work_limit(self, capsys):
+        # total demand 9 was past the recursion's caps; 1000 advertisers open to both queries are
+        # past the work limit
+        argv = ("oracle", "--mode", "online-exact", "--dist", BINARY_JSON, "--penalty", "1", "--instance")
+        code, out, _ = run_cli(capsys, *argv, '{"demands": [9], "groups": [{"count": 12, "eligible": [0]}]}')
+        assert code == 0 and json.loads(out)["value"] == 1.4886474609375
+        wide = {"demands": [1] * 1000, "groups": [{"count": 2, "eligible": list(range(1000))}]}
+        code, out, err = run_cli(capsys, *argv, json.dumps(wide))
+        assert code == 2 and out == "" and json.loads(err)["error"] == "SizeLimit"
+
     def test_oracle_beta(self, capsys):
         code, out, _ = run_cli(
             capsys, "oracle", "--mode", "beta", "--dist", BINARY_JSON,

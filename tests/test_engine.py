@@ -287,6 +287,15 @@ class TestRunEquivalence:
             with pytest.raises(DomainError):
                 finalize(state, bad)
 
+    def test_penalty_and_offset_checked_before_the_rewards(self):
+        # checked on entry: a NaN penalty used to raise only after every query was served
+        inst = gen_upper_triangular(20, 5, 2.0, seed=1)
+        rewards = sample_array(BINARY, 1, inst.total_queries)
+        with pytest.raises(DomainError, match="penalty must be finite"):
+            run_rewards(inst, BPOL, math.nan, rewards[:-1])
+        with pytest.raises(DomainError, match="offset must be finite"):
+            run_rewards(inst, BPOL, 1.0, rewards[:-1], offset=math.inf)
+
 
 def replay(inst, policy, rewards):
     """The serve_query reference: route every query in arrival order.

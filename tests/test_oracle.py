@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from yieldopt import _flow, oracle
+from yieldopt import _flow, oracle, repro
 from yieldopt.dist import RewardDistribution
 from yieldopt.engine import run_rewards
 from yieldopt.errors import DomainError, SizeLimit
@@ -284,6 +284,71 @@ class TestOfflineOptDifferential:
                 offline_opt_exact(realized, bad)
 
 
+def online_opt_recursive(instance, dist, penalty):
+    # the memoized recursion online_opt_bruteforce replaced, with its three caps: a reference
+    # whose float operations the iterative pass repeats in the same order
+    if instance.total_demand > 8:
+        raise SizeLimit(f"total demand {instance.total_demand} > 8")
+    if instance.total_queries > 12:
+        raise SizeLimit(f"{instance.total_queries} queries > 12")
+    if dist.d > 3:
+        raise SizeLimit(f"support size {dist.d} > 3")
+    elig_seq = instance.expand()
+    masses = dist.point_masses()
+    support = dist.support
+    memo = {}
+
+    def value(i, remaining):
+        if i == len(elig_seq):
+            return -penalty * sum(remaining)
+        key = (i, remaining)
+        hit = memo.get(key)
+        if hit is not None:
+            return hit
+        keep = value(i + 1, remaining)
+        deliver_best = None
+        for a in elig_seq[i]:
+            if remaining[a] > 0:
+                nxt = list(remaining)
+                nxt[a] -= 1
+                v = value(i + 1, tuple(nxt))
+                if deliver_best is None or v > deliver_best:
+                    deliver_best = v
+        acc = 0.0
+        for p, r in zip(masses, support):
+            sell = r + keep
+            acc += p * (sell if deliver_best is None else max(sell, deliver_best))
+        memo[key] = acc
+        return acc
+
+    return value(0, instance.demands)
+
+
+ONLINE_DISTS = (
+    BINARY,
+    TRI3,
+    RewardDistribution.point_mass(0.3),
+    RewardDistribution.binary(0.3, 0.7),
+    RewardDistribution((0.2, 0.6), (0.5, 1.0)),
+)
+
+
+@st.composite
+def online_instance(draw, max_demand, max_queries):
+    # total demand and queries within the bounds (max_demand >= 4); zero-count groups and
+    # empty eligibility sets
+    demands = []
+    for n in draw(st.lists(st.integers(1, 4), min_size=1, max_size=4)):
+        if sum(demands) + n > max_demand:
+            break
+        demands.append(n)
+    elig = st.lists(st.integers(0, len(demands) - 1), max_size=len(demands))
+    groups = []
+    for count, ids in draw(st.lists(st.tuples(st.integers(0, 6), elig), min_size=1, max_size=4)):
+        groups.append((min(count, max_queries - sum(c for c, _ in groups)), ids))
+    return Instance(tuple(demands), tuple(groups))
+
+
 class TestOnlineOptBruteforce:
     def test_hand_computed_case(self):
         inst = Instance((1,), ((2, (0,)),))
@@ -299,14 +364,39 @@ class TestOnlineOptBruteforce:
         # max deliverable is 3 via (0,0,1); value 0
         assert online_opt_bruteforce(inst, point, 1.0) == pytest.approx(0.0)
 
-    def test_size_limits(self):
-        with pytest.raises(SizeLimit):
-            online_opt_bruteforce(Instance((9,), ((1, (0,)),)), BINARY, 1.0)
-        with pytest.raises(SizeLimit):
-            online_opt_bruteforce(Instance((1,), ((13, (0,)),)), BINARY, 1.0)
+    def test_work_limit(self, monkeypatch):
+        # m + 1 = 2 units for each vector and delivery and one per atom: (1,) before query 0
+        # costs 2 * 2 + 2 = 6, and (1,), (0,) before query 1 cost 12 more
+        inst = Instance((1,), ((2, (0,)),))
+        monkeypatch.setattr(oracle, "_MAX_ONLINE_WORK", 17)
+        with pytest.raises(SizeLimit, match="online work 18 exceeds the limit 17"):
+            online_opt_bruteforce(inst, BINARY, 1.0)
+        monkeypatch.setattr(oracle, "_MAX_ONLINE_WORK", 18)
+        assert online_opt_bruteforce(inst, BINARY, 1.0) == 0.375
+        # each query counts at least one unit, so more queries than the limit are refused before any is built
+        monkeypatch.setattr(oracle, "_MAX_ONLINE_WORK", 1)
+        with pytest.raises(SizeLimit, match="2 queries exceed the online work limit 1"):
+            online_opt_bruteforce(inst, BINARY, 1.0)
+
+    def test_many_advertisers_refused_before_the_layer_is_built(self):
+        # few states but long vectors: the second query's 1001 vectors would have 1,001,000
+        # deliveries of 1000 entries each (about 4 GB), and the count refuses them unbuilt
+        first = 1001 * 1001 + 2
+        inst = Instance((1,) * 1000, ((2, tuple(range(1000))),))
+        with pytest.raises(SizeLimit, match=f"online work {first + 1001 * first} exceeds"):
+            online_opt_bruteforce(inst, BINARY, 1.0)
+        # with 5000 advertisers the first query alone is past the limit
+        inst = Instance((1,) * 5000, ((2, tuple(range(5000))),))
+        with pytest.raises(SizeLimit, match=f"online work {5001 * 5001 + 2} exceeds"):
+            online_opt_bruteforce(inst, BINARY, 1.0)
+
+    def test_served_past_the_old_caps(self):
+        # total demand 9 and 12 queries, past the recursion's caps of 8 and 12
+        assert online_opt_bruteforce(Instance((9,), ((12, (0,)),)), BINARY, 1.0) == 1.4886474609375
+        # 4 atoms: V(1, (0,)) = E[r] = 0.16 and V(1, (1,)) = 0, so the first query is sold iff it bids above 0.16
         wide = RewardDistribution((0.0, 0.1, 0.2, 0.3), (0.2, 0.5, 0.7, 1.0))
-        with pytest.raises(SizeLimit):
-            online_opt_bruteforce(Instance((1,), ((2, (0,)),)), wide, 1.0)
+        value = online_opt_bruteforce(Instance((1,), ((2, (0,)),)), wide, 1.0)
+        assert value == pytest.approx(0.5 * 0.16 + 0.2 * 0.2 + 0.3 * 0.3)
 
     def test_dominates_threshold_policy(self):
         inst = Instance((1, 1), ((2, (0, 1)), (2, (1,))))
@@ -324,6 +414,38 @@ class TestOnlineOptBruteforce:
         e_alg, e_off = exhaustive_values(inst, TRI3, 1.0, policy)
         v_onl = online_opt_bruteforce(inst, TRI3, 1.0)
         assert e_alg <= v_onl + 1e-9 <= e_off + 2e-9
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        instance=online_instance(max_demand=8, max_queries=12),
+        dist=st.sampled_from(ONLINE_DISTS),
+        penalty=st.sampled_from((0.6, 1.0, 1.5)),
+    )
+    def test_equals_the_recursion_inside_its_caps(self, instance, dist, penalty):
+        assert online_opt_bruteforce(instance, dist, penalty) == online_opt_recursive(instance, dist, penalty)
+
+    def test_equals_the_recursion_on_the_sandwich_corpus(self):
+        compared = 0
+        for instance, dist, penalty in repro._sandwich_corpus():
+            try:
+                expected = online_opt_recursive(instance, dist, penalty)
+            except SizeLimit:  # one of the two cases past the recursion's caps
+                continue
+            assert online_opt_bruteforce(instance, dist, penalty) == expected
+            compared += 1
+        assert compared == 24
+
+    @settings(max_examples=25, deadline=None)
+    @given(instance=online_instance(max_demand=16, max_queries=10), demand=st.integers(9, 12))
+    def test_sandwich_past_the_old_caps(self, instance, demand):
+        # total demand raised past 8 on the last advertiser; binary bids, so 2**10 realizations at most
+        demands = instance.demands[:-1] + (instance.demands[-1] + max(0, demand - instance.total_demand),)
+        instance = Instance(demands, instance.groups)
+        f = max(1.0, supply_factor(instance))
+        policy, _, _ = make_policy(BINARY, 1.0, f, N=float(instance.total_demand))
+        e_alg, e_off = exhaustive_values(instance, BINARY, 1.0, policy)
+        v_onl = online_opt_bruteforce(instance, BINARY, 1.0)
+        assert e_alg <= v_onl + 1e-9 and v_onl <= e_off + 1e-9
 
 
 class TestAdversaryLpTight:

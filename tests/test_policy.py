@@ -572,6 +572,22 @@ class TestMakePolicy:
             with pytest.raises(DomainError):
                 make_policy(BINARY, 1.0, f)
 
+    def test_objective_past_the_float_range_rejected(self):
+        # f * N * c overflows on finite inputs; the objective came out NaN, the offline optimum inf
+        dist = RewardDistribution.binary(0.5, 0.5)
+        for call in (
+            lambda: make_policy(dist, 1.0, 1e308, 10.0),
+            lambda: ub_continuous((0.0, 1.0), dist, 1e308, 1.0, 10.0),
+        ):
+            with pytest.raises(DomainError, match=r"f \* N \* c must be finite, got inf"):
+                call()
+        with pytest.raises(DomainError, match=r"\(f - 1\) \* N \* top mean must be finite, got inf"):
+            offline_opt_formula(dist, 1e308, 10.0)
+        # the offline value is checked, not f * N * r_d: a top atom of little mass keeps it finite
+        thin = RewardDistribution((0.0, 1e300), (1.0 - 1e-12, 1.0))
+        assert offline_opt_formula(thin, 2.0, 1e10) == pytest.approx(2.0 * thin.point_masses()[1] * 1e300 * 1e10)
+        assert make_policy(dist, 1.0, 1e307, 10.0)[1] == pytest.approx(-10.0 + 1e307 * 10.0 * 0.25)
+
     def test_three_point_thresholds_closed_form(self):
         # s_{d+1-k} = max(0, 1 + f sum_{i<k} m_i ln((c - r_k)/(c - r_i)))
         d3 = RewardDistribution((0.0, 0.4, 0.9), (0.3, 0.7, 1.0))
