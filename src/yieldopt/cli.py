@@ -156,9 +156,10 @@ def _cmd_gen(args) -> int:
         if args.seed is None:
             raise YieldOptError("--seed is required for triangular generation")
         inst = gen_upper_triangular(args.m, args.n, args.supply, args.seed)
+        text = json.dumps({**json.loads(inst.to_json()), "seed": args.seed})  # the file records the seed it drew from
     else:
-        inst = complete_instance(args.m, args.n, args.supply)
-    _emit(inst.to_json(), args.out)
+        text = complete_instance(args.m, args.n, args.supply).to_json()
+    _emit(text, args.out)
     return 0
 
 

@@ -191,15 +191,19 @@ def top_quantile_mean(dist: RewardDistribution, p: float) -> float:
 
     ``p = 0`` returns 0 by convention; ``p = 1`` returns the full mean.  The
     atom straddling the ``1 - p`` quantile contributes only the part of its
-    mass that lies inside the top ``p``.
+    mass that lies inside the top ``p``.  When the top atom alone covers
+    ``p``, the mean is its reward exactly, which ``p * r / p`` can miss by a
+    last bit.
     """
     _distribution(dist)
     p = _real(p, "p", 0.0, 1.0, "in [0, 1]")
     if p == 0.0:
         return 0.0
+    masses = dist.point_masses()
+    if masses[-1] >= p:
+        return float(dist.support[-1])
     remaining = p
     acc = 0.0
-    masses = dist.point_masses()
     for i in range(dist.d - 1, -1, -1):
         take = min(remaining, masses[i])
         acc += take * dist.support[i]

@@ -54,7 +54,6 @@ class Instance:
 
     demands: Tuple[int, ...]
     groups: Tuple[Tuple[int, Tuple[int, ...]], ...]
-    seed: Optional[int] = None
 
     def __post_init__(self):
         demands = _demands(self.demands)
@@ -67,12 +66,10 @@ class Instance:
         object.__setattr__(self, "demands", demands)
         object.__setattr__(self, "groups", tuple(groups))
         object.__setattr__(self, "_eligible_index", index)
-        if self.seed is not None:
-            object.__setattr__(self, "seed", _positive(self.seed, "seed", least=0))
 
     def __reduce__(self):
         # pickles and copies the value alone; __post_init__ rebuilds the index
-        return type(self), (self.demands, self.groups, self.seed)
+        return type(self), (self.demands, self.groups)
 
     @property
     def m(self) -> int:
@@ -96,13 +93,8 @@ class Instance:
     # ---- JSON wire format ----
 
     def to_json(self) -> str:
-        obj = {
-            "demands": list(self.demands),
-            "groups": [{"count": c, "eligible": list(e)} for c, e in self.groups],
-        }
-        if self.seed is not None:
-            obj["seed"] = self.seed
-        return json.dumps(obj)
+        groups = [{"count": c, "eligible": list(e)} for c, e in self.groups]
+        return json.dumps({"demands": list(self.demands), "groups": groups})
 
     @classmethod
     def from_json(cls, text: str) -> "Instance":
@@ -113,7 +105,6 @@ class Instance:
             return cls(
                 tuple(obj["demands"]),
                 tuple((g["count"], tuple(g["eligible"])) for g in obj["groups"]),
-                seed=obj.get("seed"),
             )
         except (KeyError, TypeError) as exc:
             raise DomainError(f"bad instance JSON: {exc}") from exc
@@ -180,7 +171,7 @@ def _query_count(m, n, f: float, per_group: bool) -> Tuple[int, int, int]:
     return m, n, nearest
 
 
-def _triangle(perm: np.ndarray, n: int, group_size: int, seed: Optional[int] = None) -> Instance:
+def _triangle(perm: np.ndarray, n: int, group_size: int) -> Instance:
     """Demand ``n`` each; group ``i`` of ``group_size`` queries is eligible to ``j`` with ``perm[j] >= i``.
 
     Advertiser ``j`` leaves after group ``perm[j]``: walking the advertisers
@@ -192,7 +183,7 @@ def _triangle(perm: np.ndarray, n: int, group_size: int, seed: Optional[int] = N
     for a in np.argsort(perm).tolist():
         groups.append((group_size, tuple(left)))
         left.remove(a)
-    return Instance((n,) * len(perm), tuple(groups), seed=seed)
+    return Instance((n,) * len(perm), tuple(groups))
 
 
 def gen_upper_triangular(
@@ -203,12 +194,11 @@ def gen_upper_triangular(
     Group ``i`` (0-based, arrival order) is eligible exactly to advertisers
     ``j`` with ``pi(j) >= i``, so one randomly chosen advertiser drops out
     per group.  Its supply factor is ``f`` by construction (Hall-tight).
-    ``pi`` is the stream's first draw, ``permutation(m)``.  The instance
-    records an integer seed; a ``Generator``'s instance records none.
+    ``pi`` is the stream's first draw, ``permutation(m)``, so a seed and a
+    fresh ``Generator`` of it build the same instance.
     """
     m, n, group_size = _query_count(m, n, f, per_group=True)
-    rng = _rng(seed)
-    return _triangle(rng.permutation(m), n, group_size, None if rng is seed else seed)
+    return _triangle(_rng(seed).permutation(m), n, group_size)
 
 
 def complete_instance(m: int, n: int, f: float) -> Instance:

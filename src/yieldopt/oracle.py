@@ -75,8 +75,6 @@ def offline_opt_formula(dist: RewardDistribution, f: float, N: float) -> float:
     """
     _distribution(dist)
     f, N = _supply(f), _demand(N)
-    if f == 1.0:
-        return 0.0
     return _real((f - 1.0) * N * top_quantile_mean(dist, 1.0 - 1.0 / f), "(f - 1) * N * top mean")
 
 

@@ -116,6 +116,15 @@ class TestSimulate:
         assert code == 0
         assert json.loads(out)["groups"] == [{"count": 4 * int(1e308), "eligible": [0, 1]}]
 
+    def test_triangular_gen_writes_its_seed(self, capsys):
+        # the file records the seed it was drawn from, after the instance's own keys
+        argv = ("gen", "--kind", "triangular", "--m", "4", "--n", "3", "--supply", "2.0", "--seed", "7")
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        obj = json.loads(out)
+        assert list(obj) == ["demands", "groups", "seed"] and obj["seed"] == 7
+        assert Instance.from_json(out) == gen_upper_triangular(4, 3, 2.0, 7)
+
     def test_byte_identical_reruns(self, capsys, tmp_path):
         inst_path = tmp_path / "inst.json"
         run_cli(
@@ -444,10 +453,6 @@ class TestOtherCommands:
                 "--dist", BINARY_JSON, "--penalty", "inf",
             ),
             ("gen", "--kind", "triangular", "--m", "3", "--n", "2", "--supply", "2", "--seed", "-1"),
-            (
-                "simulate", "--instance", json.dumps({**BOTTLENECK, "seed": "abc"}),
-                "--dist", BINARY_JSON, "--penalty", "1", "--seed", "1",
-            ),
             ("oracle", "--mode", "beta", "--dist", BINARY_JSON, "--thresholds", '["0.3", 1.0]'),
             ("oracle", "--mode", "beta", "--dist", BINARY_JSON, "--thresholds", "[0.3, null]"),
             ("oracle", "--mode", "beta", "--dist", BINARY_JSON, "--thresholds", "not json"),
@@ -469,7 +474,7 @@ class TestOtherCommands:
              "simulate-declared-supply", "opt-formula-no-dist", "opt-exact-no-instance",
              "online-exact-no-instance", "beta-no-thresholds", "beta-thresholds-not-numbers",
              "beta-thresholds-not-list", "online-exact-penalty-nan", "online-exact-penalty-inf",
-             "gen-negative-seed", "simulate-seed-not-integer", "beta-thresholds-strings",
+             "gen-negative-seed", "beta-thresholds-strings",
              "beta-thresholds-null", "beta-thresholds-not-json", "simulate-negative-seed",
              "opt-exact-negative-seed", "matching-negative-seed", "simulate-bool-demand"],
     )

@@ -110,8 +110,6 @@ RULES = {
     ("index_weights", "t"): lambda t: index_weights(POLICY, t),
     ("AllocationState", "demand"): lambda n: serve_query(AllocationState.fresh((n, 2)), POLICY, [0, 1], 0.0),
     ("AllocationState", "delivered"): lambda k: serve_query(AllocationState((2,), [k]), POLICY, [0], 0.0),
-    ("Instance", "seed"): lambda s: Instance((1,), ((1, (0,)),), seed=s),
-    ("Instance.from_json", "seed"): lambda s: Instance.from_json(json.dumps({**json.loads(TINY.to_json()), "seed": s})),
     ("gen_upper_triangular", "seed"): lambda s: gen_upper_triangular(3, 2, 2.0, seed=s),
     ("Instance", "group"): lambda g: Instance((1,), (g,)),
     ("Instance", "demands"): lambda d: Instance(d, ((1, (0,)),)),
@@ -422,7 +420,7 @@ def _triangular_reference(m, n, f, seed):
         (int(round(f * n)), tuple(int(j) for j in np.nonzero(perm >= i)[0]))
         for i in range(m)
     )
-    return Instance((n,) * m, groups, seed=seed)
+    return Instance((n,) * m, groups)
 
 
 REALIZED = RealizedInstance(TINY, (0.1, 0.2))
@@ -551,18 +549,28 @@ class TestGenUpperTriangular:
 
     @pytest.mark.parametrize("seed", [0, 7, 7919])
     def test_generator_draws_the_permutation_first(self, seed):
-        # a Generator builds the triangle of its first draw, permutation(m), and records no seed
+        # a Generator builds the triangle of its first draw, permutation(m): the instance its seed builds
         inst = gen_upper_triangular(9, 2, 1.5, np.random.default_rng(seed))
         assert inst == _triangle(np.random.default_rng(seed).permutation(9), 2, 3)
-        assert inst.seed is None and "seed" not in json.loads(inst.to_json())
-        assert inst.groups == gen_upper_triangular(9, 2, 1.5, seed).groups
+        assert inst == gen_upper_triangular(9, 2, 1.5, seed)
 
     def test_full_size_spellings_and_json_agree(self):
         # the generator's groups are canonical and kept as given; the same groups spelled as lists
         # take the per-group rule at full size and must build the same instance, as must its JSON round trip
         inst = gen_upper_triangular(500, 200, 2.0, 7919)
-        assert Instance(inst.demands, [(c, list(e)) for c, e in inst.groups], seed=inst.seed) == inst
+        assert Instance(inst.demands, [(c, list(e)) for c, e in inst.groups]) == inst
         assert Instance.from_json(inst.to_json()) == inst
+
+    def test_a_gen_file_with_its_seed_loads_to_the_generators_instance(self):
+        # `yieldopt gen --kind triangular` writes the seed it drew from; reading ignores it
+        text = (
+            '{"demands": [3, 3, 3, 3], "groups": [{"count": 6, "eligible": [0, 1, 2, 3]}, '
+            '{"count": 6, "eligible": [1, 2, 3]}, {"count": 6, "eligible": [1, 3]}, '
+            '{"count": 6, "eligible": [3]}], "seed": 7}'
+        )
+        inst = Instance.from_json(text)
+        assert inst == gen_upper_triangular(4, 3, 2.0, 7)
+        assert json.loads(inst.to_json()) == {k: v for k, v in json.loads(text).items() if k != "seed"}
 
 
 class TestInstanceValidation:
