@@ -8,7 +8,8 @@ the query.  This module computes those thresholds:
 * closed form for binary distributions,
 * the adversarial impression profile ``beta*`` and the resulting
   objective, both at finite quantile resolution ``t`` (``lb_discrete``)
-  and in its exact large-``t`` closed form (``ub_continuous``),
+  and in its exact large-``t`` closed form (``ub_continuous``); slice ``j``
+  of ``t`` is count ``j - 1`` at demand ``t``, in ``serve_query``'s segment,
 * the exact maximizer of that objective for any support size, a
   water-filling closed form that generalizes the binary one, plus an
   exact grid oracle, a backward recursion over grid thresholds, used to
@@ -22,12 +23,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 from numpy.typing import ArrayLike
 
-from .dist import RewardDistribution, _distribution, _lowered, cond_mean_below, validate
+from .dist import RewardDistribution, _distribution, _lowered, validate
 from .errors import _BOOLS, DomainError, InfeasibleDecay, _binary, _check_thresholds, _demand, _penalty
 from .errors import _positive, _real, _supply, _typed
 
@@ -114,39 +115,32 @@ def _checked(dist: RewardDistribution, f: float, c: float, N: float = 1.0) -> tu
     return validate(dist, c), f, c, N
 
 
-def segment_bounds(policy: ThresholdPolicy, t: int) -> List[int]:
-    """Integer slice boundaries ``b_0 = 0 <= b_1 <= ... <= b_d = t`` of the policy.
-
-    Slice index ``j`` (1-based) belongs to segment ``u`` when
-    ``b_{u-1} < j <= b_u``; empty segments are allowed after rounding.
-    Raises ``DomainError`` unless ``t`` is an integer >= 1.
-    """
+def _slice_segments(policy: ThresholdPolicy, t: int) -> np.ndarray:
+    # 0-based segment of each 1/t slice j: serve_query's for count j - 1 at
+    # demand t, the first u with j - 1 <= cut_u.  Checks t.
     _typed(policy, ThresholdPolicy)
     t = _positive(t, "t")
-    bounds = [0]
-    for s in policy.thresholds:
-        b = int(math.floor(s * t + 0.5))
-        bounds.append(min(t, max(bounds[-1], b)))
-    bounds[-1] = t
-    return bounds
+    return np.searchsorted(policy.cutoffs(t), np.arange(t))
 
 
 def index_weights(policy: ThresholdPolicy, t: int) -> np.ndarray:
     """Per-slice LP weights ``w_j = 1/q_{d+1-u(j)}`` of the policy as a length-t array.
 
-    Raises ``DomainError`` unless ``t`` is an integer >= 1.
+    ``u(j)`` is the segment ``serve_query`` applies to count ``j - 1`` at
+    demand ``t``.  Raises ``DomainError`` unless ``t`` is an integer >= 1.
     """
-    lengths = np.diff(segment_bounds(policy, t))  # checks t
-    return np.repeat(1.0 / np.asarray(policy.dist.cum_mass[::-1]), lengths)
+    segments = _slice_segments(policy, t)
+    return 1.0 / np.asarray(policy.dist.cum_mass[::-1])[segments]
 
 
 def beta_closed_form(policy: ThresholdPolicy, f: float, N: float, t: int) -> np.ndarray:
     """Piecewise-geometric optimal LP solution, the adversary's profile ``beta``.
 
     ``beta[j-1]`` is the expected number of impressions allocated while the
-    recipient's satisfaction ratio lay in the 1/t slice ``j``.  Within
-    segment ``u`` the profile decays by ``1 - (1/q_{d+1-u})/(t*f)`` per
-    slice, chained across segments, starting from ``beta_1 = N/t``.
+    recipient had ``j - 1`` of ``t`` delivered, the 1/t slice ``j``.  Within
+    its segment ``u`` (:func:`index_weights`) the profile decays by
+    ``1 - (1/q_{d+1-u})/(t*f)`` per slice, chained across segments,
+    starting from ``beta_1 = N/t``.
     """
     t = _positive(t, "t")
     f, N = _supply(f), _demand(N)
@@ -164,19 +158,17 @@ def lb_discrete(policy: ThresholdPolicy, f: float, c: float, N: float, t: int) -
     """Objective of the serving policy against the worst case, at resolution t.
 
     ``-cN + sum_u fN (q_u - q_{u-1}) r_u
-    + sum_u sum_{j in segment u} beta*_j (c - E[r | r <= r_{d+1-u}])``
-    in the units of the policy's distribution, whose top reward is at most ``c``.
+    + sum_j beta*_j (c - E[r | r <= r_{d+1-u(j)}])``
+    in the units of the policy's distribution, whose top reward is at most
+    ``c``, with slice ``j`` and segment ``u(j)`` as in :func:`index_weights`.
+    From ``ub_continuous``'s terms, ``c - E[r | r <= r_k] = sum_{i<=k} m_i (c - r_i) / q_k``.
     """
     _typed(policy, ThresholdPolicy)
     dist, f, c, N = _checked(policy.dist, f, c, N)
     beta = beta_closed_form(policy, f, N, t)  # checks t
-    d = dist.d
-    lengths = np.diff(segment_bounds(policy, len(beta)))
-    coefs = np.array([c - cond_mean_below(dist, d + 1 - u) for u in range(1, d + 1)])
-    per_index = np.repeat(coefs, lengths)
-    masses = np.asarray(dist.point_masses())
-    base = -c * N + f * N * float(masses @ np.asarray(dist.support))
-    return float(base + beta @ per_index)
+    mean, a, inv_q = _ub_terms(dist.support, dist.cum_mass, c)
+    coefs = np.cumsum(a[::-1])[::-1] * inv_q
+    return float(-c * N + f * N * mean + beta @ coefs[_slice_segments(policy, len(beta))])
 
 
 # ---------------------------------------------------------------------------

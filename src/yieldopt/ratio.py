@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Tuple
 
 from .dist import RewardDistribution
@@ -109,31 +110,31 @@ def worst_case_distribution(mu: float, c: float, f: float) -> WorstCaseSpec:
     """Reward-minimizing distributions among all with mean mu.
 
     Candidates: (i) the point mass at mu; (ii) zero with probability 1/f
-    and ``f mu/(f-1)`` otherwise, valid while that top value stays within
-    the penalty; (iii) ``f mu - (f-1) c`` with probability 1/f and the
-    penalty c otherwise, valid while that low value is non-negative.  The
-    two binary candidates are mutually exclusive except at the boundary
-    where they coincide.
+    and ``top = f mu/(f-1)`` otherwise, valid while ``top <= c``; (iii)
+    ``low = f mu - (f-1) c`` with probability 1/f and the penalty c
+    otherwise (the point mass at c when ``low = c``), valid while
+    ``low >= 0``.  Both tests are exact on the checked floats, and each
+    support value is the float nearest its exact value.  The two binary
+    candidates coincide at ``mu = c (f-1)/f`` and exclude each other elsewhere.
     """
     c = _penalty(c)
     mu = _real(mu, "mu", math.ulp(0.0), c, "in (0, c]")
     f = _real(f, "supply factor", math.nextafter(1.0, math.inf), domain="finite and > 1")
-    tol = 1e-12
     candidates = []
 
     def evaluate(label: str, dist: RewardDistribution) -> None:
         candidates.append((label, dist, competitive_ratio(dist, c, f)))
 
     evaluate("point", RewardDistribution.point_mass(mu))
-    top = f / (f - 1.0) * mu
-    if top <= c + tol:
-        evaluate("zero-low", RewardDistribution((0.0, min(top, c)), (1.0 / f, 1.0)))
-    low = f * mu - (f - 1.0) * c
-    if low >= -tol:
-        low = max(low, 0.0)
-        if abs(low - c) <= tol:
+    mu_q, c_q, f_q = Fraction(mu), Fraction(c), Fraction(f)
+    top = f_q * mu_q / (f_q - 1)
+    if top <= c_q:
+        evaluate("zero-low", RewardDistribution((0.0, float(top)), (1.0 / f, 1.0)))
+    low = f_q * mu_q - (f_q - 1) * c_q
+    if low >= 0:
+        if low == c_q:
             dist = RewardDistribution.point_mass(c)
         else:
-            dist = RewardDistribution((low, c), (1.0 / f, 1.0))
+            dist = RewardDistribution((float(low), c), (1.0 / f, 1.0))
         evaluate("penalty-high", dist)
     return WorstCaseSpec(mean=mu, penalty=c, supply=f, candidates=tuple(candidates))

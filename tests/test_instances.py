@@ -47,7 +47,6 @@ from yieldopt.policy import (
     make_policy,
     optimize_thresholds_exact,
     optimize_thresholds_grid,
-    segment_bounds,
     ub_continuous,
 )
 from yieldopt.ratio import binary_alg_bound, competitive_ratio, worst_case_distribution
@@ -106,7 +105,6 @@ RULES = {
     ("cond_mean_below", "u"): lambda u: cond_mean_below(BINARY, u),
     ("run_rewards", "rewards"): lambda x: run_rewards(TINY, POLICY, 1.0, x),
     ("RealizedInstance", "rewards"): lambda x: RealizedInstance(TINY, x),
-    ("segment_bounds", "t"): lambda t: segment_bounds(POLICY, t),
     ("index_weights", "t"): lambda t: index_weights(POLICY, t),
     ("AllocationState", "demand"): lambda n: serve_query(AllocationState.fresh((n, 2)), POLICY, [0, 1], 0.0),
     ("AllocationState", "delivered"): lambda k: serve_query(AllocationState((2,), [k]), POLICY, [0], 0.0),
@@ -442,7 +440,6 @@ TYPED = {
     ("exhaustive_values", "instance"): (TINY, lambda x: exhaustive_values(x, BINARY, 1.0, POLICY)),
     ("exhaustive_values", "policy"): (POLICY, lambda p: exhaustive_values(TINY, BINARY, 1.0, p)),
     ("perturbed_greedy", "instance"): (TINY, lambda x: perturbed_greedy(x, 2.0, 1)),
-    ("segment_bounds", "policy"): (POLICY, lambda p: segment_bounds(p, 10)),
     ("index_weights", "policy"): (POLICY, lambda p: index_weights(p, 10)),
     ("beta_closed_form", "policy"): (POLICY, lambda p: beta_closed_form(p, 2.0, 1.0, 100)),
     ("lb_discrete", "policy"): (POLICY, lambda p: lb_discrete(p, 2.0, 1.0, 1.0, 100)),

@@ -5,11 +5,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from yieldopt.dist import RewardDistribution, cond_mean_below, normalize, sample_array, top_quantile_mean, validate
-from yieldopt.engine import run_instance
+from yieldopt.engine import AllocationState, run_instance, serve_query
 from yieldopt.errors import DomainError, InfeasibleDecay, MalformedDistribution
 from yieldopt.instances import Instance
 from yieldopt.oracle import (
@@ -31,7 +31,6 @@ from yieldopt.policy import (
     make_policy,
     optimize_thresholds_exact,
     optimize_thresholds_grid,
-    segment_bounds,
     ub_continuous,
 )
 from yieldopt.ratio import competitive_ratio
@@ -164,7 +163,44 @@ class TestBetaClosedForm:
         assert np.all(np.diff(beta) <= 1e-15)
 
 
+def _served_segment(policy, t, k):
+    """0-based segment whose reserve serve_query applies to count k at demand t."""
+    reserve = serve_query(AllocationState((t,), [k]), policy, (0,), 0.0).reserve
+    return policy.reserves.index(reserve)
+
+
+@st.composite
+def sliced_policies(draw):
+    """A policy of 2 to 4 atoms and a resolution t, thresholds often on or near a multiple of 1/t."""
+    d = draw(st.integers(2, 4))
+    t = draw(st.integers(1, 300))
+    steps = draw(st.lists(st.floats(0.01, 1.0), min_size=d - 1, max_size=d - 1))
+    support = tuple(float(v) for v in np.cumsum([0.0] + steps))
+    masses = draw(st.lists(st.floats(0.05, 1.0), min_size=d, max_size=d))
+    cum = tuple(np.cumsum(masses)[:-1] / sum(masses)) + (1.0,)
+    near = st.tuples(st.integers(0, t), st.sampled_from((-0.5, -1e-9, 0.0, 1e-9, 0.5)))
+    share = st.floats(0.0, 1.0) | near.map(lambda kx: min(1.0, max(0.0, (kx[0] + kx[1]) / t)))
+    ts = sorted(draw(st.lists(share, min_size=d - 1, max_size=d - 1)))
+    return ThresholdPolicy((*ts, 1.0), RewardDistribution(support, cum)), t
+
+
 class TestLbDiscrete:
+    @settings(max_examples=200, deadline=None)
+    @given(problem=shifted_problems(), data=st.data())
+    def test_matches_the_conditional_mean_form(self, problem, data):
+        # -cN + fN mean + sum_j beta_j (c - E[r | r <= r_{d+1-u_j}]), u_j the segment serve_query gives count j - 1
+        dist, f, c, N = problem
+        ts = sorted(data.draw(st.lists(st.floats(0.0, 1.0), min_size=dist.d - 1, max_size=dist.d - 1)))
+        policy = ThresholdPolicy((*ts, 1.0), dist)
+        t = data.draw(st.integers(1, 400))
+        try:
+            beta = beta_closed_form(policy, f, N, t)
+        except InfeasibleDecay:
+            assume(False)
+        coefs = [c - cond_mean_below(dist, dist.d - _served_segment(policy, t, k)) for k in range(t)]
+        reference = -c * N + f * N * dist.mean() + float(beta @ np.array(coefs))
+        assert abs(lb_discrete(policy, f, c, N, t) - reference) <= 1e-12 * c * f * N
+
     def test_canonical_binary(self):
         policy = ThresholdPolicy((S_STAR, 1.0), BINARY)
         value = lb_discrete(policy, 2.0, 1.0, 1.0, 10**5)
@@ -521,9 +557,10 @@ class TestThresholdPolicyType:
         assert a == b and hash(a) == hash(b)
         assert repr(a) == repr(b) and "reserves" not in repr(a)
 
-    def test_segment_bounds_pin_last(self):
-        assert segment_bounds(ThresholdPolicy((0.305, 1.0), BINARY), 10) == [0, 3, 10]
-        assert segment_bounds(ThresholdPolicy((0.0, 1.0), BINARY), 7) == [0, 0, 7]
+    def test_index_weights_pins(self):
+        # count 3 of 10 has SR 0.3 < 0.305, so slice 4 is in segment 1 though 0.305 * 10 rounds to 3
+        assert index_weights(ThresholdPolicy((0.305, 1.0), BINARY), 10).tolist() == [1.0] * 4 + [2.0] * 6
+        assert index_weights(ThresholdPolicy((0.0, 1.0), BINARY), 7).tolist() == [2.0] * 7
 
     def test_index_weights_repeat_segments(self):
         w = index_weights(ThresholdPolicy((0.3, 1.0), BINARY), 10)
@@ -538,8 +575,21 @@ class TestThresholdPolicyType:
             index_weights(ThresholdPolicy(thresholds, BINARY), 10)
         with pytest.raises(DomainError, match="expected a ThresholdPolicy, got tuple"):
             index_weights(thresholds, 10)
-        with pytest.raises(DomainError, match="expected a ThresholdPolicy, got tuple"):
-            segment_bounds(thresholds, 10)
+
+
+class TestSlicesFollowServeQuery:
+    """Slice j of the finite-t LP is count j - 1 at demand t, in the segment serve_query applies to it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(case=sliced_policies())
+    @example(case=(ThresholdPolicy((0.305, 1.0), BINARY), 10))
+    def test_index_weights_take_the_served_reserve(self, case):
+        policy, t = case
+        w = index_weights(policy, t)
+        cum = policy.dist.cum_mass
+        for j in range(1, t + 1):
+            reserve = serve_query(AllocationState((t,), [j - 1]), policy, (0,), 0.0).reserve
+            assert w[j - 1] == 1.0 / cum[policy.dist.support.index(reserve)]
 
 
 class TestMakePolicy:

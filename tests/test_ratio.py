@@ -225,6 +225,20 @@ class TestWorstCase:
         assert by_label["zero-low"].support == pytest.approx((0.0, 1.0))
         assert by_label["penalty-high"].support == pytest.approx((0.0, 1.0))
 
+    def test_penalty_high_needs_an_exact_low_at_or_above_zero(self):
+        # f mu - (f - 1) c is below 0 in exact arithmetic, though within 1e-12 of it in floats
+        spec = worst_case_distribution(0.3, 1.0, 1 / 0.7)
+        assert {label for label, _, _ in spec.candidates} == {"point", "zero-low"}
+        for _, d, _ in spec.candidates:
+            assert d.mean() == pytest.approx(0.3, abs=1e-12)
+
+    def test_zero_low_needs_an_exact_top_at_or_below_the_penalty(self):
+        # f mu / (f - 1) is above c in exact arithmetic, though within 1e-12 of it in floats
+        spec = worst_case_distribution(0.2, 1.0, 1.25)
+        assert {label for label, _, _ in spec.candidates} == {"point", "penalty-high"}
+        for _, d, _ in spec.candidates:
+            assert d.mean() == pytest.approx(0.2, abs=1e-12)
+
     def test_mu_equal_penalty_degenerates(self):
         spec = worst_case_distribution(1.0, 1.0, 2.0)
         for _, d, _ in spec.candidates:
