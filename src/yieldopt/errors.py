@@ -30,19 +30,22 @@ with the float returned, so an int, a ``Fraction``, a ``Decimal`` or a numpy
 number computes as the float it converts to; ``_check_rewards``: ``_reals``
 with one reward per query; ``_check_thresholds``: ``d`` thresholds,
 ``_reals``, non-decreasing in [0, 1] with the last exactly 1 (``ThresholdPolicy``,
-``ub_continuous``); ``_check_weights``: ``m`` matching weights,
-``_reals``, each >= 0 and not all 0, or ones for ``None``; ``_rng``: a
-random stream, a ``numpy.random.Generator`` as given or a seed, ``_positive``
-with ``least=0``, for ``numpy.random.default_rng``; ``_typed``: the type
-rule, an instance of a given class.  A domain object (``Instance``,
-``RealizedInstance``, ``ThresholdPolicy``, ``AllocationState``) is checked
-when it is built, so a public function taking one checks its type alone,
-raising ``DomainError``; a distribution's type rule is
-``dist._distribution``, the same rule raising ``MalformedDistribution``.
-``serve_query`` checks only its reward and ids: it runs once per query.
+``ub_continuous``); ``_check_weights``: one matching weight per
+advertiser, ``_reals``, each >= 0 and not all 0, with ``sum_a w_a *
+copies_a`` finite for the given copy counts, or ones for ``None``;
+``_rng``: a random stream, a ``numpy.random.Generator`` as given or a seed,
+``_positive`` with ``least=0``, for ``numpy.random.default_rng``;
+``_typed``: the type rule, an instance of a given class.  A domain object
+(``Instance``, ``RealizedInstance``, ``ThresholdPolicy``,
+``AllocationState``) is checked when it is built, so a public function
+taking one checks its type alone, raising ``DomainError``; a distribution's
+type rule is ``dist._distribution``, the same rule raising
+``MalformedDistribution``.  ``serve_query`` checks only its reward and ids:
+it runs once per query.
 """
 
 import math
+import operator
 import reprlib
 from functools import partial
 
@@ -215,17 +218,26 @@ def _check_thresholds(values, d: int) -> tuple:
     return thresholds
 
 
-def _check_weights(m: int, weights) -> np.ndarray:
-    """Per-advertiser weights: ones by default, else finite, non-negative, not all zero."""
+def _check_weights(weights, copies) -> np.ndarray:
+    """Per-advertiser weights, one per entry of ``copies``: ones by default, else finite and >= 0.
+
+    Advertiser ``a`` has ``copies[a]`` unit copies, so ``sum_a w_a *
+    copies[a]`` bounds every matched weight; it must be finite and > 0.
+    """
     if weights is None:
-        return np.ones(m)
+        return np.ones(len(copies))
     w = _reals(weights, "weights")
-    if len(w) != m:
-        raise DomainError(f"expected {m} weights, got {len(w)}")
+    if len(w) != len(copies):
+        raise DomainError(f"expected {len(copies)} weights, got {len(w)}")
     if (w < 0).any():
         raise DomainError(f"weights must be non-negative, got {w.tolist()}")
-    if w.sum() == 0:
+    if not w.any():
         raise DomainError("weights sum to 0, so the offline optimum is 0")
+    try:
+        bound = math.fsum(map(operator.mul, w.tolist(), copies))
+    except OverflowError:  # a product or a partial sum beyond float range
+        bound = math.inf
+    _real(bound, "the matched weight bound sum_a w_a * copies_a")
     return w
 
 

@@ -12,12 +12,14 @@ advertiser's demand ``n_a`` is ``n_a`` unit copies.  Two paths compute the
 same trials.  :func:`perturbed_greedy` serves any ``Instance`` one trial at
 a time: the plain reference, fed the triangular family by
 :func:`~yieldopt.instances.gen_upper_triangular` from the same generator.
-:func:`trial_weights` serves every trial of a call on that family at once
-on a ``(trials x copies)`` score matrix.  It draws each trial's permutation
-and uniforms from the same stream in the same order, applies the same
-elementwise float operations, picks by the same first-maximum rule and
-adds the picked weights in the same order, so its weights equal the
-reference's bit for bit.
+:func:`trial_weights` serves that family alone, one trial at a time in one
+pass.  Its eligible sets are nested (group ``g`` is eligible to the
+advertisers with ``pi(a) >= g``), so the reference's picks are the copies
+in score order, ties by copy id, less those whose advertiser left before
+the group being filled.  It draws each trial's permutation and uniforms
+from the same stream in the same order, applies the same elementwise
+float operations and adds the picked weights in the same order, so its
+weights equal the reference's bit for bit, at O(m n log(m n)) per trial.
 """
 
 from __future__ import annotations
@@ -29,10 +31,6 @@ import numpy as np
 
 from .errors import _check_weights, _positive, _rng, _supply, _typed
 from .instances import Instance, _query_count
-
-# Copies per working array in one block of trials; bounds trial_weights'
-# memory independently of the trial count.
-_BLOCK_ELEMENTS = 1 << 18
 
 
 def perturbed_greedy(
@@ -54,7 +52,7 @@ def perturbed_greedy(
     """
     _typed(instance, Instance)
     f = _supply(f)
-    w = _check_weights(instance.m, weights)
+    w = _check_weights(weights, instance.demands)
     rng = _rng(seed)
     owner = np.repeat(np.arange(instance.m), instance.demands)  # [copy]: its advertiser
     copy_w = w[owner]
@@ -73,34 +71,6 @@ def perturbed_greedy(
     return matched
 
 
-def _greedy_block(
-    copy_w: np.ndarray, m: int, n: int, f: float, size: int, seed: int, trials: range
-) -> np.ndarray:
-    """Matched weight of each trial in ``trials``, served side by side; groups hold ``size`` queries."""
-    rows = np.arange(len(trials))
-    leaving = np.empty((len(trials), m), dtype=np.intp)  # [t, i]: original of rank i
-    x = np.empty((len(trials), m * n))
-    for r, trial in enumerate(trials):
-        rng = np.random.default_rng([seed, trial])
-        leaving[r] = np.argsort(rng.permutation(m))
-        rng.random(out=x[r])
-    score = copy_w * (1.0 - np.exp(-(1.0 - x) / f))
-    offsets = np.arange(n)
-    matched = np.zeros(len(trials))
-    for i in range(m):
-        if i:
-            # group i is eligible to the ranks >= i: retire rank i - 1's copies
-            score[rows[:, None], leaving[:, i - 1, None] * n + offsets] = -np.inf
-        for _ in range(size):
-            pick = score.argmax(axis=1)  # first maximum = smallest copy id
-            live = score[rows, pick] > -np.inf
-            if not live.any():
-                return matched  # every row is all -inf, now and in later groups
-            matched += np.where(live, copy_w[pick], 0.0)
-            score[rows, pick] = -np.inf
-    return matched
-
-
 def trial_weights(
     m: int,
     n: int,
@@ -115,22 +85,33 @@ def trial_weights(
     ``[seed, t]``, so ``seed`` is an integer.  Its weight equals
     :func:`perturbed_greedy` on the :func:`~yieldopt.instances.gen_upper_triangular`
     instance drawn from that generator, bit for bit.  ``f`` is finite and
-    >= 1, with ``f * n`` an integer.  All trials of a block are served
-    together: group by group in arrival order, the copies whose rank has
-    left the group's eligible suffix are masked to ``-inf``, then ``f * n``
-    row-wise ``argmax`` steps each match one copy per row and add its
-    weight.  A row stops when its maximum is ``-inf``.  Blocks hold about
-    ``_BLOCK_ELEMENTS`` copies, so memory does not grow with ``trials``.
+    >= 1, with ``f * n`` an integer.  Each trial draws ``pi =
+    permutation(m)`` and one uniform per copy, scores the copies as the
+    reference does, and takes them in one pass in score order, ties by
+    copy id: group ``g`` is eligible to the advertisers with ``pi(a) >= g``,
+    so a copy skipped at ``g`` is ineligible to every later group, and the
+    next copy accepted is the reference's next pick.  The group advances
+    after ``f * n`` acceptances, and past the last group no copy is
+    eligible.  O(m n log(m n)) per trial.
     """
     f = _supply(f)
     m, n, size = _query_count(m, n, f, per_group=True)
     trials, seed = _positive(trials, "trials"), _positive(seed, "seed", least=0)
-    copy_w = np.repeat(_check_weights(m, weights), n)
-    block = max(1, _BLOCK_ELEMENTS // (m * n))
+    copy_w = np.repeat(_check_weights(weights, (n,) * m), n)
     out = np.empty(trials)
-    for start in range(0, trials, block):
-        stop = min(start + block, trials)
-        out[start:stop] = _greedy_block(copy_w, m, n, f, size, seed, range(start, stop))
+    for t in range(trials):
+        rng = np.random.default_rng([seed, t])
+        leaves = rng.permutation(m)  # [a]: the last group eligible to advertiser a
+        score = copy_w * (1.0 - np.exp(-(1.0 - rng.random(m * n)) / f))
+        order = np.argsort(-score, kind="stable")
+        matched, group, taken = 0.0, 0, 0
+        for last, w in zip(leaves[order // n].tolist(), copy_w[order].tolist()):
+            if last >= group:
+                matched += w
+                taken += 1
+                if taken == size:
+                    group, taken = group + 1, 0
+        out[t] = matched
     return out
 
 
@@ -148,7 +129,7 @@ def empirical_ratio(
     ``OPT = sum_a c_a n_a``.  Trials come from :func:`trial_weights`.
     """
     matched = trial_weights(m, n, f, trials, seed, weights)  # validates every argument
-    ratios = matched / (float(_check_weights(int(m), weights).sum()) * n)
+    ratios = matched / (float(_check_weights(weights, (int(n),) * int(m)).sum()) * n)
     mean = float(ratios.mean())
     stderr = float(ratios.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return mean, stderr

@@ -426,6 +426,15 @@ class TestOtherCommands:
         assert code == 2 and out == ""
         assert json.loads(err)["error"] == "DomainError"
 
+    def test_matching_rejects_an_overflowing_weight_bound(self, capsys):
+        # each weight is finite, their sum is not: the run printed "inf,nan"
+        code, out, err = run_cli(
+            capsys, "matching", "--m", "2", "--n", "1", "--supply", "1", "--trials", "2",
+            "--seed", "0", "--weights", "[1e308, 1e308]",
+        )
+        assert code == 2 and out == ""
+        assert json.loads(err)["error"] == "DomainError"
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from yieldopt import matching
 from yieldopt.errors import DomainError, NonIntegralGroupSize
 from yieldopt.instances import Instance, gen_upper_triangular
 from yieldopt.matching import empirical_ratio, guarantee, perturbed_greedy, trial_weights
@@ -72,7 +71,7 @@ class TestPerturbedGreedy:
             rng2 = np.random.default_rng(seed)
             inst2 = gen_upper_triangular(10, 2, 2, rng2)
             ranks = rng2.random(inst2.total_demand)
-            assert weight == pytest.approx(ranking_match(inst2, ranks))
+            assert weight == ranking_match(inst2, ranks)
 
     def test_single_advertiser_single_query(self):
         assert perturbed_greedy(Instance((1,), ((1, (0,)),)), 1, 0, [2.5]) == pytest.approx(2.5)
@@ -223,13 +222,19 @@ class TestTrialWeights:
         with pytest.raises(NonIntegralGroupSize, match="f\\*n = 4.5"):
             call(4, 3, 1.5, 5, 1)
 
-    def test_blocks_do_not_change_weights(self, monkeypatch):
-        # 7 x 3 = 21 copies per trial, 50 copies per block: 2 trials per block, 9 blocks
-        weights = [0.0, 1.0, 1.0, 2.5, 0.0, 1.0, 3.0]
-        monkeypatch.setattr(matching, "_BLOCK_ELEMENTS", 50)
-        assert_same_bits(
-            trial_weights(7, 3, 2, 17, 4, weights), reference_weights(7, 3, 2, 17, 4, weights)
-        )
+    @pytest.mark.parametrize("m, n, f", [(50, 20, 2), (200, 5, 3)])
+    @pytest.mark.parametrize("kind", ["zero", "tied"])
+    def test_larger_shapes_equal_reference(self, m, n, f, kind):
+        # beyond the strategy's sizes: zero weights, and subnormal weights whose scores tie
+        scale = 1.0 if kind == "zero" else 5e-324
+        weights = [scale * (a % 3 if kind == "zero" else 1 + a % 3) for a in range(m)]
+        assert_same_bits(trial_weights(m, n, f, 3, 7, weights), reference_weights(m, n, f, 3, 7, weights))
+
+    def test_groups_that_cannot_fill(self):
+        # 3 copies against groups of 4 queries: the first group takes every copy
+        weights = trial_weights(3, 1, 4, 5, 2)
+        assert_same_bits(weights, reference_weights(3, 1, 4, 5, 2))
+        assert weights.tolist() == [3.0] * 5
 
 
 BAD_WEIGHTS = {
@@ -250,6 +255,20 @@ class TestInputValidation:
             trial_weights(3, 1, 2, 5, 1, weights)
         with pytest.raises(DomainError):
             empirical_ratio(3, 1, 2, 5, 1, weights)
+
+    def test_overflowing_weight_bound(self):
+        # every weight is finite, but sum_a w_a * copies_a is not: a matched weight could read inf
+        with pytest.raises(DomainError, match="matched weight bound"):
+            perturbed_greedy(Instance((3,), ((3, (0,)),)), 1, 0, [1e308])
+        with pytest.raises(DomainError, match="matched weight bound"):
+            perturbed_greedy(Instance((1, 10**400), ((1, (0,)),)), 1, 0, [1.0, 1e-300])
+        for call in (trial_weights, empirical_ratio):
+            with pytest.raises(DomainError, match="matched weight bound"):
+                call(2, 1, 1, 2, 0, [1e308, 1e308])
+            with pytest.raises(DomainError, match="matched weight bound"):
+                call(1, 2, 1, 2, 0, [1e308])
+        # one copy of the largest float is a finite bound
+        assert trial_weights(1, 1, 1, 2, 0, [1.7976931348623157e308]).tolist() == [1.7976931348623157e308] * 2
 
     @pytest.mark.parametrize(
         "m, n, f",
