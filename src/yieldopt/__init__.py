@@ -3,7 +3,7 @@
 Library layout:
 
 * :mod:`yieldopt.dist`: discrete exchange reward distributions
-* :mod:`yieldopt.policy`: threshold computation (closed forms, objectives, grid oracle)
+* :mod:`yieldopt.policy`: threshold computation (closed forms, objectives, the exact solver)
 * :mod:`yieldopt.engine`: the online serving engine
 * :mod:`yieldopt.instances`: instance model, adversarial generator, supply factor
 * :mod:`yieldopt.oracle`: offline/online ground-truth computations
@@ -15,7 +15,6 @@ Library layout:
 
 from .dist import (
     RewardDistribution,
-    cond_mean_below,
     normalize,
     sample_array,
     top_quantile_mean,
@@ -58,7 +57,6 @@ from .policy import (
     lb_discrete,
     make_policy,
     optimize_thresholds_exact,
-    optimize_thresholds_grid,
     ub_continuous,
 )
 from .ratio import (

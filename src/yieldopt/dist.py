@@ -19,8 +19,8 @@ from typing import Sequence, Tuple, Union
 
 import numpy as np
 
-from .errors import DomainError, MalformedDistribution, RewardExceedsPenalty
-from .errors import _binary, _demand, _integer, _penalty, _positive, _real, _reals, _rng, _supply, _typed
+from .errors import MalformedDistribution, RewardExceedsPenalty
+from .errors import _binary, _demand, _penalty, _positive, _real, _reals, _rng, _supply, _typed
 
 # Construction-time renormalization window for the final cumulative mass.
 _MASS_TOL = 1e-12
@@ -173,17 +173,6 @@ def normalize(
     if support is not dist.support:
         dist = RewardDistribution(support, dist.cum_mass)
     return dist, lowered, offset
-
-
-def cond_mean_below(dist: RewardDistribution, u: int) -> float:
-    """Mean reward conditioned on the reward being at most ``r_u`` (1-based u)."""
-    _distribution(dist)
-    u = _integer(u, "index u")
-    if not 1 <= u <= dist.d:
-        raise DomainError(f"index u={u} out of range 1..{dist.d}")
-    masses = dist.point_masses()
-    acc = sum(masses[i] * dist.support[i] for i in range(u))
-    return float(acc / dist.cum_mass[u - 1])
 
 
 def top_quantile_mean(dist: RewardDistribution, p: float) -> float:

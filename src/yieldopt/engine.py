@@ -203,7 +203,7 @@ def serve_query(
 def finalize(state: AllocationState, penalty: float) -> RunReport:
     """Reward = exchange revenue - penalty * undelivered, in the rewards' units.
 
-    Raises ``DomainError`` on a non-finite penalty.
+    Raises ``DomainError`` on a non-finite penalty or reward.
     """
     _typed(state, AllocationState)
     penalty = _penalty(penalty)
@@ -221,9 +221,15 @@ def _report(
     offset: float,
 ) -> RunReport:
     undelivered = sum(n - k for n, k in zip(demands, delivered))
-    penalty_paid = penalty * undelivered
+    try:
+        penalty_paid = penalty * undelivered
+    except OverflowError:  # an undelivered count no float holds
+        penalty_paid = math.inf
+    reward = revenue - penalty_paid + offset
+    if not math.isfinite(reward):  # nor then is the revenue or the penalty paid
+        raise DomainError(f"reward must be finite, got revenue {revenue} - penalty {penalty_paid} + offset {offset}")
     return RunReport(
-        reward=revenue - penalty_paid + offset,
+        reward=reward,
         exchange_revenue=revenue,
         penalty_paid=penalty_paid,
         offset=offset,
@@ -337,7 +343,7 @@ def run_rewards(
     last bits.  ``offset`` is added to the reward as given; rewards in the
     distribution's own units need none.  Raises ``DomainError`` unless
     ``rewards`` holds one finite real number per query, and on a non-finite
-    penalty or offset.
+    penalty, offset or reward.
     """
     _typed(instance, Instance)
     _typed(policy, ThresholdPolicy)
@@ -394,7 +400,8 @@ def run_rewards(
         # past the last key every eligible advertiser is saturated: the rest stays sold
         if taken:
             k[e] = _fill_equal(ke, ks, sk, taken, steps) if equal else _fill(ke, n[e], taken, scale)
-    revenue = float((rewards * sold).sum())
+    with np.errstate(over="ignore"):  # a sum past float range is refused by _report
+        revenue = float((rewards * sold).sum())
     return _report(demands, tuple(k.tolist()), revenue, len(rewards), penalty, offset)
 
 

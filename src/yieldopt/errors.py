@@ -33,6 +33,8 @@ with one reward per query; ``_check_thresholds``: ``d`` thresholds,
 ``ub_continuous``); ``_check_weights``: one matching weight per
 advertiser, ``_reals``, each >= 0 and not all 0, with ``sum_a w_a *
 copies_a`` finite for the given copy counts, or ones for ``None``;
+``_finite_sum``: the correctly rounded sum of finite terms, itself finite
+(matching weight bounds, offline optima, exact expectations);
 ``_rng``: a random stream, a ``numpy.random.Generator`` as given or a seed,
 ``_positive`` with ``least=0``, for ``numpy.random.default_rng``;
 ``_typed``: the type rule, an instance of a given class.  A domain object
@@ -233,12 +235,17 @@ def _check_weights(weights, copies) -> np.ndarray:
         raise DomainError(f"weights must be non-negative, got {w.tolist()}")
     if not w.any():
         raise DomainError("weights sum to 0, so the offline optimum is 0")
-    try:
-        bound = math.fsum(map(operator.mul, w.tolist(), copies))
-    except OverflowError:  # a product or a partial sum beyond float range
-        bound = math.inf
-    _real(bound, "the matched weight bound sum_a w_a * copies_a")
+    _finite_sum(map(operator.mul, w.tolist(), copies), "the matched weight bound sum_a w_a * copies_a")
     return w
+
+
+def _finite_sum(terms, what: str) -> float:
+    """``math.fsum`` of ``terms``, checked finite as ``what``; computing a term must raise nothing else."""
+    try:
+        total = math.fsum(terms)
+    except (OverflowError, ValueError):  # a product, an int or a partial sum past float range; inf - inf
+        total = math.inf
+    return _real(total, what)
 
 
 def _typed(value, cls: type, error: type = DomainError) -> None:

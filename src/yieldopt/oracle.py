@@ -2,28 +2,30 @@
 
 Everything here exists to check the serving engine and the threshold
 formulas from a different direction: the closed-form offline optimum, an
-exact per-realization offline solver, an exact optimal-online value by
-backward induction under one counted-work limit, and the forward
-recurrence that solves the adversary's LP without a general solver.
+exact per-realization offline solver, exact expectations under one
+counted-work limit (the optimal online policy's and the threshold rule's
+by backward induction, the offline optimum's by reward multiset), and the
+forward recurrence that solves the adversary's LP without a general solver.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
-from typing import Dict, Sequence, Tuple, Union
+from typing import Dict, Iterator, Sequence, Tuple, Union
 
 import numpy as np
 
 from ._flow import _Flow
 from .dist import _FEW_LEVELS, RewardDistribution, _distribution, sample_array, top_quantile_mean
-from .engine import run_rewards
-from .errors import SizeLimit, _check_rewards, _demand, _penalty, _positive, _real, _reals, _supply, _typed
+from .engine import AllocationState, serve_query
+from .errors import SizeLimit, _check_rewards, _demand, _finite_sum, _penalty, _positive, _real, _reals, _supply
+from .errors import _typed
 from .instances import Instance
 from .policy import ThresholdPolicy, index_weights
 
-_MAX_ENUM_REALIZATIONS = 400_000
 _MAX_ONLINE_WORK = 4_000_000
 
 
@@ -101,7 +103,8 @@ def offline_opt_exact(realized: RealizedInstance, penalty: float) -> float:
     search enters, so the set is skipped from then on.  Queries with reward
     at or above the penalty are sold.  The value, what is sold minus the
     penalty on what is not delivered, is summed level by level with
-    correct rounding: a sequential sum drifts with the query count.
+    correct rounding: a sequential sum drifts with the query count.  A sum
+    past float range raises ``DomainError``.
 
     The groups are numbered once in pour order, a stable sort by
     eligible-set size, and a query's class key is ``level * groups + pour
@@ -158,90 +161,127 @@ def offline_opt_exact(realized: RealizedInstance, penalty: float) -> float:
         placed[lv] = units
     sold = per_level - np.array(placed, dtype=np.int64)
     undelivered = instance.total_demand - sum(placed)
-    return math.fsum([*(values * sold).tolist(), -penalty * undelivered])
+    with np.errstate(over="ignore"):  # a product past float range is refused by _finite_sum
+        sold_value = (values * sold).tolist()
+    unpaid = map(operator.mul, (-penalty,), (undelivered,))  # in the sum, which refuses a count past float range
+    return _finite_sum(itertools.chain(sold_value, unpaid), "offline optimum")
 
 
 # ---------------------------------------------------------------------------
-# optimal online value under one counted-work limit
+# exact expectations under one counted-work limit
 # ---------------------------------------------------------------------------
 
 
-def online_opt_bruteforce(
-    instance: Instance, dist: RewardDistribution, penalty: float
-) -> float:
-    """Exact expected reward of the optimal online policy.
+def _expectation(instance: Instance, dist: RewardDistribution, penalty: float, step) -> float:
+    """``V(0, demands)`` with ``V(i, d) = step(d, elig_i, V(i+1, .))`` and ``V(Q, d) = -penalty * sum(d)``.
 
-    Backward induction over (query index, remaining demand vector), taking
-    the expectation over the reward atom observed at each step:
-    ``V(i, d) = E_r[max(r + V(i+1, d), max_a V(i+1, d - e_a))]`` with
-    terminal value ``-penalty * sum(d)``, over the vectors a forward pass
-    finds reachable before each query.  Each query's work is counted before
-    its vectors are built: ``m + 1`` units (``m`` advertisers) for each vector
-    before it and each delivery from one, and one unit per atom and vector.
-    So the count bounds time and memory alike.  Raises :class:`SizeLimit`
-    once it would pass ``_MAX_ONLINE_WORK`` (4,000,000 units, at most about
-    1 s at the 48 to 256 ns per unit measured on a 2-vCPU Xeon with 1 to 30
-    advertisers and 2 to 50 atoms), and before any work past that many
-    queries, as each query counts at least one unit.
+    ``d`` runs over the remaining-demand vectors reachable before query
+    ``i``, and ``step`` takes the expectation over its reward.  A query's
+    work is counted before its vectors are built: ``m + 1`` units for each
+    vector and each delivery from one, and one per atom and vector.  Every
+    value is at most ``|penalty| * total demand + top reward * queries`` in
+    size, so that bound is checked finite first.
     """
-    _typed(instance, Instance)
-    _distribution(dist)
-    penalty = _penalty(penalty)
+    bound = map(operator.mul, (abs(penalty), dist.support[-1]), (instance.total_demand, instance.total_queries))
+    _finite_sum(bound, "|penalty| * total demand + top reward * queries")
     if instance.total_queries > _MAX_ONLINE_WORK:  # each query counts at least one unit
         raise SizeLimit(f"{instance.total_queries} queries exceed the online work limit {_MAX_ONLINE_WORK}")
     elig_seq = instance.expand()
-    atoms = list(zip(dist.point_masses(), dist.support))
     m = len(instance.demands)
     layers = [{instance.demands}]  # the vectors reachable before each query, and after the last
     work = 0
     for elig in elig_seq:
-        # m + 1 units for each vector and each delivery from one, one per atom and vector
-        work += len(layers[-1]) * ((1 + len(elig)) * (m + 1) + len(atoms))
+        work += len(layers[-1]) * ((1 + len(elig)) * (m + 1) + dist.d)
         if work > _MAX_ONLINE_WORK:
             raise SizeLimit(f"online work {work} exceeds the limit {_MAX_ONLINE_WORK}")
         layers.append(layers[-1] | {d[:a] + (d[a] - 1,) + d[a + 1 :] for d in layers[-1] for a in elig if d[a]})
     value = {d: -penalty * sum(d) for d in layers.pop()}
     for elig, layer in zip(reversed(elig_seq), reversed(layers)):
-        before = {}
-        for d in layer:
-            keep = value[d]
-            nxt = [value[d[:a] + (d[a] - 1,) + d[a + 1 :]] for a in elig if d[a]]
-            best = max(nxt) if nxt else None
-            acc = 0.0
-            for p, r in atoms:
-                acc += p * (r + keep if best is None else max(r + keep, best))
-            before[d] = acc
-        value = before
+        value = {d: step(d, elig, value) for d in layer}
     return value[instance.demands]
 
 
+def online_opt_bruteforce(instance: Instance, dist: RewardDistribution, penalty: float) -> float:
+    """Exact expected reward of the optimal online policy.
+
+    :func:`_expectation` of ``max(r + V(i+1, d), max_a V(i+1, d - e_a))``
+    for each reward ``r``; its value bound past float range raises
+    ``DomainError``.  ``_MAX_ONLINE_WORK`` (4,000,000 units) bounds
+    time and memory alike, here and in both halves of
+    :func:`exhaustive_values`.  On a 2-vCPU Xeon, with 1 to 30 advertisers
+    and 2 to 50 atoms, a unit cost 49 to 245 ns here and 46 to 1,030 ns in
+    the rule's pass, so at most about 1 and 4 s at the limit; a unit of
+    offline optima cost 0.4 to 3.6 us, and 50,625 calls of 26 units (the
+    3-point triangular 4x2) took 3.4 s.
+    """
+    _typed(instance, Instance)
+    _distribution(dist)
+    penalty = _penalty(penalty)
+    atoms = list(zip(dist.point_masses(), dist.support))
+
+    def step(d, elig, value):  # sell, or the best delivery
+        keep = value[d]
+        nxt = [value[d[:a] + (d[a] - 1,) + d[a + 1 :]] for a in elig if d[a]]
+        best = max(nxt) if nxt else None
+        acc = 0.0
+        for p, r in atoms:
+            acc += p * (r + keep if best is None else max(r + keep, best))
+        return acc
+
+    return _expectation(instance, dist, penalty, step)
+
+
+def _multisets(count: int, dist: RewardDistribution) -> Iterator[Tuple[float, Tuple[float, ...]]]:
+    # (probability, rewards) of each multiset of count draws, the multinomial probability one exact int / int
+    ratios = [p.as_integer_ratio() for p in dist.point_masses()]
+    for combo in itertools.combinations_with_replacement(range(dist.d), count):
+        ks = [combo.count(u) for u in range(dist.d)]
+        num = math.factorial(count) * math.prod(p**k for (p, _), k in zip(ratios, ks))
+        den = math.prod(math.factorial(k) * q**k for (_, q), k in zip(ratios, ks))
+        yield num / den, tuple(dist.support[u] for u in combo)
+
+
 def exhaustive_values(
-    instance: Instance,
-    dist: RewardDistribution,
-    penalty: float,
-    policy: ThresholdPolicy,
+    instance: Instance, dist: RewardDistribution, penalty: float, policy: ThresholdPolicy
 ) -> Tuple[float, float]:
-    """Exact (E[threshold algorithm], E[offline optimum]) by enumerating
-    every reward realization with its probability.  Tiny instances only."""
+    """Exact (E[threshold algorithm], E[offline optimum]), each reward drawn from ``dist``.
+
+    E[ALG] is :func:`_expectation` of the rule's choice, read from
+    :func:`serve_query`.  E[OFF] sums :func:`offline_opt_exact` over each
+    group's reward multiset by its multinomial probability.  Its ``prod_g
+    C(count_g + d - 1, d - 1)`` calls count the queries plus the
+    eligibility ids each, before any multiset is listed.  Each half raises
+    :class:`SizeLimit` past ``_MAX_ONLINE_WORK``, and a value past float
+    range ``DomainError``.
+    """
     _typed(instance, Instance)
     _typed(policy, ThresholdPolicy)
     _distribution(dist)
-    q = instance.total_queries
-    if dist.d**q > _MAX_ENUM_REALIZATIONS:
-        raise SizeLimit(f"{dist.d}^{q} realizations exceeds enumeration limit")
-    masses = dist.point_masses()
-    support = dist.support
-    e_alg = 0.0
-    e_off = 0.0
-    for combo in itertools.product(range(dist.d), repeat=q):
-        prob = 1.0
-        for u in combo:
-            prob *= masses[u]
-        rewards = tuple(support[u] for u in combo)
-        report = run_rewards(instance, policy, penalty, rewards)
-        e_alg += prob * report.reward
-        e_off += prob * offline_opt_exact(RealizedInstance(instance, rewards), penalty)
-    return e_alg, e_off
+    penalty = _penalty(penalty)
+    groups, demands = instance.groups, instance.demands
+    calls = math.prod(math.comb(count + dist.d - 1, dist.d - 1) for count, _ in groups)
+    units = instance.total_queries + sum(len(elig) for _, elig in groups)
+    work = calls * units
+    if work > _MAX_ONLINE_WORK:
+        raise SizeLimit(f"offline work {work} ({calls} optima of {units} units) exceeds the limit {_MAX_ONLINE_WORK}")
+    atoms = list(zip(dist.point_masses(), dist.support))
+
+    def step(d, elig, value):  # sell, or deliver at or below the reserve
+        _, _, reserve, a = serve_query(AllocationState(demands, [n - k for n, k in zip(demands, d)]), policy, elig, 0.0)
+        keep = value[d]
+        give = None if reserve is None else value[d[:a] + (d[a] - 1,) + d[a + 1 :]]
+        acc = 0.0
+        for p, r in atoms:
+            acc += p * (r + keep if reserve is None or r > reserve else give)
+        return acc
+
+    e_alg = _expectation(instance, dist, penalty, step)
+    terms = [
+        math.prod(p for p, _ in choice)
+        * offline_opt_exact(RealizedInstance(instance, [r for _, rewards in choice for r in rewards]), penalty)
+        for choice in itertools.product(*(_multisets(count, dist) for count, _ in groups))
+    ]
+    return e_alg, _finite_sum(terms, "E[offline optimum]")
 
 
 # ---------------------------------------------------------------------------

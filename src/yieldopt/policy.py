@@ -11,9 +11,7 @@ the query.  This module computes those thresholds:
   and in its exact large-``t`` closed form (``ub_continuous``); slice ``j``
   of ``t`` is count ``j - 1`` at demand ``t``, in ``serve_query``'s segment,
 * the exact maximizer of that objective for any support size, a
-  water-filling closed form that generalizes the binary one, plus an
-  exact grid oracle, a backward recursion over grid thresholds, used to
-  check it.
+  water-filling closed form that generalizes the binary one.
 
 All operations are pure functions of immutable inputs and safe to run in
 parallel across parameter grids.
@@ -31,8 +29,6 @@ from numpy.typing import ArrayLike
 from .dist import RewardDistribution, _distribution, _lowered, validate
 from .errors import _BOOLS, DomainError, InfeasibleDecay, _binary, _check_thresholds, _demand, _penalty
 from .errors import _positive, _real, _supply, _typed
-
-DEFAULT_GRID = 1.0 / 200.0
 
 # ---------------------------------------------------------------------------
 # domain types
@@ -261,54 +257,6 @@ def optimize_thresholds_exact(dist: RewardDistribution, f: float, c: float) -> T
         s = max(0.0, 1.0 + f * checked.cum_mass[k - 1] * logs[k] - f * partial)
         thresholds.append(min(s, thresholds[-1]))
     return ThresholdPolicy(tuple(reversed(thresholds)), checked)
-
-
-def _grid_values(grid: float) -> np.ndarray:
-    grid = _real(grid, "grid step", math.ulp(0.0), math.nextafter(1.0, 0.0), "in (0, 1)")
-    n = int(math.floor(1.0 / grid + 1e-9))
-    values = np.arange(n + 1) * grid
-    if values[-1] < 1.0 - 1e-12:
-        values = np.append(values, 1.0)
-    values[-1] = 1.0
-    return values
-
-
-def optimize_thresholds_grid(
-    dist: RewardDistribution,
-    f: float,
-    c: float,
-    grid: float = DEFAULT_GRID,
-) -> ThresholdPolicy:
-    """Exact optimum of ``ub_continuous`` over monotone grid threshold vectors.
-
-    An independent oracle for :func:`optimize_thresholds_exact`, for any d
-    and in ``dist``'s own units; a common shift of rewards and ``c`` moves nothing.
-    Maximizing the objective minimizes ``sum_v a_v exp(-X_v)``, which nests
-    as ``e_1 (a_1 + e_2 (a_2 + ...))`` with ``e_v = exp(-(s_v - s_{v-1}) w_v)``
-    and ``w_v = 1/(f q_{d+1-v})``: one backward pass picks the best
-    ``s_v >= s_{v-1}`` for every grid value of ``s_{v-1}``, the smallest on a
-    tie, so the result is the first optimum in lexicographic order.  Each
-    ``e_v`` is computed whole: the factored ``exp(s_{v-1} w_v) exp(-s_v w_v)``
-    overflows or cancels at large ``w_v``.  O(d |grid|^2) time.
-    """
-    checked, f, c, _ = _checked(dist, f, c)
-    ys = _grid_values(grid)
-    _, a, inv_q = _ub_terms(checked.support, checked.cum_mass, c)
-    w = inv_q / f
-    # tail[k]: the least e_v (a_v + e_{v+1} (a_{v+1} + ...)) given s_{v-1} = ys[k]
-    tail = a[-1] * np.exp((ys - 1.0) * w[-1])  # v = d, where s_d = 1
-    picks = []
-    for v in range(checked.d - 1, 0, -1):
-        gap = np.subtract.outer(ys if v > 1 else ys[:1], ys)  # s_{v-1} - s_v, with s_0 = 0
-        cost = np.exp(np.minimum(gap, 0.0) * w[v - 1]) * (a[v - 1] + tail)
-        cost[gap > 0.0] = np.inf
-        picks.append(cost.argmin(axis=1))
-        tail = cost.min(axis=1)
-    k, thresholds = 0, []
-    for pick in reversed(picks):
-        k = pick[k]
-        thresholds.append(ys[k])
-    return ThresholdPolicy((*thresholds, 1.0), checked)
 
 
 def make_policy(

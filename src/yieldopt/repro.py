@@ -27,7 +27,7 @@ from .policy import (
     binary_threshold,
     lb_discrete,
     make_policy,
-    optimize_thresholds_grid,
+    optimize_thresholds_exact,
     ub_continuous,
 )
 from .ratio import competitive_ratio, worst_case_distribution
@@ -263,12 +263,14 @@ def _sandwich_corpus() -> List[Tuple[Instance, RewardDistribution, float]]:
     add((1, 1), ((2, (0,)), (2, (1,))), tri3)
     add((5, 5), ((6, (0, 1)), (6, (1,))), b55)  # total demand 10 and 12 queries
     add((4, 3, 2), ((5, (0, 1, 2)), (4, (1, 2)), (3, (2,))), b55)
+    # gen_upper_triangular(3, 2, 2.0, seed=1): 3**12 realizations
+    add((2, 2, 2), ((4, (0, 1, 2)), (4, (1, 2)), (4, (2,))), tri3)
     return corpus
 
 
 @_experiment("sandwich")
 def run_sandwich(res: ReproResult) -> None:
-    """E[threshold ALG] <= optimal-online <= E[offline OPT] on tiny instances."""
+    """E[threshold ALG] <= optimal-online <= E[offline OPT] on small instances, each value exact."""
     corpus = _sandwich_corpus()
     res.checks.append(
         Check("corpus size", len(corpus), 20, "at least", len(corpus) >= 20)
@@ -372,7 +374,7 @@ def run_worstcase_fixed_mean(res: ReproResult) -> None:
             worst_violation = -math.inf
             for _ in range(100):
                 dist = random_mean_distribution(rng, mu, 1.0)
-                value = ub_continuous(optimize_thresholds_grid(dist, f, 1.0).thresholds, dist, f, 1.0)
+                value = ub_continuous(optimize_thresholds_exact(dist, f, 1.0).thresholds, dist, f, 1.0)
                 worst_violation = max(worst_violation, floor - value)
             res.checks.append(
                 _at_most(f"max(candidate_min - random best) at mu={mu}, f={f}", worst_violation, 1e-6)

@@ -14,11 +14,11 @@ LIMITS = {
     "lb-ub-identity": 30.0,
     "beta-recurrence": 5.0,
     "kvv-binary": 60.0,
-    "sandwich": 60.0,
+    "sandwich": 10.0,
     "matching-ratio": 60.0,
     "opt-concentration": 60.0,
     "supply-recovery": 10.0,
-    "worstcase-fixed-mean": 10.0,
+    "worstcase-fixed-mean": 5.0,
 }
 
 

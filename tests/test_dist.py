@@ -8,13 +8,14 @@ from hypothesis import strategies as st
 from yieldopt.dist import (
     _FEW_LEVELS,
     RewardDistribution,
-    cond_mean_below,
     normalize,
     sample_array,
     top_quantile_mean,
     validate,
 )
 from yieldopt.errors import DomainError, MalformedDistribution, RewardExceedsPenalty
+
+from reference import cond_mean_below
 
 
 @st.composite

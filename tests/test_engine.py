@@ -209,6 +209,38 @@ class TestFinalize:
             finalize(state, 1.0, 7.0)
 
 
+class TestRewardPastFloatRange:
+    """A reward built from finite values that is not finite raises ``DomainError``, with no overflow warning."""
+
+    HUGE = ThresholdPolicy((0.5, 1.0), RewardDistribution((0.0, 1e308), (0.5, 1.0)))
+
+    def test_revenue_overflows(self):
+        # one delivery, and two sales of 1e308 each
+        with pytest.raises(DomainError, match="reward must be finite, got revenue inf"):
+            run_rewards(Instance((1,), ((3, (0,)),)), self.HUGE, 1e308, [1e308] * 3)
+
+    def test_penalty_paid_overflows(self):
+        # three deliveries, and seven undelivered at 1e308 each
+        with pytest.raises(DomainError, match="penalty inf"):
+            run_rewards(Instance((10,), ((3, (0,)),)), self.HUGE, 1e308, [1e308] * 3)
+
+    def test_finalize(self):
+        with pytest.raises(DomainError, match="penalty inf"):
+            finalize(AllocationState((10**308,), [0]), 1e308)
+        # an undelivered count no float holds
+        with pytest.raises(DomainError, match="penalty inf"):
+            finalize(AllocationState((10**400,), [0]), 1.0)
+        state = AllocationState.fresh((1,))
+        for _ in range(2):
+            serve_query(state, self.HUGE, [], 1e308)
+        with pytest.raises(DomainError, match="revenue inf"):
+            finalize(state, 1.0)
+
+    def test_offset_overflows(self):
+        with pytest.raises(DomainError, match=r"revenue 1e\+308 - penalty 0.0 \+ offset 1e\+308"):
+            run_rewards(Instance((1,), ((2, (0,)),)), BPOL, 1.0, [0.0, 1e308], offset=1e308)
+
+
 class TestRunEquivalence:
     def run_via_serve(self, inst, policy, penalty, rewards):
         return finalize(replay(inst, policy, rewards)[0], penalty)

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from yieldopt import _flow
-from yieldopt.dist import RewardDistribution, cond_mean_below, normalize, sample_array, top_quantile_mean, validate
+from yieldopt.dist import RewardDistribution, normalize, sample_array, top_quantile_mean, validate
 from yieldopt.engine import AllocationState, finalize, run_instance, run_rewards, serve_query
 from yieldopt.errors import DomainError, MalformedDistribution, NonIntegralGroupSize, SizeLimit
 from yieldopt.errors import _finite, _integer, _integers, _reals
@@ -46,7 +46,6 @@ from yieldopt.policy import (
     lb_discrete,
     make_policy,
     optimize_thresholds_exact,
-    optimize_thresholds_grid,
     ub_continuous,
 )
 from yieldopt.ratio import binary_alg_bound, competitive_ratio, worst_case_distribution
@@ -58,13 +57,12 @@ TINY = Instance((1,), ((2, (0,)),))
 MATCH = gen_upper_triangular(2, 1, 1, np.random.default_rng(0))
 
 # every function that takes a supply factor f, a total demand N, a penalty c,
-# an offset, a binary q or r, a resolution t, a 1-based index u, a reward
-# array, or an advertiser's demand or delivered count, with valid other
-# arguments (f = 2 where another one is under test)
+# an offset, a binary q or r, a resolution t, a reward array, or an
+# advertiser's demand or delivered count, with valid other arguments (f = 2
+# where another one is under test)
 RULES = {
     ("binary_threshold", "f"): lambda f: binary_threshold(f, 0.5, 0.5, 1.0),
     ("optimize_thresholds_exact", "f"): lambda f: optimize_thresholds_exact(BINARY, f, 1.0),
-    ("optimize_thresholds_grid", "f"): lambda f: optimize_thresholds_grid(BINARY, f, 1.0),
     ("make_policy", "f"): lambda f: make_policy(BINARY, 1.0, f),
     ("ub_continuous", "f"): lambda f: ub_continuous(POLICY.thresholds, BINARY, f, 1.0),
     ("lb_discrete", "f"): lambda f: lb_discrete(POLICY, f, 1.0, 1.0, 100),
@@ -92,6 +90,7 @@ RULES = {
     ("lb_discrete", "c"): lambda c: lb_discrete(POLICY, 2.0, c, 1.0, 100),
     ("offline_opt_exact", "c"): lambda c: offline_opt_exact(RealizedInstance(TINY, (0.0, 0.5)), c),
     ("online_opt_bruteforce", "c"): lambda c: online_opt_bruteforce(TINY, BINARY, c),
+    ("exhaustive_values", "c"): lambda c: exhaustive_values(TINY, BINARY, c, POLICY),
     ("finalize", "c"): lambda c: finalize(AllocationState.fresh((1,)), c),
     ("run_rewards", "c"): lambda c: run_rewards(TINY, POLICY, c, (0.0, 0.5)),
     ("run_rewards", "offset"): lambda o: run_rewards(TINY, POLICY, 1.0, (0.0, 0.5), o),
@@ -102,7 +101,6 @@ RULES = {
     ("beta_closed_form", "t"): lambda t: beta_closed_form(POLICY, 2.0, 1.0, t),
     ("lb_discrete", "t"): lambda t: lb_discrete(POLICY, 2.0, 1.0, 1.0, t),
     ("adversary_lp_tight", "t"): lambda t: adversary_lp_tight(POLICY, 2.0, 1.0, t),
-    ("cond_mean_below", "u"): lambda u: cond_mean_below(BINARY, u),
     ("run_rewards", "rewards"): lambda x: run_rewards(TINY, POLICY, 1.0, x),
     ("RealizedInstance", "rewards"): lambda x: RealizedInstance(TINY, x),
     ("index_weights", "t"): lambda t: index_weights(POLICY, t),
@@ -129,7 +127,6 @@ RULES = {
     ("trial_weights", "seed"): lambda s: trial_weights(2, 1, 1, 2, s),
     ("empirical_ratio", "seed"): lambda s: empirical_ratio(2, 1, 1, 2, s),
     ("perturbed_greedy", "seed"): lambda s: perturbed_greedy(MATCH, 1, s),
-    ("optimize_thresholds_grid", "grid"): lambda g: optimize_thresholds_grid(BINARY, 2.0, 1.0, grid=g),
     ("perturbed_greedy", "f"): lambda f: perturbed_greedy(MATCH, f, 0),
     ("sample_array", "rng"): lambda g: sample_array(BINARY, g, 2),
     ("sample_array", "size"): lambda n: sample_array(BINARY, np.random.default_rng(0), n),
@@ -137,7 +134,7 @@ RULES = {
 # a bool is not a number: these args' rows also refuse True and np.True_ (JSON
 # has only the one), in cases after all the others; the real-number args
 # refuse both in test_real_number_rule
-BOOL_ARGS = ("t", "u", "demand", "delivered", "seed", "generator f", "advertiser id", "reward", "rng", "size")
+BOOL_ARGS = ("t", "demand", "delivered", "seed", "generator f", "advertiser id", "reward", "rng", "size")
 BAD = {
     "f": (math.nan, math.inf, 0.5),
     "N": (math.nan, math.inf, 0.0),
@@ -146,7 +143,6 @@ BAD = {
     "q": (math.nan, 0.0, 1.0, 1.5),
     "r": (math.nan, math.inf, -0.5),
     "t": (math.nan, 2.5, 0),
-    "u": (math.nan, math.inf, 1.5),
     "rewards": ((0.0,), (0.0, 0.5, 0.5), (0.0, math.nan), (math.inf, 0.0)),
     "demand": (0, -1, 2.5, math.nan, math.inf),
     "delivered": (-1, 3, 2.5, math.nan, math.inf),
@@ -161,7 +157,6 @@ BAD = {
     "reward": ("0.3", None, math.nan, math.inf, np.complex128(1 + 1j), Decimal("sNaN")),
     "p": (math.nan, -0.5, 1.5),
     "mu": (math.nan, 0.0, 1.5),
-    "grid": ("0.1", None, math.nan, 0.0, 1.0),
     # a random stream: the seed rule, and None (default_rng would read it as fresh entropy)
     "rng": (1.5, -1, "abc", math.nan, math.inf, None),
     "size": (-1, 2.5, math.nan, "3", None),
@@ -174,7 +169,6 @@ MESSAGE = {
     "q": "q must be in",
     "r": "r must be finite",
     "t": "t must be",
-    "u": "u must be an integer",
     "rewards": "rewards",
     "demand": "demand must be an integer",
     "delivered": "delivered count must be",
@@ -188,7 +182,6 @@ MESSAGE = {
     "reward": "reward must be finite",
     "p": "p must be in",
     "mu": "mu must be in",
-    "grid": "grid step must be in",
     "rng": "seed must be an integer",
     "size": "size must be an integer",
 }
@@ -202,7 +195,6 @@ VALID = {  # any other argument takes 2.0
     "advertiser id": 1,
     "p": 0.5,
     "mu": 0.3,
-    "grid": 0.3,
     "rng": np.random.default_rng(0),
 }
 
@@ -238,7 +230,7 @@ def test_domain_rule(name, arg, bad):
 
 
 # the real-valued arguments: each is read as the float it converts to
-REAL_ARGS = ("f", "N", "c", "offset", "q", "r", "p", "mu", "grid")
+REAL_ARGS = ("f", "N", "c", "offset", "q", "r", "p", "mu")
 
 
 @cases("name, arg", [(name, arg) for name, arg in sorted(RULES) if arg in REAL_ARGS])
@@ -323,7 +315,7 @@ def _bits(result) -> str:
 def test_scalar_spellings_compute_as_their_float(name, arg):
     # every spelling of a real value computes what its float does, in float64;
     # float32 holds each value exactly, so a float32 result would show
-    value = {"q": 0.5, "p": 0.5, "mu": 0.25, "grid": 0.25}.get(arg, 2.0)
+    value = {"q": 0.5, "p": 0.5, "mu": 0.25}.get(arg, 2.0)
     expected = _bits(RULES[name, arg](value))
     spellings = [np.float32(value), np.float64(value), Fraction(value), Decimal(value)]
     if value.is_integer():

@@ -6,7 +6,7 @@ import pickle
 import networkx as nx
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from yieldopt import _flow, oracle, repro
@@ -26,8 +26,12 @@ from yieldopt.oracle import (
 )
 from yieldopt.policy import ThresholdPolicy, make_policy
 
+from reference import enumerated_values
+
 BINARY = RewardDistribution((0.0, 0.5), (0.5, 1.0))
 TRI3 = RewardDistribution((0.0, 0.4, 0.9), (0.3, 0.7, 1.0))
+TINY = Instance((1,), ((2, (0,)),))
+TINY_POLICY = ThresholdPolicy((0.3, 1.0), BINARY)
 
 
 def offline_bruteforce(realized, penalty):
@@ -283,6 +287,20 @@ class TestOfflineOptDifferential:
             with pytest.raises(DomainError):
                 offline_opt_exact(realized, bad)
 
+    @pytest.mark.parametrize(
+        "demand, rewards, penalty",
+        [
+            (1, (1e308,) * 3, 1.0),  # three sold at 1e308
+            (10, (1e308,) * 3, 1e308),  # sold inf, and ten undelivered at -inf
+            (1, (1e308, 1.5e308), 1.0),  # a partial sum past float range
+        ],
+        ids=["sold", "sold-and-penalty", "partial-sum"],
+    )
+    def test_value_past_float_range(self, demand, rewards, penalty):
+        realized = RealizedInstance(Instance((demand,), ((len(rewards), (0,)),)), rewards)
+        with pytest.raises(DomainError, match="offline optimum must be finite"):
+            offline_opt_exact(realized, penalty)
+
 
 def online_opt_recursive(instance, dist, penalty):
     # the memoized recursion online_opt_bruteforce replaced, with its three caps: a reference
@@ -398,6 +416,12 @@ class TestOnlineOptBruteforce:
         value = online_opt_bruteforce(Instance((1,), ((2, (0,)),)), wide, 1.0)
         assert value == pytest.approx(0.5 * 0.16 + 0.2 * 0.2 + 0.3 * 0.3)
 
+    def test_value_past_float_range(self):
+        # a terminal value of -inf (10**308 undelivered at 10 each), and a remaining demand no float holds
+        for demand, penalty in ((10**308, 10.0), (10**400, 1.0)):
+            with pytest.raises(DomainError, match=r"\|penalty\| \* total demand \+ top reward \* queries must be"):
+                online_opt_bruteforce(Instance((demand,), ((1, (0,)),)), BINARY, penalty)
+
     def test_dominates_threshold_policy(self):
         inst = Instance((1, 1), ((2, (0, 1)), (2, (1,))))
         f = max(1.0, supply_factor(inst))
@@ -433,7 +457,7 @@ class TestOnlineOptBruteforce:
                 continue
             assert online_opt_bruteforce(instance, dist, penalty) == expected
             compared += 1
-        assert compared == 24
+        assert compared == 25
 
     @settings(max_examples=25, deadline=None)
     @given(instance=online_instance(max_demand=16, max_queries=10), demand=st.integers(9, 12))
@@ -446,6 +470,81 @@ class TestOnlineOptBruteforce:
         e_alg, e_off = exhaustive_values(instance, BINARY, 1.0, policy)
         v_onl = online_opt_bruteforce(instance, BINARY, 1.0)
         assert e_alg <= v_onl + 1e-9 and v_onl <= e_off + 1e-9
+
+
+def assert_enumerated(instance, dist, penalty, policy):
+    # within 1e-12 of the scale of the terms summed: a reward per query and the penalty per unit of demand
+    scale = penalty * instance.total_demand + dist.support[-1] * instance.total_queries
+    got = exhaustive_values(instance, dist, penalty, policy)
+    want = enumerated_values(instance, dist, penalty, policy)
+    for a, b in zip(got, want):
+        assert abs(a - b) <= 1e-12 * scale, (got, want)
+
+
+@st.composite
+def threshold_policies(draw, dist):
+    ts = sorted(draw(st.lists(st.floats(0.0, 1.0), min_size=dist.d - 1, max_size=dist.d - 1)))
+    return ThresholdPolicy((*ts, 1.0), dist)
+
+
+class TestExhaustiveValues:
+    def test_equals_the_enumeration_on_the_sandwich_corpus(self):
+        compared = 0
+        for instance, dist, penalty in repro._sandwich_corpus():
+            if dist.d**instance.total_queries > 400_000:  # the enumeration's old cap
+                continue
+            f = max(1.0, supply_factor(instance))
+            policy, _, _ = make_policy(dist, penalty, f, N=float(instance.total_demand))
+            assert_enumerated(instance, dist, penalty, policy)
+            compared += 1
+        assert compared == 26
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        instance=online_instance(max_demand=8, max_queries=8),
+        dist=st.sampled_from(ONLINE_DISTS),
+        penalty=st.sampled_from((0.6, 1.0, 1.5)),
+        data=st.data(),
+    )
+    def test_equals_the_enumeration(self, instance, dist, penalty, data):
+        assume(dist.d**instance.total_queries < 400_000)
+        assert_enumerated(instance, dist, penalty, data.draw(threshold_policies(dist)))
+
+    def test_sandwich_past_the_old_enumeration_cap(self):
+        # gen_upper_triangular(3, 2, 2.0, seed=1) with 3-point bids: 3**12 = 531,441 realizations
+        instance = gen_upper_triangular(3, 2, 2.0, seed=1)
+        policy, _, _ = make_policy(TRI3, 1.0, 2.0, N=6.0)
+        e_alg, e_off = exhaustive_values(instance, TRI3, 1.0, policy)
+        v_onl = online_opt_bruteforce(instance, TRI3, 1.0)
+        assert (e_alg, v_onl, e_off) == pytest.approx((3.15004, 3.91132, 4.07060), abs=5e-6)
+
+    def test_work_limit(self, monkeypatch):
+        # offline: 3 multisets of 2 binary bids, each call 2 queries + 1 id; online: 18 units
+        # as in TestOnlineOptBruteforce.test_work_limit
+        monkeypatch.setattr(oracle, "_MAX_ONLINE_WORK", 8)
+        with pytest.raises(SizeLimit, match=r"^offline work 9 \(3 optima of 3 units\) exceeds the limit 8$"):
+            exhaustive_values(TINY, BINARY, 1.0, TINY_POLICY)
+        monkeypatch.setattr(oracle, "_MAX_ONLINE_WORK", 17)
+        with pytest.raises(SizeLimit, match="^online work 18 exceeds the limit 17$"):
+            exhaustive_values(TINY, BINARY, 1.0, TINY_POLICY)
+        monkeypatch.setattr(oracle, "_MAX_ONLINE_WORK", 18)
+        assert exhaustive_values(TINY, BINARY, 1.0, TINY_POLICY) == enumerated_values(TINY, BINARY, 1.0, TINY_POLICY)
+
+    def test_many_multisets_refused_before_any_is_listed(self, monkeypatch):
+        # C(3002, 2) = 4,504,501 calls of 3,001 units each
+        def unreachable(*args):
+            raise AssertionError("work before the offline count")
+
+        for name in ("_expectation", "_multisets", "offline_opt_exact"):
+            monkeypatch.setattr(oracle, name, unreachable)
+        instance = Instance((1,), ((3000, (0,)),))
+        with pytest.raises(SizeLimit, match=r"^offline work 13518007501 \(4504501 optima of 3001 units\) exceeds"):
+            exhaustive_values(instance, TRI3, 1.0, ThresholdPolicy((0.2, 0.5, 1.0), TRI3))
+
+    def test_value_past_float_range(self):
+        point = RewardDistribution.point_mass(1e308)
+        with pytest.raises(DomainError, match="must be finite"):
+            exhaustive_values(Instance((1,), ((3, ()),)), point, 1.0, ThresholdPolicy((1.0,), point))
 
 
 class TestAdversaryLpTight:

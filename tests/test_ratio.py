@@ -8,13 +8,15 @@ from hypothesis import strategies as st
 from yieldopt.dist import RewardDistribution, normalize, validate
 from yieldopt.errors import DomainError
 from yieldopt.oracle import offline_opt_formula
-from yieldopt.policy import binary_threshold, optimize_thresholds_exact, optimize_thresholds_grid, ub_continuous
+from yieldopt.policy import binary_threshold, optimize_thresholds_exact, ub_continuous
 from yieldopt.ratio import (
     binary_alg_bound,
     competitive_ratio,
     worst_case_distribution,
 )
 from yieldopt.repro import random_mean_distribution
+
+from reference import optimize_thresholds_grid
 
 CANONICAL_RATIO = 0.28447223007858624  # 2*(0.5 - sqrt(0.5) e^{-0.5}) / 0.5
 
